@@ -9,7 +9,6 @@ Modules: :mod:`ofdsim.linalg` (incremental precision algebra),
 :mod:`ofdsim.cli` (experiment presets and CSV emission).
 """
 
-from ._kernels import BACKEND
 from .environment import ProblemInstance, generate_instance
 from .estimators import ConfidenceParams
 from .goodness import GoodnessSpec, weights_from_rho
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateSeries",
-    "BACKEND",
     "ConfidenceParams",
     "GoodnessSpec",
     "PolicyKind",

@@ -78,6 +78,19 @@ class RunSpecEntry:
         return f"{self.name}_{self.policy.name}.csv"
 
 
+@dataclass(frozen=True)
+class RunPlan:
+    """A resolved command: the runs, the manifest header (base seed,
+    preset, reps) and where and how wide to execute them."""
+
+    entries: list[RunSpecEntry]
+    seed: int
+    preset: str | None
+    reps: int
+    out: str
+    jobs: int
+
+
 def _derive_seeds(base_seed: int, reps: int) -> tuple[int, ...]:
     """Per-repetition seeds keyed by (base, rep) only, never by policy
     or sweep point, so every policy and every grid point of an
@@ -224,31 +237,26 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(ns: argparse.Namespace, file_values: dict, key: str, default):
-    flag = getattr(ns, key, None)
-    if flag is not None:
-        return flag
-    file_key = "lambda" if key == "reg_lambda" else key
-    if file_key in file_values:
-        return file_values[file_key]
-    return default
-
-
 def _parse_ratios(text: str) -> np.ndarray:
     return np.asarray([float(part) for part in text.split(",") if part.strip() != ""])
 
 
-def validate_config(ns: argparse.Namespace) -> list[RunSpecEntry]:
-    """Resolve flags + optional config file into concrete run entries.
+def validate_config(ns: argparse.Namespace) -> RunPlan:
+    """Resolve flags + optional config file into a plan of concrete runs.
 
-    Raises ConfigError carrying one message per rejected field.
+    Flags win over the file, the file over ``DEFAULTS``; the base seed
+    falls back to ``OFD_SEED``, then 0. Raises ConfigError carrying one
+    message per rejected field.
     """
     config_path = getattr(ns, "config", None)
     file_values = _read_config_file(config_path) if config_path else {}
     problems: list[str] = []
 
-    def grab(key: str, default=None):
-        return _resolve(ns, file_values, key, DEFAULTS.get(key, default))
+    def grab(key: str):
+        flag = getattr(ns, key, None)
+        if flag is not None:
+            return flag
+        return file_values.get("lambda" if key == "reg_lambda" else key, DEFAULTS.get(key))
 
     base_seed = grab("seed")
     if base_seed is None:
@@ -262,6 +270,7 @@ def validate_config(ns: argparse.Namespace) -> list[RunSpecEntry]:
         raise ConfigError(problems)
 
     preset = grab("preset")
+    out, jobs = grab("out"), grab("jobs")
     if preset is not None:
         structural = ("policy", "rho", "agents", "item_dim", "agent_dim",
                       "horizon", "utility", "target_ratios")
@@ -270,7 +279,8 @@ def validate_config(ns: argparse.Namespace) -> list[RunSpecEntry]:
             raise ConfigError(
                 [f"--{k.replace('_', '-')} cannot be combined with --preset" for k in clashes]
             )
-        return expand_preset(preset, reps, base_seed)
+        entries = expand_preset(preset, reps, base_seed)
+        return RunPlan(entries, base_seed, preset, reps, out, jobs)
 
     policy_name = grab("policy")
     if policy_name is None:
@@ -371,7 +381,8 @@ def validate_config(ns: argparse.Namespace) -> list[RunSpecEntry]:
         spec=spec,
     )
     seeds = _derive_seeds(base_seed, reps)
-    return [RunSpecEntry(name="adhoc", policy=proto.policy, proto=proto, seeds=seeds)]
+    entries = [RunSpecEntry(name="adhoc", policy=proto.policy, proto=proto, seeds=seeds)]
+    return RunPlan(entries, base_seed, preset, reps, out, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +469,6 @@ def _entry_from_json(payload: dict) -> RunSpecEntry:
 # execution
 
 
-def _single_series(trace: simulator.RunTrace) -> simulator.AggregateSeries:
-    return simulator.AggregateSeries(
-        horizon=trace.horizon,
-        n_reps=1,
-        mean_regret=trace.cum_regret.copy(),
-        ci95=np.zeros(trace.horizon),
-        final_metrics={
-            "usw": (float(trace.final_totals.sum()), 0.0),
-            "gini": (simulator.gini_coefficient(trace.final_totals), 0.0),
-            "min_ratio": (simulator.min_ratio(trace.final_totals), 0.0),
-        },
-    )
-
-
 def execute_entries(entries: list[RunSpecEntry], jobs: int, outdir: str) -> list[str]:
     """Run every entry's repetitions and write one aggregate CSV each."""
     configs: list[RunConfig] = []
@@ -488,10 +485,7 @@ def execute_entries(entries: list[RunSpecEntry], jobs: int, outdir: str) -> list
     for entry in entries:
         chunk = traces[offset : offset + len(entry.seeds)]
         offset += len(entry.seeds)
-        if len(chunk) >= 2:
-            series = simulator.aggregate(chunk)
-        else:
-            series = _single_series(chunk[0])
+        series = simulator.aggregate(chunk)
         path = os.path.join(outdir, entry.csv_name)
         simulator.write_series_csv(series, path)
         written.append(entry.csv_name)
@@ -541,27 +535,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
+    """Replay plan for a manifest; output goes next to it unless --out."""
+    with open(ns.manifest, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    return RunPlan(
+        entries=[_entry_from_json(item) for item in payload["entries"]],
+        seed=payload["seed"],
+        preset=payload.get("preset"),
+        reps=payload["reps"],
+        out=ns.out if ns.out else os.path.dirname(os.path.abspath(ns.manifest)),
+        jobs=ns.jobs if ns.jobs is not None else DEFAULTS["jobs"],
+    )
+
+
 def run_command(ns: argparse.Namespace) -> int:
     try:
-        if ns.manifest:
-            with open(ns.manifest, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            entries = [_entry_from_json(item) for item in payload["entries"]]
-            base_seed = payload["seed"]
-            reps = payload["reps"]
-            preset = payload.get("preset")
-            outdir = ns.out if ns.out else os.path.dirname(os.path.abspath(ns.manifest))
-            jobs = ns.jobs if ns.jobs is not None else 1
-        else:
-            entries = validate_config(ns)
-            file_values = _read_config_file(ns.config) if ns.config else {}
-            base_seed = _resolve(ns, file_values, "seed", None)
-            if base_seed is None:
-                base_seed = int(os.environ.get("OFD_SEED", "0"))
-            reps = _resolve(ns, file_values, "reps", DEFAULTS["reps"])
-            preset = _resolve(ns, file_values, "preset", None)
-            outdir = _resolve(ns, file_values, "out", DEFAULTS["out"])
-            jobs = _resolve(ns, file_values, "jobs", DEFAULTS["jobs"])
+        plan = _plan_from_manifest(ns) if ns.manifest else validate_config(ns)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -571,25 +561,25 @@ def run_command(ns: argparse.Namespace) -> int:
         return 2
 
     try:
-        _prepare_outdir(outdir)
+        _prepare_outdir(plan.out)
     except PermissionError as exc:
         print(str(exc), file=sys.stderr)
         return 3
 
     try:
-        written = execute_entries(entries, jobs, outdir)
+        written = execute_entries(plan.entries, plan.jobs, plan.out)
     except simulator.RunAbortedError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 4
 
     manifest = {
-        "seed": base_seed,
-        "preset": preset,
-        "reps": reps,
-        "entries": [_entry_to_json(entry) for entry in entries],
+        "seed": plan.seed,
+        "preset": plan.preset,
+        "reps": plan.reps,
+        "entries": [_entry_to_json(entry) for entry in plan.entries],
         "csv_files": written,
     }
-    manifest_path = os.path.join(outdir, "manifest.json")
+    manifest_path = os.path.join(plan.out, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

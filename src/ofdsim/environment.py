@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import goodness, policies
-
 LINEAR = "linear"
 SQUARE = "square"
 UTILITY_KINDS = (LINEAR, SQUARE)
@@ -56,12 +54,6 @@ class ProblemInstance:
         return self.item_dim + self.agent_dim
 
 
-@dataclass(frozen=True)
-class ItemContexts:
-    item: np.ndarray
-    per_agent: np.ndarray
-
-
 def generate_instance(
     n_agents: int,
     item_dim: int,
@@ -86,13 +78,14 @@ def generate_instance(
     )
 
 
-def draw_item(instance: ProblemInstance, rng: np.random.Generator) -> ItemContexts:
-    """Sample one item and assemble the per-agent context matrix."""
+def draw_item(instance: ProblemInstance, rng: np.random.Generator) -> np.ndarray:
+    """Sample one item and return the (n_agents, dim) context matrix:
+    row n is the item's features followed by agent n's."""
     item = rng.uniform(0.0, FEATURE_HIGH, size=instance.item_dim)
     per_agent = np.empty((instance.n_agents, instance.dim))
     per_agent[:, : instance.item_dim] = item
     per_agent[:, instance.item_dim :] = instance.agent_features
-    return ItemContexts(item=item, per_agent=per_agent)
+    return per_agent
 
 
 def true_utilities(instance: ProblemInstance, xs: np.ndarray) -> np.ndarray:
@@ -105,56 +98,3 @@ def true_utilities(instance: ProblemInstance, xs: np.ndarray) -> np.ndarray:
     if instance.utility_kind == LINEAR:
         return proj
     return proj**2 / (FEATURE_HIGH * math.sqrt(instance.dim))
-
-
-def true_utility(instance: ProblemInstance, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (instance.dim,):
-        raise ValueError(f"x must have shape ({instance.dim},), got {x.shape}")
-    return float(true_utilities(instance, x[None, :])[0])
-
-
-def sample_utility(instance: ProblemInstance, x: np.ndarray, rng: np.random.Generator) -> float:
-    """Noisy observation: true utility plus Normal(0, noise_r^2)."""
-    f = true_utility(instance, x)
-    if instance.noise_r == 0.0:
-        return f
-    return f + rng.normal(0.0, instance.noise_r)
-
-
-def oracle_agent(
-    instance: ProblemInstance,
-    spec: goodness.GoodnessSpec,
-    ledger: policies.UtilityLedger,
-    contexts: ItemContexts,
-    weights: np.ndarray | None = None,
-) -> int:
-    """Greedy one-step oracle: argmax over agents of the candidate
-    goodness under the true utilities, ties to the lowest index."""
-    adds = true_utilities(instance, contexts.per_agent)
-    values = goodness.candidate_scores(spec, ledger.totals, adds, weights=weights)
-    return int(np.argmax(values))
-
-
-def instance_to_json(instance: ProblemInstance) -> dict:
-    return {
-        "n_agents": instance.n_agents,
-        "item_dim": instance.item_dim,
-        "agent_dim": instance.agent_dim,
-        "agent_features": instance.agent_features.tolist(),
-        "theta_star": instance.theta_star.tolist(),
-        "utility_kind": instance.utility_kind,
-        "noise_r": instance.noise_r,
-    }
-
-
-def instance_from_json(payload: dict) -> ProblemInstance:
-    return ProblemInstance(
-        n_agents=int(payload["n_agents"]),
-        item_dim=int(payload["item_dim"]),
-        agent_dim=int(payload["agent_dim"]),
-        agent_features=np.asarray(payload["agent_features"], dtype=np.float64),
-        theta_star=np.asarray(payload["theta_star"], dtype=np.float64),
-        utility_kind=payload["utility_kind"],
-        noise_r=float(payload["noise_r"]),
-    )

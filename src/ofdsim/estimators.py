@@ -22,7 +22,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-from ._kernels import batch_quad_form
 
 GP_RECOMPUTE_EVERY = 256
 
@@ -104,15 +103,9 @@ def alpha_t(params: ConfidenceParams, t: int) -> float:
     ) * params.param_bound_s
 
 
-def ucb_score(state: RidgeState, params: ConfidenceParams, t: int, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    width = linalg.inv_norm(state.precision, x)
-    return float(x @ state.theta_hat) + alpha_t(params, t) * width
-
-
 def ucb_scores(state: RidgeState, params: ConfidenceParams, t: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized ucb_score over the rows of xs."""
-    q = np.maximum(batch_quad_form(state.precision.m_inv, xs), 0.0)
+    """Optimistic score x.theta_hat + alpha_t*||x||_{M^-1} of each row of xs."""
+    q = np.maximum(np.sum((xs @ state.precision.m_inv) * xs, axis=1), 0.0)
     return xs @ state.theta_hat + alpha_t(params, t) * np.sqrt(q)
 
 
@@ -125,16 +118,9 @@ def beta_t(params: ConfidenceParams, t: int) -> float:
 
 def ts_sample(state: RidgeState, params: ConfidenceParams, t: int,
               rng: np.random.Generator) -> np.ndarray:
-    """One parameter draw theta ~ N(theta_hat, beta_t^2 * M^-1)."""
+    """One parameter draw theta ~ N(theta_hat, beta_t^2 * M^-1); a round
+    draws once and scores every agent against it."""
     return linalg.sample_gaussian(state.theta_hat, beta_t(params, t), state.precision, rng)
-
-
-def ts_score(state: RidgeState, params: ConfidenceParams, t: int, x: np.ndarray,
-             rng: np.random.Generator) -> float:
-    """Score x under a fresh parameter draw. Inside a round the policy
-    draws once via ts_sample and scores every agent against it."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(x @ ts_sample(state, params, t, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +284,6 @@ def gp_posterior(state: GpState, x: np.ndarray) -> tuple[float, float]:
 
 def gp_width_multiplier(state: GpState, params: ConfidenceParams) -> float:
     return math.sqrt(2.0 * (state.info_gain + 1.0 + math.log(1.0 / params.delta))) + state.bound_b
-
-
-def gp_ucb_score(state: GpState, params: ConfidenceParams, x: np.ndarray) -> float:
-    mean, std = gp_posterior(state, x)
-    return mean + gp_width_multiplier(state, params) * std
 
 
 def gp_ucb_scores(state: GpState, params: ConfidenceParams, xs: np.ndarray) -> np.ndarray:

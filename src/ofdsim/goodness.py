@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-
 WEIGHTED_GINI = "weighted-gini"
 NSW = "nsw"
 LOG_NSW = "log-nsw"
@@ -123,11 +121,6 @@ class GoodnessSpec:
             self._weights_cache = (n_agents, weights_from_rho(self.rho, n_agents))
         return self._weights_cache[1]
 
-    def priorities(self) -> np.ndarray:
-        if self.kind != TARGETED:
-            raise ValueError(f"{self.kind} has no priorities")
-        return self._priorities
-
 
 def _check_u(spec: GoodnessSpec, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
@@ -151,25 +144,13 @@ def evaluate(spec: GoodnessSpec, u: np.ndarray) -> float:
     u = _check_u(spec, u)
     if spec.kind == WEIGHTED_GINI:
         w = spec.resolved_weights(u.size)
-        return float(_kernels.weighted_sorted_sum(w, u))
+        return float(np.sort(u) @ w)
     if spec.kind == NSW:
         # reduce in sorted order so permutations of u give bit-equal results
         return float(np.prod(np.sort(u)))
     if spec.kind == LOG_NSW:
         return float(np.sum(np.log(np.sort(u))))
     return float(np.min(u / spec._priorities))
-
-
-def evaluate_candidate(spec: GoodnessSpec, u: np.ndarray, agent: int, added_utility: float) -> float:
-    """Goodness after granting agent an extra added_utility (>= 0)."""
-    u = _check_u(spec, u)
-    if not 0 <= agent < u.size:
-        raise ValueError(f"agent index {agent} out of range for {u.size} agents")
-    if not np.isfinite(added_utility) or added_utility < 0.0:
-        raise ValueError(f"added_utility must be finite and >= 0, got {added_utility!r}")
-    updated = u.copy()
-    updated[agent] += added_utility
-    return evaluate(spec, updated)
 
 
 def candidate_scores(
@@ -182,7 +163,9 @@ def candidate_scores(
 
     Entry n equals evaluate on totals with adds[n] granted to agent n.
     This is the round-loop fast path; ``weights`` may be passed to skip
-    the per-call weight resolution for weighted-gini.
+    the per-call weight resolution for weighted-gini. An NSW product
+    that overflows to inf or underflows to 0 raises
+    :class:`GoodnessDomainError`, since its argmax would be arbitrary.
     """
     totals = _check_u(spec, totals)
     adds = np.asarray(adds, dtype=np.float64)
@@ -193,10 +176,21 @@ def candidate_scores(
     if spec.kind == WEIGHTED_GINI:
         if weights is None:
             weights = spec.resolved_weights(totals.size)
-        return _kernels.gini_candidates(weights, totals, adds)
+        n = totals.size
+        mat = np.tile(totals, (n, 1))
+        mat[np.arange(n), np.arange(n)] += adds
+        mat.sort(axis=1)
+        return mat @ weights
     if spec.kind == NSW:
-        leave_one_out = np.prod(totals) / totals
-        return leave_one_out * (totals + adds)
+        with np.errstate(over="ignore"):
+            values = np.prod(totals) / totals * (totals + adds)
+        if not np.all(np.isfinite(values) & (values > 0.0)):
+            raise GoodnessDomainError(
+                f"nsw candidate products of {totals.size} totals in "
+                f"[{totals.min():.3g}, {totals.max():.3g}] leave the float range; "
+                "log-nsw ranks candidates the same way"
+            )
+        return values
     if spec.kind == LOG_NSW:
         return np.sum(np.log(totals)) + np.log1p(adds / totals)
     ratios = totals / spec._priorities

@@ -12,12 +12,11 @@ from scratch every 1000 updates and replaces the incremental values.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _kernels
 
 GUARD_INTERVAL = 1000
 
@@ -71,10 +70,17 @@ def _check_vector(state: PrecisionState, v: np.ndarray, name: str) -> np.ndarray
 def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
     """Fold the observation direction v into M, its inverse and log det.
 
-    Mutates ``state`` in place and returns it.
+    Mutates ``state`` in place and returns it; a symmetric M^-1 stays
+    exactly symmetric.
     """
     v = _check_vector(state, v, "v")
-    state.log_det += _kernels.rank_one_update(state.m_mat, state.m_inv, v)
+    z = state.m_inv @ v
+    denom = 1.0 + float(v @ z)
+    state.m_mat += np.outer(v, v)
+    state.m_inv -= np.outer(z, z) / denom
+    # re-symmetrize to stop round-off drift from accumulating
+    state.m_inv[:] = 0.5 * (state.m_inv + state.m_inv.T)
+    state.log_det += math.log(denom)
     state.n_updates += 1
     if state.n_updates % GUARD_INTERVAL == 0 and os.environ.get("OFD_LINALG_GUARD"):
         _recompute(state)
@@ -93,7 +99,7 @@ def _recompute(state: PrecisionState) -> None:
 def inv_norm(state: PrecisionState, x: np.ndarray) -> float:
     """Mahalanobis-style norm sqrt(x^T M^-1 x); clamps tiny negatives to 0."""
     x = _check_vector(state, x, "x")
-    q = _kernels.quad_form(state.m_inv, x)
+    q = float(x @ state.m_inv @ x)
     return float(np.sqrt(max(q, 0.0)))
 
 

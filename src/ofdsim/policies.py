@@ -63,9 +63,12 @@ def init_ledger(n_agents: int) -> UtilityLedger:
 
 @dataclass
 class AllocationDecision:
+    """The chosen agent; the score fields are None when the round scored
+    no agent (round-robin, uniform, epsilon exploration)."""
+
     agent: int
-    per_agent_scores: np.ndarray
-    per_agent_goodness: np.ndarray
+    per_agent_scores: np.ndarray | None = None
+    per_agent_goodness: np.ndarray | None = None
     was_round_robin: bool = False
     was_exploration: bool = False
 
@@ -132,27 +135,12 @@ def select_agent(
     if contexts.ndim != 2 or contexts.shape[0] < 1:
         raise ValueError("contexts must be a non-empty (n_agents, dim) array")
     n = contexts.shape[0]
-    blank = np.full(n, np.nan)
     if ledger.round <= n:
-        return AllocationDecision(
-            agent=(ledger.round - 1) % n,
-            per_agent_scores=blank,
-            per_agent_goodness=blank.copy(),
-            was_round_robin=True,
-        )
+        return AllocationDecision(agent=(ledger.round - 1) % n, was_round_robin=True)
     if kind.name == "uniform":
-        return AllocationDecision(
-            agent=int(rng.integers(n)),
-            per_agent_scores=blank,
-            per_agent_goodness=blank.copy(),
-        )
+        return AllocationDecision(agent=int(rng.integers(n)))
     if kind.name == "greedy" and kind.epsilon > 0.0 and rng.random() < kind.epsilon:
-        return AllocationDecision(
-            agent=int(rng.integers(n)),
-            per_agent_scores=blank,
-            per_agent_goodness=blank.copy(),
-            was_exploration=True,
-        )
+        return AllocationDecision(agent=int(rng.integers(n)), was_exploration=True)
     scores = _optimistic_scores(kind, estimator, params, ledger.round, contexts, rng)
     adds = np.maximum(scores, 0.0)
     values = goodness.candidate_scores(spec, ledger.totals, adds, weights=weights)

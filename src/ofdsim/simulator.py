@@ -113,10 +113,10 @@ def run_single(config: RunConfig) -> RunTrace:
     running = 0.0
     for t in range(1, horizon + 1):
         contexts = environment.draw_item(instance, item_rng)
-        truths = environment.true_utilities(instance, contexts.per_agent)
+        truths = environment.true_utilities(instance, contexts)
         try:
             decision = policies.select_agent(
-                kind, spec, ledger, contexts.per_agent, estimator,
+                kind, spec, ledger, contexts, estimator,
                 config.confidence, policy_rng, weights=weights,
             )
             if needs_positive and t <= n:
@@ -125,6 +125,7 @@ def run_single(config: RunConfig) -> RunTrace:
                 best = decision.agent
                 gap = 0.0
             else:
+                # the one-step oracle; argmax breaks ties to the lowest index
                 values = goodness.candidate_scores(spec, ledger.totals, truths, weights=weights)
                 best = int(np.argmax(values))
                 gap = max(float(values[best] - values[decision.agent]), 0.0)
@@ -137,7 +138,7 @@ def run_single(config: RunConfig) -> RunTrace:
         y = float(truths[pick])
         if noise_r > 0.0:
             y += noise_rng.normal(0.0, noise_r)
-        policies.observe(kind, estimator, contexts.per_agent[pick], y, ledger, pick)
+        policies.observe(kind, estimator, contexts[pick], y, ledger, pick)
 
         idx = t - 1
         chosen[idx] = pick
@@ -178,15 +179,19 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float]:
 
 def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     """Mean cumulative regret per round with 95% CI half-widths, plus
-    final-round efficiency/fairness metrics."""
-    if len(traces) < 2:
-        raise ValueError("aggregate needs at least 2 traces for a CI")
+    final-round efficiency/fairness metrics. A single trace is its own
+    mean, with every CI 0."""
+    if not traces:
+        raise ValueError("aggregate needs at least 1 trace")
     horizon = traces[0].horizon
     if any(tr.horizon != horizon for tr in traces):
         raise ValueError("all traces must share one horizon")
     stacked = np.stack([tr.cum_regret for tr in traces])
     mean = stacked.mean(axis=0)
-    ci95 = 1.96 * stacked.std(axis=0, ddof=1) / math.sqrt(len(traces))
+    if len(traces) < 2:
+        ci95 = np.zeros(horizon)
+    else:
+        ci95 = 1.96 * stacked.std(axis=0, ddof=1) / math.sqrt(len(traces))
     finals = np.stack([tr.final_totals for tr in traces])
     metrics = {
         "usw": _mean_ci(finals.sum(axis=1)),
@@ -238,17 +243,6 @@ def theoretical_bound(params: ConfidenceParams, d: int, w_max: float, t: int) ->
     return 2.0 * alpha_t(params, t) * w_max * math.sqrt(2.0 * d * t * inner)
 
 
-def trace_csv_lines(trace: RunTrace) -> list[str]:
-    lines = ["t,chosen,oracle,y,inst_regret,cum_regret"]
-    for idx in range(trace.horizon):
-        lines.append(
-            f"{idx + 1},{trace.chosen[idx]},{trace.oracle[idx]},"
-            f"{float(trace.realized[idx])!r},{float(trace.inst_regret[idx])!r},"
-            f"{float(trace.cum_regret[idx])!r}"
-        )
-    return lines
-
-
 def series_csv_lines(series: AggregateSeries) -> list[str]:
     lines = ["t,mean_regret,ci95"]
     for idx in range(series.horizon):
@@ -256,11 +250,6 @@ def series_csv_lines(series: AggregateSeries) -> list[str]:
             f"{idx + 1},{float(series.mean_regret[idx])!r},{float(series.ci95[idx])!r}"
         )
     return lines
-
-
-def write_trace_csv(trace: RunTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(trace_csv_lines(trace)) + "\n")
 
 
 def write_series_csv(series: AggregateSeries, path) -> None:

@@ -117,7 +117,7 @@ def test_seeds_shared_across_grid_points_and_presets():
 
 
 def test_empty_config_fills_experiment_defaults():
-    entries = cli.validate_config(make_ns(policy="ucb"))
+    entries = cli.validate_config(make_ns(policy="ucb")).entries
     assert len(entries) == 1
     proto = entries[0].proto
     assert proto.horizon == 10000
@@ -162,12 +162,12 @@ def test_targeted_requires_ratios():
     entries = cli.validate_config(
         make_ns(policy="ucb", goodness="targeted", agents=2, horizon=100,
                 target_ratios="0.4,0.6")
-    )
+    ).entries
     np.testing.assert_allclose(entries[0].proto.goodness.target_ratios, [0.4, 0.6])
 
 
 def test_rho_zero_maps_to_min_weights():
-    entries = cli.validate_config(make_ns(policy="ucb", rho=0.0, agents=3, horizon=50))
+    entries = cli.validate_config(make_ns(policy="ucb", rho=0.0, agents=3, horizon=50)).entries
     np.testing.assert_array_equal(
         entries[0].proto.goodness.weights, goodness.esw_weights(3)
     )
@@ -182,11 +182,11 @@ def test_config_file_values_and_flag_override(tmp_path):
         "horizon = 200\n"
         "rho = 0.9\n"
     )
-    entries = cli.validate_config(make_ns(config=str(path)))
+    entries = cli.validate_config(make_ns(config=str(path))).entries
     assert entries[0].policy.name == "ts"
     assert entries[0].proto.horizon == 200
     # flags win over the file
-    entries = cli.validate_config(make_ns(config=str(path), horizon=400))
+    entries = cli.validate_config(make_ns(config=str(path), horizon=400)).entries
     assert entries[0].proto.horizon == 400
 
 
@@ -204,7 +204,19 @@ def test_environment_seed_default(monkeypatch):
     a = cli.validate_config(make_ns(policy="ucb", reps=2))
     monkeypatch.delenv("OFD_SEED")
     b = cli.validate_config(make_ns(policy="ucb", reps=2, seed=77))
-    assert a[0].seeds == b[0].seeds
+    assert a.seed == b.seed == 77
+    assert a.entries[0].seeds == b.entries[0].seeds
+
+
+def test_plan_header_resolved_from_file_and_flags(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("preset = fig1-square\nseed = 9\nreps = 2\nout = elsewhere\njobs = 2\n")
+    plan = cli.validate_config(make_ns(config=str(path), out=str(tmp_path / "flag")))
+    assert (plan.preset, plan.seed, plan.reps, plan.jobs) == ("fig1-square", 9, 2, 2)
+    assert plan.out == str(tmp_path / "flag")
+    assert plan.entries == cli.expand_preset("fig1-square", 2, 9)
+    defaults = cli.validate_config(make_ns(policy="ucb"))
+    assert (defaults.preset, defaults.reps, defaults.out, defaults.jobs) == (None, 20, "results", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +306,29 @@ def test_unwritable_outdir_exit_code(tmp_path, capsys):
     target = blocker / "sub"  # parent is a file, makedirs must fail
     assert run_cli(*small_run_args(target)) == 3
     assert "not writable" in capsys.readouterr().err
+
+
+def test_single_rep_csv_is_a_zero_ci_series(tmp_path):
+    out_a = tmp_path / "a"
+    assert run_cli(*small_run_args(out_a, reps="1")) == 0
+    lines = (out_a / "adhoc_ucb.csv").read_text().splitlines()
+    assert lines[0] == "t,mean_regret,ci95"
+    assert len(lines) == 41
+    assert all(line.split(",")[2] == "0.0" for line in lines[1:])
+    manifest = json.loads((out_a / "manifest.json").read_text())
+    assert manifest["reps"] == 1 and len(manifest["entries"][0]["seeds"]) == 1
+    out_b = tmp_path / "b"
+    assert run_cli("run", "--manifest", str(out_a / "manifest.json"), "--out", str(out_b)) == 0
+    assert (out_a / "adhoc_ucb.csv").read_bytes() == (out_b / "adhoc_ucb.csv").read_bytes()
+
+
+def test_nsw_product_overflow_exit_code(tmp_path, capsys):
+    # the product of 200 ledger totals leaves the float range mid-run
+    args = ["run", "--policy", "ucb", "--goodness", "nsw", "--agents", "200",
+            "--horizon", "5000", "--reps", "1", "--seed", "0", "--out", str(tmp_path / "x")]
+    assert run_cli(*args) == 4
+    err = capsys.readouterr().err
+    assert "aborted" in err and "float range" in err
 
 
 def test_goodness_abort_exit_code(tmp_path, capsys):

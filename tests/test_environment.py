@@ -1,13 +1,16 @@
-"""Instance generation, ground-truth utilities, oracle selection."""
+"""Instance generation, ground-truth utilities, observation noise and
+the simulator's one-step oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ofdsim import environment, goodness, policies
+from ofdsim import environment, goodness, simulator
 from ofdsim.environment import ProblemInstance
+from ofdsim.estimators import ConfidenceParams
 from ofdsim.goodness import GoodnessSpec
+from ofdsim.policies import PolicyKind
 
 
 def make_instance(theta, agent_features, kind="linear", noise_r=0.0, item_dim=1):
@@ -22,6 +25,38 @@ def make_instance(theta, agent_features, kind="linear", noise_r=0.0, item_dim=1)
         utility_kind=kind,
         noise_r=noise_r,
     )
+
+
+def oracle(inst, spec, totals, contexts):
+    """The simulator's oracle: argmax of the candidate goodness under the
+    true utilities, ties to the lowest index."""
+    truths = environment.true_utilities(inst, contexts)
+    return int(np.argmax(goodness.candidate_scores(spec, np.asarray(totals), truths)))
+
+
+def make_run(policy="uniform", noise_r=0.0, rho=0.85, n_agents=3, horizon=200, seed=21):
+    return simulator.RunConfig(
+        horizon=horizon, seed=seed, policy=PolicyKind(policy),
+        goodness=GoodnessSpec("weighted-gini", rho=rho),
+        n_agents=n_agents, item_dim=2, agent_dim=2,
+        confidence=ConfidenceParams.defaults(4, noise_r=noise_r),
+    )
+
+
+def replay_truths(config):
+    """True utilities of every round of run_single(config), (horizon,
+    n_agents), rebuilt from its seed split (instance, items, noise,
+    policy)."""
+    streams = np.random.SeedSequence(config.seed).spawn(4)
+    inst_rng, item_rng = np.random.default_rng(streams[0]), np.random.default_rng(streams[1])
+    inst = environment.generate_instance(
+        config.n_agents, config.item_dim, config.agent_dim, config.utility_kind,
+        config.confidence.noise_r, inst_rng,
+    )
+    return np.stack([
+        environment.true_utilities(inst, environment.draw_item(inst, item_rng))
+        for _ in range(config.horizon)
+    ])
 
 
 def test_generate_instance_unit_norm_and_ranges():
@@ -71,10 +106,11 @@ def test_instance_validation():
 def test_draw_item_concatenation_layout():
     inst = environment.generate_instance(5, 3, 2, "linear", 0.0, np.random.default_rng(2))
     ctx = environment.draw_item(inst, np.random.default_rng(3))
-    assert ctx.per_agent.shape == (5, 5)
+    item = np.random.default_rng(3).uniform(0.0, 10.0, 3)
+    assert ctx.shape == (5, 5)
     for n in range(5):
-        np.testing.assert_array_equal(ctx.per_agent[n, :3], ctx.item)
-        np.testing.assert_array_equal(ctx.per_agent[n, 3:], inst.agent_features[n])
+        np.testing.assert_array_equal(ctx[n, :3], item)
+        np.testing.assert_array_equal(ctx[n, 3:], inst.agent_features[n])
 
 
 def test_identical_agents_get_identical_contexts():
@@ -83,7 +119,7 @@ def test_identical_agents_get_identical_contexts():
     theta /= np.linalg.norm(theta)
     inst = make_instance(theta, feats, item_dim=1)
     ctx = environment.draw_item(inst, np.random.default_rng(4))
-    np.testing.assert_array_equal(ctx.per_agent[0], ctx.per_agent[1])
+    np.testing.assert_array_equal(ctx[0], ctx[1])
 
 
 def test_context_norm_box_bound():
@@ -91,13 +127,13 @@ def test_context_norm_box_bound():
     rng = np.random.default_rng(6)
     for _ in range(200):
         ctx = environment.draw_item(inst, rng)
-        norms = np.linalg.norm(ctx.per_agent, axis=1)
+        norms = np.linalg.norm(ctx, axis=1)
         assert np.all(norms <= 10.0 * math.sqrt(4))
 
 
 def test_linear_utility_projection():
     inst = make_instance([1.0, 0.0], [[7.0]])
-    assert environment.true_utility(inst, np.array([3.0, 7.0])) == pytest.approx(3.0)
+    assert environment.true_utilities(inst, np.array([[3.0, 7.0]]))[0] == pytest.approx(3.0)
 
 
 def test_linear_utility_cauchy_schwarz_cap():
@@ -106,19 +142,17 @@ def test_linear_utility_cauchy_schwarz_cap():
     cap = 10.0 * math.sqrt(6)
     for _ in range(200):
         ctx = environment.draw_item(inst, rng)
-        assert np.all(environment.true_utilities(inst, ctx.per_agent) <= cap)
+        assert np.all(environment.true_utilities(inst, ctx) <= cap)
 
 
 def test_square_utility_value_and_scaling():
     theta = np.array([1.0, 0.0])
     inst = make_instance(theta, [[5.0]], kind="square")
     # projection 4 => 4^2 / (10 sqrt(2))
-    x = np.array([4.0, 5.0])
     expected = 16.0 / (10.0 * math.sqrt(2.0))
-    assert environment.true_utility(inst, x) == pytest.approx(expected, rel=1e-12)
-    # doubling the projection quadruples the value
-    x2 = np.array([8.0, 5.0])
-    assert environment.true_utility(inst, x2) == pytest.approx(4.0 * expected, rel=1e-12)
+    # doubling the projection (second row) quadruples the value
+    values = environment.true_utilities(inst, np.array([[4.0, 5.0], [8.0, 5.0]]))
+    np.testing.assert_allclose(values, [expected, 4.0 * expected], rtol=1e-12)
 
 
 def test_square_utility_range():
@@ -127,37 +161,36 @@ def test_square_utility_range():
     cap = 10.0 * math.sqrt(4)
     for _ in range(100):
         ctx = environment.draw_item(inst, rng)
-        vals = environment.true_utilities(inst, ctx.per_agent)
+        vals = environment.true_utilities(inst, ctx)
         assert np.all(vals > 0.0) and np.all(vals <= cap)
 
 
 def test_sample_utility_noiseless():
-    inst = make_instance([1.0, 0.0], [[2.0]], noise_r=0.0)
-    x = np.array([6.0, 2.0])
-    rng = np.random.default_rng(11)
-    assert environment.sample_utility(inst, x, rng) == 6.0
+    # with noise_r = 0 each realized utility is the chosen agent's true one
+    cfg = make_run(noise_r=0.0)
+    trace = simulator.run_single(cfg)
+    truths = replay_truths(cfg)
+    np.testing.assert_array_equal(trace.realized, truths[np.arange(cfg.horizon), trace.chosen])
 
 
 def test_sample_utility_noise_moments():
-    inst = make_instance([1.0, 0.0], [[2.0]], noise_r=0.5)
-    x = np.array([6.0, 2.0])
-    rng = np.random.default_rng(12)
-    draws = np.array([environment.sample_utility(inst, x, rng) for _ in range(10**5)])
-    assert abs(draws.mean() - 6.0) <= 3 * 0.5 / math.sqrt(10**5)
-    assert draws.std(ddof=1) == pytest.approx(0.5, rel=0.02)
+    # uniform picks from the policy stream alone, so the same seed makes
+    # the same picks at every noise level and realized differs by the noise
+    horizon, r = 20_000, 0.5
+    noisy = simulator.run_single(make_run(noise_r=r, n_agents=2, horizon=horizon, seed=12))
+    clean = simulator.run_single(make_run(noise_r=0.0, n_agents=2, horizon=horizon, seed=12))
+    np.testing.assert_array_equal(noisy.chosen, clean.chosen)
+    draws = noisy.realized - clean.realized
+    assert abs(draws.mean()) <= 3 * r / math.sqrt(horizon)
+    assert draws.std(ddof=1) == pytest.approx(r, rel=0.02)
 
 
 def test_oracle_usw_is_max_utility():
-    rng = np.random.default_rng(13)
-    inst = environment.generate_instance(6, 2, 2, "linear", 0.0, rng)
-    ledger = policies.init_ledger(6)
-    ledger.totals[:] = rng.uniform(1.0, 5.0, 6)
-    spec = GoodnessSpec("weighted-gini", rho=1.0)
-    for _ in range(50):
-        ctx = environment.draw_item(inst, rng)
-        best = environment.oracle_agent(inst, spec, ledger, ctx)
-        truths = environment.true_utilities(inst, ctx.per_agent)
-        assert best == int(np.argmax(truths))
+    # under USW the oracle column of a run is the agent of highest true
+    # utility in every round
+    cfg = make_run(policy="ucb", rho=1.0, n_agents=6, horizon=60, seed=13)
+    trace = simulator.run_single(cfg)
+    np.testing.assert_array_equal(trace.oracle, np.argmax(replay_truths(cfg), axis=1))
 
 
 def test_oracle_min_weights_favors_min_agent():
@@ -166,39 +199,25 @@ def test_oracle_min_weights_favors_min_agent():
     feats = np.full((3, 2), 5.0)
     theta = np.full(4, 0.5)
     inst = make_instance(theta, feats, item_dim=2)
-    ledger = policies.init_ledger(3)
-    ledger.totals[:] = (9.0, 2.0, 5.0)
     spec = GoodnessSpec("weighted-gini", weights=goodness.esw_weights(3))
     ctx = environment.draw_item(inst, np.random.default_rng(14))
-    assert environment.oracle_agent(inst, spec, ledger, ctx) == 1
+    assert oracle(inst, spec, [9.0, 2.0, 5.0], ctx) == 1
 
 
 def test_oracle_single_agent():
     inst = environment.generate_instance(1, 2, 2, "linear", 0.0, np.random.default_rng(15))
-    ledger = policies.init_ledger(1)
-    ledger.totals[:] = 1.0
     ctx = environment.draw_item(inst, np.random.default_rng(16))
     spec = GoodnessSpec("weighted-gini", rho=0.85)
-    assert environment.oracle_agent(inst, spec, ledger, ctx) == 0
+    assert oracle(inst, spec, [1.0], ctx) == 0
+    trace = simulator.run_single(make_run(n_agents=1, horizon=20))
+    assert np.all(trace.oracle == 0)
 
 
 def test_oracle_breaks_ties_at_lowest_index():
     feats = np.full((4, 2), 3.0)
     theta = np.full(3, 1.0) / math.sqrt(3.0)
     inst = make_instance(theta, feats, item_dim=1)
-    ledger = policies.init_ledger(4)
-    ledger.totals[:] = 2.0  # all candidates identical
     spec = GoodnessSpec("weighted-gini", rho=1.0)
     ctx = environment.draw_item(inst, np.random.default_rng(17))
-    assert environment.oracle_agent(inst, spec, ledger, ctx) == 0
-
-
-def test_instance_json_round_trip():
-    inst = environment.generate_instance(5, 2, 3, "square", 0.2, np.random.default_rng(18))
-    clone = environment.instance_from_json(environment.instance_to_json(inst))
-    assert clone.utility_kind == inst.utility_kind
-    assert clone.noise_r == inst.noise_r
-    np.testing.assert_array_equal(clone.theta_star, inst.theta_star)
-    np.testing.assert_array_equal(clone.agent_features, inst.agent_features)
-    x = np.random.default_rng(19).uniform(0.0, 10.0, 5)
-    assert environment.true_utility(clone, x) == environment.true_utility(inst, x)
+    # all candidates identical
+    assert oracle(inst, spec, [2.0] * 4, ctx) == 0

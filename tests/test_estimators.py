@@ -110,7 +110,8 @@ def test_ucb_score_empty_history():
     state = estimators.init_ridge(2, 1.0)
     x = np.array([1.0, 0.0])
     # zero mean plus one alpha of width (||x||_{M^-1} = 1 at lambda = 1)
-    assert estimators.ucb_score(state, p, 1, x) == pytest.approx(estimators.alpha_t(p, 1))
+    score = estimators.ucb_scores(state, p, 1, x[None, :])[0]
+    assert score == pytest.approx(estimators.alpha_t(p, 1))
 
 
 def test_ucb_score_dominates_mean_and_width_shrinks():
@@ -123,7 +124,7 @@ def test_ucb_score_dominates_mean_and_width_shrinks():
         estimators.ridge_update(state, x, float(1.0 + rng.normal(0.0, 0.1)))
     assert linalg.inv_norm(state.precision, x) < 0.05 * initial_width
     t = 10**4 + 1
-    assert estimators.ucb_score(state, p, t, x) >= float(x @ state.theta_hat)
+    assert estimators.ucb_scores(state, p, t, x[None, :])[0] >= float(x @ state.theta_hat)
 
 
 def test_ucb_scores_vectorized_matches_scalar():
@@ -133,8 +134,14 @@ def test_ucb_scores_vectorized_matches_scalar():
     for _ in range(30):
         estimators.ridge_update(state, rng.uniform(0.0, 10.0, 4), float(rng.normal()))
     xs = rng.uniform(0.0, 10.0, (7, 4))
-    singles = [estimators.ucb_score(state, p, 31, x) for x in xs]
-    np.testing.assert_allclose(estimators.ucb_scores(state, p, 31, xs), singles, rtol=1e-12)
+    # each row scored alone, its width from the reference norm inv_norm
+    singles = [estimators.ucb_scores(state, p, 31, x[None, :])[0] for x in xs]
+    widths = [linalg.inv_norm(state.precision, x) for x in xs]
+    batch = estimators.ucb_scores(state, p, 31, xs)
+    np.testing.assert_allclose(batch, singles, rtol=1e-12)
+    np.testing.assert_allclose(
+        batch, xs @ state.theta_hat + estimators.alpha_t(p, 31) * np.array(widths), rtol=1e-12
+    )
 
 
 def test_beta_closed_form():
@@ -153,7 +160,8 @@ def test_ts_degenerate_scale_returns_mean_prediction():
     estimators.ridge_update(state, np.array([1.0, 0.0]), 3.0)
     x = np.array([2.0, 1.0])
     rng = np.random.default_rng(0)
-    assert estimators.ts_score(state, p, 5, x, rng) == pytest.approx(float(x @ state.theta_hat))
+    theta = estimators.ts_sample(state, p, 5, rng)
+    assert theta @ x == pytest.approx(float(x @ state.theta_hat))
 
 
 def test_ts_monte_carlo_mean_and_variance():
@@ -166,7 +174,7 @@ def test_ts_monte_carlo_mean_and_variance():
     x = np.array([3.0, 4.0])
     t = 31
     draw_rng = np.random.default_rng(99)
-    vals = np.array([estimators.ts_score(state, p, t, x, draw_rng) for _ in range(10**5)])
+    vals = np.array([estimators.ts_sample(state, p, t, draw_rng) @ x for _ in range(10**5)])
     target_var = estimators.beta_t(p, t) ** 2 * linalg.inv_norm(state.precision, x) ** 2
     assert vals.var(ddof=1) == pytest.approx(target_var, rel=0.05)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -315,7 +323,7 @@ def test_gp_ucb_scores_match_scalar_and_dominate_mean():
         estimators.gp_update(gp, x, float(x.prod() / 20.0))
     xs = rng.uniform(0.0, 10.0, (6, 2))
     batch = estimators.gp_ucb_scores(gp, p, xs)
-    singles = [estimators.gp_ucb_score(gp, p, x) for x in xs]
+    singles = [estimators.gp_ucb_scores(gp, p, x[None, :])[0] for x in xs]
     np.testing.assert_allclose(batch, singles, rtol=1e-10)
     means, _ = estimators.gp_posterior_many(gp, xs)
     assert np.all(batch >= means)

@@ -108,16 +108,26 @@ def test_product_kinds_reject_non_positive_entries():
 
 def test_targeted_priorities_and_value():
     spec = GoodnessSpec("targeted", target_ratios=np.array([0.2, 0.5, 0.3]))
-    np.testing.assert_allclose(spec.priorities(), [1.0, 2.5, 1.5], rtol=1e-15)
+    np.testing.assert_allclose(spec._priorities, [1.0, 2.5, 1.5], rtol=1e-15)
     # min(2/1, 5/2.5, 3/1.5) = 2
     assert goodness.evaluate(spec, np.array([2.0, 5.0, 3.0])) == pytest.approx(2.0)
 
 
+def granted(spec, u, agent, added):
+    """Reference candidate value: evaluate on a copy of u with added
+    granted to agent."""
+    updated = np.array(u, dtype=np.float64)
+    updated[agent] += added
+    return goodness.evaluate(spec, updated)
+
+
 def test_evaluate_candidate_examples():
     usw = GoodnessSpec("weighted-gini", rho=1.0)
-    assert goodness.evaluate_candidate(usw, np.array([1.0, 1.0]), 0, 2.0) == pytest.approx(4.0)
+    values = goodness.candidate_scores(usw, np.array([1.0, 1.0]), np.array([2.0, 0.0]))
+    assert values[0] == pytest.approx(4.0)
     esw = GoodnessSpec("weighted-gini", weights=np.array([1.0, 0.0]))
-    assert goodness.evaluate_candidate(esw, np.array([3.0, 1.0]), 1, 1.0) == pytest.approx(2.0)
+    values = goodness.candidate_scores(esw, np.array([3.0, 1.0]), np.array([0.0, 1.0]))
+    assert values[1] == pytest.approx(2.0)
 
 
 def test_evaluate_candidate_zero_add_is_identity():
@@ -129,25 +139,29 @@ def test_evaluate_candidate_zero_add_is_identity():
         GoodnessSpec("log-nsw"),
         GoodnessSpec("targeted", target_ratios=np.full(6, 1.0 / 6.0)),
     ):
-        for agent in range(6):
-            assert goodness.evaluate_candidate(spec, u, agent, 0.0) == pytest.approx(
-                goodness.evaluate(spec, u), rel=1e-12
-            )
+        np.testing.assert_allclose(
+            goodness.candidate_scores(spec, u, np.zeros(6)),
+            np.full(6, goodness.evaluate(spec, u)),
+            rtol=1e-12,
+        )
 
 
 def test_evaluate_candidate_leaves_input_unmodified():
     u = np.array([1.0, 2.0])
-    goodness.evaluate_candidate(GoodnessSpec("weighted-gini", rho=1.0), u, 0, 3.0)
-    np.testing.assert_array_equal(u, [1.0, 2.0])
+    adds = np.array([3.0, 0.5])
+    for spec in (GoodnessSpec("weighted-gini", rho=1.0), GoodnessSpec("nsw")):
+        goodness.candidate_scores(spec, u, adds)
+        np.testing.assert_array_equal(u, [1.0, 2.0])
+        np.testing.assert_array_equal(adds, [3.0, 0.5])
 
 
 def test_evaluate_candidate_validates_arguments():
     spec = GoodnessSpec("weighted-gini", rho=1.0)
     u = np.array([1.0, 2.0])
     with pytest.raises(ValueError):
-        goodness.evaluate_candidate(spec, u, 2, 1.0)
+        goodness.candidate_scores(spec, u, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        goodness.evaluate_candidate(spec, u, 0, -0.5)
+        goodness.candidate_scores(spec, u, np.array([-0.5, 0.0]))
 
 
 def test_candidate_scores_matches_slow_path():
@@ -165,11 +179,26 @@ def test_candidate_scores_matches_slow_path():
         specs.append(GoodnessSpec("targeted", target_ratios=ratios / ratios.sum()))
         for spec in specs:
             fast = goodness.candidate_scores(spec, totals, adds)
-            slow = [
-                goodness.evaluate_candidate(spec, totals, agent, float(adds[agent]))
-                for agent in range(n)
-            ]
+            slow = [granted(spec, totals, agent, float(adds[agent])) for agent in range(n)]
             np.testing.assert_allclose(fast, slow, rtol=1e-11, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "n, scale, low",
+    [(200, 40.0, 7), (100, 1e-9, 42)],
+    ids=["overflow", "underflow"],
+)
+def test_nsw_out_of_float_range_raises(n, scale, low):
+    # the product of n totals overflows to inf (40^200) or underflows to
+    # 0 (1e-9^100), where every candidate would tie or compare as NaN;
+    # log-nsw still picks the agent with the smallest total
+    totals = np.full(n, scale)
+    totals[low] = 0.975 * scale
+    adds = np.full(n, 0.5 * scale)
+    with pytest.raises(GoodnessDomainError, match="float range"):
+        goodness.candidate_scores(GoodnessSpec("nsw"), totals, adds)
+    values = goodness.candidate_scores(GoodnessSpec("log-nsw"), totals, adds)
+    assert int(np.argmax(values)) == low
 
 
 def test_candidate_scores_accepts_preresolved_weights():

@@ -65,9 +65,11 @@ def test_round_robin_first_n_rounds():
         )
         assert decision.agent == expected
         assert decision.was_round_robin
+        assert decision.per_agent_scores is None and decision.per_agent_goodness is None
         policies.observe(PolicyKind("ucb"), est, contexts[decision.agent], 1.0, ledger, decision.agent)
     decision = policies.select_agent(PolicyKind("ucb"), spec, ledger, contexts, est, params, rng)
     assert not decision.was_round_robin
+    assert decision.per_agent_scores.shape == decision.per_agent_goodness.shape == (4,)
 
 
 def test_round_robin_applies_to_every_policy():
@@ -140,7 +142,7 @@ def test_greedy_exploration_coin():
     hits = np.zeros(5)
     for _ in range(2000):
         decision = policies.select_agent(kind, spec, ledger, contexts, est, params, rng)
-        assert decision.was_exploration
+        assert decision.was_exploration and decision.per_agent_scores is None
         hits[decision.agent] += 1
     assert hits.min() > 0  # exploration may land on any agent
 

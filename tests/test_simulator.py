@@ -188,9 +188,19 @@ def test_aggregate_final_metrics():
     assert series.final_metrics["min_ratio"][0] == pytest.approx(0.25)
 
 
+def test_aggregate_single_trace_is_its_own_mean():
+    trace = make_trace(5.0, totals=(1.0, 3.0))
+    series = simulator.aggregate([trace])
+    assert series.n_reps == 1
+    np.testing.assert_array_equal(series.mean_regret, trace.cum_regret)
+    np.testing.assert_array_equal(series.ci95, np.zeros(2))
+    assert series.final_metrics["usw"] == (4.0, 0.0)
+    assert series.final_metrics["gini"] == (pytest.approx(0.25), 0.0)
+
+
 def test_aggregate_input_validation():
     with pytest.raises(ValueError):
-        simulator.aggregate([make_trace(5.0)])
+        simulator.aggregate([])
     with pytest.raises(ValueError):
         simulator.aggregate([make_trace(5.0), make_trace(5.0, horizon=3)])
 
@@ -250,20 +260,6 @@ class TestTheoreticalBound:
             simulator.theoretical_bound(self.params, 10, 1.0, 0)
 
 
-def test_trace_csv_schema(tmp_path):
-    trace = simulator.run_single(make_config(horizon=10))
-    lines = simulator.trace_csv_lines(trace)
-    assert lines[0] == "t,chosen,oracle,y,inst_regret,cum_regret"
-    assert len(lines) == 11
-    first = lines[1].split(",")
-    assert first[0] == "1"
-    assert int(first[1]) == trace.chosen[0]
-    assert float(first[5]) == trace.cum_regret[0]
-    path = tmp_path / "trace.csv"
-    simulator.write_trace_csv(trace, path)
-    assert path.read_text().splitlines() == lines
-
-
 def test_series_csv_schema(tmp_path):
     series = simulator.aggregate([make_trace(10.0), make_trace(14.0)])
     lines = simulator.series_csv_lines(series)
@@ -279,6 +275,6 @@ def test_series_csv_schema(tmp_path):
 
 def test_csv_values_round_trip_exactly():
     trace = simulator.run_single(make_config(horizon=15, policy=PolicyKind("ts")))
-    lines = simulator.trace_csv_lines(trace)
-    parsed = np.array([float(line.split(",")[5]) for line in lines[1:]])
+    lines = simulator.series_csv_lines(simulator.aggregate([trace]))
+    parsed = np.array([float(line.split(",")[1]) for line in lines[1:]])
     np.testing.assert_array_equal(parsed, trace.cum_regret)
