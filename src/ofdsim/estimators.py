@@ -7,10 +7,14 @@ re-derives theta_hat = M^-1 b after every observation. Confidence widths
 follow the self-normalized bound alpha_t = R*sqrt(d*log((1+t*L^2/lam)/delta))
 + sqrt(lam)*S; posterior sampling uses beta_t = R*sqrt(9*d*log(t/delta)).
 
-The GP path keeps a rolling Cholesky factor of K + noise_var*I with a
-full recompute every 256 observations, an incrementally maintained
-information gain, and the width multiplier
-sqrt(2*(gamma + 1 + log(1/delta))) + B.
+The GP path keeps the Cholesky factor L of K + noise_var*I, the whitened
+targets L^-1 y and the information gain. One conditioning step,
+v = L^-1 k(inputs, x), serves both scoring and the update: an observation
+appends the row v with pivot sqrt(k(x,x) + noise_var - |v|^2), which is
+one step of the up-looking Cholesky factorization, so each observation
+costs one triangular solve. Only if that pivot's square falls to
+1e-12*signal_var or below is the factor recomputed from scratch. The
+width multiplier is sqrt(2*(gamma + 1 + log(1/delta))) + B.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-
-GP_RECOMPUTE_EVERY = 256
 
 
 @dataclass
@@ -193,16 +195,12 @@ def _kernel_cross(state: GpState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _grow(state: GpState) -> None:
-    cap = state.inputs.shape[0] * 2
-    inputs = np.empty((cap, state.dim))
-    inputs[: state.n_obs] = state.inputs[: state.n_obs]
-    targets = np.empty(cap)
-    targets[: state.n_obs] = state.targets[: state.n_obs]
-    chol = np.zeros((cap, cap))
-    chol[: state.n_obs, : state.n_obs] = state.chol[: state.n_obs, : state.n_obs]
-    white = np.empty(cap)
-    white[: state.n_obs] = state.white[: state.n_obs]
-    state.inputs, state.targets, state.chol, state.white = inputs, targets, chol, white
+    """Double the capacity of a full state, zero-padding every buffer."""
+    extra = state.inputs.shape[0]
+    state.inputs = np.pad(state.inputs, ((0, extra), (0, 0)))
+    state.targets = np.pad(state.targets, (0, extra))
+    state.chol = np.pad(state.chol, ((0, extra), (0, extra)))
+    state.white = np.pad(state.white, (0, extra))
 
 
 def _refactor(state: GpState) -> None:
@@ -221,31 +219,37 @@ def _refactor(state: GpState) -> None:
     state.white[:n] = solve_triangular(lower, state.targets[:n], lower=True)
 
 
+def _condition(state: GpState, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled rows of xs (raw feature units), v = L^-1 k(inputs, scaled) and
+    the posterior means v^T L^-1 y. With no observations v has no rows: the
+    means are 0 and signal_var - |v|^2 is the prior variance."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != state.dim:
+        raise ValueError(f"xs must have shape (n, {state.dim}), got {xs.shape}")
+    n = state.n_obs
+    scaled = xs / state.feature_scale
+    k_cross = _kernel_cross(state, state.inputs[:n], scaled)
+    v = solve_triangular(state.chol[:n, :n], k_cross, lower=True)
+    return scaled, v, v.T @ state.white[:n]
+
+
 def gp_update(state: GpState, x: np.ndarray, y: float) -> GpState:
-    """Append one observation; advances the information gain using the
-    pre-update posterior variance at x."""
+    """Append one observation. Its conditioning column gives both the
+    pre-update variance at x, which advances the information gain, and
+    the new row of the Cholesky factor."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (state.dim,):
         raise ValueError(f"x must have shape ({state.dim},), got {x.shape}")
-    _, std_pre = gp_posterior(state, x)
+    scaled, v, _ = _condition(state, x[None, :])
+    std_pre = float(np.sqrt(np.maximum(state.signal_var - np.sum(v**2, axis=0), 0.0))[0])
     state.info_gain += 0.5 * math.log1p(std_pre**2 / state.noise_var)
 
     if state.n_obs == state.inputs.shape[0]:
         _grow(state)
     n = state.n_obs
-    xs = x / state.feature_scale
-    state.inputs[n] = xs
+    state.inputs[n] = scaled[0]
     state.targets[n] = y
-    if n == 0:
-        pivot = math.sqrt(state.signal_var + state.noise_var)
-        state.chol[0, 0] = pivot
-        state.white[0] = y / pivot
-        state.n_obs = 1
-        return state
-
-    lower = state.chol[:n, :n]
-    k_vec = _kernel_cross(state, state.inputs[:n], xs[None, :])[:, 0]
-    row = solve_triangular(lower, k_vec, lower=True)
+    row = v[:, 0]
     gap = state.signal_var + state.noise_var - float(row @ row)
     state.n_obs = n + 1
     if gap <= 1e-12 * state.signal_var:
@@ -255,31 +259,14 @@ def gp_update(state: GpState, x: np.ndarray, y: float) -> GpState:
     state.chol[n, :n] = row
     state.chol[n, n] = pivot
     state.white[n] = (y - float(row @ state.white[:n])) / pivot
-    if state.n_obs % GP_RECOMPUTE_EVERY == 0:
-        _refactor(state)
     return state
 
 
 def gp_posterior_many(state: GpState, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior (means, stddevs) at the rows of xs (raw feature units)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != state.dim:
-        raise ValueError(f"xs must have shape (n, {state.dim}), got {xs.shape}")
-    n = state.n_obs
-    if n == 0:
-        prior = math.sqrt(state.signal_var)
-        return np.zeros(len(xs)), np.full(len(xs), prior)
-    scaled = xs / state.feature_scale
-    k_cross = _kernel_cross(state, state.inputs[:n], scaled)
-    v = solve_triangular(state.chol[:n, :n], k_cross, lower=True)
-    means = v.T @ state.white[:n]
+    _, v, means = _condition(state, xs)
     variances = np.maximum(state.signal_var - np.sum(v**2, axis=0), 0.0)
     return means, np.sqrt(variances)
-
-
-def gp_posterior(state: GpState, x: np.ndarray) -> tuple[float, float]:
-    means, stds = gp_posterior_many(state, np.asarray(x, dtype=np.float64)[None, :])
-    return float(means[0]), float(stds[0])
 
 
 def gp_width_multiplier(state: GpState, params: ConfidenceParams) -> float:
@@ -295,19 +282,8 @@ def gp_ts_scores(
     state: GpState, params: ConfidenceParams, xs: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """One joint posterior sample over the rows of xs, width-scaled."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != state.dim:
-        raise ValueError(f"xs must have shape (n, {state.dim}), got {xs.shape}")
-    scaled = xs / state.feature_scale
-    cov = _kernel_cross(state, scaled, scaled)
-    n = state.n_obs
-    if n == 0:
-        means = np.zeros(len(xs))
-    else:
-        k_cross = _kernel_cross(state, state.inputs[:n], scaled)
-        v = solve_triangular(state.chol[:n, :n], k_cross, lower=True)
-        means = v.T @ state.white[:n]
-        cov = cov - v.T @ v
+    scaled, v, means = _condition(state, xs)
+    cov = _kernel_cross(state, scaled, scaled) - v.T @ v
     jitter = 1e-10 * state.signal_var
     for _ in range(8):
         try:

@@ -157,15 +157,13 @@ def candidate_scores(
     spec: GoodnessSpec,
     totals: np.ndarray,
     adds: np.ndarray,
-    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vector of candidate goodness values, one per agent.
 
     Entry n equals evaluate on totals with adds[n] granted to agent n.
-    This is the round-loop fast path; ``weights`` may be passed to skip
-    the per-call weight resolution for weighted-gini. An NSW product
-    that overflows to inf or underflows to 0 raises
-    :class:`GoodnessDomainError`, since its argmax would be arbitrary.
+    This is the round-loop fast path. An NSW product that overflows to
+    inf or underflows to 0 raises :class:`GoodnessDomainError`, since
+    its argmax would be arbitrary.
     """
     totals = _check_u(spec, totals)
     adds = np.asarray(adds, dtype=np.float64)
@@ -174,13 +172,11 @@ def candidate_scores(
     if not np.all(np.isfinite(adds)) or np.any(adds < 0.0):
         raise ValueError("adds must be finite and >= 0")
     if spec.kind == WEIGHTED_GINI:
-        if weights is None:
-            weights = spec.resolved_weights(totals.size)
         n = totals.size
         mat = np.tile(totals, (n, 1))
         mat[np.arange(n), np.arange(n)] += adds
         mat.sort(axis=1)
-        return mat @ weights
+        return mat @ spec.resolved_weights(n)
     if spec.kind == NSW:
         with np.errstate(over="ignore"):
             values = np.prod(totals) / totals * (totals + adds)

@@ -4,21 +4,14 @@ A :class:`PrecisionState` tracks M = lam*I + sum_t v_t v_t^T together
 with its inverse (maintained by Sherman-Morrison rank-one updates) and
 log-determinant, so confidence widths and posterior draws never pay for
 a fresh factorization inside the round loop.
-
-Setting the ``OFD_LINALG_GUARD`` environment variable to a truthy value
-enables a debug guard that recomputes the inverse and log-determinant
-from scratch every 1000 updates and replaces the incremental values.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-
-GUARD_INTERVAL = 1000
 
 
 class NumericError(RuntimeError):
@@ -82,18 +75,7 @@ def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
     state.m_inv[:] = 0.5 * (state.m_inv + state.m_inv.T)
     state.log_det += math.log(denom)
     state.n_updates += 1
-    if state.n_updates % GUARD_INTERVAL == 0 and os.environ.get("OFD_LINALG_GUARD"):
-        _recompute(state)
     return state
-
-
-def _recompute(state: PrecisionState) -> None:
-    state.m_inv = np.linalg.inv(state.m_mat)
-    state.m_inv = 0.5 * (state.m_inv + state.m_inv.T)
-    sign, log_det = np.linalg.slogdet(state.m_mat)
-    if sign <= 0:
-        raise NumericError("precision matrix lost positive definiteness")
-    state.log_det = float(log_det)
 
 
 def inv_norm(state: PrecisionState, x: np.ndarray) -> float:

@@ -47,18 +47,13 @@ class PolicyKind:
 @dataclass
 class UtilityLedger:
     totals: np.ndarray
-    counts: np.ndarray
     round: int = 1
 
 
 def init_ledger(n_agents: int) -> UtilityLedger:
     if not isinstance(n_agents, (int, np.integer)) or n_agents < 1:
         raise ValueError(f"n_agents must be a positive integer, got {n_agents!r}")
-    return UtilityLedger(
-        totals=np.zeros(n_agents),
-        counts=np.zeros(n_agents, dtype=np.int64),
-        round=1,
-    )
+    return UtilityLedger(totals=np.zeros(n_agents), round=1)
 
 
 @dataclass
@@ -123,14 +118,9 @@ def select_agent(
     estimator,
     params: estimators.ConfidenceParams,
     rng: np.random.Generator,
-    weights: np.ndarray | None = None,
 ) -> AllocationDecision:
-    """Choose the agent for the current round.
-
-    contexts holds one feature row per agent. The optional ``weights``
-    forwards a pre-resolved weighted-gini weight vector to skip per-call
-    resolution in the round loop.
-    """
+    """Choose the agent for the current round; contexts holds one feature
+    row per agent."""
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 2 or contexts.shape[0] < 1:
         raise ValueError("contexts must be a non-empty (n_agents, dim) array")
@@ -143,7 +133,7 @@ def select_agent(
         return AllocationDecision(agent=int(rng.integers(n)), was_exploration=True)
     scores = _optimistic_scores(kind, estimator, params, ledger.round, contexts, rng)
     adds = np.maximum(scores, 0.0)
-    values = goodness.candidate_scores(spec, ledger.totals, adds, weights=weights)
+    values = goodness.candidate_scores(spec, ledger.totals, adds)
     return AllocationDecision(
         agent=_pick_max(values, rng),
         per_agent_scores=scores,
@@ -166,7 +156,6 @@ def observe(
     if not 0 <= agent < ledger.totals.size:
         raise ValueError(f"agent index {agent} out of range")
     ledger.totals[agent] += y
-    ledger.counts[agent] += 1
     ledger.round += 1
     if kind.uses_ridge:
         estimators.ridge_update(estimator, x, y)

@@ -99,7 +99,6 @@ def run_single(config: RunConfig) -> RunTrace:
     horizon = config.horizon
     ledger = policies.init_ledger(n)
     estimator = policies.make_estimator(kind, config.confidence)
-    weights = spec.resolved_weights(n) if spec.kind == goodness.WEIGHTED_GINI else None
     # goodness kinds that cannot see the all-zero warm-start ledger
     needs_positive = spec.kind in (goodness.NSW, goodness.LOG_NSW)
 
@@ -117,7 +116,7 @@ def run_single(config: RunConfig) -> RunTrace:
         try:
             decision = policies.select_agent(
                 kind, spec, ledger, contexts, estimator,
-                config.confidence, policy_rng, weights=weights,
+                config.confidence, policy_rng,
             )
             if needs_positive and t <= n:
                 # product-style goodness is undefined on zero ledgers;
@@ -126,13 +125,15 @@ def run_single(config: RunConfig) -> RunTrace:
                 gap = 0.0
             else:
                 # the one-step oracle; argmax breaks ties to the lowest index
-                values = goodness.candidate_scores(spec, ledger.totals, truths, weights=weights)
+                values = goodness.candidate_scores(spec, ledger.totals, truths)
                 best = int(np.argmax(values))
                 gap = max(float(values[best] - values[decision.agent]), 0.0)
         except goodness.GoodnessDomainError as exc:
+            totals = ledger.totals
+            low = int(np.argmin(totals))
             raise RunAbortedError(
-                f"run seed={config.seed} aborted at round {t}: {exc}; "
-                f"ledger totals={ledger.totals.tolist()}"
+                f"run seed={config.seed} aborted at round {t}: {exc}; ledger of {n} agents: "
+                f"min {float(totals[low])!r} (agent {low}), max {float(totals.max())!r}"
             ) from exc
         pick = decision.agent
         y = float(truths[pick])
@@ -180,7 +181,12 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float]:
 def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     """Mean cumulative regret per round with 95% CI half-widths, plus
     final-round efficiency/fairness metrics. A single trace is its own
-    mean, with every CI 0."""
+    mean, with every CI 0.
+
+    Noise can leave a realized ledger total negative, where gini and
+    min_ratio are undefined: those reps are left out of both metrics and
+    counted in ``left_out``, and both are None if every rep is left out.
+    usw is taken over every rep."""
     if not traces:
         raise ValueError("aggregate needs at least 1 trace")
     horizon = traces[0].horizon
@@ -193,10 +199,12 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     else:
         ci95 = 1.96 * stacked.std(axis=0, ddof=1) / math.sqrt(len(traces))
     finals = np.stack([tr.final_totals for tr in traces])
+    scored = finals[~np.any(finals < 0.0, axis=1)]
     metrics = {
         "usw": _mean_ci(finals.sum(axis=1)),
-        "gini": _mean_ci([gini_coefficient(row) for row in finals]),
-        "min_ratio": _mean_ci([min_ratio(row) for row in finals]),
+        "gini": _mean_ci([gini_coefficient(row) for row in scored]) if len(scored) else None,
+        "min_ratio": _mean_ci([min_ratio(row) for row in scored]) if len(scored) else None,
+        "left_out": len(finals) - len(scored),
     }
     return AggregateSeries(
         horizon=horizon,

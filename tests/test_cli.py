@@ -329,6 +329,16 @@ def test_nsw_product_overflow_exit_code(tmp_path, capsys):
     assert run_cli(*args) == 4
     err = capsys.readouterr().err
     assert "aborted" in err and "float range" in err
+    # a summary of the ledger, not all 200 totals
+    assert "round 734" in err and "200 agents" in err
+    assert len(err.encode()) < 500
+
+
+def test_negative_noisy_total_does_not_crash_aggregation(tmp_path):
+    # a rep of this seed ends with one realized total at -0.056
+    args = ["run", "--preset", "fig1-square", "--reps", "2", "--jobs", "1",
+            "--seed", "1877205210", "--out", str(tmp_path / "x")]
+    assert run_cli(*args) == 0
 
 
 def test_goodness_abort_exit_code(tmp_path, capsys):

@@ -201,17 +201,6 @@ def test_nsw_out_of_float_range_raises(n, scale, low):
     assert int(np.argmax(values)) == low
 
 
-def test_candidate_scores_accepts_preresolved_weights():
-    spec = GoodnessSpec("weighted-gini", rho=0.6)
-    totals = np.array([4.0, 1.0, 2.5])
-    adds = np.array([0.3, 2.0, 0.0])
-    w = spec.resolved_weights(3)
-    np.testing.assert_array_equal(
-        goodness.candidate_scores(spec, totals, adds, weights=w),
-        goodness.candidate_scores(spec, totals, adds),
-    )
-
-
 def test_candidate_scores_rejects_negative_adds():
     spec = GoodnessSpec("weighted-gini", rho=1.0)
     with pytest.raises(ValueError):

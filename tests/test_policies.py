@@ -37,7 +37,6 @@ class TestPolicyKind:
 def test_init_ledger():
     ledger = policies.init_ledger(3)
     np.testing.assert_array_equal(ledger.totals, np.zeros(3))
-    np.testing.assert_array_equal(ledger.counts, np.zeros(3, dtype=np.int64))
     assert ledger.round == 1
 
 
@@ -90,7 +89,6 @@ def test_min_weights_pick_lowest_total_on_equal_scores():
     params = ConfidenceParams.defaults(2)
     ledger = policies.init_ledger(3)
     ledger.totals[:] = (5.0, 1.0, 3.0)
-    ledger.counts[:] = 1
     ledger.round = 4
     contexts = np.ones((3, 2))
     est = policies.make_estimator(PolicyKind("ucb"), params)
@@ -106,7 +104,6 @@ def test_usw_picks_largest_score_on_equal_totals():
     params = ConfidenceParams.defaults(2, noise_r=0.0)
     ledger = policies.init_ledger(3)
     ledger.totals[:] = 2.0
-    ledger.counts[:] = 1
     ledger.round = 4
     est = estimators.init_ridge(2, params.lam)
     estimators.ridge_update(est, np.array([1.0, 0.0]), 5.0)
@@ -153,7 +150,6 @@ def test_observe_updates_ledger_and_estimator():
     est = estimators.init_ridge(2, params.lam)
     policies.observe(PolicyKind("ucb"), est, np.array([1.0, 2.0]), 3.0, ledger, 1)
     np.testing.assert_array_equal(ledger.totals, [0.0, 3.0])
-    np.testing.assert_array_equal(ledger.counts, [0, 1])
     assert ledger.round == 2
     assert est.n_obs == 1
 
@@ -183,7 +179,6 @@ def test_observe_counts_invariant():
             PolicyKind("ucb"), est, contexts[decision.agent], float(rng.uniform(0.1, 2.0)),
             ledger, decision.agent,
         )
-        assert ledger.counts.sum() == t
         assert ledger.round == t + 1
 
 

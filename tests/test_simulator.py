@@ -198,6 +198,21 @@ def test_aggregate_single_trace_is_its_own_mean():
     assert series.final_metrics["gini"] == (pytest.approx(0.25), 0.0)
 
 
+def test_aggregate_leaves_out_negative_ledgers_from_fairness_metrics():
+    # noise can leave a realized total below 0, where gini is undefined
+    traces = [make_trace(5.0, totals=(1.0, 3.0)), make_trace(5.0, totals=(-0.056, 3.0))]
+    series = simulator.aggregate(traces)
+    assert series.final_metrics["left_out"] == 1
+    assert series.final_metrics["gini"] == (pytest.approx(0.25), 0.0)
+    assert series.final_metrics["min_ratio"] == (pytest.approx(0.25), 0.0)
+    assert series.final_metrics["usw"][0] == pytest.approx((4.0 + 2.944) / 2)
+    only_negative = simulator.aggregate(traces[1:])
+    assert only_negative.final_metrics["left_out"] == 1
+    assert only_negative.final_metrics["gini"] is None
+    assert only_negative.final_metrics["min_ratio"] is None
+    assert simulator.aggregate(traces[:1]).final_metrics["left_out"] == 0
+
+
 def test_aggregate_input_validation():
     with pytest.raises(ValueError):
         simulator.aggregate([])
