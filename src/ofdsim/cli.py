@@ -2,8 +2,9 @@
 ad-hoc runs from flags or a key=value config file, parallel seed
 fan-out, and CSV/manifest emission for external plotting.
 
-Exit codes: 0 success, 2 config/preset error, 3 unwritable output
-directory, 4 goodness domain abort during a run.
+Exit codes: 0 success, 2 config/preset/manifest error, 3 unwritable
+output directory, 4 a run aborted mid-flight (goodness domain or
+numerical failure).
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _make_proto(
     n_agents: int,
     item_dim: int,
     agent_dim: int,
-    rho: float | None,
+    rho: float,
     policy: PolicyKind,
     utility_kind: str = environment.LINEAR,
     noise_r: float = 0.1,
@@ -117,6 +118,8 @@ def _make_proto(
     lam: float = 0.01,
     spec: goodness.GoodnessSpec | None = None,
 ) -> RunConfig:
+    """Seedless RunConfig; without a spec the goodness is weighted Gini
+    from rho, where rho 0 means the min objective."""
     if spec is None:
         if rho == 0.0:
             spec = goodness.GoodnessSpec(
@@ -353,15 +356,7 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
                 problems.append(f"bad target-ratios: {exc}")
     elif ratios_text is not None:
         problems.append("--target-ratios is only valid with --goodness targeted")
-    elif kind_name == goodness.WEIGHTED_GINI:
-        if not problems:
-            if rho == 0.0:
-                spec = goodness.GoodnessSpec(
-                    goodness.WEIGHTED_GINI, weights=goodness.esw_weights(agents)
-                )
-            else:
-                spec = goodness.GoodnessSpec(goodness.WEIGHTED_GINI, rho=rho)
-    else:
+    elif kind_name != goodness.WEIGHTED_GINI:
         spec = goodness.GoodnessSpec(kind_name)
 
     if problems:
@@ -372,7 +367,7 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
         n_agents=agents,
         item_dim=item_dim,
         agent_dim=agent_dim,
-        rho=None,
+        rho=rho,
         policy=PolicyKind(policy_name, epsilon=epsilon),
         utility_kind=utility,
         noise_r=noise_r,
@@ -556,7 +551,8 @@ def run_command(ns: argparse.Namespace) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError) as exc:
+        # ValueError also covers malformed JSON and entries the constructors reject
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -89,7 +89,7 @@ def draw_item(instance: ProblemInstance, rng: np.random.Generator) -> np.ndarray
 
 
 def true_utilities(instance: ProblemInstance, xs: np.ndarray) -> np.ndarray:
-    """Hidden utility for each context row.
+    """Hidden utility for each row of the (n_agents, dim) context matrix xs.
 
     linear: the projection x.theta_star; square: the squared projection
     rescaled so both kinds share the (0, 10*sqrt(d)) range.

@@ -86,8 +86,8 @@ def init_ridge(dim: int, lam: float) -> RidgeState:
 
 
 def ridge_update(state: RidgeState, x: np.ndarray, y: float) -> RidgeState:
-    """Fold one observation (x, y) into the ridge estimate; mutates state."""
-    x = np.asarray(x, dtype=np.float64)
+    """Fold one observation (x, y), x a float array of shape (dim,), into
+    the ridge estimate; mutates state."""
     linalg.rank_one_update(state.precision, x)
     state.moment += y * x
     state.theta_hat = state.precision.m_inv @ state.moment
@@ -106,7 +106,8 @@ def alpha_t(params: ConfidenceParams, t: int) -> float:
 
 
 def ucb_scores(state: RidgeState, params: ConfidenceParams, t: int, xs: np.ndarray) -> np.ndarray:
-    """Optimistic score x.theta_hat + alpha_t*||x||_{M^-1} of each row of xs."""
+    """Optimistic score x.theta_hat + alpha_t*||x||_{M^-1} of each row of
+    xs, a float array of shape (m, dim)."""
     q = np.maximum(np.sum((xs @ state.precision.m_inv) * xs, axis=1), 0.0)
     return xs @ state.theta_hat + alpha_t(params, t) * np.sqrt(q)
 
@@ -220,12 +221,10 @@ def _refactor(state: GpState) -> None:
 
 
 def _condition(state: GpState, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled rows of xs (raw feature units), v = L^-1 k(inputs, scaled) and
-    the posterior means v^T L^-1 y. With no observations v has no rows: the
-    means are 0 and signal_var - |v|^2 is the prior variance."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != state.dim:
-        raise ValueError(f"xs must have shape (n, {state.dim}), got {xs.shape}")
+    """Scaled rows of xs, a float array of shape (m, dim) in raw feature
+    units, v = L^-1 k(inputs, scaled) and the posterior means v^T L^-1 y.
+    With no observations v has no rows: the means are 0 and
+    signal_var - |v|^2 is the prior variance."""
     n = state.n_obs
     scaled = xs / state.feature_scale
     k_cross = _kernel_cross(state, state.inputs[:n], scaled)
@@ -234,12 +233,9 @@ def _condition(state: GpState, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def gp_update(state: GpState, x: np.ndarray, y: float) -> GpState:
-    """Append one observation. Its conditioning column gives both the
-    pre-update variance at x, which advances the information gain, and
-    the new row of the Cholesky factor."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (state.dim,):
-        raise ValueError(f"x must have shape ({state.dim},), got {x.shape}")
+    """Append one observation, x a float array of shape (dim,). Its
+    conditioning column gives both the pre-update variance at x, which
+    advances the information gain, and the new row of the Cholesky factor."""
     scaled, v, _ = _condition(state, x[None, :])
     std_pre = float(np.sqrt(np.maximum(state.signal_var - np.sum(v**2, axis=0), 0.0))[0])
     state.info_gain += 0.5 * math.log1p(std_pre**2 / state.noise_var)
@@ -263,7 +259,8 @@ def gp_update(state: GpState, x: np.ndarray, y: float) -> GpState:
 
 
 def gp_posterior_many(state: GpState, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior (means, stddevs) at the rows of xs (raw feature units)."""
+    """Posterior (means, stddevs) at the rows of xs, shape (m, dim) in raw
+    feature units."""
     _, v, means = _condition(state, xs)
     variances = np.maximum(state.signal_var - np.sum(v**2, axis=0), 0.0)
     return means, np.sqrt(variances)
@@ -274,6 +271,7 @@ def gp_width_multiplier(state: GpState, params: ConfidenceParams) -> float:
 
 
 def gp_ucb_scores(state: GpState, params: ConfidenceParams, xs: np.ndarray) -> np.ndarray:
+    """Optimistic GP score of each row of xs, shape (m, dim)."""
     means, stds = gp_posterior_many(state, xs)
     return means + gp_width_multiplier(state, params) * stds
 
@@ -281,7 +279,8 @@ def gp_ucb_scores(state: GpState, params: ConfidenceParams, xs: np.ndarray) -> n
 def gp_ts_scores(
     state: GpState, params: ConfidenceParams, xs: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One joint posterior sample over the rows of xs, width-scaled."""
+    """One joint posterior sample over the rows of xs, shape (m, dim),
+    width-scaled."""
     scaled, v, means = _condition(state, xs)
     cov = _kernel_cross(state, scaled, scaled) - v.T @ v
     jitter = 1e-10 * state.signal_var

@@ -108,18 +108,22 @@ class GoodnessSpec:
                 raise ValueError(f"{self.kind} takes no weights, rho or target_ratios")
 
     def resolved_weights(self, n_agents: int) -> np.ndarray:
-        """Weight vector of length n_agents (weighted-gini only), cached."""
+        """Weight vector of length n_agents (weighted-gini only), cached;
+        explicit weights are returned as given (RunConfig checks length)."""
         if self.kind != WEIGHTED_GINI:
             raise ValueError(f"{self.kind} has no weight vector")
         if self.weights is not None:
-            if self.weights.size != n_agents:
-                raise ValueError(
-                    f"weights have length {self.weights.size}, expected {n_agents}"
-                )
             return self.weights
         if self._weights_cache is None or self._weights_cache[0] != n_agents:
             self._weights_cache = (n_agents, weights_from_rho(self.rho, n_agents))
         return self._weights_cache[1]
+
+
+def _require_positive(spec: GoodnessSpec, u: np.ndarray) -> None:
+    if spec.kind in (NSW, LOG_NSW) and np.any(u <= 0.0):
+        raise GoodnessDomainError(
+            f"{spec.kind} requires strictly positive utilities, got min {float(u.min())!r}"
+        )
 
 
 def _check_u(spec: GoodnessSpec, u: np.ndarray) -> np.ndarray:
@@ -128,10 +132,7 @@ def _check_u(spec: GoodnessSpec, u: np.ndarray) -> np.ndarray:
         raise ValueError("u must be a non-empty 1-d array")
     if not np.all(np.isfinite(u)):
         raise ValueError("u contains non-finite entries")
-    if spec.kind in (NSW, LOG_NSW) and np.any(u <= 0.0):
-        raise GoodnessDomainError(
-            f"{spec.kind} requires strictly positive utilities, got min {u.min()!r}"
-        )
+    _require_positive(spec, u)
     if spec.kind == TARGETED and spec.target_ratios.size != u.size:
         raise ValueError(
             f"target_ratios have length {spec.target_ratios.size}, expected {u.size}"
@@ -161,16 +162,13 @@ def candidate_scores(
     """Vector of candidate goodness values, one per agent.
 
     Entry n equals evaluate on totals with adds[n] granted to agent n.
-    This is the round-loop fast path. An NSW product that overflows to
-    inf or underflows to 0 raises :class:`GoodnessDomainError`, since
-    its argmax would be arbitrary.
+    This is the round-loop fast path: totals and adds are float arrays of
+    shape (n_agents,), adds >= 0, and any spec vector has length n_agents
+    (RunConfig checks it). Non-positive totals under nsw or log-nsw, and
+    an NSW product that overflows to inf or underflows to 0, raise
+    :class:`GoodnessDomainError`, since the argmax would be arbitrary.
     """
-    totals = _check_u(spec, totals)
-    adds = np.asarray(adds, dtype=np.float64)
-    if adds.shape != totals.shape:
-        raise ValueError(f"adds must have shape {totals.shape}, got {adds.shape}")
-    if not np.all(np.isfinite(adds)) or np.any(adds < 0.0):
-        raise ValueError("adds must be finite and >= 0")
+    _require_positive(spec, totals)
     if spec.kind == WEIGHTED_GINI:
         n = totals.size
         mat = np.tile(totals, (n, 1))

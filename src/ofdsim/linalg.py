@@ -15,7 +15,7 @@ import numpy as np
 
 
 class NumericError(RuntimeError):
-    """Raised when a dense factorization fails."""
+    """Raised when a factorization or a rank-one update loses definiteness."""
 
 
 @dataclass
@@ -51,24 +51,22 @@ def init_precision(dim: int, lam: float) -> PrecisionState:
     )
 
 
-def _check_vector(state: PrecisionState, v: np.ndarray, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (state.dim,):
-        raise ValueError(f"{name} must have shape ({state.dim},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
 def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
-    """Fold the observation direction v into M, its inverse and log det.
+    """Fold the observation direction v, a finite float array of shape
+    (dim,), into M, its inverse and log det.
 
     Mutates ``state`` in place and returns it; a symmetric M^-1 stays
-    exactly symmetric.
+    exactly symmetric. A Sherman-Morrison denominator 1 + v^T M^-1 v that
+    is not positive (M^-1 has lost definiteness to round-off) raises
+    :class:`NumericError` and leaves ``state`` unchanged.
     """
-    v = _check_vector(state, v, "v")
     z = state.m_inv @ v
     denom = 1.0 + float(v @ z)
+    if not denom > 0.0:
+        raise NumericError(
+            f"Sherman-Morrison denominator {denom:.3e} is not positive "
+            f"after {state.n_updates} updates"
+        )
     state.m_mat += np.outer(v, v)
     state.m_inv -= np.outer(z, z) / denom
     # re-symmetrize to stop round-off drift from accumulating
@@ -80,7 +78,6 @@ def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
 
 def inv_norm(state: PrecisionState, x: np.ndarray) -> float:
     """Mahalanobis-style norm sqrt(x^T M^-1 x); clamps tiny negatives to 0."""
-    x = _check_vector(state, x, "x")
     q = float(x @ state.m_inv @ x)
     return float(np.sqrt(max(q, 0.0)))
 
@@ -91,15 +88,13 @@ def sample_gaussian(
     state: PrecisionState,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw theta ~ N(mean, scale^2 * M^-1).
+    """Draw theta ~ N(mean, scale^2 * M^-1) for a float array mean of
+    shape (dim,) and a finite scale >= 0.
 
     scale = 0 returns the mean exactly (the degenerate limit). A failed
     Cholesky factorization of M^-1 raises :class:`NumericError` carrying
     the offending smallest eigenvalue.
     """
-    mean = _check_vector(state, mean, "mean")
-    if not np.isfinite(scale) or scale < 0.0:
-        raise ValueError(f"scale must be finite and non-negative, got {scale!r}")
     if scale == 0.0:
         return mean.copy()
     try:

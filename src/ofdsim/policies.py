@@ -12,11 +12,12 @@ identical rng streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators, goodness
+from . import estimators, goodness, linalg
 
 POLICY_NAMES = ("ucb", "ts", "gp-ucb", "gp-ts", "greedy", "uniform")
 _RIDGE_POLICIES = ("ucb", "ts", "greedy")
@@ -81,6 +82,9 @@ def make_estimator(kind: PolicyKind, params: estimators.ConfidenceParams):
 
 def _pick_max(values: np.ndarray, rng: np.random.Generator) -> int:
     best = float(np.max(values))
+    # np.max propagates NaN, so this one test also catches a NaN candidate
+    if not math.isfinite(best):
+        raise linalg.NumericError(f"candidate goodness is not finite (max {best!r})")
     tol = TIE_REL_TOL * max(1.0, abs(best))
     ties = np.flatnonzero(values >= best - tol)
     if ties.size == 1:
@@ -105,9 +109,7 @@ def _optimistic_scores(
         return contexts @ estimator.theta_hat
     if kind.name == "gp-ucb":
         return estimators.gp_ucb_scores(estimator, params, contexts)
-    if kind.name == "gp-ts":
-        return estimators.gp_ts_scores(estimator, params, contexts, rng)
-    raise ValueError(f"no scoring rule for policy {kind.name!r}")
+    return estimators.gp_ts_scores(estimator, params, contexts, rng)
 
 
 def select_agent(
@@ -119,11 +121,9 @@ def select_agent(
     params: estimators.ConfidenceParams,
     rng: np.random.Generator,
 ) -> AllocationDecision:
-    """Choose the agent for the current round; contexts holds one feature
-    row per agent."""
-    contexts = np.asarray(contexts, dtype=np.float64)
-    if contexts.ndim != 2 or contexts.shape[0] < 1:
-        raise ValueError("contexts must be a non-empty (n_agents, dim) array")
+    """Choose the agent for the current round. contexts is a float array
+    of shape (n_agents, dim), one row per agent; a non-finite candidate
+    goodness raises :class:`linalg.NumericError`."""
     n = contexts.shape[0]
     if ledger.round <= n:
         return AllocationDecision(agent=(ledger.round - 1) % n, was_round_robin=True)
@@ -149,12 +149,9 @@ def observe(
     ledger: UtilityLedger,
     agent: int,
 ):
-    """Record the realized utility and advance the round.
-
-    Uniform keeps no estimate, so only the ledger moves.
-    """
-    if not 0 <= agent < ledger.totals.size:
-        raise ValueError(f"agent index {agent} out of range")
+    """Record the realized utility y of agent, whose context x has shape
+    (dim,), and advance the round; uniform keeps no estimate, so only the
+    ledger moves."""
     ledger.totals[agent] += y
     ledger.round += 1
     if kind.uses_ridge:

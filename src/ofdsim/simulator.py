@@ -20,18 +20,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import environment, goodness, policies
+from . import environment, goodness, linalg, policies
 from .estimators import ConfidenceParams, alpha_t
 
 MAX_HORIZON = 10**6
 
 
 class RunAbortedError(RuntimeError):
-    """A run hit a goodness domain violation mid-flight."""
+    """A run hit a goodness domain violation or a numerical failure
+    mid-flight."""
 
 
 @dataclass
 class RunConfig:
+    """Everything one run needs. Construction checks the run's inputs and
+    their cross-field rules once; the round loop trusts them."""
+
     horizon: int
     seed: int
     policy: policies.PolicyKind
@@ -56,6 +60,12 @@ class RunConfig:
             raise ValueError(f"utility_kind must be one of {environment.UTILITY_KINDS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        for name in ("weights", "target_ratios"):
+            vector = getattr(self.goodness, name)
+            if vector is not None and vector.size != self.n_agents:
+                raise ValueError(
+                    f"goodness {name} have length {vector.size}, expected n_agents={self.n_agents}"
+                )
         if self.confidence is None:
             self.confidence = ConfidenceParams.defaults(self.item_dim + self.agent_dim)
         elif self.confidence.dim != self.item_dim + self.agent_dim:
@@ -124,22 +134,25 @@ def run_single(config: RunConfig) -> RunTrace:
                 best = decision.agent
                 gap = 0.0
             else:
-                # the one-step oracle; argmax breaks ties to the lowest index
+                # the one-step oracle; argmax breaks ties to the lowest index,
+                # and to the first NaN, which leaves gap NaN
                 values = goodness.candidate_scores(spec, ledger.totals, truths)
                 best = int(np.argmax(values))
-                gap = max(float(values[best] - values[decision.agent]), 0.0)
-        except goodness.GoodnessDomainError as exc:
+                gap = max(float(values[best]) - float(values[decision.agent]), 0.0)
+                if not math.isfinite(gap):
+                    raise goodness.GoodnessDomainError("oracle candidate goodness is not finite")
+            pick = decision.agent
+            y = float(truths[pick])
+            if noise_r > 0.0:
+                y += noise_rng.normal(0.0, noise_r)
+            policies.observe(kind, estimator, contexts[pick], y, ledger, pick)
+        except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
             totals = ledger.totals
             low = int(np.argmin(totals))
             raise RunAbortedError(
                 f"run seed={config.seed} aborted at round {t}: {exc}; ledger of {n} agents: "
                 f"min {float(totals[low])!r} (agent {low}), max {float(totals.max())!r}"
             ) from exc
-        pick = decision.agent
-        y = float(truths[pick])
-        if noise_r > 0.0:
-            y += noise_rng.normal(0.0, noise_r)
-        policies.observe(kind, estimator, contexts[pick], y, ledger, pick)
 
         idx = t - 1
         chosen[idx] = pick

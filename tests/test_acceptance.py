@@ -10,11 +10,14 @@ reproducible.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from scipy import stats
@@ -68,7 +71,7 @@ def _paired_ci(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return _mean_ci(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
 
-def _run(policy: str, seed: int, noise_r: float | None = None, **kwargs):
+def _config(policy: str, seed: int, noise_r: float | None = None, **kwargs) -> RunConfig:
     cfg = dict(
         horizon=1000,
         n_agents=10,
@@ -81,7 +84,28 @@ def _run(policy: str, seed: int, noise_r: float | None = None, **kwargs):
         cfg["confidence"] = ConfidenceParams.defaults(
             cfg["item_dim"] + cfg["agent_dim"], noise_r=noise_r
         )
-    return run_single(RunConfig(seed=seed, policy=PolicyKind(policy), **cfg))
+    return RunConfig(seed=seed, policy=PolicyKind(policy), **cfg)
+
+
+def _run_all(configs: list[RunConfig]) -> list:
+    """run_single over configs on every core, traces in input order.
+
+    Each run owns its seeded streams, so a trace does not depend on the
+    process that computed it (criterion 11 checks this for the CLI).
+    Spawned workers import the package afresh instead of forking the
+    test process. They run OpenBLAS on one thread each: with one worker
+    per core, more threads oversubscribe the cores, which tripled
+    criterion 10's GP solves on a 2-core host.
+    """
+    context = multiprocessing.get_context("spawn")
+    with mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"), ProcessPoolExecutor(
+        max_workers=os.cpu_count(), mp_context=context
+    ) as pool:
+        return list(pool.map(run_single, configs))
+
+
+def _groups(items: list, size: int) -> list[list]:
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def test_01_incremental_inverse_tracks_direct_inverse():
@@ -154,11 +178,11 @@ def test_04_trace_oracle_matches_naive_recomputation():
     w = weights_from_rho(0.85, n_agents)
     mismatches = 0
     for seed in range(100):
-        trace = _run(
+        trace = run_single(_config(
             "ucb", seed, noise_r=0.0,
             horizon=horizon, n_agents=n_agents,
             item_dim=item_dim, agent_dim=agent_dim,
-        )
+        ))
         # replay the documented stream layout from scratch
         inst_ss, item_ss, _noise, _policy = np.random.SeedSequence(seed).spawn(4)
         inst_rng = np.random.default_rng(inst_ss)
@@ -223,7 +247,7 @@ def test_06_regret_stays_under_theoretical_bound():
     bounds = np.array([theoretical_bound(params, d, 1.0, t) for t in range(1, horizon + 1)])
     dominated = 0
     for seed in range(runs):
-        trace = _run("ucb", seed, horizon=horizon, item_dim=5, agent_dim=5)
+        trace = run_single(_config("ucb", seed, horizon=horizon, item_dim=5, agent_dim=5))
         dominated += bool(np.all(trace.cum_regret <= bounds))
     ok = dominated >= 95
     assert _report(6, ok, f"{dominated}/{runs} runs dominated at every round (need >= 95)"), (
@@ -244,10 +268,9 @@ def test_07_headline_regret_ordering_and_sublinearity():
     checked against their own 95% CI.
     """
     horizon, reps = 10_000, 20
-    traces = {
-        name: [_run(name, seed, horizon=horizon) for seed in range(reps)]
-        for name in ("ucb", "ts", "greedy", "uniform")
-    }
+    names = ("ucb", "ts", "greedy", "uniform")
+    runs = _run_all([_config(name, seed, horizon=horizon) for name in names for seed in range(reps)])
+    traces = dict(zip(names, _groups(runs, reps)))
     finals = {k: np.array([tr.cum_regret[-1] for tr in v]) for k, v in traces.items()}
     mci = {k: _mean_ci(v) for k, v in finals.items()}
     failures = []
@@ -283,25 +306,24 @@ def test_07_headline_regret_ordering_and_sublinearity():
 def test_08_regret_scales_monotonically_with_agents_and_dimension():
     reps, horizon = 20, 1000
     goodness = GoodnessSpec("weighted-gini", rho=1.0)
+    sweeps = {
+        "agents": [dict(n_agents=n, item_dim=20, agent_dim=20) for n in (5, 10, 15, 20, 25)],
+        "dims": [dict(item_dim=d // 2, agent_dim=d - d // 2) for d in (10, 20, 30, 40, 50)],
+    }
+    points = [(policy, axis, point) for policy in ("ucb", "ts")
+              for axis, grid in sweeps.items() for point in grid]
+    runs = _run_all([
+        _config(policy, seed, horizon=horizon, goodness=goodness, **point)
+        for policy, _, point in points for seed in range(reps)
+    ])
+    mean_finals: dict[tuple[str, str], list[float]] = {}
+    for (policy, axis, _), group in zip(points, _groups(runs, reps)):
+        finals = [tr.cum_regret[-1] for tr in group]
+        mean_finals.setdefault((policy, axis), []).append(float(np.mean(finals)))
     failures = []
     details = []
     for policy in ("ucb", "ts"):
-        agent_finals = []
-        for n in (5, 10, 15, 20, 25):
-            finals = [
-                _run(policy, seed, horizon=horizon, n_agents=n,
-                     item_dim=20, agent_dim=20, goodness=goodness).cum_regret[-1]
-                for seed in range(reps)
-            ]
-            agent_finals.append(float(np.mean(finals)))
-        dim_finals = []
-        for d in (10, 20, 30, 40, 50):
-            finals = [
-                _run(policy, seed, horizon=horizon, item_dim=d // 2,
-                     agent_dim=d - d // 2, goodness=goodness).cum_regret[-1]
-                for seed in range(reps)
-            ]
-            dim_finals.append(float(np.mean(finals)))
+        agent_finals, dim_finals = mean_finals[policy, "agents"], mean_finals[policy, "dims"]
         rho_n = stats.spearmanr(np.arange(5), agent_finals).statistic
         rho_d = stats.spearmanr(np.arange(5), dim_finals).statistic
         details.append(f"{policy} spearman: agents {rho_n:.2f}, dims {rho_d:.2f}")
@@ -334,14 +356,13 @@ def test_09_fairness_knob_trades_welfare_for_equality():
         e for e in expand_preset("fig3-rho-sweep", reps=20, base_seed=0)
         if e.policy.name in ("ucb", "uniform")
     ]
+    runs = _run_all([entry.proto.with_seed(s) for entry in entries for s in entry.seeds])
     finals = {"ucb": {}, "uniform": {}}
     specs = {}
-    for entry in entries:
+    for entry, group in zip(entries, _groups(runs, len(entries[0].seeds))):
         rho = float(entry.name.split("-r")[-1]) / 100.0
         specs[rho] = entry.proto.goodness
-        finals[entry.policy.name][rho] = np.array(
-            [run_single(entry.proto.with_seed(s)).final_totals for s in entry.seeds]
-        )
+        finals[entry.policy.name][rho] = np.array([tr.final_totals for tr in group])
     ucb, uniform = finals["ucb"], finals["uniform"]
     assert list(uniform) == list(ucb)
     rhos = list(ucb)
@@ -410,8 +431,8 @@ def test_10_gp_beats_linear_model_on_square_utilities():
     """
     reps, horizon = 20, 500
     kw = dict(horizon=horizon, utility_kind="square")
-    gp = np.array([_run("gp-ucb", s, **kw).cum_regret[-1] for s in range(reps)])
-    lin = np.array([_run("ucb", s, **kw).cum_regret[-1] for s in range(reps)])
+    runs = _run_all([_config(name, s, **kw) for name in ("gp-ucb", "ucb") for s in range(reps)])
+    gp, lin = (np.array([tr.cum_regret[-1] for tr in group]) for group in _groups(runs, reps))
     (m_gp, ci_gp), (m_lin, ci_lin) = _mean_ci(gp), _mean_ci(lin)
     gap, ci = _paired_ci(lin, gp)
     ok = gap > ci

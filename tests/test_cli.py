@@ -348,6 +348,50 @@ def test_goodness_abort_exit_code(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, names",
+    [
+        # M^-1 = I/lambda loses definiteness to round-off by round 10
+        (["--policy", "ucb", "--lambda", "1e-15", "--agents", "10", "--horizon", "20"],
+         ["round 10", "after 9 updates"]),
+        # a noisy ledger goes negative under log-nsw
+        (["--policy", "ucb", "--noise-r", "1e6", "--goodness", "log-nsw", "--agents", "5",
+          "--horizon", "500"], ["round 6", "got min -1819064.68"]),
+        # noise at the float limit overflows a ledger total to -inf
+        (["--policy", "uniform", "--noise-r", "1e308", "--agents", "3", "--horizon", "60"],
+         ["round 2", "oracle candidate goodness is not finite"]),
+    ],
+    ids=["tiny-lambda", "negative-log-nsw-ledger", "overflowing-ledger"],
+)
+def test_mid_run_faults_exit_4_with_one_short_line(tmp_path, capsys, flags, names):
+    args = ["run", *flags, "--reps", "1", "--seed", "0", "--out", str(tmp_path / "x")]
+    assert run_cli(*args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("run aborted:") and err.count("\n") == 1
+    assert all(name in err for name in names), err
+    assert "np.float64" not in err and len(err.encode()) < 500
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda entry: entry["config"]["goodness"].update(rho=2.0),
+        lambda entry: entry["config"].update(horizon=2),
+        lambda entry: entry["policy"].update(name="best"),
+        lambda entry: entry["config"]["goodness"].update(rho=None, weights=[1.0, 0.5]),
+    ],
+    ids=["rho-2", "horizon-below-agents", "unknown-policy", "weights-too-short"],
+)
+def test_edited_manifest_exits_2(tmp_path, capsys, edit):
+    out = tmp_path / "a"
+    assert run_cli(*small_run_args(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    edit(manifest["entries"][0])
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("run", "--manifest", str(out / "manifest.json")) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_uniform_policy_runs_without_estimator_state(tmp_path):
     out = tmp_path / "u"
     assert run_cli(*small_run_args(out, policy="uniform")) == 0

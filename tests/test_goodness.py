@@ -155,15 +155,6 @@ def test_evaluate_candidate_leaves_input_unmodified():
         np.testing.assert_array_equal(adds, [3.0, 0.5])
 
 
-def test_evaluate_candidate_validates_arguments():
-    spec = GoodnessSpec("weighted-gini", rho=1.0)
-    u = np.array([1.0, 2.0])
-    with pytest.raises(ValueError):
-        goodness.candidate_scores(spec, u, np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        goodness.candidate_scores(spec, u, np.array([-0.5, 0.0]))
-
-
 def test_candidate_scores_matches_slow_path():
     rng = np.random.default_rng(2)
     for n in (1, 2, 3, 12):
@@ -199,12 +190,6 @@ def test_nsw_out_of_float_range_raises(n, scale, low):
         goodness.candidate_scores(GoodnessSpec("nsw"), totals, adds)
     values = goodness.candidate_scores(GoodnessSpec("log-nsw"), totals, adds)
     assert int(np.argmax(values)) == low
-
-
-def test_candidate_scores_rejects_negative_adds():
-    spec = GoodnessSpec("weighted-gini", rho=1.0)
-    with pytest.raises(ValueError):
-        goodness.candidate_scores(spec, np.array([1.0, 2.0]), np.array([0.1, -0.1]))
 
 
 def test_permutation_invariance_exact():

@@ -60,6 +60,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="dim"):
             make_config(confidence=ConfidenceParams.defaults(7))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GoodnessSpec("weighted-gini", weights=np.array([1.0, 0.5, 0.25])),
+            GoodnessSpec("targeted", target_ratios=np.array([0.2, 0.3, 0.5])),
+        ],
+        ids=["weights", "target_ratios"],
+    )
+    def test_goodness_vectors_must_match_agents(self, spec):
+        # three entries for four agents are rejected at construction
+        with pytest.raises(ValueError, match="expected n_agents=4"):
+            make_config(goodness=spec, n_agents=4)
+
     def test_with_seed(self):
         cfg = make_config()
         assert cfg.with_seed(9).seed == 9
