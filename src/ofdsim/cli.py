@@ -67,16 +67,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunSpecEntry:
-    """One CSV-producing unit: a named parameter point and a policy."""
+    """One CSV-producing unit: a named parameter point, its seedless run
+    (which carries the policy) and the repetition seeds."""
 
     name: str
-    policy: PolicyKind
     proto: RunConfig
     seeds: tuple[int, ...]
 
     @property
     def csv_name(self) -> str:
-        return f"{self.name}_{self.policy.name}.csv"
+        return f"{self.name}_{self.proto.policy.name}.csv"
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,8 @@ def expand_preset(preset: str, reps: int, base_seed: int) -> list[RunSpecEntry]:
 
     def add(name: str, policies: list[PolicyKind], **kwargs) -> None:
         for pol in policies:
-            entries.append(
-                RunSpecEntry(name=name, policy=pol, proto=_make_proto(policy=pol, **kwargs), seeds=seeds)
-            )
+            proto = _make_proto(policy=pol, **kwargs)
+            entries.append(RunSpecEntry(name=name, proto=proto, seeds=seeds))
 
     if preset.startswith("fig1-linear"):
         half = {"fig1-linear-d4": 2, "fig1-linear-d10": 5, "fig1-linear-d20": 10}[preset]
@@ -376,7 +375,7 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
         spec=spec,
     )
     seeds = _derive_seeds(base_seed, reps)
-    entries = [RunSpecEntry(name="adhoc", policy=proto.policy, proto=proto, seeds=seeds)]
+    entries = [RunSpecEntry(name="adhoc", proto=proto, seeds=seeds)]
     return RunPlan(entries, base_seed, preset, reps, out, jobs)
 
 
@@ -409,7 +408,7 @@ def _entry_to_json(entry: RunSpecEntry) -> dict:
     return {
         "name": entry.name,
         "csv": entry.csv_name,
-        "policy": {"name": entry.policy.name, "epsilon": entry.policy.epsilon},
+        "policy": {"name": proto.policy.name, "epsilon": proto.policy.epsilon},
         "seeds": list(entry.seeds),
         "config": {
             "horizon": proto.horizon,
@@ -431,13 +430,12 @@ def _entry_to_json(entry: RunSpecEntry) -> dict:
 
 def _entry_from_json(payload: dict) -> RunSpecEntry:
     cfg = payload["config"]
-    policy = PolicyKind(payload["policy"]["name"], epsilon=payload["policy"]["epsilon"])
     conf = cfg["confidence"]
     dim = cfg["item_dim"] + cfg["agent_dim"]
     proto = RunConfig(
         horizon=cfg["horizon"],
         seed=0,
-        policy=policy,
+        policy=PolicyKind(payload["policy"]["name"], epsilon=payload["policy"]["epsilon"]),
         goodness=_goodness_from_json(cfg["goodness"]),
         n_agents=cfg["n_agents"],
         item_dim=cfg["item_dim"],
@@ -452,12 +450,7 @@ def _entry_from_json(payload: dict) -> RunSpecEntry:
             lam=conf["lam"],
         ),
     )
-    return RunSpecEntry(
-        name=payload["name"],
-        policy=policy,
-        proto=proto,
-        seeds=tuple(payload["seeds"]),
-    )
+    return RunSpecEntry(name=payload["name"], proto=proto, seeds=tuple(payload["seeds"]))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--noise-r", dest="noise_r", type=float, help="observation noise scale R")
     run.add_argument("--delta", type=float, help="confidence level parameter")
     run.add_argument("--out", help="output directory (default results/)")
-    run.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
+    run.add_argument("--jobs", type=int,
+                     help="parallel worker processes (default 1); give each one BLAS "
+                          "thread with OPENBLAS_NUM_THREADS=1")
     run.add_argument("--utility", help=f"one of: {', '.join(environment.UTILITY_KINDS)}")
     run.add_argument("--epsilon", type=float, help="greedy exploration rate (default 0.1)")
     run.add_argument("--target-ratios", dest="target_ratios",

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
+from .environment import FEATURE_HIGH
 
 
 @dataclass
@@ -55,13 +56,13 @@ class ConfidenceParams:
     @classmethod
     def defaults(cls, dim: int, noise_r: float = 0.1, delta: float = 0.05,
                  lam: float = 0.01) -> "ConfidenceParams":
-        """Experiment defaults; L = 10*sqrt(d) bounds features in (0,10)^d,
-        S = 1 matches a unit-norm parameter vector."""
+        """Experiment defaults; L = FEATURE_HIGH*sqrt(d) bounds features in
+        (0, FEATURE_HIGH)^d, S = 1 matches a unit-norm parameter vector."""
         return cls(
             dim=dim,
             noise_r=noise_r,
             param_bound_s=1.0,
-            feature_bound_l=10.0 * math.sqrt(dim),
+            feature_bound_l=FEATURE_HIGH * math.sqrt(dim),
             delta=delta,
             lam=lam,
         )
@@ -72,7 +73,6 @@ class RidgeState:
     precision: linalg.PrecisionState
     moment: np.ndarray
     theta_hat: np.ndarray
-    n_obs: int = 0
 
 
 def init_ridge(dim: int, lam: float) -> RidgeState:
@@ -81,7 +81,6 @@ def init_ridge(dim: int, lam: float) -> RidgeState:
         precision=precision,
         moment=np.zeros(dim),
         theta_hat=np.zeros(dim),
-        n_obs=0,
     )
 
 
@@ -91,7 +90,6 @@ def ridge_update(state: RidgeState, x: np.ndarray, y: float) -> RidgeState:
     linalg.rank_one_update(state.precision, x)
     state.moment += y * x
     state.theta_hat = state.precision.m_inv @ state.moment
-    state.n_obs += 1
     return state
 
 
@@ -146,41 +144,27 @@ class GpState:
     info_gain: float = 0.0
 
 
-def init_gp(
-    dim: int,
-    noise_var: float,
-    lengthscale: float | None = None,
-    signal_var: float = 1.0,
-    bound_b: float = 1.0,
-    feature_scale: float = 10.0,
-    capacity: int = 64,
-) -> GpState:
-    """RBF-kernel GP over features rescaled by 1/feature_scale.
-
-    The default lengthscale 0.2*sqrt(dim) applies to features mapped to
-    the unit box, i.e. raw features in (0, feature_scale)^dim.
-    """
+def init_gp(dim: int, noise_var: float) -> GpState:
+    """RBF-kernel GP with signal variance 1 and RKHS norm bound B = 1,
+    over features rescaled by 1/FEATURE_HIGH into the unit box, where the
+    lengthscale is 0.2*sqrt(dim). Its buffers start at 64 observations
+    and double when full."""
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     if not np.isfinite(noise_var) or noise_var <= 0.0:
         raise ValueError(f"noise_var must be positive, got {noise_var!r}")
-    if lengthscale is None:
-        lengthscale = 0.2 * math.sqrt(dim)
-    if lengthscale <= 0.0 or signal_var <= 0.0 or feature_scale <= 0.0:
-        raise ValueError("lengthscale, signal_var and feature_scale must be positive")
-    if bound_b < 0.0:
-        raise ValueError(f"bound_b must be >= 0, got {bound_b!r}")
+    cap = 64
     return GpState(
         dim=int(dim),
-        lengthscale=float(lengthscale),
-        signal_var=float(signal_var),
+        lengthscale=0.2 * math.sqrt(dim),
+        signal_var=1.0,
         noise_var=float(noise_var),
-        bound_b=float(bound_b),
-        feature_scale=float(feature_scale),
-        inputs=np.empty((capacity, dim)),
-        targets=np.empty(capacity),
-        chol=np.zeros((capacity, capacity)),
-        white=np.empty(capacity),
+        bound_b=1.0,
+        feature_scale=FEATURE_HIGH,
+        inputs=np.empty((cap, dim)),
+        targets=np.empty(cap),
+        chol=np.zeros((cap, cap)),
+        white=np.empty(cap),
     )
 
 

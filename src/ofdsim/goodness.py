@@ -17,7 +17,6 @@ Four kinds are supported:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,34 +125,6 @@ def _require_positive(spec: GoodnessSpec, u: np.ndarray) -> None:
         )
 
 
-def _check_u(spec: GoodnessSpec, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1 or u.size < 1:
-        raise ValueError("u must be a non-empty 1-d array")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("u contains non-finite entries")
-    _require_positive(spec, u)
-    if spec.kind == TARGETED and spec.target_ratios.size != u.size:
-        raise ValueError(
-            f"target_ratios have length {spec.target_ratios.size}, expected {u.size}"
-        )
-    return u
-
-
-def evaluate(spec: GoodnessSpec, u: np.ndarray) -> float:
-    """Goodness value of the utility vector u."""
-    u = _check_u(spec, u)
-    if spec.kind == WEIGHTED_GINI:
-        w = spec.resolved_weights(u.size)
-        return float(np.sort(u) @ w)
-    if spec.kind == NSW:
-        # reduce in sorted order so permutations of u give bit-equal results
-        return float(np.prod(np.sort(u)))
-    if spec.kind == LOG_NSW:
-        return float(np.sum(np.log(np.sort(u))))
-    return float(np.min(u / spec._priorities))
-
-
 def candidate_scores(
     spec: GoodnessSpec,
     totals: np.ndarray,
@@ -161,12 +132,15 @@ def candidate_scores(
 ) -> np.ndarray:
     """Vector of candidate goodness values, one per agent.
 
-    Entry n equals evaluate on totals with adds[n] granted to agent n.
-    This is the round-loop fast path: totals and adds are float arrays of
-    shape (n_agents,), adds >= 0, and any spec vector has length n_agents
-    (RunConfig checks it). Non-positive totals under nsw or log-nsw, and
-    an NSW product that overflows to inf or underflows to 0, raise
-    :class:`GoodnessDomainError`, since the argmax would be arbitrary.
+    Entry n is the goodness of the ledger totals with adds[n] granted to
+    agent n. totals and adds are float arrays of shape (n_agents,),
+    adds >= 0, and any spec vector has length n_agents (RunConfig checks
+    it). Non-positive totals under nsw or log-nsw raise
+    :class:`GoodnessDomainError`, and so does an NSW product that leaves
+    the float range: the ledger's falling to the smallest normal float or
+    below, or the ledger's or a candidate's overflowing. There the argmax
+    would be arbitrary. A NaN add (a NaN estimate) leaves its candidate
+    NaN for the caller to catch.
     """
     _require_positive(spec, totals)
     if spec.kind == WEIGHTED_GINI:
@@ -176,15 +150,19 @@ def candidate_scores(
         mat.sort(axis=1)
         return mat @ spec.resolved_weights(n)
     if spec.kind == NSW:
-        with np.errstate(over="ignore"):
-            values = np.prod(totals) / totals * (totals + adds)
-        if not np.all(np.isfinite(values) & (values > 0.0)):
-            raise GoodnessDomainError(
-                f"nsw candidate products of {totals.size} totals in "
-                f"[{totals.min():.3g}, {totals.max():.3g}] leave the float range; "
-                "log-nsw ranks candidates the same way"
-            )
-        return values
+        # a NaN add passes through as a NaN candidate, raising no flag
+        try:
+            with np.errstate(over="raise"):
+                product = np.prod(totals)
+                if product > np.finfo(float).tiny:
+                    return product / totals * (totals + adds)
+        except FloatingPointError:
+            pass
+        raise GoodnessDomainError(
+            f"nsw products of {totals.size} totals in "
+            f"[{totals.min():.3g}, {totals.max():.3g}] leave the float range; "
+            "log-nsw ranks candidates the same way"
+        )
     if spec.kind == LOG_NSW:
         return np.sum(np.log(totals)) + np.log1p(adds / totals)
     ratios = totals / spec._priorities
@@ -194,118 +172,3 @@ def candidate_scores(
     floor = np.full(ratios.size, two_smallest[0])
     floor[np.argmin(ratios)] = two_smallest[1]
     return np.minimum(floor, (totals + adds) / spec._priorities)
-
-
-@dataclass
-class PropertyReport:
-    trials: int
-    permutation_violations: int
-    monotonicity_violations: int
-    lipschitz_violations: int
-    worst_lipschitz_ratio: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.permutation_violations == 0
-            and self.monotonicity_violations == 0
-            and self.lipschitz_violations == 0
-        )
-
-
-def _lipschitz_constant(spec: GoodnessSpec, coord: int, n: int, u_min: float, u_max: float) -> float:
-    if spec.kind == WEIGHTED_GINI:
-        return float(spec.resolved_weights(n)[0])
-    if spec.kind == NSW:
-        return u_max ** (n - 1)
-    if spec.kind == LOG_NSW:
-        return 1.0 / u_min
-    return 1.0 / float(spec._priorities[coord])
-
-
-def check_local_properties(
-    spec: GoodnessSpec,
-    u: np.ndarray,
-    trials: int,
-    rng: np.random.Generator,
-    u_min: float | None = None,
-    u_max: float | None = None,
-) -> PropertyReport:
-    """Probe symmetry, monotonicity and Lipschitz bounds around u.
-
-    Each trial draws a random permutation of u, a random single-coordinate
-    increase, and a random single-coordinate move within the box
-    [u_min, u_max]; violations of the respective property are counted.
-    Comparisons carry a 1e-9 relative guard for round-off.
-    """
-    u = _check_u(spec, u)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = u.size
-    lo = float(u.min()) if u_min is None else float(u_min)
-    hi = float(u.max()) if u_max is None else float(u_max)
-    if not lo <= u.min() or not u.max() <= hi:
-        raise ValueError("u must lie inside the [u_min, u_max] box")
-    if spec.kind in (NSW, LOG_NSW) and lo <= 0.0:
-        raise GoodnessDomainError(f"{spec.kind} needs a positive box, got u_min={lo}")
-
-    base = evaluate(spec, u)
-    perm_bad = 0
-    mono_bad = 0
-    lip_bad = 0
-    worst = 0.0
-    scratch = u.copy()
-    for _ in range(trials):
-        perm = rng.permutation(n)
-        if spec.kind == TARGETED:
-            # priorities travel with their agents under relabeling
-            permuted_spec = GoodnessSpec(TARGETED, target_ratios=spec.target_ratios[perm])
-            if evaluate(permuted_spec, u[perm]) != base:
-                perm_bad += 1
-        elif evaluate(spec, u[perm]) != base:
-            perm_bad += 1
-
-        i = int(rng.integers(n))
-        lifted = rng.uniform(u[i], hi)
-        scratch[:] = u
-        scratch[i] = lifted
-        up = evaluate(spec, scratch)
-        guard = 1e-9 * max(1.0, abs(base), abs(up))
-        if up < base - guard:
-            mono_bad += 1
-
-        j = int(rng.integers(n))
-        moved = rng.uniform(lo, hi)
-        scratch[:] = u
-        scratch[j] = moved
-        shifted = evaluate(spec, scratch)
-        delta = abs(moved - u[j])
-        bound = _lipschitz_constant(spec, j, n, lo, hi) * delta
-        guard = 1e-9 * max(1.0, abs(base), abs(shifted))
-        if abs(shifted - base) > bound + guard:
-            lip_bad += 1
-        if delta > 0.0 and bound > 0.0:
-            worst = max(worst, abs(shifted - base) / bound)
-
-    return PropertyReport(trials, perm_bad, mono_bad, lip_bad, worst)
-
-
-def opposite_order_check(w: np.ndarray, u: np.ndarray) -> bool:
-    """Brute-force the rearrangement lemma: with w non-increasing, the
-    ascending arrangement of u minimizes the weighted sum over all
-    permutations. Limited to len(u) <= 8.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if w.shape != u.shape or w.ndim != 1:
-        raise ValueError("w and u must be 1-d arrays of equal length")
-    if u.size > 8:
-        raise ValueError("brute-force check limited to 8 entries")
-    if np.any(np.diff(w) > 0.0):
-        raise ValueError("w must be non-increasing")
-    ascending = float(np.sort(u) @ w)
-    guard = 1e-12 * max(1.0, abs(ascending))
-    for perm in itertools.permutations(range(u.size)):
-        if float(u[list(perm)] @ w) < ascending - guard:
-            return False
-    return True

@@ -76,12 +76,6 @@ def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
     return state
 
 
-def inv_norm(state: PrecisionState, x: np.ndarray) -> float:
-    """Mahalanobis-style norm sqrt(x^T M^-1 x); clamps tiny negatives to 0."""
-    q = float(x @ state.m_inv @ x)
-    return float(np.sqrt(max(q, 0.0)))
-
-
 def sample_gaussian(
     mean: np.ndarray,
     scale: float,

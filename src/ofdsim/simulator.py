@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import environment, goodness, linalg, policies
-from .estimators import ConfidenceParams, alpha_t
+from .estimators import ConfidenceParams
 
 MAX_HORIZON = 10**6
 
@@ -253,15 +253,6 @@ def min_ratio(u: np.ndarray) -> float:
     if total <= 0.0:
         raise ValueError("min_ratio undefined for a zero-total vector")
     return float(u.min()) / total
-
-
-def theoretical_bound(params: ConfidenceParams, d: int, w_max: float, t: int) -> float:
-    """High-probability cumulative regret ceiling 2*alpha_t*w_max*
-    sqrt(2*d*t*log(lam + t*L/d)); the inner log is floored at 0."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t!r}")
-    inner = max(math.log(params.lam + t * params.feature_bound_l / d), 0.0)
-    return 2.0 * alpha_t(params, t) * w_max * math.sqrt(2.0 * d * t * inner)
 
 
 def series_csv_lines(series: AggregateSeries) -> list[str]:

@@ -15,14 +15,14 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from scipy import stats
 
-from ofdsim import goodness, linalg
+from ofdsim import linalg
 from ofdsim.cli import expand_preset
 from ofdsim.estimators import (
     ConfidenceParams,
@@ -30,12 +30,7 @@ from ofdsim.estimators import (
     init_ridge,
     ridge_update,
 )
-from ofdsim.goodness import (
-    GoodnessSpec,
-    check_local_properties,
-    opposite_order_check,
-    weights_from_rho,
-)
+from ofdsim.goodness import GoodnessSpec, weights_from_rho
 from ofdsim.policies import PolicyKind
 from ofdsim.simulator import (
     RunConfig,
@@ -43,6 +38,13 @@ from ofdsim.simulator import (
     gini_coefficient,
     min_ratio,
     run_single,
+)
+
+from oracles import (
+    check_local_properties,
+    evaluate,
+    inv_norm,
+    opposite_order_check,
     theoretical_bound,
 )
 
@@ -87,21 +89,26 @@ def _config(policy: str, seed: int, noise_r: float | None = None, **kwargs) -> R
     return RunConfig(seed=seed, policy=PolicyKind(policy), **cfg)
 
 
-def _run_all(configs: list[RunConfig]) -> list:
-    """run_single over configs on every core, traces in input order.
+@pytest.fixture(scope="module")
+def pool_map():
+    """Map a top-level function, such as run_single over RunConfigs, on
+    one spawned worker per core, shared by this module's tests; results
+    come back in input order.
 
-    Each run owns its seeded streams, so a trace does not depend on the
+    Each run owns its seeded streams, so a result does not depend on the
     process that computed it (criterion 11 checks this for the CLI).
     Spawned workers import the package afresh instead of forking the
     test process. They run OpenBLAS on one thread each: with one worker
     per core, more threads oversubscribe the cores, which tripled
-    criterion 10's GP solves on a 2-core host.
+    criterion 10's GP solves on a 2-core host. multiprocessing.Pool
+    starts every worker when it is built, so the thread setting is in
+    their environment and not left in this process's.
     """
     context = multiprocessing.get_context("spawn")
-    with mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"), ProcessPoolExecutor(
-        max_workers=os.cpu_count(), mp_context=context
-    ) as pool:
-        return list(pool.map(run_single, configs))
+    with mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"):
+        workers = context.Pool(os.cpu_count())
+    with workers:
+        yield lambda fn, items: workers.map(fn, items, chunksize=1)
 
 
 def _groups(items: list, size: int) -> list[list]:
@@ -216,46 +223,49 @@ def test_04_trace_oracle_matches_naive_recomputation():
     ), f"{mismatches} mismatches"
 
 
-def test_05_confidence_ellipsoid_coverage():
-    d, horizon, runs = 10, 2000, 200
+def _coverage_run(seed: int) -> bool:
+    """Whether the ridge confidence ellipsoid covers theta at every round
+    of one run seeded by SeedSequence([515, seed])."""
+    d, horizon = 10, 2000
     params = ConfidenceParams.defaults(d)
-    covered = 0
-    for seed in range(runs):
-        rng = np.random.default_rng(np.random.SeedSequence([515, seed]))
-        raw = rng.uniform(0.0, 10.0, size=d)
-        theta = raw / np.linalg.norm(raw)
-        state = init_ridge(d, lam=params.lam)
-        run_ok = True
-        for t in range(1, horizon + 1):
-            x = rng.uniform(0.0, 10.0, size=d)
-            width = alpha_t(params, t) * linalg.inv_norm(state.precision, x)
-            if abs(float(x @ (state.theta_hat - theta))) > width:
-                run_ok = False
-                break
-            y = float(x @ theta) + rng.normal(scale=params.noise_r)
-            state = ridge_update(state, x, y)
-        covered += run_ok
+    rng = np.random.default_rng(np.random.SeedSequence([515, seed]))
+    raw = rng.uniform(0.0, 10.0, size=d)
+    theta = raw / np.linalg.norm(raw)
+    state = init_ridge(d, lam=params.lam)
+    for t in range(1, horizon + 1):
+        x = rng.uniform(0.0, 10.0, size=d)
+        width = alpha_t(params, t) * inv_norm(state.precision, x)
+        if abs(float(x @ (state.theta_hat - theta))) > width:
+            return False
+        y = float(x @ theta) + rng.normal(scale=params.noise_r)
+        state = ridge_update(state, x, y)
+    return True
+
+
+def test_05_confidence_ellipsoid_coverage(pool_map):
+    runs = 200
+    covered = sum(pool_map(_coverage_run, range(runs)))
     ok = covered >= int(0.95 * runs)
     assert _report(5, ok, f"{covered}/{runs} runs fully covered (need >= {int(0.95 * runs)})"), (
         f"covered {covered}"
     )
 
 
-def test_06_regret_stays_under_theoretical_bound():
+def test_06_regret_stays_under_theoretical_bound(pool_map):
     runs, horizon, d = 100, 2000, 10
     params = ConfidenceParams.defaults(d)
     bounds = np.array([theoretical_bound(params, d, 1.0, t) for t in range(1, horizon + 1)])
-    dominated = 0
-    for seed in range(runs):
-        trace = run_single(_config("ucb", seed, horizon=horizon, item_dim=5, agent_dim=5))
-        dominated += bool(np.all(trace.cum_regret <= bounds))
+    traces = pool_map(run_single, [
+        _config("ucb", seed, horizon=horizon, item_dim=5, agent_dim=5) for seed in range(runs)
+    ])
+    dominated = sum(bool(np.all(trace.cum_regret <= bounds)) for trace in traces)
     ok = dominated >= 95
     assert _report(6, ok, f"{dominated}/{runs} runs dominated at every round (need >= 95)"), (
         f"dominated {dominated}"
     )
 
 
-def test_07_headline_regret_ordering_and_sublinearity():
+def test_07_headline_regret_ordering_and_sublinearity(pool_map):
     """TS and UCB beat greedy and greedy beats uniform on paired seeds;
     UCB and TS are sublinear, uniform is linear.
 
@@ -269,7 +279,9 @@ def test_07_headline_regret_ordering_and_sublinearity():
     """
     horizon, reps = 10_000, 20
     names = ("ucb", "ts", "greedy", "uniform")
-    runs = _run_all([_config(name, seed, horizon=horizon) for name in names for seed in range(reps)])
+    runs = pool_map(run_single, [
+        _config(name, seed, horizon=horizon) for name in names for seed in range(reps)
+    ])
     traces = dict(zip(names, _groups(runs, reps)))
     finals = {k: np.array([tr.cum_regret[-1] for tr in v]) for k, v in traces.items()}
     mci = {k: _mean_ci(v) for k, v in finals.items()}
@@ -303,7 +315,7 @@ def test_07_headline_regret_ordering_and_sublinearity():
     assert _report(7, not failures, detail), "; ".join(failures)
 
 
-def test_08_regret_scales_monotonically_with_agents_and_dimension():
+def test_08_regret_scales_monotonically_with_agents_and_dimension(pool_map):
     reps, horizon = 20, 1000
     goodness = GoodnessSpec("weighted-gini", rho=1.0)
     sweeps = {
@@ -312,7 +324,7 @@ def test_08_regret_scales_monotonically_with_agents_and_dimension():
     }
     points = [(policy, axis, point) for policy in ("ucb", "ts")
               for axis, grid in sweeps.items() for point in grid]
-    runs = _run_all([
+    runs = pool_map(run_single, [
         _config(policy, seed, horizon=horizon, goodness=goodness, **point)
         for policy, _, point in points for seed in range(reps)
     ])
@@ -334,7 +346,7 @@ def test_08_regret_scales_monotonically_with_agents_and_dimension():
     assert _report(8, not failures, "; ".join(details)), "; ".join(failures)
 
 
-def test_09_fairness_knob_trades_welfare_for_equality():
+def test_09_fairness_knob_trades_welfare_for_equality(pool_map):
     """Raising rho trades equality (gini, min_ratio) for welfare (USW).
 
     Two former clauses are gone on purpose:
@@ -354,15 +366,15 @@ def test_09_fairness_knob_trades_welfare_for_equality():
     """
     entries = [
         e for e in expand_preset("fig3-rho-sweep", reps=20, base_seed=0)
-        if e.policy.name in ("ucb", "uniform")
+        if e.proto.policy.name in ("ucb", "uniform")
     ]
-    runs = _run_all([entry.proto.with_seed(s) for entry in entries for s in entry.seeds])
+    runs = pool_map(run_single, [entry.proto.with_seed(s) for entry in entries for s in entry.seeds])
     finals = {"ucb": {}, "uniform": {}}
     specs = {}
     for entry, group in zip(entries, _groups(runs, len(entries[0].seeds))):
         rho = float(entry.name.split("-r")[-1]) / 100.0
         specs[rho] = entry.proto.goodness
-        finals[entry.policy.name][rho] = np.array([tr.final_totals for tr in group])
+        finals[entry.proto.policy.name][rho] = np.array([tr.final_totals for tr in group])
     ucb, uniform = finals["ucb"], finals["uniform"]
     assert list(uniform) == list(ucb)
     rhos = list(ucb)
@@ -396,8 +408,8 @@ def test_09_fairness_knob_trades_welfare_for_equality():
     tightest = (np.inf, None, 0.0, 0.0)  # (gap - ci, rho, gap, ci)
     for rho in rhos:
         gap, ci = _paired_ci(
-            [goodness.evaluate(specs[rho], row) for row in ucb[rho]],
-            [goodness.evaluate(specs[rho], row) for row in uniform[rho]],
+            [evaluate(specs[rho], row) for row in ucb[rho]],
+            [evaluate(specs[rho], row) for row in uniform[rho]],
         )
         tightest = min(tightest, (gap - ci, rho, gap, ci))
         if not gap > ci:
@@ -421,7 +433,7 @@ def test_09_fairness_knob_trades_welfare_for_equality():
     assert _report(9, not failures, detail), "; ".join(failures)
 
 
-def test_10_gp_beats_linear_model_on_square_utilities():
+def test_10_gp_beats_linear_model_on_square_utilities(pool_map):
     """GP-UCB ends below the misspecified linear UCB on paired seeds.
 
     The former gate compared the gap with the sum of the two marginal
@@ -431,7 +443,9 @@ def test_10_gp_beats_linear_model_on_square_utilities():
     """
     reps, horizon = 20, 500
     kw = dict(horizon=horizon, utility_kind="square")
-    runs = _run_all([_config(name, s, **kw) for name in ("gp-ucb", "ucb") for s in range(reps)])
+    runs = pool_map(run_single, [
+        _config(name, s, **kw) for name in ("gp-ucb", "ucb") for s in range(reps)
+    ])
     gp, lin = (np.array([tr.cum_regret[-1] for tr in group]) for group in _groups(runs, reps))
     (m_gp, ci_gp), (m_lin, ci_lin) = _mean_ci(gp), _mean_ci(lin)
     gap, ci = _paired_ci(lin, gp)

@@ -93,9 +93,9 @@ def test_fig2_grids():
 
 def test_preset_policies_match_figures():
     entries = cli.expand_preset("fig1-linear-d4", 2, 0)
-    assert [e.policy.name for e in entries] == ["ucb", "ts", "greedy", "uniform"]
+    assert [e.proto.policy.name for e in entries] == ["ucb", "ts", "greedy", "uniform"]
     entries = cli.expand_preset("fig1-square", 2, 0)
-    assert [e.policy.name for e in entries] == ["ucb", "ts", "gp-ucb", "gp-ts"]
+    assert [e.proto.policy.name for e in entries] == ["ucb", "ts", "gp-ucb", "gp-ts"]
 
 
 def test_unknown_preset_rejected():
@@ -183,7 +183,7 @@ def test_config_file_values_and_flag_override(tmp_path):
         "rho = 0.9\n"
     )
     entries = cli.validate_config(make_ns(config=str(path))).entries
-    assert entries[0].policy.name == "ts"
+    assert entries[0].proto.policy.name == "ts"
     assert entries[0].proto.horizon == 200
     # flags win over the file
     entries = cli.validate_config(make_ns(config=str(path), horizon=400)).entries
@@ -228,7 +228,7 @@ def test_entry_json_round_trip():
     for entry in entries:
         clone = cli._entry_from_json(json.loads(json.dumps(cli._entry_to_json(entry))))
         assert clone.name == entry.name
-        assert clone.policy == entry.policy
+        assert clone.proto.policy == entry.proto.policy
         assert clone.seeds == entry.seeds
         assert clone.proto.horizon == entry.proto.horizon
         assert clone.proto.utility_kind == entry.proto.utility_kind

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ofdsim import estimators, linalg
+from ofdsim import estimators
 from ofdsim.estimators import ConfidenceParams
+
+from oracles import inv_norm
 
 
 def default_params(dim, **kw):
@@ -47,7 +49,7 @@ def test_one_dim_ridge_hand_solve():
 def test_fresh_ridge_estimate_is_zero():
     state = estimators.init_ridge(4, 0.01)
     np.testing.assert_array_equal(state.theta_hat, np.zeros(4))
-    assert state.n_obs == 0
+    assert state.precision.n_updates == 0
 
 
 def test_ridge_matches_batch_solve():
@@ -60,7 +62,7 @@ def test_ridge_matches_batch_solve():
         estimators.ridge_update(state, x, float(y))
     batch = np.linalg.solve(lam * np.eye(d) + xs.T @ xs, xs.T @ ys)
     np.testing.assert_allclose(state.theta_hat, batch, atol=1e-10)
-    assert state.n_obs == 120
+    assert state.precision.n_updates == 120
 
 
 def test_ridge_theta_consistent_with_moment():
@@ -118,11 +120,11 @@ def test_ucb_score_dominates_mean_and_width_shrinks():
     p = default_params(3)
     state = estimators.init_ridge(3, p.lam)
     x = np.array([2.0, 5.0, 1.0])
-    initial_width = linalg.inv_norm(state.precision, x)
+    initial_width = inv_norm(state.precision, x)
     rng = np.random.default_rng(23)
     for _ in range(10**4):
         estimators.ridge_update(state, x, float(1.0 + rng.normal(0.0, 0.1)))
-    assert linalg.inv_norm(state.precision, x) < 0.05 * initial_width
+    assert inv_norm(state.precision, x) < 0.05 * initial_width
     t = 10**4 + 1
     assert estimators.ucb_scores(state, p, t, x[None, :])[0] >= float(x @ state.theta_hat)
 
@@ -136,7 +138,7 @@ def test_ucb_scores_vectorized_matches_scalar():
     xs = rng.uniform(0.0, 10.0, (7, 4))
     # each row scored alone, its width from the reference norm inv_norm
     singles = [estimators.ucb_scores(state, p, 31, x[None, :])[0] for x in xs]
-    widths = [linalg.inv_norm(state.precision, x) for x in xs]
+    widths = [inv_norm(state.precision, x) for x in xs]
     batch = estimators.ucb_scores(state, p, 31, xs)
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
     np.testing.assert_allclose(
@@ -175,7 +177,7 @@ def test_ts_monte_carlo_mean_and_variance():
     t = 31
     draw_rng = np.random.default_rng(99)
     vals = np.array([estimators.ts_sample(state, p, t, draw_rng) @ x for _ in range(10**5)])
-    target_var = estimators.beta_t(p, t) ** 2 * linalg.inv_norm(state.precision, x) ** 2
+    target_var = estimators.beta_t(p, t) ** 2 * inv_norm(state.precision, x) ** 2
     assert vals.var(ddof=1) == pytest.approx(target_var, rel=0.05)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - float(x @ state.theta_hat)) <= 3 * se
@@ -209,8 +211,6 @@ def test_gp_init_validation():
         estimators.init_gp(0, noise_var=0.01)
     with pytest.raises(ValueError):
         estimators.init_gp(2, noise_var=0.0)
-    with pytest.raises(ValueError):
-        estimators.init_gp(2, noise_var=0.01, lengthscale=-1.0)
 
 
 def test_gp_default_lengthscale_scales_with_dim():
@@ -219,8 +219,9 @@ def test_gp_default_lengthscale_scales_with_dim():
 
 
 def test_gp_interpolates_with_tiny_noise():
-    gp = estimators.init_gp(1, noise_var=1e-10, feature_scale=1.0)
-    pts = np.array([0.1, 0.4, 0.9])
+    # raw feature units; FEATURE_HIGH scales them to 0.1, 0.4 and 0.9
+    gp = estimators.init_gp(1, noise_var=1e-10)
+    pts = np.array([1.0, 4.0, 9.0])
     ys = np.array([2.0, -1.0, 0.5])
     for z, y in zip(pts, ys):
         estimators.gp_update(gp, np.array([z]), float(y))
@@ -231,13 +232,14 @@ def test_gp_interpolates_with_tiny_noise():
 
 
 def test_gp_fits_square_function_on_grid():
-    gp = estimators.init_gp(1, noise_var=1e-6, feature_scale=1.0)
-    grid = np.linspace(0.025, 0.975, 20)
-    for z in grid:
-        estimators.gp_update(gp, np.array([z]), float(10.0 * z * z))
-    held_out = np.linspace(0.05, 0.95, 50)
+    # raw feature units in (0, 10); 10*z^2 on the unit box is x^2/10
+    gp = estimators.init_gp(1, noise_var=1e-6)
+    grid = np.linspace(0.25, 9.75, 20)
+    for x in grid:
+        estimators.gp_update(gp, np.array([x]), float(0.1 * x * x))
+    held_out = np.linspace(0.5, 9.5, 50)
     means, _ = estimators.gp_posterior_many(gp, held_out[:, None])
-    assert np.abs(means - 10.0 * held_out**2).max() < 0.5
+    assert np.abs(means - 0.1 * held_out**2).max() < 0.5
 
 
 def test_gp_posterior_variance_nonnegative_and_shrinking():
@@ -316,13 +318,15 @@ def test_gp_update_makes_one_triangular_solve(monkeypatch):
 
     monkeypatch.setattr(estimators, "solve_triangular", counting)
     rng = np.random.default_rng(41)
-    gp = estimators.init_gp(2, noise_var=0.01, capacity=4)
-    for _ in range(40):
+    gp = estimators.init_gp(2, noise_var=0.01)
+    # 130 observations cross both buffer doublings, 64 -> 128 -> 256
+    for _ in range(130):
         before = len(calls)
         x = rng.uniform(0.0, 10.0, 2)
         estimators.gp_update(gp, x, float(x.sum() / 10.0))
         assert len(calls) - before == 1
-    assert gp.n_obs == 40
+    assert gp.n_obs == 130
+    assert gp.inputs.shape[0] == 256
 
 
 def test_gp_width_multiplier_grows_with_info_gain():
@@ -383,7 +387,7 @@ def test_coverage_event_holds_in_most_runs():
         for t in range(1, horizon + 1):
             x = rng.uniform(0.0, 10.0, d)
             gap = abs(float(x @ state.theta_hat) - float(x @ theta))
-            if gap > estimators.alpha_t(p, t) * linalg.inv_norm(state.precision, x):
+            if gap > estimators.alpha_t(p, t) * inv_norm(state.precision, x):
                 good = False
                 break
             estimators.ridge_update(state, x, float(x @ theta + rng.normal(0.0, p.noise_r)))

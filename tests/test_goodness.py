@@ -8,6 +8,8 @@ import pytest
 from ofdsim import goodness
 from ofdsim.goodness import GoodnessDomainError, GoodnessSpec
 
+from oracles import check_local_properties, evaluate, opposite_order_check
+
 
 def test_weights_from_rho_usw_case():
     np.testing.assert_array_equal(goodness.weights_from_rho(1.0, 3), np.ones(3))
@@ -72,27 +74,27 @@ class TestSpecValidation:
 
 def test_usw_is_sum():
     spec = GoodnessSpec("weighted-gini", rho=1.0)
-    assert goodness.evaluate(spec, np.array([1.0, 2.0, 3.0])) == pytest.approx(6.0)
+    assert evaluate(spec, np.array([1.0, 2.0, 3.0])) == pytest.approx(6.0)
 
 
 def test_esw_is_min():
     spec = GoodnessSpec("weighted-gini", weights=np.array([1.0, 0.0, 0.0]))
-    assert goodness.evaluate(spec, np.array([5.0, 2.0, 7.0])) == pytest.approx(2.0)
+    assert evaluate(spec, np.array([5.0, 2.0, 7.0])) == pytest.approx(2.0)
 
 
 def test_weighted_gini_hand_value():
     # sorted u = (1, 2, 3); 1*1 + 0.5*2 + 0.25*3 = 2.75
     spec = GoodnessSpec("weighted-gini", rho=0.5)
-    assert goodness.evaluate(spec, np.array([3.0, 1.0, 2.0])) == pytest.approx(2.75)
+    assert evaluate(spec, np.array([3.0, 1.0, 2.0])) == pytest.approx(2.75)
 
 
 def test_nsw_is_product():
-    assert goodness.evaluate(GoodnessSpec("nsw"), np.array([2.0, 3.0, 4.0])) == pytest.approx(24.0)
+    assert evaluate(GoodnessSpec("nsw"), np.array([2.0, 3.0, 4.0])) == pytest.approx(24.0)
 
 
 def test_log_nsw_values():
-    assert goodness.evaluate(GoodnessSpec("log-nsw"), np.array([1.0, 1.0, 1.0])) == 0.0
-    assert goodness.evaluate(GoodnessSpec("log-nsw"), np.array([2.0, 5.0])) == pytest.approx(
+    assert evaluate(GoodnessSpec("log-nsw"), np.array([1.0, 1.0, 1.0])) == 0.0
+    assert evaluate(GoodnessSpec("log-nsw"), np.array([2.0, 5.0])) == pytest.approx(
         math.log(10.0)
     )
 
@@ -101,16 +103,16 @@ def test_product_kinds_reject_non_positive_entries():
     for kind in ("nsw", "log-nsw"):
         spec = GoodnessSpec(kind)
         with pytest.raises(GoodnessDomainError):
-            goodness.evaluate(spec, np.array([1.0, 0.0]))
+            evaluate(spec, np.array([1.0, 0.0]))
         with pytest.raises(GoodnessDomainError):
-            goodness.evaluate(spec, np.array([1.0, -2.0]))
+            evaluate(spec, np.array([1.0, -2.0]))
 
 
 def test_targeted_priorities_and_value():
     spec = GoodnessSpec("targeted", target_ratios=np.array([0.2, 0.5, 0.3]))
     np.testing.assert_allclose(spec._priorities, [1.0, 2.5, 1.5], rtol=1e-15)
     # min(2/1, 5/2.5, 3/1.5) = 2
-    assert goodness.evaluate(spec, np.array([2.0, 5.0, 3.0])) == pytest.approx(2.0)
+    assert evaluate(spec, np.array([2.0, 5.0, 3.0])) == pytest.approx(2.0)
 
 
 def granted(spec, u, agent, added):
@@ -118,7 +120,7 @@ def granted(spec, u, agent, added):
     granted to agent."""
     updated = np.array(u, dtype=np.float64)
     updated[agent] += added
-    return goodness.evaluate(spec, updated)
+    return evaluate(spec, updated)
 
 
 def test_evaluate_candidate_examples():
@@ -141,7 +143,7 @@ def test_evaluate_candidate_zero_add_is_identity():
     ):
         np.testing.assert_allclose(
             goodness.candidate_scores(spec, u, np.zeros(6)),
-            np.full(6, goodness.evaluate(spec, u)),
+            np.full(6, evaluate(spec, u)),
             rtol=1e-12,
         )
 
@@ -197,8 +199,8 @@ def test_permutation_invariance_exact():
     spec = GoodnessSpec("weighted-gini", rho=0.85)
     for _ in range(200):
         u = rng.uniform(0.0, 100.0, 7)
-        base = goodness.evaluate(spec, u)
-        assert goodness.evaluate(spec, rng.permutation(u)) == base
+        base = evaluate(spec, u)
+        assert evaluate(spec, rng.permutation(u)) == base
 
 
 def test_single_coordinate_monotonicity():
@@ -209,7 +211,7 @@ def test_single_coordinate_monotonicity():
         i = rng.integers(5)
         bumped = u.copy()
         bumped[i] += rng.uniform(0.0, 10.0)
-        assert goodness.evaluate(spec, bumped) >= goodness.evaluate(spec, u) - 1e-12
+        assert evaluate(spec, bumped) >= evaluate(spec, u) - 1e-12
 
 
 def test_strict_increase_with_all_positive_weights():
@@ -217,7 +219,7 @@ def test_strict_increase_with_all_positive_weights():
     u = np.array([2.0, 4.0, 1.0])
     bumped = u.copy()
     bumped[0] += 0.5
-    assert goodness.evaluate(spec, bumped) > goodness.evaluate(spec, u)
+    assert evaluate(spec, bumped) > evaluate(spec, u)
 
 
 def test_nsw_log_nsw_share_argmax():
@@ -241,7 +243,7 @@ def test_check_local_properties_all_kinds():
         GoodnessSpec("targeted", target_ratios=np.full(8, 1.0 / 8.0)),
     ]
     for spec in specs:
-        report = goodness.check_local_properties(spec, u, 2000, rng, u_min=0.1, u_max=100.0)
+        report = check_local_properties(spec, u, 2000, rng, u_min=0.1, u_max=100.0)
         assert report.ok, report
         assert report.worst_lipschitz_ratio <= 1.0 + 1e-9
 
@@ -249,7 +251,7 @@ def test_check_local_properties_all_kinds():
 def test_check_local_properties_log_nsw_unit_box_ratio():
     rng = np.random.default_rng(7)
     u = rng.uniform(1.0, 10.0, 5)
-    report = goodness.check_local_properties(
+    report = check_local_properties(
         GoodnessSpec("log-nsw"), u, 3000, rng, u_min=1.0, u_max=10.0
     )
     assert report.ok
@@ -259,17 +261,17 @@ def test_check_local_properties_log_nsw_unit_box_ratio():
 def test_check_local_properties_rejects_bad_box():
     spec = GoodnessSpec("nsw")
     with pytest.raises(GoodnessDomainError):
-        goodness.check_local_properties(
+        check_local_properties(
             spec, np.array([1.0, 2.0]), 10, np.random.default_rng(0), u_min=0.0, u_max=5.0
         )
 
 
 def test_opposite_order_two_agents():
-    assert goodness.opposite_order_check(np.array([1.0, 0.5]), np.array([1.0, 2.0]))
+    assert opposite_order_check(np.array([1.0, 0.5]), np.array([1.0, 2.0]))
 
 
 def test_opposite_order_constant_weights():
-    assert goodness.opposite_order_check(np.ones(4), np.array([4.0, 1.0, 3.0, 2.0]))
+    assert opposite_order_check(np.ones(4), np.array([4.0, 1.0, 3.0, 2.0]))
 
 
 def test_opposite_order_random_trials():
@@ -278,11 +280,11 @@ def test_opposite_order_random_trials():
         n = int(rng.integers(2, 6))
         w = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
         u = rng.uniform(0.0, 10.0, n)
-        assert goodness.opposite_order_check(w, u)
+        assert opposite_order_check(w, u)
 
 
 def test_opposite_order_size_and_shape_errors():
     with pytest.raises(ValueError):
-        goodness.opposite_order_check(np.ones(9), np.ones(9))
+        opposite_order_check(np.ones(9), np.ones(9))
     with pytest.raises(ValueError):
-        goodness.opposite_order_check(np.array([0.2, 1.0]), np.array([1.0, 2.0]))
+        opposite_order_check(np.array([0.2, 1.0]), np.array([1.0, 2.0]))

@@ -151,7 +151,7 @@ def test_observe_updates_ledger_and_estimator():
     policies.observe(PolicyKind("ucb"), est, np.array([1.0, 2.0]), 3.0, ledger, 1)
     np.testing.assert_array_equal(ledger.totals, [0.0, 3.0])
     assert ledger.round == 2
-    assert est.n_obs == 1
+    assert est.precision.n_updates == 1
 
 
 def test_observe_uniform_skips_estimator():
@@ -229,10 +229,11 @@ def test_scores_clamped_before_goodness():
     "spec",
     [
         GoodnessSpec("weighted-gini", rho=0.85),
+        GoodnessSpec("nsw"),
         GoodnessSpec("log-nsw"),
         GoodnessSpec("targeted", target_ratios=np.full(4, 0.25)),
     ],
-    ids=["weighted-gini", "log-nsw", "targeted"],
+    ids=["weighted-gini", "nsw", "log-nsw", "targeted"],
 )
 def test_select_agent_rejects_non_finite_goodness(spec):
     # a NaN estimate makes every candidate NaN; the argmax must not pick one

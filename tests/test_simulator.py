@@ -11,6 +11,8 @@ from ofdsim.goodness import GoodnessSpec
 from ofdsim.policies import PolicyKind
 from ofdsim.simulator import RunConfig, RunTrace
 
+from oracles import theoretical_bound
+
 
 def make_config(**kw):
     base = dict(
@@ -263,29 +265,29 @@ class TestTheoreticalBound:
         t, d, w_max = 500, 10, 1.0
         inner = math.log(self.params.lam + t * self.params.feature_bound_l / d)
         expected = 2.0 * alpha_t(self.params, t) * w_max * math.sqrt(2.0 * d * t * inner)
-        assert simulator.theoretical_bound(self.params, d, w_max, t) == pytest.approx(
+        assert theoretical_bound(self.params, d, w_max, t) == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_monotone_in_t(self):
-        vals = [simulator.theoretical_bound(self.params, 10, 1.0, t) for t in (1, 10, 100, 1000)]
+        vals = [theoretical_bound(self.params, 10, 1.0, t) for t in (1, 10, 100, 1000)]
         assert all(lo < hi for lo, hi in zip(vals, vals[1:]))
 
     def test_sqrt_growth(self):
         for t in (10**3, 10**4):
-            ratio = simulator.theoretical_bound(self.params, 10, 1.0, 4 * t) / (
-                simulator.theoretical_bound(self.params, 10, 1.0, t)
+            ratio = theoretical_bound(self.params, 10, 1.0, 4 * t) / (
+                theoretical_bound(self.params, 10, 1.0, t)
             )
             assert ratio < 2.5
 
     def test_linear_in_w_max(self):
-        one = simulator.theoretical_bound(self.params, 10, 1.0, 200)
-        two = simulator.theoretical_bound(self.params, 10, 2.0, 200)
+        one = theoretical_bound(self.params, 10, 1.0, 200)
+        two = theoretical_bound(self.params, 10, 2.0, 200)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_rejects_bad_round(self):
         with pytest.raises(ValueError):
-            simulator.theoretical_bound(self.params, 10, 1.0, 0)
+            theoretical_bound(self.params, 10, 1.0, 0)
 
 
 def test_series_csv_schema(tmp_path):
