@@ -8,19 +8,21 @@ follow the self-normalized bound alpha_t = R*sqrt(d*log((1+t*L^2/lam)/delta))
 + sqrt(lam)*S; posterior sampling uses beta_t = R*sqrt(9*d*log(t/delta)).
 
 The GP path keeps the Cholesky factor L of K + noise_var*I, the whitened
-targets L^-1 y and the information gain. One conditioning step,
-v = L^-1 k(inputs, x), serves both scoring and the update: an observation
-appends the row v with pivot sqrt(k(x,x) + noise_var - |v|^2), which is
-one step of the up-looking Cholesky factorization, so each observation
-costs one triangular solve. Only if that pivot's square falls to
-1e-12*signal_var or below is the factor recomputed from scratch. The
-width multiplier is sqrt(2*(gamma + 1 + log(1/delta))) + B.
+targets L^-1 y and the information gain. A round makes one triangular
+solve: gp_condition gives v = L^-1 k(inputs, xs) for every context, the
+round's scores come from it, and the observed context's column of v is
+the new row of the factor. gp_update appends that row with pivot
+sqrt(k(x,x) + noise_var - |v|^2), one step of the up-looking Cholesky
+factorization, and makes no solve of its own. Only if that pivot's
+square falls to 1e-12*signal_var or below is the factor recomputed from
+scratch. The width multiplier is sqrt(2*(gamma + 1 + log(1/delta))) + B.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -204,77 +206,81 @@ def _refactor(state: GpState) -> None:
     state.white[:n] = solve_triangular(lower, state.targets[:n], lower=True)
 
 
-def _condition(state: GpState, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled rows of xs, a float array of shape (m, dim) in raw feature
-    units, v = L^-1 k(inputs, scaled) and the posterior means v^T L^-1 y.
-    With no observations v has no rows: the means are 0 and
-    signal_var - |v|^2 is the prior variance."""
+class GpConditioning(NamedTuple):
+    """The GP conditioned on m query rows: the rows in scaled units
+    (m, dim), v = L^-1 k(inputs, scaled) of shape (n_obs, m), and the
+    posterior means v^T L^-1 y (m,)."""
+
+    scaled: np.ndarray
+    v: np.ndarray
+    means: np.ndarray
+
+
+def gp_condition(state: GpState, xs: np.ndarray) -> GpConditioning:
+    """Condition on the rows of xs, a float array of shape (m, dim) in raw
+    feature units, with one triangular solve. With no observations v has
+    no rows: the means are 0 and signal_var - |v|^2 is the prior variance.
+    The factor and the cross-kernel come from validated contexts only, so
+    scipy's scan for non-finite entries is skipped."""
     n = state.n_obs
     scaled = xs / state.feature_scale
     k_cross = _kernel_cross(state, state.inputs[:n], scaled)
-    v = solve_triangular(state.chol[:n, :n], k_cross, lower=True)
-    return scaled, v, v.T @ state.white[:n]
+    v = solve_triangular(state.chol[:n, :n], k_cross, lower=True, check_finite=False)
+    return GpConditioning(scaled, v, v.T @ state.white[:n])
 
 
-def gp_update(state: GpState, x: np.ndarray, y: float) -> GpState:
-    """Append one observation, x a float array of shape (dim,). Its
-    conditioning column gives both the pre-update variance at x, which
-    advances the information gain, and the new row of the Cholesky factor."""
-    scaled, v, _ = _condition(state, x[None, :])
-    std_pre = float(np.sqrt(np.maximum(state.signal_var - np.sum(v**2, axis=0), 0.0))[0])
-    state.info_gain += 0.5 * math.log1p(std_pre**2 / state.noise_var)
+def gp_update(state: GpState, scaled_row: np.ndarray, column: np.ndarray, y: float) -> GpState:
+    """Append the observation y at scaled_row, shape (dim,) in scaled
+    units, whose conditioning column on the current factor is column,
+    shape (n_obs,), as gp_condition gives it. The column gives both the
+    pre-update variance, which advances the information gain, and the new
+    row of the Cholesky factor, so the update makes no solve."""
+    sq_norm = float(column @ column)
+    var_pre = max(state.signal_var - sq_norm, 0.0)
+    state.info_gain += 0.5 * math.log1p(var_pre / state.noise_var)
 
     if state.n_obs == state.inputs.shape[0]:
         _grow(state)
     n = state.n_obs
-    state.inputs[n] = scaled[0]
+    state.inputs[n] = scaled_row
     state.targets[n] = y
-    row = v[:, 0]
-    gap = state.signal_var + state.noise_var - float(row @ row)
+    gap = state.signal_var + state.noise_var - sq_norm
     state.n_obs = n + 1
     if gap <= 1e-12 * state.signal_var:
         _refactor(state)
         return state
     pivot = math.sqrt(gap)
-    state.chol[n, :n] = row
+    state.chol[n, :n] = column
     state.chol[n, n] = pivot
-    state.white[n] = (y - float(row @ state.white[:n])) / pivot
+    state.white[n] = (y - float(column @ state.white[:n])) / pivot
     return state
-
-
-def gp_posterior_many(state: GpState, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior (means, stddevs) at the rows of xs, shape (m, dim) in raw
-    feature units."""
-    _, v, means = _condition(state, xs)
-    variances = np.maximum(state.signal_var - np.sum(v**2, axis=0), 0.0)
-    return means, np.sqrt(variances)
 
 
 def gp_width_multiplier(state: GpState, params: ConfidenceParams) -> float:
     return math.sqrt(2.0 * (state.info_gain + 1.0 + math.log(1.0 / params.delta))) + state.bound_b
 
 
-def gp_ucb_scores(state: GpState, params: ConfidenceParams, xs: np.ndarray) -> np.ndarray:
-    """Optimistic GP score of each row of xs, shape (m, dim)."""
-    means, stds = gp_posterior_many(state, xs)
-    return means + gp_width_multiplier(state, params) * stds
+def gp_ucb_scores(state: GpState, params: ConfidenceParams, cond: GpConditioning) -> np.ndarray:
+    """Optimistic GP score of each row cond was conditioned on."""
+    stds = np.sqrt(np.maximum(state.signal_var - np.sum(cond.v**2, axis=0), 0.0))
+    return cond.means + gp_width_multiplier(state, params) * stds
 
 
 def gp_ts_scores(
-    state: GpState, params: ConfidenceParams, xs: np.ndarray, rng: np.random.Generator
+    state: GpState, params: ConfidenceParams, cond: GpConditioning, rng: np.random.Generator
 ) -> np.ndarray:
-    """One joint posterior sample over the rows of xs, shape (m, dim),
+    """One joint posterior sample over the rows cond was conditioned on,
     width-scaled."""
-    scaled, v, means = _condition(state, xs)
-    cov = _kernel_cross(state, scaled, scaled) - v.T @ v
+    m = len(cond.scaled)
+    cov = _kernel_cross(state, cond.scaled, cond.scaled) - cond.v.T @ cond.v
     jitter = 1e-10 * state.signal_var
     for _ in range(8):
         try:
-            lower = np.linalg.cholesky(cov + jitter * np.eye(len(xs)))
+            lower = np.linalg.cholesky(cov + jitter * np.eye(m))
             break
         except np.linalg.LinAlgError:
             jitter *= 100.0
     else:
         raise linalg.NumericError("joint posterior covariance is not factorizable")
-    draw = lower @ rng.standard_normal(len(xs))
-    return means + gp_width_multiplier(state, params) * draw
+    draw = lower @ rng.standard_normal(m)
+    return cond.means + gp_width_multiplier(state, params) * draw

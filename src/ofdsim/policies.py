@@ -60,13 +60,16 @@ def init_ledger(n_agents: int) -> UtilityLedger:
 @dataclass
 class AllocationDecision:
     """The chosen agent; the score fields are None when the round scored
-    no agent (round-robin, uniform, epsilon exploration)."""
+    no agent (round-robin, uniform, epsilon exploration). A GP policy's
+    scored round keeps the conditioning on every context, whose column
+    for the chosen agent :func:`observe` appends to the factor."""
 
     agent: int
     per_agent_scores: np.ndarray | None = None
     per_agent_goodness: np.ndarray | None = None
     was_round_robin: bool = False
     was_exploration: bool = False
+    gp_conditioning: estimators.GpConditioning | None = None
 
 
 def make_estimator(kind: PolicyKind, params: estimators.ConfidenceParams):
@@ -92,7 +95,7 @@ def _pick_max(values: np.ndarray, rng: np.random.Generator) -> int:
     return int(ties[rng.integers(ties.size)])
 
 
-def _optimistic_scores(
+def _ridge_scores(
     kind: PolicyKind,
     estimator,
     params: estimators.ConfidenceParams,
@@ -105,11 +108,7 @@ def _optimistic_scores(
     if kind.name == "ts":
         theta = estimators.ts_sample(estimator, params, t, rng)
         return contexts @ theta
-    if kind.name == "greedy":
-        return contexts @ estimator.theta_hat
-    if kind.name == "gp-ucb":
-        return estimators.gp_ucb_scores(estimator, params, contexts)
-    return estimators.gp_ts_scores(estimator, params, contexts, rng)
+    return contexts @ estimator.theta_hat
 
 
 def select_agent(
@@ -131,31 +130,45 @@ def select_agent(
         return AllocationDecision(agent=int(rng.integers(n)))
     if kind.name == "greedy" and kind.epsilon > 0.0 and rng.random() < kind.epsilon:
         return AllocationDecision(agent=int(rng.integers(n)), was_exploration=True)
-    scores = _optimistic_scores(kind, estimator, params, ledger.round, contexts, rng)
+    cond = None
+    if kind.uses_gp:
+        cond = estimators.gp_condition(estimator, contexts)
+        if kind.name == "gp-ucb":
+            scores = estimators.gp_ucb_scores(estimator, params, cond)
+        else:
+            scores = estimators.gp_ts_scores(estimator, params, cond, rng)
+    else:
+        scores = _ridge_scores(kind, estimator, params, ledger.round, contexts, rng)
     adds = np.maximum(scores, 0.0)
     values = goodness.candidate_scores(spec, ledger.totals, adds)
     return AllocationDecision(
         agent=_pick_max(values, rng),
         per_agent_scores=scores,
         per_agent_goodness=values,
+        gp_conditioning=cond,
     )
 
 
 def observe(
     kind: PolicyKind,
     estimator,
-    x: np.ndarray,
+    decision: AllocationDecision,
+    contexts: np.ndarray,
     y: float,
     ledger: UtilityLedger,
-    agent: int,
 ):
-    """Record the realized utility y of agent, whose context x has shape
-    (dim,), and advance the round; uniform keeps no estimate, so only the
-    ledger moves."""
+    """Record the realized utility y of the agent decision chose from
+    contexts, the round's (n_agents, dim) array, and advance the round;
+    uniform keeps no estimate, so only the ledger moves."""
+    agent = decision.agent
     ledger.totals[agent] += y
     ledger.round += 1
     if kind.uses_ridge:
-        estimators.ridge_update(estimator, x, y)
+        estimators.ridge_update(estimator, contexts[agent], y)
     elif kind.uses_gp:
-        estimators.gp_update(estimator, x, y)
+        cond, col = decision.gp_conditioning, agent
+        if cond is None:
+            # a round-robin round conditioned nothing while choosing
+            cond, col = estimators.gp_condition(estimator, contexts[agent : agent + 1]), 0
+        estimators.gp_update(estimator, cond.scaled[col], cond.v[:, col], y)
     return estimator, ledger

@@ -16,6 +16,7 @@ policies sharing a seed face identical instances and item sequences.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from . import environment, goodness, linalg, policies
 from .estimators import ConfidenceParams
 
 MAX_HORIZON = 10**6
+GP_MAX_NOISE_R = math.sqrt(sys.float_info.max)
 
 
 class RunAbortedError(RuntimeError):
@@ -72,6 +74,12 @@ class RunConfig:
             raise ValueError(
                 f"confidence.dim {self.confidence.dim} != item_dim + agent_dim "
                 f"{self.item_dim + self.agent_dim}"
+            )
+        if self.policy.uses_gp and self.confidence.noise_r > GP_MAX_NOISE_R:
+            # the GP takes noise_r**2 as its noise variance, which must stay finite
+            raise ValueError(
+                f"noise_r {self.confidence.noise_r!r} is too large for a GP policy "
+                f"(at most {GP_MAX_NOISE_R!r})"
             )
 
     def with_seed(self, seed: int) -> "RunConfig":
@@ -145,7 +153,7 @@ def run_single(config: RunConfig) -> RunTrace:
             y = float(truths[pick])
             if noise_r > 0.0:
                 y += noise_rng.normal(0.0, noise_r)
-            policies.observe(kind, estimator, contexts[pick], y, ledger, pick)
+            policies.observe(kind, estimator, decision, contexts, y, ledger)
         except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
             totals = ledger.totals
             low = int(np.argmin(totals))

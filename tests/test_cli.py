@@ -300,6 +300,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "(0,1]" in capsys.readouterr().err
 
 
+def test_gp_noise_scale_overflowing_its_variance_exits_2(tmp_path, capsys):
+    args = ["run", "--policy", "gp-ucb", "--utility", "square", "--noise-r", "1e200",
+            "--agents", "3", "--horizon", "40", "--reps", "1", "--out", str(tmp_path / "x")]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "too large for a GP policy" in err
+
+
 def test_unwritable_outdir_exit_code(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -379,8 +388,11 @@ def test_mid_run_faults_exit_4_with_one_short_line(tmp_path, capsys, flags, name
         lambda entry: entry["config"].update(horizon=2),
         lambda entry: entry["policy"].update(name="best"),
         lambda entry: entry["config"]["goodness"].update(rho=None, weights=[1.0, 0.5]),
+        lambda entry: (entry["policy"].update(name="gp-ucb"),
+                       entry["config"]["confidence"].update(noise_r=1e200)),
     ],
-    ids=["rho-2", "horizon-below-agents", "unknown-policy", "weights-too-short"],
+    ids=["rho-2", "horizon-below-agents", "unknown-policy", "weights-too-short",
+         "gp-noise-r-1e200"],
 )
 def test_edited_manifest_exits_2(tmp_path, capsys, edit):
     out = tmp_path / "a"

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ofdsim import estimators
+from ofdsim import estimators, policies
 from ofdsim.estimators import ConfidenceParams
+from ofdsim.goodness import GoodnessSpec
+from ofdsim.policies import PolicyKind
 
 from oracles import inv_norm
 
@@ -199,9 +201,39 @@ def test_ts_sample_shared_across_round():
 # Gaussian process
 
 
+def _observe(gp, x, y):
+    """Condition on x alone, then append it, as a round-robin round does."""
+    cond = estimators.gp_condition(gp, x[None, :])
+    estimators.gp_update(gp, cond.scaled[0], cond.v[:, 0], y)
+
+
+def _posterior(gp, xs):
+    """Posterior means and standard deviations at the rows of xs."""
+    cond = estimators.gp_condition(gp, xs)
+    return cond.means, np.sqrt(np.maximum(gp.signal_var - np.sum(cond.v**2, axis=0), 0.0))
+
+
+def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42):
+    """Run a GP policy through select_agent and observe, as the simulator
+    does, on fresh uniform contexts and y = |x/10|^2; yields the state
+    after each round."""
+    kind = PolicyKind(name)
+    params = ConfidenceParams.defaults(dim, noise_r=noise_r)
+    spec = GoodnessSpec("weighted-gini", rho=0.85)
+    ledger = policies.init_ledger(n_agents)
+    gp = policies.make_estimator(kind, params)
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        contexts = rng.uniform(0.0, 10.0, (n_agents, dim))
+        decision = policies.select_agent(kind, spec, ledger, contexts, gp, params, rng)
+        x = contexts[decision.agent]
+        policies.observe(kind, gp, decision, contexts, float(np.sum((x / 10.0) ** 2)), ledger)
+        yield gp
+
+
 def test_gp_prior_point():
     gp = estimators.init_gp(2, noise_var=0.01)
-    means, stds = estimators.gp_posterior_many(gp, np.array([[3.0, 4.0]]))
+    means, stds = _posterior(gp, np.array([[3.0, 4.0]]))
     assert means[0] == 0.0
     assert stds[0] == pytest.approx(1.0)
 
@@ -224,9 +256,9 @@ def test_gp_interpolates_with_tiny_noise():
     pts = np.array([1.0, 4.0, 9.0])
     ys = np.array([2.0, -1.0, 0.5])
     for z, y in zip(pts, ys):
-        estimators.gp_update(gp, np.array([z]), float(y))
+        _observe(gp, np.array([z]), float(y))
     for z, y in zip(pts, ys):
-        means, stds = estimators.gp_posterior_many(gp, np.array([[z]]))
+        means, stds = _posterior(gp, np.array([[z]]))
         assert means[0] == pytest.approx(y, abs=1e-3)
         assert stds[0] < 1e-3
 
@@ -236,9 +268,9 @@ def test_gp_fits_square_function_on_grid():
     gp = estimators.init_gp(1, noise_var=1e-6)
     grid = np.linspace(0.25, 9.75, 20)
     for x in grid:
-        estimators.gp_update(gp, np.array([x]), float(0.1 * x * x))
+        _observe(gp, np.array([x]), float(0.1 * x * x))
     held_out = np.linspace(0.5, 9.5, 50)
-    means, _ = estimators.gp_posterior_many(gp, held_out[:, None])
+    means, _ = _posterior(gp, held_out[:, None])
     assert np.abs(means - 0.1 * held_out**2).max() < 0.5
 
 
@@ -246,11 +278,11 @@ def test_gp_posterior_variance_nonnegative_and_shrinking():
     rng = np.random.default_rng(30)
     gp = estimators.init_gp(2, noise_var=0.01)
     q = np.array([[5.0, 5.0]])
-    _, before = estimators.gp_posterior_many(gp, q)
+    _, before = _posterior(gp, q)
     for _ in range(50):
         x = rng.uniform(0.0, 10.0, 2)
-        estimators.gp_update(gp, x, float(x.sum() / 10.0))
-    _, after = estimators.gp_posterior_many(gp, q)
+        _observe(gp, x, float(x.sum() / 10.0))
+    _, after = _posterior(gp, q)
     assert 0.0 <= after[0] <= before[0]
 
 
@@ -259,7 +291,7 @@ def test_gp_info_gain_matches_gram_log_det():
     gp = estimators.init_gp(2, noise_var=0.01)
     xs = rng.uniform(0.0, 10.0, (200, 2))
     for x in xs:
-        estimators.gp_update(gp, x, float(x.sum() / 10.0 + rng.normal(0.0, 0.1)))
+        _observe(gp, x, float(x.sum() / 10.0 + rng.normal(0.0, 0.1)))
     scaled = gp.inputs[: gp.n_obs]
     gram = estimators._kernel_cross(gp, scaled, scaled)
     direct = 0.5 * np.linalg.slogdet(np.eye(200) + gram / gp.noise_var)[1]
@@ -275,13 +307,28 @@ def test_gp_posterior_order_invariant():
     b = estimators.init_gp(2, noise_var=0.01)
     order = rng.permutation(120)
     for i in range(120):
-        estimators.gp_update(a, xs[i], float(ys[i]))
-        estimators.gp_update(b, xs[order[i]], float(ys[order[i]]))
+        _observe(a, xs[i], float(ys[i]))
+        _observe(b, xs[order[i]], float(ys[order[i]]))
     queries = rng.uniform(0.0, 10.0, (20, 2))
-    ma, sa = estimators.gp_posterior_many(a, queries)
-    mb, sb = estimators.gp_posterior_many(b, queries)
+    ma, sa = _posterior(a, queries)
+    mb, sb = _posterior(b, queries)
     np.testing.assert_allclose(ma, mb, atol=1e-8)
     np.testing.assert_allclose(sa, sb, atol=1e-8)
+
+
+def _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain):
+    """The incremental factor, whitened targets and information gain
+    against a fresh Cholesky of the Gram matrix, a solve and slogdet."""
+    n = gp.n_obs
+    scaled = gp.inputs[:n]
+    gram = estimators._kernel_cross(gp, scaled, scaled)
+    lower = np.linalg.cholesky(gram + gp.noise_var * np.eye(n))
+    np.testing.assert_allclose(gp.chol[:n, :n], lower, rtol=0.0, atol=tol_chol)
+    white = np.linalg.solve(lower, gp.targets[:n])
+    np.testing.assert_allclose(gp.white[:n], white, rtol=0.0, atol=tol_white)
+    sign, log_det = np.linalg.slogdet(np.eye(n) + gram / gp.noise_var)
+    assert sign > 0
+    assert gp.info_gain == pytest.approx(0.5 * log_det, rel=rel_gain)
 
 
 @pytest.mark.parametrize("noise_var, tol_chol, tol_white, rel_gain", [
@@ -295,20 +342,28 @@ def test_gp_incremental_factor_matches_fresh_algebra(noise_var, tol_chol, tol_wh
     gp = estimators.init_gp(2, noise_var=noise_var)
     for _ in range(600):
         x = rng.uniform(0.0, 10.0, 2)
-        estimators.gp_update(gp, x, float(np.sum((x / 10.0) ** 2)))
-    n = gp.n_obs
-    scaled = gp.inputs[:n]
-    gram = estimators._kernel_cross(gp, scaled, scaled)
-    lower = np.linalg.cholesky(gram + noise_var * np.eye(n))
-    np.testing.assert_allclose(gp.chol[:n, :n], lower, rtol=0.0, atol=tol_chol)
-    white = np.linalg.solve(lower, gp.targets[:n])
-    np.testing.assert_allclose(gp.white[:n], white, rtol=0.0, atol=tol_white)
-    sign, log_det = np.linalg.slogdet(np.eye(n) + gram / noise_var)
-    assert sign > 0
-    assert gp.info_gain == pytest.approx(0.5 * log_det, rel=rel_gain)
+        _observe(gp, x, float(np.sum((x / 10.0) ** 2)))
+    _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain)
 
 
-def test_gp_update_makes_one_triangular_solve(monkeypatch):
+@pytest.mark.parametrize("name", ["gp-ucb", "gp-ts"])
+@pytest.mark.parametrize("noise_r, tol_chol, tol_white, rel_gain", [
+    (0.1, 1e-12, 1e-11, 1e-12),
+    # noise_r 0 takes the noiseless floor noise_var 1e-10, where a fresh
+    # factorization is itself only this close
+    (0.0, 1e-6, 1e-4, 1e-6),
+], ids=["noisy", "noiseless"])
+def test_gp_factor_from_reused_columns_matches_fresh_algebra(
+    name, noise_r, tol_chol, tol_white, rel_gain
+):
+    # scored rounds append the column the selection step solved for all
+    # contexts, not a fresh solve for the chosen one
+    *_, gp = _gp_policy_rounds(name, noise_r, 600)
+    assert gp.n_obs == 600
+    _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain)
+
+
+def test_gp_round_makes_one_triangular_solve(monkeypatch):
     calls = []
     solve = estimators.solve_triangular
 
@@ -317,16 +372,16 @@ def test_gp_update_makes_one_triangular_solve(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(estimators, "solve_triangular", counting)
-    rng = np.random.default_rng(41)
-    gp = estimators.init_gp(2, noise_var=0.01)
-    # 130 observations cross both buffer doublings, 64 -> 128 -> 256
-    for _ in range(130):
-        before = len(calls)
-        x = rng.uniform(0.0, 10.0, 2)
-        estimators.gp_update(gp, x, float(x.sum() / 10.0))
-        assert len(calls) - before == 1
-    assert gp.n_obs == 130
-    assert gp.inputs.shape[0] == 256
+    for name in ("gp-ucb", "gp-ts"):
+        per_round = []
+        # 130 rounds cross both buffer doublings, 64 -> 128 -> 256; the
+        # first 5 are round-robin, the rest are scored
+        for gp in _gp_policy_rounds(name, 0.1, 130):
+            per_round.append(len(calls))
+            calls.clear()
+        assert per_round == [1] * 130, name
+        assert gp.n_obs == 130
+        assert gp.inputs.shape[0] == 256
 
 
 def test_gp_width_multiplier_grows_with_info_gain():
@@ -337,7 +392,7 @@ def test_gp_width_multiplier_grows_with_info_gain():
     rng = np.random.default_rng(33)
     for _ in range(30):
         x = rng.uniform(0.0, 10.0, 2)
-        estimators.gp_update(gp, x, float(x.sum()))
+        _observe(gp, x, float(x.sum()))
     assert estimators.gp_width_multiplier(gp, p) > w0
 
 
@@ -347,12 +402,13 @@ def test_gp_ucb_scores_match_scalar_and_dominate_mean():
     gp = estimators.init_gp(2, noise_var=0.01)
     for _ in range(25):
         x = rng.uniform(0.0, 10.0, 2)
-        estimators.gp_update(gp, x, float(x.prod() / 20.0))
+        _observe(gp, x, float(x.prod() / 20.0))
     xs = rng.uniform(0.0, 10.0, (6, 2))
-    batch = estimators.gp_ucb_scores(gp, p, xs)
-    singles = [estimators.gp_ucb_scores(gp, p, x[None, :])[0] for x in xs]
+    batch = estimators.gp_ucb_scores(gp, p, estimators.gp_condition(gp, xs))
+    singles = [estimators.gp_ucb_scores(gp, p, estimators.gp_condition(gp, x[None, :]))[0]
+               for x in xs]
     np.testing.assert_allclose(batch, singles, rtol=1e-10)
-    means, _ = estimators.gp_posterior_many(gp, xs)
+    means, _ = _posterior(gp, xs)
     assert np.all(batch >= means)
 
 
@@ -362,14 +418,15 @@ def test_gp_ts_scores_reproducible_and_shaped():
     gp = estimators.init_gp(2, noise_var=0.01)
     for _ in range(15):
         x = rng.uniform(0.0, 10.0, 2)
-        estimators.gp_update(gp, x, float(x.sum() / 5.0))
+        _observe(gp, x, float(x.sum() / 5.0))
     xs = rng.uniform(0.0, 10.0, (4, 2))
-    a = estimators.gp_ts_scores(gp, p, xs, np.random.default_rng(77))
-    b = estimators.gp_ts_scores(gp, p, xs, np.random.default_rng(77))
+    cond = estimators.gp_condition(gp, xs)
+    a = estimators.gp_ts_scores(gp, p, cond, np.random.default_rng(77))
+    b = estimators.gp_ts_scores(gp, p, cond, np.random.default_rng(77))
     np.testing.assert_array_equal(a, b)
     assert a.shape == (4,)
     # dispersion grows with the width multiplier, so fresh draws differ
-    c = estimators.gp_ts_scores(gp, p, xs, np.random.default_rng(78))
+    c = estimators.gp_ts_scores(gp, p, cond, np.random.default_rng(78))
     assert not np.array_equal(a, c)
 
 

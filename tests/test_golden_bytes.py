@@ -1,11 +1,14 @@
 """Byte check: short CLI runs must write the same CSV and manifest bytes.
 
-Eight in-process ``ofdsim run`` invocations cover every policy, every
-goodness kind, ``--reps 1`` and a noiseless GP run. The sha256 of each
-CSV and ``manifest.json`` they write is compared with the hash recorded
-below. The hashes belong to this numpy and BLAS: another build may round
-differently. On the same build, a change that moves any of them changes
-what the simulator computes, and is a behaviour change to report.
+Nine in-process ``ofdsim run`` invocations cover every policy, every
+goodness kind, ``--reps 1`` and a noiseless run of each GP policy. The
+sha256 of each CSV and ``manifest.json`` they write is compared with the
+hash recorded below. The hashes belong to this numpy and BLAS: another
+build may round differently. On the same build, a change that moves any
+of them changes what the simulator computes, and is a behaviour change
+to report. The ``gp-ts-noiseless`` hashes were recorded before the GP
+update began reusing the selection step's conditioning column, so they
+pin that change to the bytes of the solve-per-update code.
 """
 
 import hashlib
@@ -32,6 +35,9 @@ RUNS = {
     "gp-noiseless": ["--policy", "gp-ucb", "--utility", "square", "--noise-r", "0",
                      "--agents", "5", "--item-dim", "1", "--agent-dim", "1",
                      "--horizon", "600", "--reps", "2", "--seed", "5"],
+    "gp-ts-noiseless": ["--policy", "gp-ts", "--utility", "square", "--noise-r", "0",
+                        "--agents", "5", "--item-dim", "1", "--agent-dim", "1",
+                        "--horizon", "600", "--reps", "2", "--seed", "5"],
 }
 
 GOLDEN = {
@@ -52,6 +58,12 @@ GOLDEN = {
             "0e4efd5d7ad7051cb4acde29e6895ee9da7a3414f84e8033f2913b68732f60a2",
         "manifest.json":
             "3e87dfeff1c24ec8ecfa061c04fa1fd51450af105cbd581b05253feaa1cf371f",
+    },
+    "gp-ts-noiseless": {
+        "adhoc_gp-ts.csv":
+            "14f96cddbeb4d490cb5c409dcc303abafc77d83d7d1dbbbcfba45fff657fe808",
+        "manifest.json":
+            "4d2815558a8fe807b232f4831628d6f094f5e6944b96d93ae2f80757a1caaacd",
     },
     "log-nsw": {
         "adhoc_ucb.csv":

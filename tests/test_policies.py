@@ -65,7 +65,7 @@ def test_round_robin_first_n_rounds():
         assert decision.agent == expected
         assert decision.was_round_robin
         assert decision.per_agent_scores is None and decision.per_agent_goodness is None
-        policies.observe(PolicyKind("ucb"), est, contexts[decision.agent], 1.0, ledger, decision.agent)
+        policies.observe(PolicyKind("ucb"), est, decision, contexts, 1.0, ledger)
     decision = policies.select_agent(PolicyKind("ucb"), spec, ledger, contexts, est, params, rng)
     assert not decision.was_round_robin
     assert decision.per_agent_scores.shape == decision.per_agent_goodness.shape == (4,)
@@ -148,17 +148,22 @@ def test_observe_updates_ledger_and_estimator():
     params = ConfidenceParams.defaults(2)
     ledger = policies.init_ledger(2)
     est = estimators.init_ridge(2, params.lam)
-    policies.observe(PolicyKind("ucb"), est, np.array([1.0, 2.0]), 3.0, ledger, 1)
+    contexts = np.array([[5.0, 5.0], [1.0, 2.0]])
+    policies.observe(
+        PolicyKind("ucb"), est, policies.AllocationDecision(agent=1), contexts, 3.0, ledger
+    )
     np.testing.assert_array_equal(ledger.totals, [0.0, 3.0])
     assert ledger.round == 2
     assert est.precision.n_updates == 1
+    np.testing.assert_array_equal(est.moment, 3.0 * contexts[1])
 
 
 def test_observe_uniform_skips_estimator():
     params = ConfidenceParams.defaults(2)
     ledger = policies.init_ledger(2)
     est, out_ledger = policies.observe(
-        PolicyKind("uniform"), None, np.array([1.0, 1.0]), 2.0, ledger, 0
+        PolicyKind("uniform"), None, policies.AllocationDecision(agent=0), np.ones((2, 2)),
+        2.0, ledger,
     )
     assert est is None
     assert out_ledger.totals[0] == 2.0
@@ -176,8 +181,7 @@ def test_observe_counts_invariant():
             PolicyKind("ucb"), spec, ledger, contexts, est, params, rng
         )
         policies.observe(
-            PolicyKind("ucb"), est, contexts[decision.agent], float(rng.uniform(0.1, 2.0)),
-            ledger, decision.agent,
+            PolicyKind("ucb"), est, decision, contexts, float(rng.uniform(0.1, 2.0)), ledger
         )
         assert ledger.round == t + 1
 
@@ -200,7 +204,7 @@ def test_greedy_zero_epsilon_equals_ucb_zero_alpha():
         for t in range(rounds):
             decision = policies.select_agent(kind, spec, ledger, items[t], est, params, rng)
             a = decision.agent
-            policies.observe(kind, est, items[t][a], float(truths[t][a]), ledger, a)
+            policies.observe(kind, est, decision, items[t], float(truths[t][a]), ledger)
             sequence.append(a)
         return sequence
 

@@ -1,6 +1,7 @@
 """Run loop, regret accounting, aggregation, metrics, CSV output."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ class TestRunConfig:
         # three entries for four agents are rejected at construction
         with pytest.raises(ValueError, match="expected n_agents=4"):
             make_config(goodness=spec, n_agents=4)
+
+    def test_gp_noise_scale_must_square_to_a_float(self):
+        # the GP's noise variance is noise_r**2; a ridge policy never squares it
+        limit = math.sqrt(sys.float_info.max)
+        assert math.isfinite(limit**2)
+        for noise_r in (np.nextafter(limit, np.inf), 1e200):
+            with pytest.raises(ValueError, match="too large for a GP policy"):
+                make_config(policy=PolicyKind("gp-ucb"),
+                            confidence=ConfidenceParams.defaults(4, noise_r=noise_r))
+        make_config(policy=PolicyKind("gp-ts"),
+                    confidence=ConfidenceParams.defaults(4, noise_r=limit))
+        make_config(policy=PolicyKind("ucb"),
+                    confidence=ConfidenceParams.defaults(4, noise_r=1e200))
 
     def test_with_seed(self):
         cfg = make_config()
