@@ -2,6 +2,13 @@
 ad-hoc runs from flags or a key=value config file, parallel seed
 fan-out, and CSV/manifest emission for external plotting.
 
+Each run option is declared once, in ``OPTIONS``, which drives the
+parser, the defaults and the config-file keys. The rules of a run live
+in the constructors of ``PolicyKind``, ``GoodnessSpec``,
+``ConfidenceParams`` and ``RunConfig``: the CLI builds a run through
+them, as the manifest reader does, and itself checks only what belongs
+to a command (base seed, reps, jobs, and which options combine).
+
 Exit codes: 0 success, 2 config/preset/manifest error, 3 unwritable
 output directory, 4 a run aborted mid-flight (goodness domain or
 numerical failure).
@@ -14,7 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,27 +48,42 @@ RHO_GRID = (
 AGENT_GRID = (5, 10, 15, 20, 25)
 DIM_GRID = (10, 20, 30, 40, 50)
 
-DEFAULTS = {
-    "agents": 10,
-    "item_dim": 2,
-    "agent_dim": 2,
-    "horizon": 10000,
-    "reps": 20,
-    "rho": 0.85,
-    "goodness": goodness.WEIGHTED_GINI,
-    "utility": environment.LINEAR,
-    "reg_lambda": 0.01,
-    "noise_r": 0.1,
-    "delta": 0.05,
-    "epsilon": 0.1,
-    "jobs": 1,
-    "out": "results",
-}
+# One row per run option: (key, type, default, help). The key is the
+# config-file key and, with dashes, the flag. Each flag parses into the
+# attribute of its key, except --lambda, a Python keyword, which parses
+# into reg_lambda.
+OPTIONS = (
+    ("preset", str, None, f"one of: {', '.join(PRESET_NAMES)}"),
+    ("policy", str, None, f"one of: {', '.join(POLICY_NAMES)}"),
+    ("goodness", str, goodness.WEIGHTED_GINI, f"one of: {', '.join(goodness.KINDS)}"),
+    ("rho", float, 0.85,
+     "weighted-gini's geometric weight parameter in (0,1]; 0 = min objective"),
+    ("agents", int, 10, "number of agents N"),
+    ("item_dim", int, 2, "item feature dimension"),
+    ("agent_dim", int, 2, "agent feature dimension"),
+    ("horizon", int, 10000, "number of rounds T"),
+    ("reps", int, 20, "independent repetitions"),
+    ("seed", int, None, "base seed (default env OFD_SEED or 0)"),
+    ("lambda", float, 0.01, "ridge regularizer"),
+    ("noise_r", float, 0.1, "observation noise scale R"),
+    ("delta", float, 0.05, "confidence level parameter"),
+    ("out", str, "results", "output directory"),
+    ("jobs", int, 1,
+     "parallel worker processes; give each one BLAS thread with OPENBLAS_NUM_THREADS=1"),
+    ("utility", str, environment.LINEAR, f"one of: {', '.join(environment.UTILITY_KINDS)}"),
+    ("epsilon", float, 0.1, "greedy exploration rate"),
+    ("target_ratios", str, None, "comma-separated ratios for --goodness targeted"),
+)
+_DEST = {"lambda": "reg_lambda"}
+DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
+_CONFIG_KEYS = {key: kind for key, kind, _, _ in OPTIONS}
 
 
 class ConfigError(ValueError):
+    """A command's rejected input, one line per rejected field."""
+
     def __init__(self, problems: list[str]):
-        super().__init__("; ".join(problems))
+        super().__init__("\n".join(problems))
         self.problems = problems
 
 
@@ -104,41 +126,15 @@ def _derive_seeds(base_seed: int, reps: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _make_proto(
-    *,
-    horizon: int,
-    n_agents: int,
-    item_dim: int,
-    agent_dim: int,
-    rho: float,
-    policy: PolicyKind,
-    utility_kind: str = environment.LINEAR,
-    noise_r: float = 0.1,
-    delta: float = 0.05,
-    lam: float = 0.01,
-    spec: goodness.GoodnessSpec | None = None,
-) -> RunConfig:
-    """Seedless RunConfig; without a spec the goodness is weighted Gini
-    from rho, where rho 0 means the min objective."""
-    if spec is None:
-        if rho == 0.0:
-            spec = goodness.GoodnessSpec(
-                goodness.WEIGHTED_GINI, weights=goodness.esw_weights(n_agents)
-            )
-        else:
-            spec = goodness.GoodnessSpec(goodness.WEIGHTED_GINI, rho=rho)
-    dim = item_dim + agent_dim
-    return RunConfig(
-        horizon=horizon,
-        seed=0,
-        policy=policy,
-        goodness=spec,
-        n_agents=n_agents,
-        item_dim=item_dim,
-        agent_dim=agent_dim,
-        utility_kind=utility_kind,
-        confidence=ConfidenceParams.defaults(dim, noise_r=noise_r, delta=delta, lam=lam),
-    )
+def _goodness_spec(
+    kind: str, n_agents: int, rho: float | None = None, target_ratios: np.ndarray | None = None
+) -> goodness.GoodnessSpec:
+    """The run's goodness; under weighted Gini, rho 0 means the min
+    objective."""
+    weights = None
+    if kind == goodness.WEIGHTED_GINI and rho == 0.0:
+        weights, rho = goodness.esw_weights(n_agents), None
+    return goodness.GoodnessSpec(kind, weights=weights, rho=rho, target_ratios=target_ratios)
 
 
 def expand_preset(preset: str, reps: int, base_seed: int) -> list[RunSpecEntry]:
@@ -151,9 +147,10 @@ def expand_preset(preset: str, reps: int, base_seed: int) -> list[RunSpecEntry]:
 
     seeds = _derive_seeds(base_seed, reps)
 
-    def add(name: str, policies: list[PolicyKind], **kwargs) -> None:
+    def add(name: str, policies: list[PolicyKind], *, rho: float, **fields) -> None:
         for pol in policies:
-            proto = _make_proto(policy=pol, **kwargs)
+            spec = _goodness_spec(goodness.WEIGHTED_GINI, fields["n_agents"], rho)
+            proto = RunConfig(seed=0, policy=pol, goodness=spec, **fields)
             entries.append(RunSpecEntry(name=name, proto=proto, seeds=seeds))
 
     if preset.startswith("fig1-linear"):
@@ -189,26 +186,23 @@ def expand_preset(preset: str, reps: int, base_seed: int) -> list[RunSpecEntry]:
 # ---------------------------------------------------------------------------
 # flag / config-file resolution
 
-_CONFIG_KEYS = {
-    "preset": str,
-    "policy": str,
-    "goodness": str,
-    "rho": float,
-    "agents": int,
-    "item_dim": int,
-    "agent_dim": int,
-    "horizon": int,
-    "reps": int,
-    "seed": int,
-    "lambda": float,
-    "noise_r": float,
-    "delta": float,
-    "out": str,
-    "jobs": int,
-    "utility": str,
-    "epsilon": float,
-    "target_ratios": str,
-}
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _flag_value(ns: argparse.Namespace, key: str):
+    """The value of option key on the command line, or None."""
+    return getattr(ns, _DEST.get(key, key), None)
+
+
+def _clashes(given, keys, mode: str) -> list[str]:
+    """One problem for each option in keys that given says was set."""
+    return [f"{_flag(key)} cannot be combined with --{mode}" for key in keys if given(key)]
+
+
+def _jobs_problems(jobs: int) -> list[str]:
+    return [] if jobs >= 1 else [f"jobs must be >= 1, got {jobs}"]
 
 
 def _read_config_file(path: str) -> dict:
@@ -247,135 +241,78 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
     """Resolve flags + optional config file into a plan of concrete runs.
 
     Flags win over the file, the file over ``DEFAULTS``; the base seed
-    falls back to ``OFD_SEED``, then 0. Raises ConfigError carrying one
-    message per rejected field.
+    falls back to ``OFD_SEED``, then 0. An ad-hoc run is built through
+    the constructors that check every run. Raises ConfigError carrying
+    one line per rejected field, theirs and the command's.
     """
     config_path = getattr(ns, "config", None)
     file_values = _read_config_file(config_path) if config_path else {}
-    problems: list[str] = []
+
+    def given(key: str) -> bool:
+        return _flag_value(ns, key) is not None or key in file_values
 
     def grab(key: str):
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            return flag
-        return file_values.get("lambda" if key == "reg_lambda" else key, DEFAULTS.get(key))
+        flag = _flag_value(ns, key)
+        return file_values.get(key, DEFAULTS[key]) if flag is None else flag
 
     base_seed = grab("seed")
     if base_seed is None:
         base_seed = int(os.environ.get("OFD_SEED", "0"))
+    reps, jobs = grab("reps"), grab("jobs")
+    problems = _jobs_problems(jobs)
     if base_seed < 0:
         problems.append(f"seed must be non-negative, got {base_seed}")
-    reps = grab("reps")
     if reps < 1:
         problems.append(f"reps must be >= 1, got {reps}")
     if problems:
         raise ConfigError(problems)
 
-    preset = grab("preset")
-    out, jobs = grab("out"), grab("jobs")
+    preset, out = grab("preset"), grab("out")
     if preset is not None:
         structural = ("policy", "rho", "agents", "item_dim", "agent_dim",
                       "horizon", "utility", "target_ratios")
-        clashes = [k for k in structural if getattr(ns, k, None) is not None or k in file_values]
+        clashes = _clashes(given, structural, "preset")
         if clashes:
-            raise ConfigError(
-                [f"--{k.replace('_', '-')} cannot be combined with --preset" for k in clashes]
-            )
-        entries = expand_preset(preset, reps, base_seed)
-        return RunPlan(entries, base_seed, preset, reps, out, jobs)
+            raise ConfigError(clashes)
+        return RunPlan(expand_preset(preset, reps, base_seed), base_seed, preset, reps, out, jobs)
 
-    policy_name = grab("policy")
-    if policy_name is None:
+    def build(make, *args, **kwargs):
+        """make(*args, **kwargs), or None with its rejections in problems."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            problems.extend(str(exc).splitlines())
+            return None
+
+    # A missing or broken field is reported once. What depends on it is
+    # built from a stand-in, so that it still reports its own fields.
+    policy = grab("policy")
+    if policy is None:
         problems.append("either --preset or --policy is required")
-        policy_name = "ucb"
-    elif policy_name not in POLICY_NAMES:
-        problems.append(f"unknown policy {policy_name!r}; choose from {', '.join(POLICY_NAMES)}")
-        policy_name = "ucb"
-
-    kind_name = grab("goodness")
-    if kind_name not in goodness.KINDS:
-        problems.append(f"unknown goodness {kind_name!r}; choose from {', '.join(goodness.KINDS)}")
-        kind_name = goodness.WEIGHTED_GINI
-
-    agents = grab("agents")
-    if agents < 1:
-        problems.append(f"agents must be >= 1, got {agents}")
-    item_dim = grab("item_dim")
-    agent_dim = grab("agent_dim")
-    if item_dim < 1:
-        problems.append(f"item-dim must be >= 1, got {item_dim}")
-    if agent_dim < 1:
-        problems.append(f"agent-dim must be >= 1, got {agent_dim}")
-    horizon = grab("horizon")
-    if horizon < max(agents, 1):
-        problems.append(
-            f"horizon {horizon} is shorter than the round-robin warm start over "
-            f"{agents} agents"
-        )
-    if horizon > simulator.MAX_HORIZON:
-        problems.append(f"horizon must be <= {simulator.MAX_HORIZON}, got {horizon}")
-
-    rho = grab("rho")
-    if not 0.0 <= rho <= 1.0:
-        problems.append(f"rho must lie in (0,1] (or exactly 0 for the min objective), got {rho}")
-    utility = grab("utility")
-    if utility not in environment.UTILITY_KINDS:
-        problems.append(
-            f"unknown utility {utility!r}; choose from {', '.join(environment.UTILITY_KINDS)}"
-        )
-        utility = environment.LINEAR
-    lam = grab("reg_lambda")
-    if lam <= 0.0:
-        problems.append(f"lambda must be positive, got {lam}")
-    noise_r = grab("noise_r")
-    if noise_r < 0.0:
-        problems.append(f"noise-r must be >= 0, got {noise_r}")
-    delta = grab("delta")
-    if not 0.0 < delta < 1.0:
-        problems.append(f"delta must lie in (0,1), got {delta}")
-    epsilon = grab("epsilon")
-    if not 0.0 <= epsilon <= 1.0:
-        problems.append(f"epsilon must lie in [0,1], got {epsilon}")
-
-    spec = None
+    kind = build(PolicyKind, policy or "ucb", epsilon=grab("epsilon"))
     ratios_text = grab("target_ratios")
-    if kind_name == goodness.TARGETED:
-        if ratios_text is None:
-            problems.append("targeted goodness requires --target-ratios r1,r2,...")
-        else:
-            try:
-                ratios = _parse_ratios(ratios_text)
-                if ratios.size != agents:
-                    problems.append(
-                        f"target-ratios has {ratios.size} entries for {agents} agents"
-                    )
-                else:
-                    spec = goodness.GoodnessSpec(goodness.TARGETED, target_ratios=ratios)
-            except ValueError as exc:
-                problems.append(f"bad target-ratios: {exc}")
-    elif ratios_text is not None:
-        problems.append("--target-ratios is only valid with --goodness targeted")
-    elif kind_name != goodness.WEIGHTED_GINI:
-        spec = goodness.GoodnessSpec(kind_name)
-
+    try:
+        ratios = None if ratios_text is None else _parse_ratios(ratios_text)
+    except ValueError as exc:
+        problems.append(f"bad target-ratios: {exc}")
+        ratios = np.ones(1)
+    kind_name = grab("goodness")
+    # rho shapes weighted Gini only; set for another goodness, the spec rejects it
+    rho = grab("rho") if kind_name == goodness.WEIGHTED_GINI or given("rho") else None
+    agents, item_dim, agent_dim = grab("agents"), grab("item_dim"), grab("agent_dim")
+    spec = build(_goodness_spec, kind_name, max(agents, 1), rho, ratios)
+    confidence = build(
+        ConfidenceParams.defaults, max(item_dim + agent_dim, 1),
+        noise_r=grab("noise_r"), delta=grab("delta"), lam=grab("lambda"),
+    )
+    sizes = dict(horizon=grab("horizon"), n_agents=agents, item_dim=item_dim,
+                 agent_dim=agent_dim, utility_kind=grab("utility"))
+    if problems:
+        raise ConfigError(problems + simulator.size_problems(**sizes))
+    proto = build(RunConfig, seed=0, policy=kind, goodness=spec, confidence=confidence, **sizes)
     if problems:
         raise ConfigError(problems)
-
-    proto = _make_proto(
-        horizon=horizon,
-        n_agents=agents,
-        item_dim=item_dim,
-        agent_dim=agent_dim,
-        rho=rho,
-        policy=PolicyKind(policy_name, epsilon=epsilon),
-        utility_kind=utility,
-        noise_r=noise_r,
-        delta=delta,
-        lam=lam,
-        spec=spec,
-    )
-    seeds = _derive_seeds(base_seed, reps)
-    entries = [RunSpecEntry(name="adhoc", proto=proto, seeds=seeds)]
+    entries = [RunSpecEntry(name="adhoc", proto=proto, seeds=_derive_seeds(base_seed, reps))]
     return RunPlan(entries, base_seed, preset, reps, out, jobs)
 
 
@@ -405,10 +342,12 @@ def _goodness_from_json(payload: dict) -> goodness.GoodnessSpec:
 
 def _entry_to_json(entry: RunSpecEntry) -> dict:
     proto = entry.proto
+    confidence = asdict(proto.confidence)
+    del confidence["dim"]  # item_dim + agent_dim
     return {
         "name": entry.name,
         "csv": entry.csv_name,
-        "policy": {"name": proto.policy.name, "epsilon": proto.policy.epsilon},
+        "policy": asdict(proto.policy),
         "seeds": list(entry.seeds),
         "config": {
             "horizon": proto.horizon,
@@ -417,38 +356,23 @@ def _entry_to_json(entry: RunSpecEntry) -> dict:
             "agent_dim": proto.agent_dim,
             "utility_kind": proto.utility_kind,
             "goodness": _goodness_to_json(proto.goodness),
-            "confidence": {
-                "noise_r": proto.confidence.noise_r,
-                "param_bound_s": proto.confidence.param_bound_s,
-                "feature_bound_l": proto.confidence.feature_bound_l,
-                "delta": proto.confidence.delta,
-                "lam": proto.confidence.lam,
-            },
+            "confidence": confidence,
         },
     }
 
 
 def _entry_from_json(payload: dict) -> RunSpecEntry:
     cfg = payload["config"]
-    conf = cfg["confidence"]
-    dim = cfg["item_dim"] + cfg["agent_dim"]
     proto = RunConfig(
         horizon=cfg["horizon"],
         seed=0,
-        policy=PolicyKind(payload["policy"]["name"], epsilon=payload["policy"]["epsilon"]),
+        policy=PolicyKind(**payload["policy"]),
         goodness=_goodness_from_json(cfg["goodness"]),
         n_agents=cfg["n_agents"],
         item_dim=cfg["item_dim"],
         agent_dim=cfg["agent_dim"],
         utility_kind=cfg["utility_kind"],
-        confidence=ConfidenceParams(
-            dim=dim,
-            noise_r=conf["noise_r"],
-            param_bound_s=conf["param_bound_s"],
-            feature_bound_l=conf["feature_bound_l"],
-            delta=conf["delta"],
-            lam=conf["lam"],
-        ),
+        confidence=ConfidenceParams(dim=cfg["item_dim"] + cfg["agent_dim"], **cfg["confidence"]),
     )
     return RunSpecEntry(name=payload["name"], proto=proto, seeds=tuple(payload["seeds"]))
 
@@ -463,7 +387,7 @@ def execute_entries(entries: list[RunSpecEntry], jobs: int, outdir: str) -> list
     for entry in entries:
         configs.extend(entry.proto.with_seed(seed) for seed in entry.seeds)
     if jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             traces = list(pool.map(simulator.run_single, configs, chunksize=1))
     else:
         traces = [simulator.run_single(config) for config in configs]
@@ -499,34 +423,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute a preset or an ad-hoc experiment")
-    run.add_argument("--preset", help=f"one of: {', '.join(PRESET_NAMES)}")
-    run.add_argument("--policy", help=f"one of: {', '.join(POLICY_NAMES)}")
-    run.add_argument("--goodness", help=f"one of: {', '.join(goodness.KINDS)}")
-    run.add_argument("--rho", type=float, help="geometric weight parameter in (0,1]; 0 = min objective")
-    run.add_argument("--agents", type=int, help="number of agents N")
-    run.add_argument("--item-dim", dest="item_dim", type=int, help="item feature dimension")
-    run.add_argument("--agent-dim", dest="agent_dim", type=int, help="agent feature dimension")
-    run.add_argument("--horizon", type=int, help="number of rounds T")
-    run.add_argument("--reps", type=int, help="independent repetitions (default 20)")
-    run.add_argument("--seed", type=int, help="base seed (default env OFD_SEED or 0)")
-    run.add_argument("--lambda", dest="reg_lambda", type=float, help="ridge regularizer")
-    run.add_argument("--noise-r", dest="noise_r", type=float, help="observation noise scale R")
-    run.add_argument("--delta", type=float, help="confidence level parameter")
-    run.add_argument("--out", help="output directory (default results/)")
-    run.add_argument("--jobs", type=int,
-                     help="parallel worker processes (default 1); give each one BLAS "
-                          "thread with OPENBLAS_NUM_THREADS=1")
-    run.add_argument("--utility", help=f"one of: {', '.join(environment.UTILITY_KINDS)}")
-    run.add_argument("--epsilon", type=float, help="greedy exploration rate (default 0.1)")
-    run.add_argument("--target-ratios", dest="target_ratios",
-                     help="comma-separated ratios for --goodness targeted")
+    for key, kind, default, text in OPTIONS:
+        if default is not None:
+            text = f"{text} (default {default})"
+        run.add_argument(_flag(key), dest=_DEST.get(key, key), type=kind, help=text)
     run.add_argument("--config", help="key=value config file; flags win")
     run.add_argument("--manifest", help="re-run the exact runs recorded in a manifest.json")
     return parser
 
 
 def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
-    """Replay plan for a manifest; output goes next to it unless --out."""
+    """Replay plan for a manifest; output goes next to it unless --out.
+    The manifest fixes the runs, so of the options only --out and --jobs
+    may come with it."""
+    replay_only = [key for key in (*DEFAULTS, "config") if key not in ("out", "jobs")]
+    problems = _clashes(lambda key: _flag_value(ns, key) is not None, replay_only, "manifest")
+    jobs = DEFAULTS["jobs"] if ns.jobs is None else ns.jobs
+    problems += _jobs_problems(jobs)
+    if problems:
+        raise ConfigError(problems)
     with open(ns.manifest, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     return RunPlan(
@@ -535,20 +450,18 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
         preset=payload.get("preset"),
         reps=payload["reps"],
         out=ns.out if ns.out else os.path.dirname(os.path.abspath(ns.manifest)),
-        jobs=ns.jobs if ns.jobs is not None else DEFAULTS["jobs"],
+        jobs=jobs,
     )
 
 
 def run_command(ns: argparse.Namespace) -> int:
     try:
         plan = _plan_from_manifest(ns) if ns.manifest else validate_config(ns)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
     except (OSError, KeyError, ValueError, TypeError) as exc:
-        # ValueError also covers malformed JSON and entries the constructors reject
-        print(f"config error: {exc}", file=sys.stderr)
+        # ValueError covers ConfigError, malformed JSON and the constructors'
+        # rejections of a manifest entry, one line per rejected field
+        for problem in str(exc).splitlines():
+            print(f"config error: {problem}", file=sys.stderr)
         return 2
 
     try:

@@ -41,19 +41,23 @@ class ConfidenceParams:
     lam: float
 
     def __post_init__(self) -> None:
+        # one line per broken field, so a caller can report each of them
+        problems = []
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+            problems.append(f"dim must be a positive integer, got {self.dim!r}")
         # R = 0 and S = 0 are legal limits (noiseless / unbounded-free cases)
         if not np.isfinite(self.noise_r) or self.noise_r < 0.0:
-            raise ValueError(f"noise_r must be >= 0, got {self.noise_r!r}")
+            problems.append(f"noise_r must be >= 0, got {self.noise_r!r}")
         if not np.isfinite(self.param_bound_s) or self.param_bound_s < 0.0:
-            raise ValueError(f"param_bound_s must be >= 0, got {self.param_bound_s!r}")
+            problems.append(f"param_bound_s must be >= 0, got {self.param_bound_s!r}")
         if not np.isfinite(self.feature_bound_l) or self.feature_bound_l <= 0.0:
-            raise ValueError(f"feature_bound_l must be positive, got {self.feature_bound_l!r}")
+            problems.append(f"feature_bound_l must be positive, got {self.feature_bound_l!r}")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0,1), got {self.delta!r}")
+            problems.append(f"delta must lie in (0,1), got {self.delta!r}")
         if not np.isfinite(self.lam) or self.lam <= 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam!r}")
+            problems.append(f"lambda must be positive, got {self.lam!r}")
+        if problems:
+            raise ValueError("\n".join(problems))
 
     @classmethod
     def defaults(cls, dim: int, noise_r: float = 0.1, delta: float = 0.05,

@@ -65,7 +65,7 @@ class GoodnessSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ValueError(f"unknown goodness {self.kind!r}; choose from {', '.join(KINDS)}")
         if self.kind == WEIGHTED_GINI:
             if (self.weights is None) == (self.rho is None):
                 raise ValueError("weighted-gini requires exactly one of weights or rho")
@@ -84,13 +84,13 @@ class GoodnessSpec:
                 self.weights = w
             else:
                 if not np.isfinite(self.rho) or self.rho <= 0.0 or self.rho > 1.0:
-                    raise ValueError(f"rho must lie in (0, 1], got {self.rho!r}")
+                    raise ValueError(f"rho must lie in (0,1], got {self.rho!r}")
                 self.rho = float(self.rho)
             if self.target_ratios is not None:
                 raise ValueError("target_ratios is only valid for the targeted kind")
         elif self.kind == TARGETED:
             if self.target_ratios is None:
-                raise ValueError("targeted requires target_ratios")
+                raise ValueError("targeted goodness requires target-ratios")
             if self.weights is not None or self.rho is not None:
                 raise ValueError("weights/rho are only valid for weighted-gini")
             r = np.asarray(self.target_ratios, dtype=np.float64)

@@ -31,10 +31,14 @@ class PolicyKind:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
+        # one line per broken field, so a caller can report each of them
+        problems = []
         if self.name not in POLICY_NAMES:
-            raise ValueError(f"policy must be one of {POLICY_NAMES}, got {self.name!r}")
+            problems.append(f"unknown policy {self.name!r}; choose from {', '.join(POLICY_NAMES)}")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0,1], got {self.epsilon!r}")
+            problems.append(f"epsilon must lie in [0,1], got {self.epsilon!r}")
+        if problems:
+            raise ValueError("\n".join(problems))
 
     @property
     def uses_ridge(self) -> bool:

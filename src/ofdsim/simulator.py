@@ -33,6 +33,27 @@ class RunAbortedError(RuntimeError):
     mid-flight."""
 
 
+def size_problems(
+    horizon: int, n_agents: int, item_dim: int, agent_dim: int, utility_kind: str
+) -> list[str]:
+    """RunConfig's rules on its sizes and utility kind, one message per
+    broken field. They need no policy, goodness or confidence, so a
+    caller whose other pieces failed can still report them."""
+    sizes = {"n_agents": n_agents, "item_dim": item_dim, "agent_dim": agent_dim}
+    problems = [f"{name} must be >= 1, got {value}" for name, value in sizes.items() if value < 1]
+    if horizon < max(n_agents, 1):
+        problems.append(
+            f"horizon {horizon} is shorter than the round-robin phase over {n_agents} agents"
+        )
+    if horizon > MAX_HORIZON:
+        problems.append(f"horizon capped at {MAX_HORIZON}, got {horizon}")
+    if utility_kind not in environment.UTILITY_KINDS:
+        problems.append(
+            f"unknown utility {utility_kind!r}; choose from {', '.join(environment.UTILITY_KINDS)}"
+        )
+    return problems
+
+
 @dataclass
 class RunConfig:
     """Everything one run needs. Construction checks the run's inputs and
@@ -49,17 +70,11 @@ class RunConfig:
     confidence: ConfidenceParams | None = None
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1 or self.item_dim < 1 or self.agent_dim < 1:
-            raise ValueError("n_agents, item_dim and agent_dim must be >= 1")
-        if self.horizon < self.n_agents:
-            raise ValueError(
-                f"horizon {self.horizon} shorter than the round-robin phase "
-                f"({self.n_agents} agents)"
-            )
-        if self.horizon > MAX_HORIZON:
-            raise ValueError(f"horizon capped at {MAX_HORIZON}")
-        if self.utility_kind not in environment.UTILITY_KINDS:
-            raise ValueError(f"utility_kind must be one of {environment.UTILITY_KINDS}")
+        problems = size_problems(
+            self.horizon, self.n_agents, self.item_dim, self.agent_dim, self.utility_kind
+        )
+        if problems:
+            raise ValueError("\n".join(problems))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for name in ("weights", "target_ratios"):

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -138,10 +139,24 @@ def test_short_horizon_names_round_robin():
         cli.validate_config(make_ns(policy="ucb", horizon=5, agents=10))
 
 
-def test_error_report_collects_every_problem():
+@pytest.mark.parametrize(
+    "flags, patterns",
+    [
+        (dict(rho=2.0, agents=-1, delta=2.0), [r"^rho ", r"agents must", r"^delta "]),
+        # each of these breaks two fields of one constructor
+        (dict(policy="best", epsilon=3.0), [r"unknown policy 'best'", r"^epsilon "]),
+        (dict(reg_lambda=0.0, delta=2.0), [r"^lambda ", r"^delta "]),
+        (dict(goodness="median", item_dim=0), [r"unknown goodness 'median'", r"^item.dim "]),
+    ],
+    ids=["rho-agents-delta", "policy-epsilon", "lambda-delta", "goodness-item-dim"],
+)
+def test_error_report_collects_every_problem(flags, patterns):
     with pytest.raises(ConfigError) as exc_info:
-        cli.validate_config(make_ns(policy="ucb", rho=2.0, agents=-1, delta=2.0))
-    assert len(exc_info.value.problems) >= 3
+        cli.validate_config(make_ns(**{"policy": "ucb", **flags}))
+    problems = exc_info.value.problems
+    assert len(problems) == len(patterns), problems
+    for pattern in patterns:
+        assert sum(bool(re.search(pattern, p)) for p in problems) == 1, (pattern, problems)
 
 
 def test_unknown_policy_and_goodness():
@@ -381,27 +396,123 @@ def test_mid_run_faults_exit_4_with_one_short_line(tmp_path, capsys, flags, name
     assert "np.float64" not in err and len(err.encode()) < 500
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda entry: entry["config"]["goodness"].update(rho=2.0),
-        lambda entry: entry["config"].update(horizon=2),
-        lambda entry: entry["policy"].update(name="best"),
+MANIFEST_EDITS = {
+    "rho-2": lambda entry: entry["config"]["goodness"].update(rho=2.0),
+    "horizon-below-agents": lambda entry: entry["config"].update(horizon=2),
+    "unknown-policy": lambda entry: entry["policy"].update(name="best"),
+    "weights-too-short":
         lambda entry: entry["config"]["goodness"].update(rho=None, weights=[1.0, 0.5]),
-        lambda entry: (entry["policy"].update(name="gp-ucb"),
-                       entry["config"]["confidence"].update(noise_r=1e200)),
-    ],
-    ids=["rho-2", "horizon-below-agents", "unknown-policy", "weights-too-short",
-         "gp-noise-r-1e200"],
-)
-def test_edited_manifest_exits_2(tmp_path, capsys, edit):
+    "gp-noise-r-1e200": lambda entry: (entry["policy"].update(name="gp-ucb"),
+                                       entry["config"]["confidence"].update(noise_r=1e200)),
+}
+
+
+def edited_manifest_error(tmp_path, capsys, edit):
+    """stderr of replaying a small run's manifest after edit changed its entry."""
     out = tmp_path / "a"
     assert run_cli(*small_run_args(out)) == 0
+    capsys.readouterr()
     manifest = json.loads((out / "manifest.json").read_text())
     edit(manifest["entries"][0])
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert run_cli("run", "--manifest", str(out / "manifest.json")) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", list(MANIFEST_EDITS.values()), ids=list(MANIFEST_EDITS))
+def test_edited_manifest_exits_2(tmp_path, capsys, edit):
+    assert edited_manifest_error(tmp_path, capsys, edit).startswith("config error:")
+
+
+# flags that break what the manifest edit of the same name breaks
+FLAG_EDITS = {
+    "rho-2": {"rho": "2"},
+    "horizon-below-agents": {"horizon": "2"},
+    "unknown-policy": {"policy": "best"},
+    "gp-noise-r-1e200": {"policy": "gp-ucb", "noise_r": "1e200"},
+}
+
+
+@pytest.mark.parametrize("name", list(FLAG_EDITS))
+def test_flag_and_manifest_paths_print_the_same_error(tmp_path, capsys, name):
+    # one rule, one message: one constructor words both rejections
+    assert run_cli(*small_run_args(tmp_path / "flags", **FLAG_EDITS[name])) == 2
+    from_flags = capsys.readouterr().err
+    from_manifest = edited_manifest_error(tmp_path, capsys, MANIFEST_EDITS[name])
+    assert from_flags.startswith("config error:")
+    assert from_flags == from_manifest
+
+
+def test_manifest_rejects_run_shaping_options(tmp_path, capsys):
+    out = tmp_path / "a"
+    assert run_cli(*small_run_args(out)) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("horizon = 50\n")
+    capsys.readouterr()
+    args = ["run", "--manifest", str(out / "manifest.json"), "--policy", "ts",
+            "--horizon", "999", "--rho", "0.3", "--seed", "77", "--reps", "9",
+            "--config", str(config), "--out", str(tmp_path / "b")]
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: --{flag} cannot be combined with --manifest"
+        for flag in ("policy", "rho", "horizon", "reps", "seed", "config")
+    ]
+    assert not (tmp_path / "b").exists()
+    # the replay itself may still choose where and how wide to run
+    args = ["run", "--manifest", str(out / "manifest.json"), "--jobs", "2",
+            "--out", str(tmp_path / "c")]
+    assert run_cli(*args) == 0
+    assert (out / "adhoc_ucb.csv").read_bytes() == (tmp_path / "c" / "adhoc_ucb.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    want = f"config error: jobs must be >= 1, got {jobs}\n"
+    assert run_cli(*small_run_args(tmp_path / "x", jobs=jobs)) == 2
+    assert capsys.readouterr().err == want
+    out = tmp_path / "a"
+    assert run_cli(*small_run_args(out)) == 0
+    capsys.readouterr()
+    assert run_cli("run", "--manifest", str(out / "manifest.json"), "--jobs", jobs) == 2
+    assert capsys.readouterr().err == want
+
+
+def test_pool_is_no_wider_than_the_runs(tmp_path, monkeypatch):
+    # a stand-in pool records its width and runs in this process
+    widths = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert run_cli(*small_run_args(tmp_path / "x", jobs="64")) == 0
+    assert widths == [3]
+
+
+@pytest.mark.parametrize("kind", ["nsw", "log-nsw", "targeted"])
+def test_rho_with_another_goodness_exits_2(tmp_path, capsys, kind):
+    # rho shapes weighted Gini only; given with another goodness it is an error
+    extra = {"target_ratios": "0.2,0.3,0.5"} if kind == "targeted" else {}
+    assert run_cli(*small_run_args(tmp_path / "x", goodness=kind, rho="0.5", **extra)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "rho" in err
+    config = tmp_path / "run.cfg"
+    config.write_text("rho = 0.5\n")
+    with pytest.raises(ConfigError, match="rho"):
+        cli.validate_config(make_ns(policy="ucb", goodness=kind, agents=3, horizon=40,
+                                    config=str(config), **extra))
+    # without rho the same run is fine
+    assert run_cli(*small_run_args(tmp_path / "y", goodness=kind, **extra)) == 0
 
 
 def test_uniform_policy_runs_without_estimator_state(tmp_path):

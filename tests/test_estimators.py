@@ -27,6 +27,13 @@ class TestConfidenceParams:
         ConfidenceParams(dim=3, noise_r=0.0, param_bound_s=0.0,
                          feature_bound_l=1.0, delta=0.5, lam=1.0)
 
+    def test_each_broken_field_gets_a_line(self):
+        with pytest.raises(ValueError) as exc_info:
+            ConfidenceParams(dim=2, noise_r=-0.1, param_bound_s=1.0,
+                             feature_bound_l=1.0, delta=1.0, lam=0.0)
+        lines = str(exc_info.value).splitlines()
+        assert [line.split()[0] for line in lines] == ["noise_r", "delta", "lambda"]
+
     def test_rejects_invalid_fields(self):
         with pytest.raises(ValueError):
             ConfidenceParams(dim=0, noise_r=0.1, param_bound_s=1.0,

@@ -27,6 +27,13 @@ class TestPolicyKind:
         with pytest.raises(ValueError):
             PolicyKind("optimal")
 
+    def test_each_broken_field_gets_a_line(self):
+        with pytest.raises(ValueError) as exc_info:
+            PolicyKind("optimal", epsilon=1.5)
+        lines = str(exc_info.value).splitlines()
+        assert len(lines) == 2
+        assert "'optimal'" in lines[0] and lines[1].startswith("epsilon")
+
     def test_epsilon_bounds(self):
         PolicyKind("greedy", epsilon=0.0)
         PolicyKind("greedy", epsilon=1.0)

@@ -53,6 +53,16 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="capped"):
             make_config(horizon=simulator.MAX_HORIZON + 1)
 
+    def test_each_broken_size_gets_a_line(self):
+        with pytest.raises(ValueError) as exc_info:
+            make_config(n_agents=0, item_dim=0, horizon=simulator.MAX_HORIZON + 1,
+                        utility_kind="cubic")
+        lines = str(exc_info.value).splitlines()
+        assert len(lines) == 4
+        assert [line.split()[0] for line in lines] == ["n_agents", "item_dim", "horizon",
+                                                        "unknown"]
+        assert lines == simulator.size_problems(simulator.MAX_HORIZON + 1, 0, 0, 2, "cubic")
+
     def test_confidence_defaults_to_experiment_values(self):
         cfg = make_config()
         assert cfg.confidence.dim == 4
