@@ -12,7 +12,7 @@ Modules: :mod:`ofdsim.linalg` (incremental precision algebra),
 from .environment import ProblemInstance, generate_instance
 from .estimators import ConfidenceParams
 from .goodness import GoodnessSpec, weights_from_rho
-from .policies import PolicyKind, UtilityLedger
+from .policies import PolicyKind
 from .simulator import AggregateSeries, RunConfig, RunTrace, aggregate, run_single
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ __all__ = [
     "ProblemInstance",
     "RunConfig",
     "RunTrace",
-    "UtilityLedger",
     "aggregate",
     "generate_instance",
     "run_single",

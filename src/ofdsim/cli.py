@@ -255,11 +255,16 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
         flag = _flag_value(ns, key)
         return file_values.get(key, DEFAULTS[key]) if flag is None else flag
 
-    base_seed = grab("seed")
-    if base_seed is None:
-        base_seed = int(os.environ.get("OFD_SEED", "0"))
     reps, jobs = grab("reps"), grab("jobs")
     problems = _jobs_problems(jobs)
+    base_seed = grab("seed")
+    if base_seed is None:
+        env_seed = os.environ.get("OFD_SEED", "0")
+        try:
+            base_seed = int(env_seed)
+        except ValueError:
+            problems.append(f"OFD_SEED must be a non-negative integer, got {env_seed!r}")
+            base_seed = 0
     if base_seed < 0:
         problems.append(f"seed must be non-negative, got {base_seed}")
     if reps < 1:
@@ -269,9 +274,9 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
 
     preset, out = grab("preset"), grab("out")
     if preset is not None:
-        structural = ("policy", "rho", "agents", "item_dim", "agent_dim",
-                      "horizon", "utility", "target_ratios")
-        clashes = _clashes(given, structural, "preset")
+        # a preset fixes every run option; only the command's own may come with it
+        fixed = [key for key in DEFAULTS if key not in ("preset", "reps", "seed", "out", "jobs")]
+        clashes = _clashes(given, fixed, "preset")
         if clashes:
             raise ConfigError(clashes)
         return RunPlan(expand_preset(preset, reps, base_seed), base_seed, preset, reps, out, jobs)

@@ -25,6 +25,9 @@ FEATURE_HIGH = 10.0
 
 @dataclass(frozen=True)
 class ProblemInstance:
+    """One drawn instance. Only :func:`generate_instance` builds one, from
+    the sizes, utility kind and noise scale that RunConfig has checked."""
+
     n_agents: int
     item_dim: int
     agent_dim: int
@@ -32,22 +35,6 @@ class ProblemInstance:
     theta_star: np.ndarray
     utility_kind: str
     noise_r: float
-
-    def __post_init__(self) -> None:
-        if self.n_agents < 1 or self.item_dim < 1 or self.agent_dim < 1:
-            raise ValueError("n_agents, item_dim and agent_dim must be >= 1")
-        if self.utility_kind not in UTILITY_KINDS:
-            raise ValueError(f"utility_kind must be one of {UTILITY_KINDS}")
-        if not np.isfinite(self.noise_r) or self.noise_r < 0.0:
-            raise ValueError(f"noise_r must be >= 0, got {self.noise_r!r}")
-        if self.agent_features.shape != (self.n_agents, self.agent_dim):
-            raise ValueError("agent_features must have shape (n_agents, agent_dim)")
-        if np.any(self.agent_features <= 0.0) or np.any(self.agent_features >= FEATURE_HIGH):
-            raise ValueError(f"agent features must lie in (0, {FEATURE_HIGH})")
-        if self.theta_star.shape != (self.dim,):
-            raise ValueError(f"theta_star must have shape ({self.dim},)")
-        if abs(float(np.linalg.norm(self.theta_star)) - 1.0) > 1e-12:
-            raise ValueError("theta_star must have unit norm")
 
     @property
     def dim(self) -> int:

@@ -100,9 +100,8 @@ def ridge_update(state: RidgeState, x: np.ndarray, y: float) -> RidgeState:
 
 
 def alpha_t(params: ConfidenceParams, t: int) -> float:
-    """Self-normalized confidence width at round t (non-decreasing in t)."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t!r}")
+    """Self-normalized confidence width at round t >= 1 (non-decreasing
+    in t); the round loop counts t from 1."""
     inflate = (1.0 + t * params.feature_bound_l**2 / params.lam) / params.delta
     return params.noise_r * math.sqrt(params.dim * math.log(inflate)) + math.sqrt(
         params.lam
@@ -117,9 +116,8 @@ def ucb_scores(state: RidgeState, params: ConfidenceParams, t: int, xs: np.ndarr
 
 
 def beta_t(params: ConfidenceParams, t: int) -> float:
-    """Posterior-sampling scale; log(t/delta) clamped at 0 for tiny t."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t!r}")
+    """Posterior-sampling scale at round t >= 1; log(t/delta) clamped at
+    0 for tiny t."""
     return params.noise_r * math.sqrt(9.0 * params.dim * max(math.log(t / params.delta), 0.0))
 
 
@@ -136,7 +134,6 @@ def ts_sample(state: RidgeState, params: ConfidenceParams, t: int,
 
 @dataclass
 class GpState:
-    dim: int
     lengthscale: float
     signal_var: float
     noise_var: float
@@ -154,14 +151,10 @@ def init_gp(dim: int, noise_var: float) -> GpState:
     """RBF-kernel GP with signal variance 1 and RKHS norm bound B = 1,
     over features rescaled by 1/FEATURE_HIGH into the unit box, where the
     lengthscale is 0.2*sqrt(dim). Its buffers start at 64 observations
-    and double when full."""
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    if not np.isfinite(noise_var) or noise_var <= 0.0:
-        raise ValueError(f"noise_var must be positive, got {noise_var!r}")
+    and double when full. ConfidenceParams checks dim >= 1, and
+    make_estimator floors noise_var, which RunConfig keeps finite."""
     cap = 64
     return GpState(
-        dim=int(dim),
         lengthscale=0.2 * math.sqrt(dim),
         signal_var=1.0,
         noise_var=float(noise_var),

@@ -35,15 +35,9 @@ class GoodnessDomainError(ValueError):
 def weights_from_rho(rho: float, n_agents: int) -> np.ndarray:
     """Geometric weights (1, rho, rho^2, ...) of length n_agents.
 
-    rho must lie in (0, 1]; rho = 1 yields all ones.
+    rho must lie in (0, 1], which GoodnessSpec checks, and n_agents must
+    be >= 1, which RunConfig checks; rho = 1 yields all ones.
     """
-    if not isinstance(n_agents, (int, np.integer)) or n_agents < 1:
-        raise ValueError(f"n_agents must be a positive integer, got {n_agents!r}")
-    if not np.isfinite(rho) or rho <= 0.0 or rho > 1.0:
-        raise ValueError(
-            f"rho must lie in (0, 1], got {rho!r}; for a pure-min objective pass "
-            "explicit weights (1, 0, ..., 0) instead"
-        )
     return np.power(float(rho), np.arange(n_agents, dtype=np.float64))
 
 

@@ -3,7 +3,10 @@
 A :class:`PrecisionState` tracks M = lam*I + sum_t v_t v_t^T together
 with its inverse (maintained by Sherman-Morrison rank-one updates) and
 log-determinant, so confidence widths and posterior draws never pay for
-a fresh factorization inside the round loop.
+a fresh factorization inside the round loop. Its dimension and
+regularizer come checked from ConfidenceParams; the checks here are the
+mid-run faults, a non-positive Sherman-Morrison denominator and a failed
+Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -35,12 +38,10 @@ def init_precision(dim: int, lam: float) -> PrecisionState:
     dim : int
         Feature dimension, at least 1.
     lam : float
-        Ridge regularizer, strictly positive.
+        Ridge regularizer, finite and strictly positive.
+
+    ConfidenceParams checks both; this function trusts them.
     """
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"lam must be finite and positive, got {lam!r}")
     lam = float(lam)
     return PrecisionState(
         dim=int(dim),

@@ -2,12 +2,11 @@
 sample, or by plain mean), push each score through the goodness
 function as a candidate allocation, and pick the argmax.
 
-Every policy starts with a round-robin pass over the agents (rounds
-1..N) so each ledger entry is positive before goodness functions that
-need it are evaluated. Ties in candidate goodness are broken uniformly
-at random within a relative tolerance of 1e-9; the tie draw is only
-taken when there is an actual tie, so deterministic variants consume
-identical rng streams.
+The simulator makes the round-robin picks of rounds 1..N itself; a
+policy chooses from round N+1 on. Ties in candidate goodness are broken
+uniformly at random within a relative tolerance of 1e-9; the tie draw is
+only taken when there is an actual tie, so deterministic variants
+consume identical rng streams.
 """
 
 from __future__ import annotations
@@ -50,29 +49,12 @@ class PolicyKind:
 
 
 @dataclass
-class UtilityLedger:
-    totals: np.ndarray
-    round: int = 1
-
-
-def init_ledger(n_agents: int) -> UtilityLedger:
-    if not isinstance(n_agents, (int, np.integer)) or n_agents < 1:
-        raise ValueError(f"n_agents must be a positive integer, got {n_agents!r}")
-    return UtilityLedger(totals=np.zeros(n_agents), round=1)
-
-
-@dataclass
 class AllocationDecision:
-    """The chosen agent; the score fields are None when the round scored
-    no agent (round-robin, uniform, epsilon exploration). A GP policy's
-    scored round keeps the conditioning on every context, whose column
-    for the chosen agent :func:`observe` appends to the factor."""
+    """The chosen agent. A GP policy's scored round keeps the conditioning
+    on every context, whose column for the chosen agent :func:`observe`
+    appends to the factor; it is None on a round that scored no agent."""
 
     agent: int
-    per_agent_scores: np.ndarray | None = None
-    per_agent_goodness: np.ndarray | None = None
-    was_round_robin: bool = False
-    was_exploration: bool = False
     gp_conditioning: estimators.GpConditioning | None = None
 
 
@@ -99,41 +81,23 @@ def _pick_max(values: np.ndarray, rng: np.random.Generator) -> int:
     return int(ties[rng.integers(ties.size)])
 
 
-def _ridge_scores(
-    kind: PolicyKind,
-    estimator,
-    params: estimators.ConfidenceParams,
-    t: int,
-    contexts: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    if kind.name == "ucb":
-        return estimators.ucb_scores(estimator, params, t, contexts)
-    if kind.name == "ts":
-        theta = estimators.ts_sample(estimator, params, t, rng)
-        return contexts @ theta
-    return contexts @ estimator.theta_hat
-
-
 def select_agent(
     kind: PolicyKind,
     spec: goodness.GoodnessSpec,
-    ledger: UtilityLedger,
+    totals: np.ndarray,
+    t: int,
     contexts: np.ndarray,
     estimator,
     params: estimators.ConfidenceParams,
     rng: np.random.Generator,
 ) -> AllocationDecision:
-    """Choose the agent for the current round. contexts is a float array
-    of shape (n_agents, dim), one row per agent; a non-finite candidate
-    goodness raises :class:`linalg.NumericError`."""
-    n = contexts.shape[0]
-    if ledger.round <= n:
-        return AllocationDecision(agent=(ledger.round - 1) % n, was_round_robin=True)
-    if kind.name == "uniform":
-        return AllocationDecision(agent=int(rng.integers(n)))
-    if kind.name == "greedy" and kind.epsilon > 0.0 and rng.random() < kind.epsilon:
-        return AllocationDecision(agent=int(rng.integers(n)), was_exploration=True)
+    """Choose the agent for round t > n_agents, given the ledger totals
+    (n_agents,) and contexts, a float array of shape (n_agents, dim), one
+    row per agent; a non-finite candidate goodness raises
+    :class:`linalg.NumericError`."""
+    explores = kind.name == "greedy" and kind.epsilon > 0.0 and rng.random() < kind.epsilon
+    if kind.name == "uniform" or explores:
+        return AllocationDecision(agent=int(rng.integers(len(contexts))))
     cond = None
     if kind.uses_gp:
         cond = estimators.gp_condition(estimator, contexts)
@@ -141,16 +105,15 @@ def select_agent(
             scores = estimators.gp_ucb_scores(estimator, params, cond)
         else:
             scores = estimators.gp_ts_scores(estimator, params, cond, rng)
+    elif kind.name == "ucb":
+        scores = estimators.ucb_scores(estimator, params, t, contexts)
+    elif kind.name == "ts":
+        scores = contexts @ estimators.ts_sample(estimator, params, t, rng)
     else:
-        scores = _ridge_scores(kind, estimator, params, ledger.round, contexts, rng)
+        scores = contexts @ estimator.theta_hat
     adds = np.maximum(scores, 0.0)
-    values = goodness.candidate_scores(spec, ledger.totals, adds)
-    return AllocationDecision(
-        agent=_pick_max(values, rng),
-        per_agent_scores=scores,
-        per_agent_goodness=values,
-        gp_conditioning=cond,
-    )
+    values = goodness.candidate_scores(spec, totals, adds)
+    return AllocationDecision(agent=_pick_max(values, rng), gp_conditioning=cond)
 
 
 def observe(
@@ -159,14 +122,11 @@ def observe(
     decision: AllocationDecision,
     contexts: np.ndarray,
     y: float,
-    ledger: UtilityLedger,
-):
-    """Record the realized utility y of the agent decision chose from
-    contexts, the round's (n_agents, dim) array, and advance the round;
-    uniform keeps no estimate, so only the ledger moves."""
+) -> None:
+    """Fold the realized utility y of the agent decision chose from
+    contexts, the round's (n_agents, dim) array, into the estimator;
+    uniform keeps no estimate."""
     agent = decision.agent
-    ledger.totals[agent] += y
-    ledger.round += 1
     if kind.uses_ridge:
         estimators.ridge_update(estimator, contexts[agent], y)
     elif kind.uses_gp:
@@ -175,4 +135,3 @@ def observe(
             # a round-robin round conditioned nothing while choosing
             cond, col = estimators.gp_condition(estimator, contexts[agent : agent + 1]), 0
         estimators.gp_update(estimator, cond.scaled[col], cond.v[:, col], y)
-    return estimator, ledger

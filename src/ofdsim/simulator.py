@@ -8,6 +8,11 @@ feed the noisy realized utility to the ledger and the estimator. The
 regret comparison uses true utilities on both sides while the ledger
 accumulates noisy observations; that asymmetry is deliberate.
 
+Rounds 1..N are a round-robin warm start: round t goes to agent t-1 and
+draws nothing, so every ledger entry is positive before a goodness that
+needs it is evaluated. Under NSW and log-NSW those rounds carry zero
+regret.
+
 Each run splits its seed into four independent streams (instance,
 items, noise, policy), so replaying a config is bit-reproducible and
 policies sharing a seed face identical instances and item sequences.
@@ -130,7 +135,7 @@ def run_single(config: RunConfig) -> RunTrace:
     kind = config.policy
     n = config.n_agents
     horizon = config.horizon
-    ledger = policies.init_ledger(n)
+    totals = np.zeros(n)
     estimator = policies.make_estimator(kind, config.confidence)
     # goodness kinds that cannot see the all-zero warm-start ledger
     needs_positive = spec.kind in (goodness.NSW, goodness.LOG_NSW)
@@ -147,30 +152,30 @@ def run_single(config: RunConfig) -> RunTrace:
         contexts = environment.draw_item(instance, item_rng)
         truths = environment.true_utilities(instance, contexts)
         try:
-            decision = policies.select_agent(
-                kind, spec, ledger, contexts, estimator,
-                config.confidence, policy_rng,
-            )
-            if needs_positive and t <= n:
-                # product-style goodness is undefined on zero ledgers;
-                # the warm-start rounds carry zero regret by definition
-                best = decision.agent
-                gap = 0.0
+            warm = t <= n
+            if warm:
+                decision = policies.AllocationDecision(t - 1)
+            else:
+                decision = policies.select_agent(
+                    kind, spec, totals, t, contexts, estimator, config.confidence, policy_rng
+                )
+            pick = decision.agent
+            if warm and needs_positive:
+                best, gap = pick, 0.0
             else:
                 # the one-step oracle; argmax breaks ties to the lowest index,
                 # and to the first NaN, which leaves gap NaN
-                values = goodness.candidate_scores(spec, ledger.totals, truths)
+                values = goodness.candidate_scores(spec, totals, truths)
                 best = int(np.argmax(values))
-                gap = max(float(values[best]) - float(values[decision.agent]), 0.0)
+                gap = max(float(values[best]) - float(values[pick]), 0.0)
                 if not math.isfinite(gap):
                     raise goodness.GoodnessDomainError("oracle candidate goodness is not finite")
-            pick = decision.agent
             y = float(truths[pick])
             if noise_r > 0.0:
                 y += noise_rng.normal(0.0, noise_r)
-            policies.observe(kind, estimator, decision, contexts, y, ledger)
+            totals[pick] += y
+            policies.observe(kind, estimator, decision, contexts, y)
         except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
-            totals = ledger.totals
             low = int(np.argmin(totals))
             raise RunAbortedError(
                 f"run seed={config.seed} aborted at round {t}: {exc}; ledger of {n} agents: "
@@ -193,7 +198,7 @@ def run_single(config: RunConfig) -> RunTrace:
         realized=realized,
         inst_regret=inst_regret,
         cum_regret=cum_regret,
-        final_totals=ledger.totals.copy(),
+        final_totals=totals,
     )
 
 

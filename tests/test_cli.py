@@ -166,9 +166,24 @@ def test_unknown_policy_and_goodness():
         cli.validate_config(make_ns(policy="ucb", goodness="median"))
 
 
-def test_preset_conflicts_with_structural_flags():
-    with pytest.raises(ConfigError, match="cannot be combined"):
-        cli.validate_config(make_ns(preset="fig1-linear-d4", horizon=100))
+def test_preset_conflicts_with_structural_flags(tmp_path):
+    # a preset fixes every run option, so any of them given with it is an error
+    cases = [("horizon", 100, "horizon"), ("goodness", "nsw", "goodness"),
+             ("reg_lambda", 5.0, "lambda"), ("noise_r", 0.3, "noise-r"),
+             ("delta", 0.2, "delta"), ("epsilon", 0.7, "epsilon")]
+    for dest, value, flag in cases:
+        with pytest.raises(ConfigError) as exc_info:
+            cli.validate_config(make_ns(preset="fig1-square", **{dest: value}))
+        assert exc_info.value.problems == [f"--{flag} cannot be combined with --preset"]
+    # the same options set in a config file
+    path = tmp_path / "run.cfg"
+    path.write_text("preset = fig1-square\nseed = 4\nlambda = 5\nepsilon = 0.7\n")
+    with pytest.raises(ConfigError) as exc_info:
+        cli.validate_config(make_ns(config=str(path)))
+    assert exc_info.value.problems == [
+        "--lambda cannot be combined with --preset",
+        "--epsilon cannot be combined with --preset",
+    ]
 
 
 def test_targeted_requires_ratios():
@@ -221,6 +236,16 @@ def test_environment_seed_default(monkeypatch):
     b = cli.validate_config(make_ns(policy="ucb", reps=2, seed=77))
     assert a.seed == b.seed == 77
     assert a.entries[0].seeds == b.entries[0].seeds
+
+
+def test_malformed_environment_seed_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OFD_SEED", "abc")
+    args = ["run", "--policy", "ucb", "--reps", "1", "--horizon", "20",
+            "--out", str(tmp_path / "x")]
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == (
+        "config error: OFD_SEED must be a non-negative integer, got 'abc'\n"
+    )
 
 
 def test_plan_header_resolved_from_file_and_flags(tmp_path):
@@ -375,9 +400,12 @@ def test_goodness_abort_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, names",
     [
-        # M^-1 = I/lambda loses definiteness to round-off by round 10
+        # M^-1 = I/lambda loses definiteness to round-off by round 10; the
+        # ledger already holds round 10's utility, given to agent 9
         (["--policy", "ucb", "--lambda", "1e-15", "--agents", "10", "--horizon", "20"],
-         ["round 10", "after 9 updates"]),
+         ["run aborted: run seed=15793235383387715774 aborted at round 10: Sherman-Morrison "
+          "denominator -5.613e+00 is not positive after 9 updates; ledger of 10 agents: "
+          "min 5.036029756395931 (agent 9), max 15.327921728420566\n"]),
         # a noisy ledger goes negative under log-nsw
         (["--policy", "ucb", "--noise-r", "1e6", "--goodness", "log-nsw", "--agents", "5",
           "--horizon", "500"], ["round 6", "got min -1819064.68"]),

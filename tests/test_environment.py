@@ -89,20 +89,6 @@ def test_feature_coordinate_mean():
     assert draws.mean() == pytest.approx(5.0, abs=0.05)
 
 
-def test_instance_validation():
-    with pytest.raises(ValueError):
-        make_instance([1.0, 1.0], [[3.0]])  # not unit norm
-    with pytest.raises(ValueError):
-        make_instance([1.0, 0.0], [[11.0]])  # feature out of range
-    with pytest.raises(ValueError):
-        ProblemInstance(
-            n_agents=1, item_dim=0, agent_dim=2, agent_features=np.array([[1.0, 2.0]]),
-            theta_star=np.array([1.0, 0.0]), utility_kind="linear", noise_r=0.0,
-        )
-    with pytest.raises(ValueError):
-        make_instance([1.0, 0.0], [[3.0]], kind="cubic")
-
-
 def test_draw_item_concatenation_layout():
     inst = environment.generate_instance(5, 3, 2, "linear", 0.0, np.random.default_rng(2))
     ctx = environment.draw_item(inst, np.random.default_rng(3))

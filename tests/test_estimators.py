@@ -111,8 +111,6 @@ def test_alpha_closed_form_and_monotonicity():
     assert estimators.alpha_t(p, 1000) == pytest.approx(expected, rel=1e-12)
     values = [estimators.alpha_t(p, t) for t in (1, 2, 10, 100, 10**4)]
     assert all(lo < hi for lo, hi in zip(values, values[1:]))
-    with pytest.raises(ValueError):
-        estimators.alpha_t(p, 0)
 
 
 def test_ucb_score_empty_history():
@@ -160,8 +158,6 @@ def test_beta_closed_form():
     assert estimators.beta_t(p, 100) == pytest.approx(
         0.1 * math.sqrt(9 * 4 * math.log(100 / 0.05)), rel=1e-12
     )
-    with pytest.raises(ValueError):
-        estimators.beta_t(p, 0)
 
 
 def test_ts_degenerate_scale_returns_mean_prediction():
@@ -221,20 +217,25 @@ def _posterior(gp, xs):
 
 
 def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42):
-    """Run a GP policy through select_agent and observe, as the simulator
-    does, on fresh uniform contexts and y = |x/10|^2; yields the state
-    after each round."""
+    """Run a GP policy as the simulator does, round robin for the first
+    n_agents rounds and select_agent after, then observe, on fresh uniform
+    contexts and y = |x/10|^2; yields the state after each round."""
     kind = PolicyKind(name)
     params = ConfidenceParams.defaults(dim, noise_r=noise_r)
     spec = GoodnessSpec("weighted-gini", rho=0.85)
-    ledger = policies.init_ledger(n_agents)
+    totals = np.zeros(n_agents)
     gp = policies.make_estimator(kind, params)
     rng = np.random.default_rng(seed)
-    for _ in range(rounds):
+    for t in range(1, rounds + 1):
         contexts = rng.uniform(0.0, 10.0, (n_agents, dim))
-        decision = policies.select_agent(kind, spec, ledger, contexts, gp, params, rng)
+        if t <= n_agents:
+            decision = policies.AllocationDecision(t - 1)
+        else:
+            decision = policies.select_agent(kind, spec, totals, t, contexts, gp, params, rng)
         x = contexts[decision.agent]
-        policies.observe(kind, gp, decision, contexts, float(np.sum((x / 10.0) ** 2)), ledger)
+        y = float(np.sum((x / 10.0) ** 2))
+        totals[decision.agent] += y
+        policies.observe(kind, gp, decision, contexts, y)
         yield gp
 
 
@@ -243,13 +244,6 @@ def test_gp_prior_point():
     means, stds = _posterior(gp, np.array([[3.0, 4.0]]))
     assert means[0] == 0.0
     assert stds[0] == pytest.approx(1.0)
-
-
-def test_gp_init_validation():
-    with pytest.raises(ValueError):
-        estimators.init_gp(0, noise_var=0.01)
-    with pytest.raises(ValueError):
-        estimators.init_gp(2, noise_var=0.0)
 
 
 def test_gp_default_lengthscale_scales_with_dim():

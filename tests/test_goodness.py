@@ -27,12 +27,6 @@ def test_weights_from_rho_small_rho_approaches_min_weights():
     np.testing.assert_allclose(w, [1.0, 0.0, 0.0], atol=1e-8)
 
 
-def test_weights_from_rho_rejects_out_of_range():
-    for rho in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            goodness.weights_from_rho(rho, 3)
-
-
 def test_esw_weights():
     np.testing.assert_array_equal(goodness.esw_weights(4), [1.0, 0.0, 0.0, 0.0])
 

@@ -1,20 +1,22 @@
-"""Agent selection: warm start, goodness argmax, exploration paths."""
+"""Agent selection: warm start, goodness argmax, exploration paths,
+estimator updates. The simulator makes the warm-start picks itself."""
 
 import numpy as np
 import pytest
 
-from ofdsim import estimators, linalg, policies
+from ofdsim import estimators, goodness, linalg, policies
 from ofdsim.estimators import ConfidenceParams
 from ofdsim.goodness import GoodnessSpec
 from ofdsim.policies import PolicyKind
+from ofdsim.simulator import RunConfig, run_single
 
 
 def make_setup(n=4, dim=3, rho=0.85):
     spec = GoodnessSpec("weighted-gini", rho=rho)
     params = ConfidenceParams.defaults(dim)
-    ledger = policies.init_ledger(n)
+    totals = np.zeros(n)
     contexts = np.random.default_rng(0).uniform(0.0, 10.0, (n, dim))
-    return spec, params, ledger, contexts
+    return spec, params, totals, contexts
 
 
 class TestPolicyKind:
@@ -41,12 +43,6 @@ class TestPolicyKind:
             PolicyKind("greedy", epsilon=1.5)
 
 
-def test_init_ledger():
-    ledger = policies.init_ledger(3)
-    np.testing.assert_array_equal(ledger.totals, np.zeros(3))
-    assert ledger.round == 1
-
-
 def test_make_estimator_dispatch():
     params = ConfidenceParams.defaults(4)
     assert isinstance(policies.make_estimator(PolicyKind("ucb"), params), estimators.RidgeState)
@@ -62,31 +58,46 @@ def test_gp_estimator_noise_floor():
 
 
 def test_round_robin_first_n_rounds():
-    spec, params, ledger, contexts = make_setup(n=4)
-    est = policies.make_estimator(PolicyKind("ucb"), params)
-    rng = np.random.default_rng(1)
-    for expected in range(4):
-        decision = policies.select_agent(
-            PolicyKind("ucb"), spec, ledger, contexts, est, params, rng
+    n = 4
+    trace = run_single(
+        RunConfig(
+            horizon=12,
+            seed=1,
+            policy=PolicyKind("gp-ucb"),
+            goodness=GoodnessSpec("weighted-gini", rho=0.85),
+            n_agents=n,
+            item_dim=2,
+            agent_dim=1,
         )
-        assert decision.agent == expected
-        assert decision.was_round_robin
-        assert decision.per_agent_scores is None and decision.per_agent_goodness is None
-        policies.observe(PolicyKind("ucb"), est, decision, contexts, 1.0, ledger)
-    decision = policies.select_agent(PolicyKind("ucb"), spec, ledger, contexts, est, params, rng)
-    assert not decision.was_round_robin
-    assert decision.per_agent_scores.shape == decision.per_agent_goodness.shape == (4,)
+    )
+    np.testing.assert_array_equal(trace.chosen[:n], np.arange(n))
+    # a warm-start round scores no agent, yet observe still conditions
+    # the GP on the chosen agent's context
+    params = ConfidenceParams.defaults(3)
+    est = policies.make_estimator(PolicyKind("gp-ucb"), params)
+    contexts = np.random.default_rng(1).uniform(0.0, 1.0, (n, 3))
+    for agent in range(n):
+        decision = policies.AllocationDecision(agent)
+        assert decision.gp_conditioning is None
+        policies.observe(PolicyKind("gp-ucb"), est, decision, contexts, 1.0)
+    assert est.n_obs == n
+    np.testing.assert_allclose(est.inputs[:n], contexts / est.feature_scale)
 
 
 def test_round_robin_applies_to_every_policy():
     for name in policies.POLICY_NAMES:
-        spec, params, ledger, contexts = make_setup(n=3)
-        est = policies.make_estimator(PolicyKind(name), params)
-        decision = policies.select_agent(
-            PolicyKind(name), spec, ledger, contexts, est, params, np.random.default_rng(2)
+        trace = run_single(
+            RunConfig(
+                horizon=5,
+                seed=2,
+                policy=PolicyKind(name),
+                goodness=GoodnessSpec("weighted-gini", rho=0.85),
+                n_agents=3,
+                item_dim=2,
+                agent_dim=1,
+            )
         )
-        assert decision.agent == 0
-        assert decision.was_round_robin
+        np.testing.assert_array_equal(trace.chosen[:3], np.arange(3), err_msg=name)
 
 
 def test_min_weights_pick_lowest_total_on_equal_scores():
@@ -94,103 +105,91 @@ def test_min_weights_pick_lowest_total_on_equal_scores():
     # is the only candidate that raises the min
     spec = GoodnessSpec("weighted-gini", weights=np.array([1.0, 0.0, 0.0]))
     params = ConfidenceParams.defaults(2)
-    ledger = policies.init_ledger(3)
-    ledger.totals[:] = (5.0, 1.0, 3.0)
-    ledger.round = 4
+    totals = np.array([5.0, 1.0, 3.0])
     contexts = np.ones((3, 2))
     est = policies.make_estimator(PolicyKind("ucb"), params)
     decision = policies.select_agent(
-        PolicyKind("ucb"), spec, ledger, contexts, est, params, np.random.default_rng(3)
+        PolicyKind("ucb"), spec, totals, 4, contexts, est, params, np.random.default_rng(3)
     )
     assert decision.agent == 1
-    assert decision.per_agent_goodness[1] == decision.per_agent_goodness.max()
+    adds = np.maximum(estimators.ucb_scores(est, params, 4, contexts), 0.0)
+    values = goodness.candidate_scores(spec, totals, adds)
+    assert values[1] == values.max() > values[0]
 
 
 def test_usw_picks_largest_score_on_equal_totals():
     spec = GoodnessSpec("weighted-gini", rho=1.0)
     params = ConfidenceParams.defaults(2, noise_r=0.0)
-    ledger = policies.init_ledger(3)
-    ledger.totals[:] = 2.0
-    ledger.round = 4
+    totals = np.full(3, 2.0)
     est = estimators.init_ridge(2, params.lam)
     estimators.ridge_update(est, np.array([1.0, 0.0]), 5.0)
     # alpha = sqrt(lam)*S is constant across agents at equal widths, so
     # the ranking follows the mean scores
     contexts = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
     decision = policies.select_agent(
-        PolicyKind("ucb"), spec, ledger, contexts, est, params, np.random.default_rng(4)
+        PolicyKind("ucb"), spec, totals, 4, contexts, est, params, np.random.default_rng(4)
     )
     assert decision.agent == 1
 
 
 def test_uniform_frequencies():
-    spec, params, ledger, contexts = make_setup(n=10, dim=4)
-    ledger.round = 11
+    spec, params, totals, contexts = make_setup(n=10, dim=4)
     rng = np.random.default_rng(3)
     counts = np.zeros(10)
     for _ in range(10**5):
         decision = policies.select_agent(
-            PolicyKind("uniform"), spec, ledger, contexts, None, params, rng
+            PolicyKind("uniform"), spec, totals, 11, contexts, None, params, rng
         )
         counts[decision.agent] += 1
     np.testing.assert_allclose(counts / 10**5, np.full(10, 0.1), atol=0.01)
 
 
 def test_greedy_exploration_coin():
-    spec, params, ledger, contexts = make_setup(n=5, dim=3)
-    ledger.totals[:] = 1.0
-    ledger.round = 6
+    spec, params, totals, contexts = make_setup(n=5, dim=3)
+    totals[:] = 1.0
     est = estimators.init_ridge(3, params.lam)
     rng = np.random.default_rng(5)
     kind = PolicyKind("greedy", epsilon=1.0)  # always explores
     hits = np.zeros(5)
     for _ in range(2000):
-        decision = policies.select_agent(kind, spec, ledger, contexts, est, params, rng)
-        assert decision.was_exploration and decision.per_agent_scores is None
+        decision = policies.select_agent(kind, spec, totals, 6, contexts, est, params, rng)
+        # exploring scores no agent, so it carries no GP conditioning either
+        assert decision.gp_conditioning is None
         hits[decision.agent] += 1
     assert hits.min() > 0  # exploration may land on any agent
 
 
-def test_observe_updates_ledger_and_estimator():
+def test_observe_updates_estimator():
     params = ConfidenceParams.defaults(2)
-    ledger = policies.init_ledger(2)
     est = estimators.init_ridge(2, params.lam)
     contexts = np.array([[5.0, 5.0], [1.0, 2.0]])
-    policies.observe(
-        PolicyKind("ucb"), est, policies.AllocationDecision(agent=1), contexts, 3.0, ledger
-    )
-    np.testing.assert_array_equal(ledger.totals, [0.0, 3.0])
-    assert ledger.round == 2
+    policies.observe(PolicyKind("ucb"), est, policies.AllocationDecision(agent=1), contexts, 3.0)
     assert est.precision.n_updates == 1
     np.testing.assert_array_equal(est.moment, 3.0 * contexts[1])
 
 
 def test_observe_uniform_skips_estimator():
-    params = ConfidenceParams.defaults(2)
-    ledger = policies.init_ledger(2)
-    est, out_ledger = policies.observe(
-        PolicyKind("uniform"), None, policies.AllocationDecision(agent=0), np.ones((2, 2)),
-        2.0, ledger,
+    # uniform has no estimator; observe must not touch the None it is given
+    policies.observe(
+        PolicyKind("uniform"), None, policies.AllocationDecision(agent=0), np.ones((2, 2)), 2.0
     )
-    assert est is None
-    assert out_ledger.totals[0] == 2.0
 
 
 def test_observe_counts_invariant():
     params = ConfidenceParams.defaults(2)
     spec = GoodnessSpec("weighted-gini", rho=0.9)
-    ledger = policies.init_ledger(3)
+    totals = np.ones(3)
     est = policies.make_estimator(PolicyKind("ucb"), params)
     rng = np.random.default_rng(6)
     contexts = rng.uniform(0.0, 10.0, (3, 2))
-    for t in range(1, 41):
+    for t in range(4, 44):
         decision = policies.select_agent(
-            PolicyKind("ucb"), spec, ledger, contexts, est, params, rng
+            PolicyKind("ucb"), spec, totals, t, contexts, est, params, rng
         )
-        policies.observe(
-            PolicyKind("ucb"), est, decision, contexts, float(rng.uniform(0.1, 2.0)), ledger
-        )
-        assert ledger.round == t + 1
+        y = float(rng.uniform(0.1, 2.0))
+        totals[decision.agent] += y
+        policies.observe(PolicyKind("ucb"), est, decision, contexts, y)
+        assert est.precision.n_updates == t - 3
 
 
 def test_greedy_zero_epsilon_equals_ucb_zero_alpha():
@@ -204,14 +203,21 @@ def test_greedy_zero_epsilon_equals_ucb_zero_alpha():
     truths = items.sum(axis=2) / 10.0
 
     def run(kind):
-        ledger = policies.init_ledger(n)
+        totals = np.zeros(n)
         est = policies.make_estimator(kind, params)
         rng = np.random.default_rng(8)
         sequence = []
-        for t in range(rounds):
-            decision = policies.select_agent(kind, spec, ledger, items[t], est, params, rng)
+        for t in range(1, rounds + 1):
+            if t <= n:
+                decision = policies.AllocationDecision(t - 1)
+            else:
+                decision = policies.select_agent(
+                    kind, spec, totals, t, items[t - 1], est, params, rng
+                )
             a = decision.agent
-            policies.observe(kind, est, decision, items[t], float(truths[t][a]), ledger)
+            y = float(truths[t - 1][a])
+            totals[a] += y
+            policies.observe(kind, est, decision, items[t - 1], y)
             sequence.append(a)
         return sequence
 
@@ -223,17 +229,21 @@ def test_scores_clamped_before_goodness():
     # the candidate goodness below the no-allocation baseline
     spec = GoodnessSpec("weighted-gini", rho=1.0)
     params = ConfidenceParams.defaults(2, noise_r=0.0)
-    ledger = policies.init_ledger(2)
-    ledger.totals[:] = (4.0, 2.0)
-    ledger.round = 3
+    totals = np.array([4.0, 2.0])
     est = estimators.init_ridge(2, params.lam)
     estimators.ridge_update(est, np.array([1.0, 0.0]), -5.0)
-    contexts = np.array([[1.0, 0.0], [1.0, 0.0]])
-    decision = policies.select_agent(
-        PolicyKind("greedy", epsilon=0.0), spec, ledger, contexts, est, params,
-        np.random.default_rng(9),
-    )
-    assert np.all(decision.per_agent_goodness >= 6.0 - 1e-12)
+    contexts = np.array([[1.0, 0.0], [2.0, 0.0]])
+    assert np.all(contexts @ est.theta_hat < 0.0)
+    # clamped, both candidates tie at the no-allocation goodness 6 and the
+    # pick is a tie draw; unclamped, agent 1's lower score would lose always
+    picks = {
+        policies.select_agent(
+            PolicyKind("greedy", epsilon=0.0), spec, totals, 3, contexts, est, params,
+            np.random.default_rng(seed),
+        ).agent
+        for seed in range(20)
+    }
+    assert picks == {0, 1}
 
 
 @pytest.mark.parametrize(
@@ -248,12 +258,11 @@ def test_scores_clamped_before_goodness():
 )
 def test_select_agent_rejects_non_finite_goodness(spec):
     # a NaN estimate makes every candidate NaN; the argmax must not pick one
-    _, params, ledger, contexts = make_setup(n=4)
-    ledger.totals[:] = 1.0
-    ledger.round = 5
+    _, params, totals, contexts = make_setup(n=4)
+    totals[:] = 1.0
     est = estimators.init_ridge(3, params.lam)
     est.theta_hat[:] = np.nan
     with pytest.raises(linalg.NumericError, match="not finite"):
         policies.select_agent(
-            PolicyKind("ucb"), spec, ledger, contexts, est, params, np.random.default_rng(0)
+            PolicyKind("ucb"), spec, totals, 5, contexts, est, params, np.random.default_rng(0)
         )

@@ -142,9 +142,18 @@ def test_ledger_totals_accumulate_realized_values():
 
 
 def test_all_policies_run_and_stay_finite():
+    chosen = {}
     for name in ("ucb", "ts", "greedy", "uniform", "gp-ucb", "gp-ts"):
         trace = simulator.run_single(make_config(policy=PolicyKind(name), horizon=30, seed=7))
         assert np.all(np.isfinite(trace.cum_regret)), name
+        # every policy starts with one round-robin pass over the 4 agents
+        np.testing.assert_array_equal(trace.chosen[:4], np.arange(4), err_msg=name)
+        chosen[name] = trace.chosen
+    # uniform's later picks are the policy stream's first draws, so the
+    # round-robin rounds took none of them
+    policy_rng = np.random.default_rng(np.random.SeedSequence(7).spawn(4)[3])
+    draws = [policy_rng.integers(4) for _ in range(26)]
+    np.testing.assert_array_equal(chosen["uniform"][4:], draws)
 
 
 def test_square_runs_under_gp():

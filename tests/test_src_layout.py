@@ -1,4 +1,5 @@
-"""src/ holds what the simulator runs: no public definition that only tests use."""
+"""src/ holds what the simulator runs: no public definition that only
+tests use, and no state field that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,10 @@ from pathlib import Path
 import ofdsim
 
 PACKAGE = Path(ofdsim.__file__).parent
+VERIFIER = Path(__file__).resolve().parents[1] / "perfbench" / "verify.py"
+# the state a run carries from round to round; RunTrace and AggregateSeries
+# are the run's output and are read by whoever asked for it
+STATE_CLASSES = ("PrecisionState", "RidgeState", "GpState", "AllocationDecision")
 
 
 def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -41,3 +46,36 @@ def test_every_public_definition_is_used_in_src():
             if node.name not in used:
                 unused.append(f"{filename}:{node.name}")
     assert not unused, f"public definitions no code in src/ofdsim refers to: {unused}"
+
+
+def _read_attributes(tree: ast.AST) -> set[str]:
+    """Attribute names tree reads. Assigning into an attribute's elements
+    (x.a[i] = v, x.a[i] += v) writes it and is no read."""
+    written = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in written
+    }
+
+
+def test_every_state_field_is_read():
+    # the benchmark's verifier checks the ridge state's m_mat and log_det,
+    # so it counts as a reader
+    trees = [ast.parse(path.read_text()) for path in (*sorted(PACKAGE.glob("*.py")), VERIFIER)]
+    read = set().union(*map(_read_attributes, trees))
+    unread = [
+        f"{node.name}.{stmt.target.id}"
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in STATE_CLASSES
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+    ]
+    assert not unread, f"state fields that nothing in src/ofdsim or the verifier reads: {unread}"
