@@ -263,9 +263,11 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
         try:
             base_seed = int(env_seed)
         except ValueError:
+            base_seed = -1
+        if base_seed < 0:
             problems.append(f"OFD_SEED must be a non-negative integer, got {env_seed!r}")
             base_seed = 0
-    if base_seed < 0:
+    elif base_seed < 0:
         problems.append(f"seed must be non-negative, got {base_seed}")
     if reps < 1:
         problems.append(f"reps must be >= 1, got {reps}")
@@ -497,12 +499,7 @@ def run_command(ns: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command == "run":
-        return run_command(ns)
-    parser.error(f"unknown command {ns.command!r}")
-    return 2
+    return run_command(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

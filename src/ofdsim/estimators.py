@@ -131,6 +131,9 @@ def ts_sample(state: RidgeState, params: ConfidenceParams, t: int,
 # ---------------------------------------------------------------------------
 # Gaussian-process posterior
 
+# RunConfig caps a GP policy's noise_r here, so its noise variance noise_r**2 stays finite
+GP_MAX_NOISE_R = math.sqrt(np.finfo(float).max)
+
 
 @dataclass
 class GpState:
@@ -151,13 +154,14 @@ def init_gp(dim: int, noise_var: float) -> GpState:
     """RBF-kernel GP with signal variance 1 and RKHS norm bound B = 1,
     over features rescaled by 1/FEATURE_HIGH into the unit box, where the
     lengthscale is 0.2*sqrt(dim). Its buffers start at 64 observations
-    and double when full. ConfidenceParams checks dim >= 1, and
-    make_estimator floors noise_var, which RunConfig keeps finite."""
+    and double when full. noise_var is floored at 1e-10, which keeps a
+    noiseless run's Gram matrix regular; ConfidenceParams checks dim >= 1
+    and RunConfig keeps noise_var finite."""
     cap = 64
     return GpState(
         lengthscale=0.2 * math.sqrt(dim),
         signal_var=1.0,
-        noise_var=float(noise_var),
+        noise_var=max(float(noise_var), 1e-10),
         bound_b=1.0,
         feature_scale=FEATURE_HIGH,
         inputs=np.empty((cap, dim)),

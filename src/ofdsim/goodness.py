@@ -26,6 +26,7 @@ NSW = "nsw"
 LOG_NSW = "log-nsw"
 TARGETED = "targeted"
 KINDS = (WEIGHTED_GINI, NSW, LOG_NSW, TARGETED)
+POSITIVE_LEDGER_KINDS = (NSW, LOG_NSW)
 
 
 class GoodnessDomainError(ValueError):
@@ -113,7 +114,7 @@ class GoodnessSpec:
 
 
 def _require_positive(spec: GoodnessSpec, u: np.ndarray) -> None:
-    if spec.kind in (NSW, LOG_NSW) and np.any(u <= 0.0):
+    if spec.kind in POSITIVE_LEDGER_KINDS and np.any(u <= 0.0):
         raise GoodnessDomainError(
             f"{spec.kind} requires strictly positive utilities, got min {float(u.min())!r}"
         )

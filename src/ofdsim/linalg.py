@@ -1,12 +1,13 @@
 """Incremental precision-matrix algebra for regularized least squares.
 
-A :class:`PrecisionState` tracks M = lam*I + sum_t v_t v_t^T together
-with its inverse (maintained by Sherman-Morrison rank-one updates) and
-log-determinant, so confidence widths and posterior draws never pay for
-a fresh factorization inside the round loop. Its dimension and
-regularizer come checked from ConfidenceParams; the checks here are the
-mid-run faults, a non-positive Sherman-Morrison denominator and a failed
-Cholesky factorization.
+A :class:`PrecisionState` tracks M = lam*I + sum_t v_t v_t^T, its
+inverse by Sherman-Morrison rank-one updates, and its log-determinant.
+The round loop reads only the inverse, and posterior sampling factorizes
+it afresh on every draw; M and the log-determinant are kept for the
+benchmark's state verifier. The dimension and regularizer come checked
+from ConfidenceParams; the checks here are the mid-run faults, a
+non-positive Sherman-Morrison denominator and a failed Cholesky
+factorization.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
     (dim,), into M, its inverse and log det.
 
     Mutates ``state`` in place and returns it; a symmetric M^-1 stays
-    exactly symmetric. A Sherman-Morrison denominator 1 + v^T M^-1 v that
-    is not positive (M^-1 has lost definiteness to round-off) raises
+    exactly symmetric, since z_i*z_j = z_j*z_i in floating point. A
+    Sherman-Morrison denominator 1 + v^T M^-1 v that is not positive
+    (M^-1 has lost definiteness to round-off) raises
     :class:`NumericError` and leaves ``state`` unchanged.
     """
     z = state.m_inv @ v
@@ -70,8 +72,6 @@ def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
         )
     state.m_mat += np.outer(v, v)
     state.m_inv -= np.outer(z, z) / denom
-    # re-symmetrize to stop round-off drift from accumulating
-    state.m_inv[:] = 0.5 * (state.m_inv + state.m_inv.T)
     state.log_det += math.log(denom)
     state.n_updates += 1
     return state

@@ -63,9 +63,8 @@ def make_estimator(kind: PolicyKind, params: estimators.ConfidenceParams):
     if kind.uses_ridge:
         return estimators.init_ridge(params.dim, params.lam)
     if kind.uses_gp:
-        # GP observation noise follows the sub-Gaussian parameter; floor
-        # it so a noiseless configuration keeps the Gram matrix regular
-        return estimators.init_gp(params.dim, noise_var=max(params.noise_r**2, 1e-10))
+        # GP observation noise follows the sub-Gaussian parameter
+        return estimators.init_gp(params.dim, params.noise_r**2)
     return None
 
 

@@ -21,16 +21,14 @@ policies sharing a seed face identical instances and item sequences.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import environment, goodness, linalg, policies
-from .estimators import ConfidenceParams
+from .estimators import GP_MAX_NOISE_R, ConfidenceParams
 
 MAX_HORIZON = 10**6
-GP_MAX_NOISE_R = math.sqrt(sys.float_info.max)
 
 
 class RunAbortedError(RuntimeError):
@@ -96,7 +94,6 @@ class RunConfig:
                 f"{self.item_dim + self.agent_dim}"
             )
         if self.policy.uses_gp and self.confidence.noise_r > GP_MAX_NOISE_R:
-            # the GP takes noise_r**2 as its noise variance, which must stay finite
             raise ValueError(
                 f"noise_r {self.confidence.noise_r!r} is too large for a GP policy "
                 f"(at most {GP_MAX_NOISE_R!r})"
@@ -137,17 +134,15 @@ def run_single(config: RunConfig) -> RunTrace:
     horizon = config.horizon
     totals = np.zeros(n)
     estimator = policies.make_estimator(kind, config.confidence)
-    # goodness kinds that cannot see the all-zero warm-start ledger
-    needs_positive = spec.kind in (goodness.NSW, goodness.LOG_NSW)
+    # these kinds cannot score the warm start's zero ledger entries
+    needs_positive = spec.kind in goodness.POSITIVE_LEDGER_KINDS
 
     chosen = np.empty(horizon, dtype=np.int64)
     oracle = np.empty(horizon, dtype=np.int64)
     realized = np.empty(horizon)
     inst_regret = np.empty(horizon)
-    cum_regret = np.empty(horizon)
     noise_r = instance.noise_r
 
-    running = 0.0
     for t in range(1, horizon + 1):
         contexts = environment.draw_item(instance, item_rng)
         truths = environment.true_utilities(instance, contexts)
@@ -187,8 +182,6 @@ def run_single(config: RunConfig) -> RunTrace:
         oracle[idx] = best
         realized[idx] = y
         inst_regret[idx] = gap
-        running += gap
-        cum_regret[idx] = running
 
     return RunTrace(
         seed=config.seed,
@@ -197,7 +190,7 @@ def run_single(config: RunConfig) -> RunTrace:
         oracle=oracle,
         realized=realized,
         inst_regret=inst_regret,
-        cum_regret=cum_regret,
+        cum_regret=np.cumsum(inst_regret),
         final_totals=totals,
     )
 
@@ -211,12 +204,17 @@ class AggregateSeries:
     final_metrics: dict
 
 
-def _mean_ci(values: np.ndarray) -> tuple[float, float]:
+def _ci95(samples: np.ndarray) -> np.ndarray:
+    """95% CI half-width of the mean over axis 0: 1.96*sd/sqrt(n), 0 for n = 1."""
+    n = len(samples)
+    if n < 2:
+        return np.zeros(samples.shape[1:])
+    return 1.96 * samples.std(axis=0, ddof=1) / math.sqrt(n)
+
+
+def _mean_ci(values) -> tuple[float, float]:
     values = np.asarray(values, dtype=np.float64)
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(1.96 * values.std(ddof=1) / math.sqrt(values.size))
+    return float(values.mean()), float(_ci95(values))
 
 
 def aggregate(traces: list[RunTrace]) -> AggregateSeries:
@@ -234,11 +232,6 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     if any(tr.horizon != horizon for tr in traces):
         raise ValueError("all traces must share one horizon")
     stacked = np.stack([tr.cum_regret for tr in traces])
-    mean = stacked.mean(axis=0)
-    if len(traces) < 2:
-        ci95 = np.zeros(horizon)
-    else:
-        ci95 = 1.96 * stacked.std(axis=0, ddof=1) / math.sqrt(len(traces))
     finals = np.stack([tr.final_totals for tr in traces])
     scored = finals[~np.any(finals < 0.0, axis=1)]
     metrics = {
@@ -250,14 +243,15 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     return AggregateSeries(
         horizon=horizon,
         n_reps=len(traces),
-        mean_regret=mean,
-        ci95=ci95,
+        mean_regret=stacked.mean(axis=0),
+        ci95=_ci95(stacked),
         final_metrics=metrics,
     )
 
 
-def gini_coefficient(u: np.ndarray) -> float:
-    """Relative mean absolute difference: sum_ij |u_i-u_j| / (2 N^2 mean)."""
+def _checked_ledger(u, metric: str) -> tuple[np.ndarray, float]:
+    """u as a float array and its total; a ledger metric needs u 1-d,
+    non-empty, finite and non-negative, with a positive total."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("u must be a non-empty 1-d array")
@@ -265,21 +259,20 @@ def gini_coefficient(u: np.ndarray) -> float:
         raise ValueError("u must be finite and non-negative")
     total = float(u.sum())
     if total <= 0.0:
-        raise ValueError("gini_coefficient undefined for a zero-total vector")
+        raise ValueError(f"{metric} undefined for a zero-total vector")
+    return u, total
+
+
+def gini_coefficient(u: np.ndarray) -> float:
+    """Relative mean absolute difference: sum_ij |u_i-u_j| / (2 N^2 mean)."""
+    u, total = _checked_ledger(u, "gini_coefficient")
     diffs = float(np.abs(u[:, None] - u[None, :]).sum())
     return diffs / (2.0 * u.size * total)
 
 
 def min_ratio(u: np.ndarray) -> float:
     """Share of the worst-off agent: min(u) / sum(u)."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1 or u.size < 1:
-        raise ValueError("u must be a non-empty 1-d array")
-    if not np.all(np.isfinite(u)) or np.any(u < 0.0):
-        raise ValueError("u must be finite and non-negative")
-    total = float(u.sum())
-    if total <= 0.0:
-        raise ValueError("min_ratio undefined for a zero-total vector")
+    u, total = _checked_ledger(u, "min_ratio")
     return float(u.min()) / total
 
 

@@ -239,13 +239,14 @@ def test_environment_seed_default(monkeypatch):
 
 
 def test_malformed_environment_seed_is_named(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OFD_SEED", "abc")
     args = ["run", "--policy", "ucb", "--reps", "1", "--horizon", "20",
             "--out", str(tmp_path / "x")]
-    assert run_cli(*args) == 2
-    assert capsys.readouterr().err == (
-        "config error: OFD_SEED must be a non-negative integer, got 'abc'\n"
-    )
+    for env_seed in ("abc", "-5"):
+        monkeypatch.setenv("OFD_SEED", env_seed)
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err == (
+            f"config error: OFD_SEED must be a non-negative integer, got {env_seed!r}\n"
+        )
 
 
 def test_plan_header_resolved_from_file_and_flags(tmp_path):

@@ -68,6 +68,15 @@ def test_long_update_sequence_tracks_direct_inverse():
     assert np.abs(st.m_mat @ st.m_inv - np.eye(8)).max() < 1e-8
 
 
+@pytest.mark.parametrize("dim", [1, 4, 40])
+def test_updates_keep_inverse_exactly_symmetric(dim):
+    rng = np.random.default_rng(dim)
+    st = linalg.init_precision(dim, 0.01)
+    for _ in range(500):
+        linalg.rank_one_update(st, rng.uniform(0.0, 1.0, dim))
+    assert np.array_equal(st.m_inv, st.m_inv.T)
+
+
 def test_log_det_elliptical_potential_bound():
     # log det M_T <= d log(lam + T L^2 / d) for ||v|| <= L
     rng = np.random.default_rng(11)

@@ -1,13 +1,19 @@
 """src/ holds what the simulator runs: no public definition that only
-tests use, and no state field that nothing reads."""
+tests use, no state field that nothing reads, and every function the
+benchmark's tracer times."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ofdsim
 
 PACKAGE = Path(ofdsim.__file__).parent
-VERIFIER = Path(__file__).resolve().parents[1] / "perfbench" / "verify.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+VERIFIER = BENCH / "verify.py"
 # the state a run carries from round to round; RunTrace and AggregateSeries
 # are the run's output and are read by whoever asked for it
 STATE_CLASSES = ("PrecisionState", "RidgeState", "GpState", "AllocationDecision")
@@ -79,3 +85,20 @@ def test_every_state_field_is_read():
         if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
     ]
     assert not unread, f"state fields that nothing in src/ofdsim or the verifier reads: {unread}"
+
+
+def test_every_traced_function_exists():
+    # a renamed or deleted function would leave its metric out of a traced
+    # benchmark result; installing the tracer wraps the package's functions
+    # in place, so it runs in a child process
+    script = (
+        "import importlib, json, tracer\n"
+        "layers = {name: importlib.import_module(f'ofdsim.{name}') for name in tracer.LAYERS}\n"
+        "installed = tracer.Tracer().install(layers)\n"
+        "absent = tracer.layer_metrics(tracer.Spans([], [], [], [], {}, installed))[1]\n"
+        "print(json.dumps(absent))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), str(BENCH)]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert json.loads(done.stdout) == [], "traced metrics whose functions are missing"
