@@ -1,6 +1,7 @@
 """Command-line front end: presets for the synthetic experiments,
 ad-hoc runs from flags or a key=value config file, parallel seed
-fan-out, and CSV/manifest emission for external plotting.
+fan-out in lockstep batches, and CSV/manifest emission for external
+plotting.
 
 Each run option is declared once, in ``OPTIONS``, which drives the
 parser, the defaults and the config-file keys. The rules of a run live
@@ -388,16 +389,30 @@ def _entry_from_json(payload: dict) -> RunSpecEntry:
 # execution
 
 
+def _batches(entries: list[RunSpecEntry], jobs: int) -> list[list[RunConfig]]:
+    """One batch of runs per entry, in order. While there are fewer
+    batches than jobs, the largest is split in two halves, so every
+    worker gets runs."""
+    batches = [[entry.proto.with_seed(seed) for seed in entry.seeds] for entry in entries]
+    while len(batches) < jobs:
+        k = max(range(len(batches)), key=lambda i: len(batches[i]))
+        if len(batches[k]) < 2:
+            break
+        half = (len(batches[k]) + 1) // 2
+        batches[k : k + 1] = [batches[k][:half], batches[k][half:]]
+    return batches
+
+
 def execute_entries(entries: list[RunSpecEntry], jobs: int, outdir: str) -> list[str]:
-    """Run every entry's repetitions and write one aggregate CSV each."""
-    configs: list[RunConfig] = []
-    for entry in entries:
-        configs.extend(entry.proto.with_seed(seed) for seed in entry.seeds)
-    if jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            traces = list(pool.map(simulator.run_single, configs, chunksize=1))
+    """Run every entry's repetitions, a batch of seeds in lockstep at a
+    time, and write one aggregate CSV each."""
+    batches = _batches(entries, jobs)
+    if jobs > 1 and len(batches) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+            done = list(pool.map(simulator.run_batch, batches, chunksize=1))
     else:
-        traces = [simulator.run_single(config) for config in configs]
+        done = [simulator.run_batch(batch) for batch in batches]
+    traces = [trace for batch in done for trace in batch]
 
     written = []
     offset = 0

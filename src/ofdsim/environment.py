@@ -65,18 +65,23 @@ def generate_instance(
     )
 
 
-def draw_item(instance: ProblemInstance, rng: np.random.Generator) -> np.ndarray:
-    """Sample one item and return the (n_agents, dim) context matrix:
-    row n is the item's features followed by agent n's."""
-    item = rng.uniform(0.0, FEATURE_HIGH, size=instance.item_dim)
-    per_agent = np.empty((instance.n_agents, instance.dim))
-    per_agent[:, : instance.item_dim] = item
-    per_agent[:, instance.item_dim :] = instance.agent_features
+def draw_item(instance: ProblemInstance, rng: np.random.Generator, rounds: int) -> np.ndarray:
+    """Sample one item for each of ``rounds`` rounds and return their
+    (rounds, n_agents, dim) context matrices: row n of a round is its
+    item's features followed by agent n's. The draws are those of
+    ``rounds`` one-item calls in turn, so a run's items do not depend on
+    how its rounds are blocked."""
+    item = rng.uniform(0.0, FEATURE_HIGH, size=(rounds, instance.item_dim))
+    per_agent = np.empty((rounds, instance.n_agents, instance.dim))
+    per_agent[:, :, : instance.item_dim] = item[:, None, :]
+    per_agent[:, :, instance.item_dim :] = instance.agent_features
     return per_agent
 
 
 def true_utilities(instance: ProblemInstance, xs: np.ndarray) -> np.ndarray:
-    """Hidden utility for each row of the (n_agents, dim) context matrix xs.
+    """Hidden utility for each row of xs, a stack of (n_agents, dim)
+    context matrices; each matrix takes the same arithmetic alone or in a
+    stack.
 
     linear: the projection x.theta_star; square: the squared projection
     rescaled so both kinds share the (0, 10*sqrt(d)) range.

@@ -6,6 +6,9 @@ The ridge path keeps M_t = lam*I + sum m m^T via rank-one updates and
 re-derives theta_hat = M^-1 b after every observation. Confidence widths
 follow the self-normalized bound alpha_t = R*sqrt(d*log((1+t*L^2/lam)/delta))
 + sqrt(lam)*S; posterior sampling uses beta_t = R*sqrt(9*d*log(t/delta)).
+The round loop steps the ridge states of a batch's runs as one state with
+a leading run axis (stack_ridge, unstack_ridge); the ridge functions take
+one state or a stacked one.
 
 The GP path keeps the Cholesky factor L of K + noise_var*I, the whitened
 targets L^-1 y and the information gain. A round makes one triangular
@@ -90,12 +93,41 @@ def init_ridge(dim: int, lam: float) -> RidgeState:
     )
 
 
-def ridge_update(state: RidgeState, x: np.ndarray, y: float) -> RidgeState:
-    """Fold one observation (x, y), x a float array of shape (dim,), into
-    the ridge estimate; mutates state."""
+def stack_ridge(states: list[RidgeState]) -> RidgeState:
+    """The states of R runs as one state whose arrays carry a leading run
+    axis, for the round loop to step the runs together."""
+    precisions = [state.precision for state in states]
+    return RidgeState(
+        precision=linalg.PrecisionState(
+            dim=precisions[0].dim,
+            m_mat=np.stack([p.m_mat for p in precisions]),
+            m_inv=np.stack([p.m_inv for p in precisions]),
+            log_det=np.array([p.log_det for p in precisions]),
+            n_updates=precisions[0].n_updates,
+        ),
+        moment=np.stack([state.moment for state in states]),
+        theta_hat=np.stack([state.theta_hat for state in states]),
+    )
+
+
+def unstack_ridge(stacked: RidgeState, states: list[RidgeState]) -> None:
+    """Hand each run's state its row of stacked: its arrays become views
+    of the stacked ones, and its log det and update count plain values."""
+    whole = stacked.precision
+    for r, state in enumerate(states):
+        precision = state.precision
+        precision.m_mat, precision.m_inv = whole.m_mat[r], whole.m_inv[r]
+        precision.log_det, precision.n_updates = float(whole.log_det[r]), whole.n_updates
+        state.moment, state.theta_hat = stacked.moment[r], stacked.theta_hat[r]
+
+
+def ridge_update(state: RidgeState, x: np.ndarray, y: np.ndarray | float) -> RidgeState:
+    """Fold observations (x, y) into the ridge estimate: x of shape
+    (..., dim) and y of shape (...), one per run of a stacked state;
+    mutates state."""
     linalg.rank_one_update(state.precision, x)
-    state.moment += y * x
-    state.theta_hat = state.precision.m_inv @ state.moment
+    state.moment += np.asarray(y)[..., None] * x
+    state.theta_hat = np.matmul(state.precision.m_inv, state.moment[..., None])[..., 0]
     return state
 
 
@@ -110,9 +142,11 @@ def alpha_t(params: ConfidenceParams, t: int) -> float:
 
 def ucb_scores(state: RidgeState, params: ConfidenceParams, t: int, xs: np.ndarray) -> np.ndarray:
     """Optimistic score x.theta_hat + alpha_t*||x||_{M^-1} of each row of
-    xs, a float array of shape (m, dim)."""
-    q = np.maximum(np.sum((xs @ state.precision.m_inv) * xs, axis=1), 0.0)
-    return xs @ state.theta_hat + alpha_t(params, t) * np.sqrt(q)
+    xs, a float array of shape (..., m, dim) with one (m, dim) matrix per
+    run of a stacked state; shape (..., m)."""
+    q = np.maximum((np.matmul(xs, state.precision.m_inv) * xs).sum(axis=-1), 0.0)
+    means = np.matmul(xs, state.theta_hat[..., None])[..., 0]
+    return means + alpha_t(params, t) * np.sqrt(q)
 
 
 def beta_t(params: ConfidenceParams, t: int) -> float:
@@ -122,10 +156,11 @@ def beta_t(params: ConfidenceParams, t: int) -> float:
 
 
 def ts_sample(state: RidgeState, params: ConfidenceParams, t: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """One parameter draw theta ~ N(theta_hat, beta_t^2 * M^-1); a round
-    draws once and scores every agent against it."""
-    return linalg.sample_gaussian(state.theta_hat, beta_t(params, t), state.precision, rng)
+              rngs: list[np.random.Generator]) -> np.ndarray:
+    """One parameter draw theta ~ N(theta_hat, beta_t^2 * M^-1) per run,
+    each from that run's generator in rngs; a round draws once per run
+    and scores every agent against it."""
+    return linalg.sample_gaussian(state.theta_hat, beta_t(params, t), state.precision, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +178,7 @@ class GpState:
     bound_b: float
     feature_scale: float
     inputs: np.ndarray = field(repr=False)
+    sq_norms: np.ndarray = field(repr=False)
     targets: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
     white: np.ndarray = field(repr=False)
@@ -154,9 +190,11 @@ def init_gp(dim: int, noise_var: float) -> GpState:
     """RBF-kernel GP with signal variance 1 and RKHS norm bound B = 1,
     over features rescaled by 1/FEATURE_HIGH into the unit box, where the
     lengthscale is 0.2*sqrt(dim). Its buffers start at 64 observations
-    and double when full. noise_var is floored at 1e-10, which keeps a
-    noiseless run's Gram matrix regular; ConfidenceParams checks dim >= 1
-    and RunConfig keeps noise_var finite."""
+    and double when full; each stored input's squared norm is kept beside
+    it, so conditioning does not recompute them. noise_var is floored at
+    1e-10, which keeps a noiseless run's Gram matrix regular;
+    ConfidenceParams checks dim >= 1 and RunConfig keeps noise_var
+    finite."""
     cap = 64
     return GpState(
         lengthscale=0.2 * math.sqrt(dim),
@@ -165,19 +203,23 @@ def init_gp(dim: int, noise_var: float) -> GpState:
         bound_b=1.0,
         feature_scale=FEATURE_HIGH,
         inputs=np.empty((cap, dim)),
+        sq_norms=np.empty(cap),
         targets=np.empty(cap),
         chol=np.zeros((cap, cap)),
         white=np.empty(cap),
     )
 
 
-def _kernel_cross(state: GpState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """k(a_i, b_j) for scaled inputs a (n,d) and b (m,d)."""
-    sq = (
-        np.sum(a**2, axis=1)[:, None]
-        + np.sum(b**2, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row; a row's norm is the same taken alone."""
+    return np.sum(rows**2, axis=-1)
+
+
+def _kernel_cross(state: GpState, a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,
+                  b_sq: np.ndarray) -> np.ndarray:
+    """k(a_i, b_j) for scaled inputs a (n,d) and b (m,d), whose squared row
+    norms are a_sq (n,) and b_sq (m,)."""
+    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return state.signal_var * np.exp(-sq / (2.0 * state.lengthscale**2))
 
@@ -186,6 +228,7 @@ def _grow(state: GpState) -> None:
     """Double the capacity of a full state, zero-padding every buffer."""
     extra = state.inputs.shape[0]
     state.inputs = np.pad(state.inputs, ((0, extra), (0, 0)))
+    state.sq_norms = np.pad(state.sq_norms, (0, extra))
     state.targets = np.pad(state.targets, (0, extra))
     state.chol = np.pad(state.chol, ((0, extra), (0, extra)))
     state.white = np.pad(state.white, (0, extra))
@@ -194,7 +237,8 @@ def _grow(state: GpState) -> None:
 def _refactor(state: GpState) -> None:
     """Recompute the Cholesky factor and whitened targets from scratch."""
     n = state.n_obs
-    gram = _kernel_cross(state, state.inputs[:n], state.inputs[:n])
+    inputs, sq_norms = state.inputs[:n], state.sq_norms[:n]
+    gram = _kernel_cross(state, inputs, sq_norms, inputs, sq_norms)
     gram[np.diag_indices(n)] += state.noise_var
     try:
         lower = np.linalg.cholesky(gram)
@@ -225,7 +269,8 @@ def gp_condition(state: GpState, xs: np.ndarray) -> GpConditioning:
     scipy's scan for non-finite entries is skipped."""
     n = state.n_obs
     scaled = xs / state.feature_scale
-    k_cross = _kernel_cross(state, state.inputs[:n], scaled)
+    k_cross = _kernel_cross(state, state.inputs[:n], state.sq_norms[:n], scaled,
+                            _sq_norms(scaled))
     v = solve_triangular(state.chol[:n, :n], k_cross, lower=True, check_finite=False)
     return GpConditioning(scaled, v, v.T @ state.white[:n])
 
@@ -244,6 +289,7 @@ def gp_update(state: GpState, scaled_row: np.ndarray, column: np.ndarray, y: flo
         _grow(state)
     n = state.n_obs
     state.inputs[n] = scaled_row
+    state.sq_norms[n] = _sq_norms(scaled_row)
     state.targets[n] = y
     gap = state.signal_var + state.noise_var - sq_norm
     state.n_obs = n + 1
@@ -273,7 +319,8 @@ def gp_ts_scores(
     """One joint posterior sample over the rows cond was conditioned on,
     width-scaled."""
     m = len(cond.scaled)
-    cov = _kernel_cross(state, cond.scaled, cond.scaled) - cond.v.T @ cond.v
+    sq_norms = _sq_norms(cond.scaled)
+    cov = _kernel_cross(state, cond.scaled, sq_norms, cond.scaled, sq_norms) - cond.v.T @ cond.v
     jitter = 1e-10 * state.signal_var
     for _ in range(8):
         try:

@@ -13,6 +13,12 @@ Four kinds are supported:
 - ``targeted``: min_n u_n / p_n where the priorities p derive from
   target ratios r via p_n = r_n / min(r). Allocation keeps utilities
   close to the prescribed proportions.
+
+:func:`candidate_scores` scores one ledger or a stack of them, one row
+per run of a lockstep batch; a row takes the same arithmetic either way.
+Under weighted Gini the runs' ledgers are broadcast into one (R, N, N)
+array of candidate ledgers, which is sorted in place and dotted with the
+weights in one stacked matmul.
 """
 
 from __future__ import annotations
@@ -101,6 +107,16 @@ class GoodnessSpec:
             if self.weights is not None or self.rho is not None or self.target_ratios is not None:
                 raise ValueError(f"{self.kind} takes no weights, rho or target_ratios")
 
+    def __eq__(self, other) -> bool:
+        # the dataclass default compares the vectors with ==, which is ambiguous
+        if not isinstance(other, GoodnessSpec):
+            return NotImplemented
+        return (
+            (self.kind, self.rho) == (other.kind, other.rho)
+            and np.array_equal(self.weights, other.weights)
+            and np.array_equal(self.target_ratios, other.target_ratios)
+        )
+
     def resolved_weights(self, n_agents: int) -> np.ndarray:
         """Weight vector of length n_agents (weighted-gini only), cached;
         explicit weights are returned as given (RunConfig checks length)."""
@@ -114,10 +130,12 @@ class GoodnessSpec:
 
 
 def _require_positive(spec: GoodnessSpec, u: np.ndarray) -> None:
-    if spec.kind in POSITIVE_LEDGER_KINDS and np.any(u <= 0.0):
-        raise GoodnessDomainError(
-            f"{spec.kind} requires strictly positive utilities, got min {float(u.min())!r}"
-        )
+    if spec.kind in POSITIVE_LEDGER_KINDS:
+        low = float(u.min())
+        if low <= 0.0:
+            raise GoodnessDomainError(
+                f"{spec.kind} requires strictly positive utilities, got min {low!r}"
+            )
 
 
 def candidate_scores(
@@ -125,45 +143,50 @@ def candidate_scores(
     totals: np.ndarray,
     adds: np.ndarray,
 ) -> np.ndarray:
-    """Vector of candidate goodness values, one per agent.
+    """Candidate goodness values, one per agent, for one ledger or a stack
+    of them.
 
-    Entry n is the goodness of the ledger totals with adds[n] granted to
-    agent n. totals and adds are float arrays of shape (n_agents,),
-    adds >= 0, and any spec vector has length n_agents (RunConfig checks
-    it). Non-positive totals under nsw or log-nsw raise
+    totals and adds are float arrays of shape (..., n_agents), one row per
+    run, adds >= 0, and any spec vector has length n_agents (RunConfig
+    checks it). Entry [..., n] is the goodness of that row's totals with
+    adds[..., n] granted to agent n; a row takes the same arithmetic alone
+    or in a stack. Non-positive totals under nsw or log-nsw raise
     :class:`GoodnessDomainError`, and so does an NSW product that leaves
-    the float range: the ledger's falling to the smallest normal float or
-    below, or the ledger's or a candidate's overflowing. There the argmax
+    the float range: a ledger's falling to the smallest normal float or
+    below, or a ledger's or a candidate's overflowing. There the argmax
     would be arbitrary. A NaN add (a NaN estimate) leaves its candidate
     NaN for the caller to catch.
     """
     _require_positive(spec, totals)
+    n = totals.shape[-1]
     if spec.kind == WEIGHTED_GINI:
-        n = totals.size
-        mat = np.tile(totals, (n, 1))
-        mat[np.arange(n), np.arange(n)] += adds
-        mat.sort(axis=1)
+        # row n of a run's candidate matrix is its ledger with agent n's add
+        mat = np.empty(totals.shape + (n,))
+        mat[...] = totals[..., None, :]
+        np.add(totals, adds, out=mat.reshape(totals.shape[:-1] + (n * n,))[..., :: n + 1])
+        mat.sort(axis=-1)
         return mat @ spec.resolved_weights(n)
     if spec.kind == NSW:
         # a NaN add passes through as a NaN candidate, raising no flag
         try:
             with np.errstate(over="raise"):
-                product = np.prod(totals)
-                if product > np.finfo(float).tiny:
+                product = np.prod(totals, axis=-1, keepdims=True)
+                if float(product.min()) > np.finfo(float).tiny:
                     return product / totals * (totals + adds)
         except FloatingPointError:
             pass
         raise GoodnessDomainError(
-            f"nsw products of {totals.size} totals in "
+            f"nsw products of {n} totals in "
             f"[{totals.min():.3g}, {totals.max():.3g}] leave the float range; "
             "log-nsw ranks candidates the same way"
         )
     if spec.kind == LOG_NSW:
-        return np.sum(np.log(totals)) + np.log1p(adds / totals)
-    ratios = totals / spec._priorities
-    if ratios.size == 1:
+        return np.sum(np.log(totals), axis=-1, keepdims=True) + np.log1p(adds / totals)
+    if n == 1:
         return (totals + adds) / spec._priorities
-    two_smallest = np.partition(ratios, 1)[:2]
-    floor = np.full(ratios.size, two_smallest[0])
-    floor[np.argmin(ratios)] = two_smallest[1]
+    # every candidate but the run's lowest-ratio agent keeps that lowest ratio
+    ratios = totals / spec._priorities
+    two_smallest = np.partition(ratios, 1, axis=-1)
+    lowest = np.argmin(ratios, axis=-1)[..., None]
+    floor = np.where(np.arange(n) == lowest, two_smallest[..., 1:2], two_smallest[..., :1])
     return np.minimum(floor, (totals + adds) / spec._priorities)

@@ -4,7 +4,9 @@ A :class:`PrecisionState` tracks M = lam*I + sum_t v_t v_t^T, its
 inverse by Sherman-Morrison rank-one updates, and its log-determinant.
 The round loop reads only the inverse, and posterior sampling factorizes
 it afresh on every draw; M and the log-determinant are kept for the
-benchmark's state verifier. The dimension and regularizer come checked
+benchmark's state verifier. The round loop steps the runs of a batch
+together, so the functions here take one state or a state whose arrays
+carry a leading run axis. The dimension and regularizer come checked
 from ConfidenceParams; the checks here are the mid-run faults, a
 non-positive Sherman-Morrison denominator and a failed Cholesky
 factorization.
@@ -55,7 +57,10 @@ def init_precision(dim: int, lam: float) -> PrecisionState:
 
 def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
     """Fold the observation direction v, a finite float array of shape
-    (dim,), into M, its inverse and log det.
+    (..., dim), into M, its inverse and log det: one direction for one
+    state, or one per run for a state whose arrays carry a leading run
+    axis (M of shape (R, dim, dim), log det of shape (R,)). Each run takes
+    the same arithmetic alone or in a stack.
 
     Mutates ``state`` in place and returns it; a symmetric M^-1 stays
     exactly symmetric, since z_i*z_j = z_j*z_i in floating point. A
@@ -63,16 +68,17 @@ def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
     (M^-1 has lost definiteness to round-off) raises
     :class:`NumericError` and leaves ``state`` unchanged.
     """
-    z = state.m_inv @ v
-    denom = 1.0 + float(v @ z)
-    if not denom > 0.0:
+    z = np.matmul(state.m_inv, v[..., None])[..., 0]
+    denom = 1.0 + np.matmul(v[..., None, :], z[..., None])[..., 0, 0]
+    low = float(denom.min())
+    if not low > 0.0:
         raise NumericError(
-            f"Sherman-Morrison denominator {denom:.3e} is not positive "
+            f"Sherman-Morrison denominator {low:.3e} is not positive "
             f"after {state.n_updates} updates"
         )
-    state.m_mat += np.outer(v, v)
-    state.m_inv -= np.outer(z, z) / denom
-    state.log_det += math.log(denom)
+    state.m_mat += v[..., :, None] * v[..., None, :]
+    state.m_inv -= z[..., :, None] * z[..., None, :] / denom[..., None, None]
+    state.log_det += np.log(denom)
     state.n_updates += 1
     return state
 
@@ -81,24 +87,25 @@ def sample_gaussian(
     mean: np.ndarray,
     scale: float,
     state: PrecisionState,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
     """Draw theta ~ N(mean, scale^2 * M^-1) for a float array mean of
-    shape (dim,) and a finite scale >= 0.
+    shape (..., dim) and a finite scale >= 0, one draw per row of mean
+    with its own generator in rngs.
 
-    scale = 0 returns the mean exactly (the degenerate limit). A failed
-    Cholesky factorization of M^-1 raises :class:`NumericError` carrying
-    the offending smallest eigenvalue.
+    scale = 0 returns the mean exactly (the degenerate limit) and draws
+    nothing. A failed Cholesky factorization of M^-1 raises
+    :class:`NumericError` carrying the offending smallest eigenvalue.
     """
     if scale == 0.0:
         return mean.copy()
     try:
         chol = np.linalg.cholesky(state.m_inv)
     except np.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(state.m_inv)[0])
+        smallest = float(np.linalg.eigvalsh(state.m_inv)[..., 0].min())
         raise NumericError(
             f"covariance factorization failed after {state.n_updates} updates; "
             f"smallest eigenvalue of M^-1 is {smallest:.3e}"
         ) from exc
-    z = rng.standard_normal(state.dim)
-    return mean + scale * (chol @ z)
+    z = np.array([rng.standard_normal(state.dim) for rng in rngs]).reshape(mean.shape)
+    return mean + scale * np.matmul(chol, z[..., None])[..., 0]

@@ -3,10 +3,16 @@ sample, or by plain mean), push each score through the goodness
 function as a candidate allocation, and pick the argmax.
 
 The simulator makes the round-robin picks of rounds 1..N itself; a
-policy chooses from round N+1 on. Ties in candidate goodness are broken
-uniformly at random within a relative tolerance of 1e-9; the tie draw is
-only taken when there is an actual tie, so deterministic variants
-consume identical rng streams.
+policy chooses from round N+1 on. The simulator steps the R runs of a
+batch together, so a policy chooses for every run at once: ledgers
+arrive as (R, N), contexts as (R, N, d), and the ridge state with a
+leading run axis. Each run keeps its own generator, and a run draws
+from it exactly what it would draw alone: a TS parameter, an epsilon
+coin and an exploring pick, and a tie draw. Ties in candidate goodness
+are broken uniformly at random within a relative tolerance of 1e-9; the
+tie draw is only taken when there is an actual tie, so deterministic
+variants consume identical rng streams. The GP steps each run's state
+in turn within the round.
 """
 
 from __future__ import annotations
@@ -50,16 +56,18 @@ class PolicyKind:
 
 @dataclass
 class AllocationDecision:
-    """The chosen agent. A GP policy's scored round keeps the conditioning
-    on every context, whose column for the chosen agent :func:`observe`
-    appends to the factor; it is None on a round that scored no agent."""
+    """Each run's chosen agent, an int array of shape (R,). A GP policy's
+    scored round keeps each run's conditioning on every context, whose
+    column for the chosen agent :func:`observe` appends to the factor; it
+    is None on a round that scored no agent."""
 
-    agent: int
-    gp_conditioning: estimators.GpConditioning | None = None
+    agent: np.ndarray
+    gp_conditioning: list[estimators.GpConditioning] | None = None
 
 
 def make_estimator(kind: PolicyKind, params: estimators.ConfidenceParams):
-    """Fresh estimator state for the policy, or None for uniform."""
+    """Fresh estimator state for one run of the policy, or None for
+    uniform."""
     if kind.uses_ridge:
         return estimators.init_ridge(params.dim, params.lam)
     if kind.uses_gp:
@@ -68,16 +76,23 @@ def make_estimator(kind: PolicyKind, params: estimators.ConfidenceParams):
     return None
 
 
-def _pick_max(values: np.ndarray, rng: np.random.Generator) -> int:
-    best = float(np.max(values))
-    # np.max propagates NaN, so this one test also catches a NaN candidate
-    if not math.isfinite(best):
-        raise linalg.NumericError(f"candidate goodness is not finite (max {best!r})")
-    tol = TIE_REL_TOL * max(1.0, abs(best))
-    ties = np.flatnonzero(values >= best - tol)
-    if ties.size == 1:
-        return int(ties[0])
-    return int(ties[rng.integers(ties.size)])
+def _pick_max(values: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """The argmax of each row of values (R, n_agents), a tie within
+    TIE_REL_TOL drawn from that row's generator in rngs."""
+    best = values.max(axis=1)
+    # max and sum propagate NaN and inf, so one sum checks every run's best;
+    # finite bests whose sum overflows only send a batch to its one-run fallback
+    if not math.isfinite(float(best.sum())):
+        raise linalg.NumericError(
+            f"candidate goodness is not finite (max {float(best.max())!r})"
+        )
+    ties = values >= (best - TIE_REL_TOL * np.maximum(1.0, np.abs(best)))[:, None]
+    picks = values.argmax(axis=1)
+    if np.count_nonzero(ties) > len(rngs):
+        for r in np.flatnonzero(np.count_nonzero(ties, axis=1) > 1):
+            tied = np.flatnonzero(ties[r])
+            picks[r] = tied[rngs[r].integers(tied.size)]
+    return picks
 
 
 def select_agent(
@@ -88,31 +103,49 @@ def select_agent(
     contexts: np.ndarray,
     estimator,
     params: estimators.ConfidenceParams,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> AllocationDecision:
-    """Choose the agent for round t > n_agents, given the ledger totals
-    (n_agents,) and contexts, a float array of shape (n_agents, dim), one
-    row per agent; a non-finite candidate goodness raises
-    :class:`linalg.NumericError`."""
-    explores = kind.name == "greedy" and kind.epsilon > 0.0 and rng.random() < kind.epsilon
-    if kind.name == "uniform" or explores:
-        return AllocationDecision(agent=int(rng.integers(len(contexts))))
+    """Choose each run's agent for round t > n_agents, given the ledger
+    totals (R, n_agents) and contexts, a float array of shape (R,
+    n_agents, dim), one row per agent. estimator steps every run: a
+    ridge state stacked by :func:`estimators.stack_ridge`, the runs' GP
+    states, or None for uniform. Run r draws from rngs[r] alone. A
+    non-finite candidate goodness raises :class:`linalg.NumericError`."""
+    n = totals.shape[1]
+    if kind.name == "uniform":
+        return AllocationDecision(np.array([rng.integers(n) for rng in rngs]))
+    scored = None
+    if kind.name == "greedy" and kind.epsilon > 0.0:
+        explores = [rng.random() < kind.epsilon for rng in rngs]
+        if any(explores):
+            # an exploring run scores no agent, so its row is left unchecked
+            picks = np.array([rng.integers(n) if e else -1 for rng, e in zip(rngs, explores)])
+            scored = [r for r, e in enumerate(explores) if not e]
+            if not scored:
+                return AllocationDecision(picks)
     cond = None
     if kind.uses_gp:
-        cond = estimators.gp_condition(estimator, contexts)
+        cond = [estimators.gp_condition(state, xs) for state, xs in zip(estimator, contexts)]
         if kind.name == "gp-ucb":
-            scores = estimators.gp_ucb_scores(estimator, params, cond)
+            scores = np.array([estimators.gp_ucb_scores(state, params, c)
+                               for state, c in zip(estimator, cond)])
         else:
-            scores = estimators.gp_ts_scores(estimator, params, cond, rng)
+            scores = np.array([estimators.gp_ts_scores(state, params, c, rng)
+                               for state, c, rng in zip(estimator, cond, rngs)])
     elif kind.name == "ucb":
         scores = estimators.ucb_scores(estimator, params, t, contexts)
     elif kind.name == "ts":
-        scores = contexts @ estimators.ts_sample(estimator, params, t, rng)
+        theta = estimators.ts_sample(estimator, params, t, rngs)
+        scores = np.matmul(contexts, theta[..., None])[..., 0]
     else:
-        scores = contexts @ estimator.theta_hat
+        scores = np.matmul(contexts, estimator.theta_hat[..., None])[..., 0]
     adds = np.maximum(scores, 0.0)
-    values = goodness.candidate_scores(spec, totals, adds)
-    return AllocationDecision(agent=_pick_max(values, rng), gp_conditioning=cond)
+    if scored is None:
+        values = goodness.candidate_scores(spec, totals, adds)
+        return AllocationDecision(_pick_max(values, rngs), cond)
+    values = goodness.candidate_scores(spec, totals[scored], adds[scored])
+    picks[scored] = _pick_max(values, [rngs[r] for r in scored])
+    return AllocationDecision(picks, cond)
 
 
 def observe(
@@ -120,17 +153,20 @@ def observe(
     estimator,
     decision: AllocationDecision,
     contexts: np.ndarray,
-    y: float,
+    y: np.ndarray,
 ) -> None:
-    """Fold the realized utility y of the agent decision chose from
-    contexts, the round's (n_agents, dim) array, into the estimator;
-    uniform keeps no estimate."""
-    agent = decision.agent
+    """Fold each run's realized utility y (R,) of the agent decision chose
+    from contexts, the round's (R, n_agents, dim) array, into estimator,
+    as :func:`select_agent` takes it; uniform keeps no estimate."""
+    agents = decision.agent
     if kind.uses_ridge:
-        estimators.ridge_update(estimator, contexts[agent], y)
+        estimators.ridge_update(estimator, contexts[np.arange(agents.size), agents], y)
     elif kind.uses_gp:
-        cond, col = decision.gp_conditioning, agent
-        if cond is None:
-            # a round-robin round conditioned nothing while choosing
-            cond, col = estimators.gp_condition(estimator, contexts[agent : agent + 1]), 0
-        estimators.gp_update(estimator, cond.scaled[col], cond.v[:, col], y)
+        for r, (state, agent) in enumerate(zip(estimator, agents)):
+            if decision.gp_conditioning is None:
+                # a round-robin round conditioned nothing while choosing
+                cond = estimators.gp_condition(state, contexts[r, agent : agent + 1])
+                col = 0
+            else:
+                cond, col = decision.gp_conditioning[r], agent
+            estimators.gp_update(state, cond.scaled[col], cond.v[:, col], float(y[r]))

@@ -16,6 +16,17 @@ regret.
 Each run splits its seed into four independent streams (instance,
 items, noise, policy), so replaying a config is bit-reproducible and
 policies sharing a seed face identical instances and item sequences.
+
+One round loop, :func:`run_batch`, steps R runs that differ only in seed
+in lockstep. Their ledgers are one (R, N) array, their contexts one
+(R, N, d) array and a ridge state one state with a leading run axis, so
+each layer's function runs once per round for all R runs. Each run's
+arithmetic is the arithmetic it takes alone, in stacked numpy forms
+that give each run's bits, and each run draws from its own streams:
+items and noise a block of rounds ahead, which draws what one round at
+a time would, and the policy stream what the run alone would. So a
+run's trace does not depend on the batch it ran in. :func:`run_single`
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -25,10 +36,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import environment, goodness, linalg, policies
+from . import environment, estimators, goodness, linalg, policies
 from .estimators import GP_MAX_NOISE_R, ConfidenceParams
 
 MAX_HORIZON = 10**6
+# bound on the bytes of the contexts and utilities drawn ahead for a batch
+BLOCK_BYTES = 1 << 18
+# a GP run holds a factor of at least 8 * horizon**2 bytes, and a batch holds
+# its runs' factors at once; this bounds their bytes, one run at the least
+GP_BATCH_BYTES = 1 << 26
 
 
 class RunAbortedError(RuntimeError):
@@ -117,82 +133,139 @@ class RunTrace:
 
 def run_single(config: RunConfig) -> RunTrace:
     """Execute one seeded run and return its full trace."""
-    seq = np.random.SeedSequence(config.seed)
-    instance_rng, item_rng, noise_rng, policy_rng = map(np.random.default_rng, seq.spawn(4))
+    return run_batch([config])[0]
 
-    instance = environment.generate_instance(
-        config.n_agents,
-        config.item_dim,
-        config.agent_dim,
-        config.utility_kind,
-        config.confidence.noise_r,
-        instance_rng,
-    )
-    spec = config.goodness
-    kind = config.policy
-    n = config.n_agents
-    horizon = config.horizon
-    totals = np.zeros(n)
-    estimator = policies.make_estimator(kind, config.confidence)
+
+# a fault shows as a non-finite value, which the loop checks and reports as
+# a run abort, so numpy's warnings on the way to it would only be noise
+@np.errstate(invalid="ignore", over="ignore")
+def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
+    """Execute R runs that differ only in seed, in lockstep, and return
+    their traces in config order. Each run's trace is the one it makes
+    alone, bit for bit.
+
+    A run that faults mid-flight makes the batch run its configs one at
+    a time, so the RunAbortedError raised is the first in config order
+    and carries what that run alone reports. GP runs are stepped in
+    batches of at most GP_BATCH_BYTES of factors, in config order."""
+    if not configs:
+        raise ValueError("run_batch needs at least 1 config")
+    first = configs[0]
+    if any(replace(config, seed=first.seed) != first for config in configs[1:]):
+        raise ValueError("the configs of a batch may differ only in seed")
+    runs = len(configs)
+    spec, kind, params = first.goodness, first.policy, first.confidence
+    n, horizon, noise_r = first.n_agents, first.horizon, params.noise_r
+    if kind.uses_gp:
+        most = max(1, GP_BATCH_BYTES // (8 * horizon**2))
+        if runs > most:
+            chunks = [configs[k : k + most] for k in range(0, runs, most)]
+            return [trace for chunk in chunks for trace in run_batch(chunk)]
+
+    streams = [map(np.random.default_rng, np.random.SeedSequence(c.seed).spawn(4))
+               for c in configs]
+    instance_rngs, item_rngs, noise_rngs, policy_rngs = map(list, zip(*streams))
+    instances = [
+        environment.generate_instance(
+            n, first.item_dim, first.agent_dim, first.utility_kind, noise_r, rng
+        )
+        for rng in instance_rngs
+    ]
+    states = [policies.make_estimator(kind, params) for _ in configs]
+    estimator = estimators.stack_ridge(states) if kind.uses_ridge else states
     # these kinds cannot score the warm start's zero ledger entries
     needs_positive = spec.kind in goodness.POSITIVE_LEDGER_KINDS
+    # items and noise are drawn a block of rounds at a time, which draws
+    # what one round at a time would
+    block = min(horizon, max(1, BLOCK_BYTES // (8 * runs * n * (instances[0].dim + 1))))
 
-    chosen = np.empty(horizon, dtype=np.int64)
-    oracle = np.empty(horizon, dtype=np.int64)
-    realized = np.empty(horizon)
-    inst_regret = np.empty(horizon)
-    noise_r = instance.noise_r
+    totals = np.zeros((runs, n))
+    # run r's agent a sits at r*n + a of the flat ledger and of a round's
+    # (runs, n) arrays
+    ledger, offsets = totals.reshape(-1), np.arange(runs) * n
+    no_gap = np.zeros(runs)
+    chosen = np.empty((horizon, runs), dtype=np.int64)
+    oracle = np.empty((horizon, runs), dtype=np.int64)
+    realized = np.empty((horizon, runs))
+    inst_regret = np.empty((horizon, runs))
 
     for t in range(1, horizon + 1):
-        contexts = environment.draw_item(instance, item_rng)
-        truths = environment.true_utilities(instance, contexts)
+        idx = t - 1
+        j = idx % block
+        if j == 0:
+            size = min(block, horizon - idx)
+            drawn = [environment.draw_item(inst, rng, size)
+                     for inst, rng in zip(instances, item_rngs)]
+            # blocks are indexed (round, run, ...), so a round's slice is contiguous
+            context_block = np.stack(drawn, axis=1)
+            truth_block = np.stack(
+                [environment.true_utilities(inst, xs) for inst, xs in zip(instances, drawn)],
+                axis=1,
+            )
+            if noise_r > 0.0:
+                noise_block = np.stack([rng.normal(0.0, noise_r, size) for rng in noise_rngs],
+                                       axis=1)
+        contexts = context_block[j]
+        truths = truth_block[j]
         try:
             warm = t <= n
             if warm:
-                decision = policies.AllocationDecision(t - 1)
+                decision = policies.AllocationDecision(np.full(runs, idx))
             else:
                 decision = policies.select_agent(
-                    kind, spec, totals, t, contexts, estimator, config.confidence, policy_rng
+                    kind, spec, totals, t, contexts, estimator, params, policy_rngs
                 )
-            pick = decision.agent
+            picks = decision.agent
+            at_pick = offsets + picks
             if warm and needs_positive:
-                best, gap = pick, 0.0
+                best, gap = picks, no_gap
             else:
                 # the one-step oracle; argmax breaks ties to the lowest index,
-                # and to the first NaN, which leaves gap NaN
+                # and to the first NaN, which leaves gap NaN. values[best] is
+                # the row's max, so gap is >= 0 or NaN.
                 values = goodness.candidate_scores(spec, totals, truths)
-                best = int(np.argmax(values))
-                gap = max(float(values[best]) - float(values[pick]), 0.0)
-                if not math.isfinite(gap):
+                best = values.argmax(axis=1)
+                gap = values.take(offsets + best) - values.take(at_pick)
+                if not math.isfinite(float(gap.max())):
                     raise goodness.GoodnessDomainError("oracle candidate goodness is not finite")
-            y = float(truths[pick])
+            y = truths.take(at_pick)
             if noise_r > 0.0:
-                y += noise_rng.normal(0.0, noise_r)
-            totals[pick] += y
+                y += noise_block[j]
+            ledger[at_pick] += y
             policies.observe(kind, estimator, decision, contexts, y)
         except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
-            low = int(np.argmin(totals))
+            if runs > 1:
+                return [run_batch([config])[0] for config in configs]
+            row = totals[0]
+            low = int(np.argmin(row))
             raise RunAbortedError(
-                f"run seed={config.seed} aborted at round {t}: {exc}; ledger of {n} agents: "
-                f"min {float(totals[low])!r} (agent {low}), max {float(totals.max())!r}"
+                f"run seed={first.seed} aborted at round {t}: {exc}; ledger of {n} agents: "
+                f"min {float(row[low])!r} (agent {low}), max {float(row.max())!r}"
             ) from exc
 
-        idx = t - 1
-        chosen[idx] = pick
+        chosen[idx] = picks
         oracle[idx] = best
         realized[idx] = y
         inst_regret[idx] = gap
 
-    return RunTrace(
-        seed=config.seed,
-        horizon=horizon,
-        chosen=chosen,
-        oracle=oracle,
-        realized=realized,
-        inst_regret=inst_regret,
-        cum_regret=np.cumsum(inst_regret),
-        final_totals=totals,
+    if kind.uses_ridge:
+        estimators.unstack_ridge(estimator, states)
+    chosen, oracle, realized, inst_regret = (
+        np.ascontiguousarray(column.T) for column in (chosen, oracle, realized, inst_regret)
     )
+    return [
+        RunTrace(
+            seed=config.seed,
+            horizon=horizon,
+            chosen=chosen[r],
+            oracle=oracle[r],
+            realized=realized[r],
+            inst_regret=inst_regret[r],
+            cum_regret=np.cumsum(inst_regret[r]),
+            final_totals=totals[r],
+        )
+        for r, config in enumerate(configs)
+    ]
 
 
 @dataclass

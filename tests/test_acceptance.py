@@ -37,6 +37,7 @@ from ofdsim.simulator import (
     aggregate,
     gini_coefficient,
     min_ratio,
+    run_batch,
     run_single,
 )
 
@@ -91,9 +92,9 @@ def _config(policy: str, seed: int, noise_r: float | None = None, **kwargs) -> R
 
 @pytest.fixture(scope="module")
 def pool_map():
-    """Map a top-level function, such as run_single over RunConfigs, on
-    one spawned worker per core, shared by this module's tests; results
-    come back in input order.
+    """Map a top-level function, such as run_batch over groups of
+    RunConfigs, on one spawned worker per core, shared by this module's
+    tests; results come back in input order.
 
     Each run owns its seeded streams, so a result does not depend on the
     process that computed it (criterion 11 checks this for the CLI).
@@ -113,6 +114,13 @@ def pool_map():
 
 def _groups(items: list, size: int) -> list[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def _run_groups(pool_map, groups: list[list[RunConfig]]) -> list:
+    """Traces of every config, in input order; each group of configs that
+    differ only in seed runs as one lockstep batch on a worker. Each
+    criterion passes at least two groups, so both workers get runs."""
+    return [trace for batch in pool_map(run_batch, groups) for trace in batch]
 
 
 def test_01_incremental_inverse_tracks_direct_inverse():
@@ -255,9 +263,9 @@ def test_06_regret_stays_under_theoretical_bound(pool_map):
     runs, horizon, d = 100, 2000, 10
     params = ConfidenceParams.defaults(d)
     bounds = np.array([theoretical_bound(params, d, 1.0, t) for t in range(1, horizon + 1)])
-    traces = pool_map(run_single, [
+    traces = _run_groups(pool_map, _groups([
         _config("ucb", seed, horizon=horizon, item_dim=5, agent_dim=5) for seed in range(runs)
-    ])
+    ], runs // 2))
     dominated = sum(bool(np.all(trace.cum_regret <= bounds)) for trace in traces)
     ok = dominated >= 95
     assert _report(6, ok, f"{dominated}/{runs} runs dominated at every round (need >= 95)"), (
@@ -279,8 +287,8 @@ def test_07_headline_regret_ordering_and_sublinearity(pool_map):
     """
     horizon, reps = 10_000, 20
     names = ("ucb", "ts", "greedy", "uniform")
-    runs = pool_map(run_single, [
-        _config(name, seed, horizon=horizon) for name in names for seed in range(reps)
+    runs = _run_groups(pool_map, [
+        [_config(name, seed, horizon=horizon) for seed in range(reps)] for name in names
     ])
     traces = dict(zip(names, _groups(runs, reps)))
     finals = {k: np.array([tr.cum_regret[-1] for tr in v]) for k, v in traces.items()}
@@ -324,9 +332,10 @@ def test_08_regret_scales_monotonically_with_agents_and_dimension(pool_map):
     }
     points = [(policy, axis, point) for policy in ("ucb", "ts")
               for axis, grid in sweeps.items() for point in grid]
-    runs = pool_map(run_single, [
-        _config(policy, seed, horizon=horizon, goodness=goodness, **point)
-        for policy, _, point in points for seed in range(reps)
+    runs = _run_groups(pool_map, [
+        [_config(policy, seed, horizon=horizon, goodness=goodness, **point)
+         for seed in range(reps)]
+        for policy, _, point in points
     ])
     mean_finals: dict[tuple[str, str], list[float]] = {}
     for (policy, axis, _), group in zip(points, _groups(runs, reps)):
@@ -368,7 +377,8 @@ def test_09_fairness_knob_trades_welfare_for_equality(pool_map):
         e for e in expand_preset("fig3-rho-sweep", reps=20, base_seed=0)
         if e.proto.policy.name in ("ucb", "uniform")
     ]
-    runs = pool_map(run_single, [entry.proto.with_seed(s) for entry in entries for s in entry.seeds])
+    runs = _run_groups(pool_map, [[entry.proto.with_seed(s) for s in entry.seeds]
+                                  for entry in entries])
     finals = {"ucb": {}, "uniform": {}}
     specs = {}
     for entry, group in zip(entries, _groups(runs, len(entries[0].seeds))):
@@ -443,8 +453,10 @@ def test_10_gp_beats_linear_model_on_square_utilities(pool_map):
     """
     reps, horizon = 20, 500
     kw = dict(horizon=horizon, utility_kind="square")
-    runs = pool_map(run_single, [
-        _config(name, s, **kw) for name in ("gp-ucb", "ucb") for s in range(reps)
+    # halves of each policy's seeds, so the GP runs are shared by both workers
+    runs = _run_groups(pool_map, [
+        [_config(name, s, **kw) for s in half]
+        for name in ("gp-ucb", "ucb") for half in _groups(list(range(reps)), reps // 2)
     ])
     gp, lin = (np.array([tr.cum_regret[-1] for tr in group]) for group in _groups(runs, reps))
     (m_gp, ci_gp), (m_lin, ci_lin) = _mean_ci(gp), _mean_ci(lin)

@@ -54,7 +54,7 @@ def replay_truths(config):
         config.confidence.noise_r, inst_rng,
     )
     return np.stack([
-        environment.true_utilities(inst, environment.draw_item(inst, item_rng))
+        environment.true_utilities(inst, environment.draw_item(inst, item_rng, 1)[0])
         for _ in range(config.horizon)
     ])
 
@@ -91,12 +91,15 @@ def test_feature_coordinate_mean():
 
 def test_draw_item_concatenation_layout():
     inst = environment.generate_instance(5, 3, 2, "linear", 0.0, np.random.default_rng(2))
-    ctx = environment.draw_item(inst, np.random.default_rng(3))
-    item = np.random.default_rng(3).uniform(0.0, 10.0, 3)
-    assert ctx.shape == (5, 5)
-    for n in range(5):
-        np.testing.assert_array_equal(ctx[n, :3], item)
-        np.testing.assert_array_equal(ctx[n, 3:], inst.agent_features[n])
+    block = environment.draw_item(inst, np.random.default_rng(3), 4)
+    # a block of rounds draws the items that one round at a time would
+    rng = np.random.default_rng(3)
+    assert block.shape == (4, 5, 5)
+    for ctx in block:
+        item = rng.uniform(0.0, 10.0, 3)
+        for n in range(5):
+            np.testing.assert_array_equal(ctx[n, :3], item)
+            np.testing.assert_array_equal(ctx[n, 3:], inst.agent_features[n])
 
 
 def test_identical_agents_get_identical_contexts():
@@ -104,7 +107,7 @@ def test_identical_agents_get_identical_contexts():
     theta = np.array([1.0, 0.0, 0.0])
     theta /= np.linalg.norm(theta)
     inst = make_instance(theta, feats, item_dim=1)
-    ctx = environment.draw_item(inst, np.random.default_rng(4))
+    ctx = environment.draw_item(inst, np.random.default_rng(4), 1)[0]
     np.testing.assert_array_equal(ctx[0], ctx[1])
 
 
@@ -112,7 +115,7 @@ def test_context_norm_box_bound():
     inst = environment.generate_instance(8, 2, 2, "linear", 0.0, np.random.default_rng(5))
     rng = np.random.default_rng(6)
     for _ in range(200):
-        ctx = environment.draw_item(inst, rng)
+        ctx = environment.draw_item(inst, rng, 1)[0]
         norms = np.linalg.norm(ctx, axis=1)
         assert np.all(norms <= 10.0 * math.sqrt(4))
 
@@ -127,7 +130,7 @@ def test_linear_utility_cauchy_schwarz_cap():
     rng = np.random.default_rng(8)
     cap = 10.0 * math.sqrt(6)
     for _ in range(200):
-        ctx = environment.draw_item(inst, rng)
+        ctx = environment.draw_item(inst, rng, 1)[0]
         assert np.all(environment.true_utilities(inst, ctx) <= cap)
 
 
@@ -146,7 +149,7 @@ def test_square_utility_range():
     rng = np.random.default_rng(10)
     cap = 10.0 * math.sqrt(4)
     for _ in range(100):
-        ctx = environment.draw_item(inst, rng)
+        ctx = environment.draw_item(inst, rng, 1)[0]
         vals = environment.true_utilities(inst, ctx)
         assert np.all(vals > 0.0) and np.all(vals <= cap)
 
@@ -186,13 +189,13 @@ def test_oracle_min_weights_favors_min_agent():
     theta = np.full(4, 0.5)
     inst = make_instance(theta, feats, item_dim=2)
     spec = GoodnessSpec("weighted-gini", weights=goodness.esw_weights(3))
-    ctx = environment.draw_item(inst, np.random.default_rng(14))
+    ctx = environment.draw_item(inst, np.random.default_rng(14), 1)[0]
     assert oracle(inst, spec, [9.0, 2.0, 5.0], ctx) == 1
 
 
 def test_oracle_single_agent():
     inst = environment.generate_instance(1, 2, 2, "linear", 0.0, np.random.default_rng(15))
-    ctx = environment.draw_item(inst, np.random.default_rng(16))
+    ctx = environment.draw_item(inst, np.random.default_rng(16), 1)[0]
     spec = GoodnessSpec("weighted-gini", rho=0.85)
     assert oracle(inst, spec, [1.0], ctx) == 0
     trace = simulator.run_single(make_run(n_agents=1, horizon=20))
@@ -204,6 +207,6 @@ def test_oracle_breaks_ties_at_lowest_index():
     theta = np.full(3, 1.0) / math.sqrt(3.0)
     inst = make_instance(theta, feats, item_dim=1)
     spec = GoodnessSpec("weighted-gini", rho=1.0)
-    ctx = environment.draw_item(inst, np.random.default_rng(17))
+    ctx = environment.draw_item(inst, np.random.default_rng(17), 1)[0]
     # all candidates identical
     assert oracle(inst, spec, [2.0] * 4, ctx) == 0

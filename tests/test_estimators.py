@@ -167,7 +167,7 @@ def test_ts_degenerate_scale_returns_mean_prediction():
     estimators.ridge_update(state, np.array([1.0, 0.0]), 3.0)
     x = np.array([2.0, 1.0])
     rng = np.random.default_rng(0)
-    theta = estimators.ts_sample(state, p, 5, rng)
+    theta = estimators.ts_sample(state, p, 5, [rng])
     assert theta @ x == pytest.approx(float(x @ state.theta_hat))
 
 
@@ -181,7 +181,7 @@ def test_ts_monte_carlo_mean_and_variance():
     x = np.array([3.0, 4.0])
     t = 31
     draw_rng = np.random.default_rng(99)
-    vals = np.array([estimators.ts_sample(state, p, t, draw_rng) @ x for _ in range(10**5)])
+    vals = np.array([estimators.ts_sample(state, p, t, [draw_rng]) @ x for _ in range(10**5)])
     target_var = estimators.beta_t(p, t) ** 2 * inv_norm(state.precision, x) ** 2
     assert vals.var(ddof=1) == pytest.approx(target_var, rel=0.05)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -191,12 +191,12 @@ def test_ts_monte_carlo_mean_and_variance():
 def test_ts_sample_shared_across_round():
     p = default_params(3)
     state = estimators.init_ridge(3, p.lam)
-    theta = estimators.ts_sample(state, p, 4, np.random.default_rng(11))
+    theta = estimators.ts_sample(state, p, 4, [np.random.default_rng(11)])
     xs = np.random.default_rng(12).uniform(0.0, 10.0, (5, 3))
     scores = xs @ theta
     assert scores.shape == (5,)
     # the same draw reproduces under the same stream state
-    theta2 = estimators.ts_sample(state, p, 4, np.random.default_rng(11))
+    theta2 = estimators.ts_sample(state, p, 4, [np.random.default_rng(11)])
     np.testing.assert_array_equal(theta, theta2)
 
 
@@ -219,23 +219,24 @@ def _posterior(gp, xs):
 def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42):
     """Run a GP policy as the simulator does, round robin for the first
     n_agents rounds and select_agent after, then observe, on fresh uniform
-    contexts and y = |x/10|^2; yields the state after each round."""
+    contexts and y = |x/10|^2, as a batch of one run; yields the state
+    after each round."""
     kind = PolicyKind(name)
     params = ConfidenceParams.defaults(dim, noise_r=noise_r)
     spec = GoodnessSpec("weighted-gini", rho=0.85)
-    totals = np.zeros(n_agents)
+    totals = np.zeros((1, n_agents))
     gp = policies.make_estimator(kind, params)
     rng = np.random.default_rng(seed)
     for t in range(1, rounds + 1):
-        contexts = rng.uniform(0.0, 10.0, (n_agents, dim))
+        contexts = rng.uniform(0.0, 10.0, (1, n_agents, dim))
         if t <= n_agents:
-            decision = policies.AllocationDecision(t - 1)
+            decision = policies.AllocationDecision(np.array([t - 1]))
         else:
-            decision = policies.select_agent(kind, spec, totals, t, contexts, gp, params, rng)
-        x = contexts[decision.agent]
-        y = float(np.sum((x / 10.0) ** 2))
-        totals[decision.agent] += y
-        policies.observe(kind, gp, decision, contexts, y)
+            decision = policies.select_agent(kind, spec, totals, t, contexts, [gp], params, [rng])
+        agent = decision.agent[0]
+        y = float(np.sum((contexts[0, agent] / 10.0) ** 2))
+        totals[0, agent] += y
+        policies.observe(kind, [gp], decision, contexts, np.array([y]))
         yield gp
 
 
@@ -294,7 +295,8 @@ def test_gp_info_gain_matches_gram_log_det():
     for x in xs:
         _observe(gp, x, float(x.sum() / 10.0 + rng.normal(0.0, 0.1)))
     scaled = gp.inputs[: gp.n_obs]
-    gram = estimators._kernel_cross(gp, scaled, scaled)
+    sq_norms = estimators._sq_norms(scaled)
+    gram = estimators._kernel_cross(gp, scaled, sq_norms, scaled, sq_norms)
     direct = 0.5 * np.linalg.slogdet(np.eye(200) + gram / gp.noise_var)[1]
     assert gp.info_gain <= direct + 1e-6
     assert gp.info_gain == pytest.approx(direct, abs=1e-9)
@@ -322,7 +324,8 @@ def _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain):
     against a fresh Cholesky of the Gram matrix, a solve and slogdet."""
     n = gp.n_obs
     scaled = gp.inputs[:n]
-    gram = estimators._kernel_cross(gp, scaled, scaled)
+    sq_norms = estimators._sq_norms(scaled)
+    gram = estimators._kernel_cross(gp, scaled, sq_norms, scaled, sq_norms)
     lower = np.linalg.cholesky(gram + gp.noise_var * np.eye(n))
     np.testing.assert_allclose(gp.chol[:n, :n], lower, rtol=0.0, atol=tol_chol)
     white = np.linalg.solve(lower, gp.targets[:n])
@@ -383,6 +386,9 @@ def test_gp_round_makes_one_triangular_solve(monkeypatch):
         assert per_round == [1] * 130, name
         assert gp.n_obs == 130
         assert gp.inputs.shape[0] == 256
+        # the squared norms kept beside the inputs, padded at each doubling,
+        # are the ones the block of stored inputs gives
+        np.testing.assert_array_equal(gp.sq_norms[:130], np.sum(gp.inputs[:130] ** 2, axis=1))
 
 
 def test_gp_width_multiplier_grows_with_info_gain():

@@ -124,16 +124,16 @@ def test_sample_gaussian_zero_scale_is_mean():
     st = linalg.init_precision(3, 2.0)
     mean = np.array([1.0, -2.0, 0.5])
     rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(linalg.sample_gaussian(mean, 0.0, st, rng), mean)
+    np.testing.assert_array_equal(linalg.sample_gaussian(mean, 0.0, st, [rng]), mean)
     # tiny positive scale stays numerically at the mean
-    np.testing.assert_allclose(linalg.sample_gaussian(mean, 1e-300, st, rng), mean, atol=1e-290)
+    np.testing.assert_allclose(linalg.sample_gaussian(mean, 1e-300, st, [rng]), mean, atol=1e-290)
 
 
 def test_sample_gaussian_unit_variance():
     st = linalg.init_precision(1, 1.0)
     rng = np.random.default_rng(42)
     draws = np.array(
-        [linalg.sample_gaussian(np.zeros(1), 1.0, st, rng)[0] for _ in range(10**5)]
+        [linalg.sample_gaussian(np.zeros(1), 1.0, st, [rng])[0] for _ in range(10**5)]
     )
     assert 0.98 <= draws.var(ddof=1) <= 1.02
 
@@ -146,7 +146,7 @@ def test_sample_gaussian_covariance_oracle():
     scale = 1.3
     rng = np.random.default_rng(123)
     samples = np.array(
-        [linalg.sample_gaussian(np.zeros(3), scale, state, rng) for _ in range(10**5)]
+        [linalg.sample_gaussian(np.zeros(3), scale, state, [rng]) for _ in range(10**5)]
     )
     np.testing.assert_allclose(np.cov(samples.T), scale**2 * state.m_inv, atol=0.05)
 
@@ -155,4 +155,4 @@ def test_sample_gaussian_reports_broken_state():
     st = linalg.init_precision(2, 1.0)
     st.m_inv[:] = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
     with pytest.raises(linalg.NumericError, match="eigenvalue"):
-        linalg.sample_gaussian(np.zeros(2), 1.0, st, np.random.default_rng(0))
+        linalg.sample_gaussian(np.zeros(2), 1.0, st, [np.random.default_rng(0)])

@@ -11,6 +11,12 @@ from ofdsim.policies import PolicyKind
 from ofdsim.simulator import RunConfig, run_single
 
 
+def select_one(kind, spec, totals, t, contexts, est, params, rng):
+    """select_agent for a batch of one run, whose estimator est is a
+    stacked ridge state, a list of one GP state, or None."""
+    return policies.select_agent(kind, spec, totals[None], t, contexts[None], est, params, [rng])
+
+
 def make_setup(n=4, dim=3, rho=0.85):
     spec = GoodnessSpec("weighted-gini", rho=rho)
     params = ConfidenceParams.defaults(dim)
@@ -77,9 +83,9 @@ def test_round_robin_first_n_rounds():
     est = policies.make_estimator(PolicyKind("gp-ucb"), params)
     contexts = np.random.default_rng(1).uniform(0.0, 1.0, (n, 3))
     for agent in range(n):
-        decision = policies.AllocationDecision(agent)
+        decision = policies.AllocationDecision(np.array([agent]))
         assert decision.gp_conditioning is None
-        policies.observe(PolicyKind("gp-ucb"), est, decision, contexts, 1.0)
+        policies.observe(PolicyKind("gp-ucb"), [est], decision, contexts[None], np.ones(1))
     assert est.n_obs == n
     np.testing.assert_allclose(est.inputs[:n], contexts / est.feature_scale)
 
@@ -108,10 +114,9 @@ def test_min_weights_pick_lowest_total_on_equal_scores():
     totals = np.array([5.0, 1.0, 3.0])
     contexts = np.ones((3, 2))
     est = policies.make_estimator(PolicyKind("ucb"), params)
-    decision = policies.select_agent(
-        PolicyKind("ucb"), spec, totals, 4, contexts, est, params, np.random.default_rng(3)
-    )
-    assert decision.agent == 1
+    decision = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
+                          estimators.stack_ridge([est]), params, np.random.default_rng(3))
+    assert decision.agent[0] == 1
     adds = np.maximum(estimators.ucb_scores(est, params, 4, contexts), 0.0)
     values = goodness.candidate_scores(spec, totals, adds)
     assert values[1] == values.max() > values[0]
@@ -126,10 +131,9 @@ def test_usw_picks_largest_score_on_equal_totals():
     # alpha = sqrt(lam)*S is constant across agents at equal widths, so
     # the ranking follows the mean scores
     contexts = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
-    decision = policies.select_agent(
-        PolicyKind("ucb"), spec, totals, 4, contexts, est, params, np.random.default_rng(4)
-    )
-    assert decision.agent == 1
+    decision = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
+                          estimators.stack_ridge([est]), params, np.random.default_rng(4))
+    assert decision.agent[0] == 1
 
 
 def test_uniform_frequencies():
@@ -137,33 +141,34 @@ def test_uniform_frequencies():
     rng = np.random.default_rng(3)
     counts = np.zeros(10)
     for _ in range(10**5):
-        decision = policies.select_agent(
-            PolicyKind("uniform"), spec, totals, 11, contexts, None, params, rng
-        )
-        counts[decision.agent] += 1
+        decision = select_one(PolicyKind("uniform"), spec, totals, 11, contexts, None, params, rng)
+        counts[decision.agent[0]] += 1
     np.testing.assert_allclose(counts / 10**5, np.full(10, 0.1), atol=0.01)
 
 
 def test_greedy_exploration_coin():
     spec, params, totals, contexts = make_setup(n=5, dim=3)
     totals[:] = 1.0
-    est = estimators.init_ridge(3, params.lam)
+    est = estimators.stack_ridge([estimators.init_ridge(3, params.lam)])
     rng = np.random.default_rng(5)
     kind = PolicyKind("greedy", epsilon=1.0)  # always explores
     hits = np.zeros(5)
     for _ in range(2000):
-        decision = policies.select_agent(kind, spec, totals, 6, contexts, est, params, rng)
+        decision = select_one(kind, spec, totals, 6, contexts, est, params, rng)
         # exploring scores no agent, so it carries no GP conditioning either
         assert decision.gp_conditioning is None
-        hits[decision.agent] += 1
+        hits[decision.agent[0]] += 1
     assert hits.min() > 0  # exploration may land on any agent
 
 
 def test_observe_updates_estimator():
     params = ConfidenceParams.defaults(2)
     est = estimators.init_ridge(2, params.lam)
+    stacked = estimators.stack_ridge([est])
     contexts = np.array([[5.0, 5.0], [1.0, 2.0]])
-    policies.observe(PolicyKind("ucb"), est, policies.AllocationDecision(agent=1), contexts, 3.0)
+    policies.observe(PolicyKind("ucb"), stacked, policies.AllocationDecision(np.array([1])),
+                     contexts[None], np.array([3.0]))
+    estimators.unstack_ridge(stacked, [est])
     assert est.precision.n_updates == 1
     np.testing.assert_array_equal(est.moment, 3.0 * contexts[1])
 
@@ -171,7 +176,8 @@ def test_observe_updates_estimator():
 def test_observe_uniform_skips_estimator():
     # uniform has no estimator; observe must not touch the None it is given
     policies.observe(
-        PolicyKind("uniform"), None, policies.AllocationDecision(agent=0), np.ones((2, 2)), 2.0
+        PolicyKind("uniform"), None, policies.AllocationDecision(np.array([0])),
+        np.ones((1, 2, 2)), np.array([2.0]),
     )
 
 
@@ -179,16 +185,14 @@ def test_observe_counts_invariant():
     params = ConfidenceParams.defaults(2)
     spec = GoodnessSpec("weighted-gini", rho=0.9)
     totals = np.ones(3)
-    est = policies.make_estimator(PolicyKind("ucb"), params)
+    est = estimators.stack_ridge([policies.make_estimator(PolicyKind("ucb"), params)])
     rng = np.random.default_rng(6)
     contexts = rng.uniform(0.0, 10.0, (3, 2))
     for t in range(4, 44):
-        decision = policies.select_agent(
-            PolicyKind("ucb"), spec, totals, t, contexts, est, params, rng
-        )
+        decision = select_one(PolicyKind("ucb"), spec, totals, t, contexts, est, params, rng)
         y = float(rng.uniform(0.1, 2.0))
-        totals[decision.agent] += y
-        policies.observe(PolicyKind("ucb"), est, decision, contexts, y)
+        totals[decision.agent[0]] += y
+        policies.observe(PolicyKind("ucb"), est, decision, contexts[None], np.array([y]))
         assert est.precision.n_updates == t - 3
 
 
@@ -204,20 +208,18 @@ def test_greedy_zero_epsilon_equals_ucb_zero_alpha():
 
     def run(kind):
         totals = np.zeros(n)
-        est = policies.make_estimator(kind, params)
+        est = estimators.stack_ridge([policies.make_estimator(kind, params)])
         rng = np.random.default_rng(8)
         sequence = []
         for t in range(1, rounds + 1):
             if t <= n:
-                decision = policies.AllocationDecision(t - 1)
+                decision = policies.AllocationDecision(np.array([t - 1]))
             else:
-                decision = policies.select_agent(
-                    kind, spec, totals, t, items[t - 1], est, params, rng
-                )
-            a = decision.agent
+                decision = select_one(kind, spec, totals, t, items[t - 1], est, params, rng)
+            a = int(decision.agent[0])
             y = float(truths[t - 1][a])
             totals[a] += y
-            policies.observe(kind, est, decision, items[t - 1], y)
+            policies.observe(kind, est, decision, items[t - 1][None], np.array([y]))
             sequence.append(a)
         return sequence
 
@@ -237,10 +239,10 @@ def test_scores_clamped_before_goodness():
     # clamped, both candidates tie at the no-allocation goodness 6 and the
     # pick is a tie draw; unclamped, agent 1's lower score would lose always
     picks = {
-        policies.select_agent(
-            PolicyKind("greedy", epsilon=0.0), spec, totals, 3, contexts, est, params,
-            np.random.default_rng(seed),
-        ).agent
+        select_one(
+            PolicyKind("greedy", epsilon=0.0), spec, totals, 3, contexts,
+            estimators.stack_ridge([est]), params, np.random.default_rng(seed),
+        ).agent[0]
         for seed in range(20)
     }
     assert picks == {0, 1}
@@ -263,6 +265,5 @@ def test_select_agent_rejects_non_finite_goodness(spec):
     est = estimators.init_ridge(3, params.lam)
     est.theta_hat[:] = np.nan
     with pytest.raises(linalg.NumericError, match="not finite"):
-        policies.select_agent(
-            PolicyKind("ucb"), spec, totals, 5, contexts, est, params, np.random.default_rng(0)
-        )
+        select_one(PolicyKind("ucb"), spec, totals, 5, contexts, estimators.stack_ridge([est]),
+                   params, np.random.default_rng(0))
