@@ -90,12 +90,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunSpecEntry:
-    """One CSV-producing unit: a named parameter point, its seedless run
-    (which carries the policy) and the repetition seeds."""
+    """One CSV-producing unit: a named parameter point, its run (which
+    carries the policy; its own seed is not read) and the repetition
+    seeds, checked by the rule every run's seeds obey."""
 
     name: str
     proto: RunConfig
     seeds: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        simulator.checked_seeds(self.seeds)
 
     @property
     def csv_name(self) -> str:
@@ -389,17 +393,18 @@ def _entry_from_json(payload: dict) -> RunSpecEntry:
 # execution
 
 
-def _batches(entries: list[RunSpecEntry], jobs: int) -> list[list[RunConfig]]:
-    """One batch of runs per entry, in order. While there are fewer
-    batches than jobs, the largest is split in two halves, so every
-    worker gets runs."""
-    batches = [[entry.proto.with_seed(seed) for seed in entry.seeds] for entry in entries]
+def _batches(entries: list[RunSpecEntry], jobs: int) -> list[tuple[RunConfig, tuple]]:
+    """One batch, a run and its seeds, per entry, in order. While there
+    are fewer batches than jobs, the seeds of the largest are split in
+    two halves, so every worker gets runs."""
+    batches = [(entry.proto, entry.seeds) for entry in entries]
     while len(batches) < jobs:
-        k = max(range(len(batches)), key=lambda i: len(batches[i]))
-        if len(batches[k]) < 2:
+        k = max(range(len(batches)), key=lambda i: len(batches[i][1]))
+        proto, seeds = batches[k]
+        if len(seeds) < 2:
             break
-        half = (len(batches[k]) + 1) // 2
-        batches[k : k + 1] = [batches[k][:half], batches[k][half:]]
+        half = (len(seeds) + 1) // 2
+        batches[k : k + 1] = [(proto, seeds[:half]), (proto, seeds[half:])]
     return batches
 
 
@@ -409,9 +414,9 @@ def execute_entries(entries: list[RunSpecEntry], jobs: int, outdir: str) -> list
     batches = _batches(entries, jobs)
     if jobs > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            done = list(pool.map(simulator.run_batch, batches, chunksize=1))
+            done = list(pool.map(simulator.run_batch, *zip(*batches), chunksize=1))
     else:
-        done = [simulator.run_batch(batch) for batch in batches]
+        done = [simulator.run_batch(proto, seeds) for proto, seeds in batches]
     traces = [trace for batch in done for trace in batch]
 
     written = []

@@ -1,6 +1,6 @@
-"""Synthetic allocation instances: fixed agents, per-round random items,
-a hidden utility function (linear or squared projection) and Gaussian
-observation noise.
+"""Synthetic allocation instances: fixed agents, per-round random items
+and a hidden utility function (linear or squared projection). The
+simulator adds the Gaussian observation noise.
 
 Item and agent features are drawn uniformly from (0, 10) per coordinate
 and concatenated into per-agent contexts of length d = item_dim +
@@ -26,7 +26,7 @@ FEATURE_HIGH = 10.0
 @dataclass(frozen=True)
 class ProblemInstance:
     """One drawn instance. Only :func:`generate_instance` builds one, from
-    the sizes, utility kind and noise scale that RunConfig has checked."""
+    the sizes and utility kind that RunConfig has checked."""
 
     n_agents: int
     item_dim: int
@@ -34,7 +34,6 @@ class ProblemInstance:
     agent_features: np.ndarray
     theta_star: np.ndarray
     utility_kind: str
-    noise_r: float
 
     @property
     def dim(self) -> int:
@@ -46,7 +45,6 @@ def generate_instance(
     item_dim: int,
     agent_dim: int,
     utility_kind: str,
-    noise_r: float,
     rng: np.random.Generator,
 ) -> ProblemInstance:
     """Draw agents and the hidden parameter for one problem instance."""
@@ -61,7 +59,6 @@ def generate_instance(
         agent_features=agent_features,
         theta_star=theta,
         utility_kind=utility_kind,
-        noise_r=float(noise_r),
     )
 
 

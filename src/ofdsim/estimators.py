@@ -186,27 +186,26 @@ class GpState:
     info_gain: float = 0.0
 
 
-def init_gp(dim: int, noise_var: float) -> GpState:
+def init_gp(dim: int, noise_var: float, horizon: int) -> GpState:
     """RBF-kernel GP with signal variance 1 and RKHS norm bound B = 1,
     over features rescaled by 1/FEATURE_HIGH into the unit box, where the
-    lengthscale is 0.2*sqrt(dim). Its buffers start at 64 observations
-    and double when full; each stored input's squared norm is kept beside
-    it, so conditioning does not recompute them. noise_var is floored at
-    1e-10, which keeps a noiseless run's Gram matrix regular;
+    lengthscale is 0.2*sqrt(dim). Its buffers hold the horizon's
+    observations, one per round; each stored input's squared norm is kept
+    beside it, so conditioning does not recompute them. noise_var is
+    floored at 1e-10, which keeps a noiseless run's Gram matrix regular;
     ConfidenceParams checks dim >= 1 and RunConfig keeps noise_var
     finite."""
-    cap = 64
     return GpState(
         lengthscale=0.2 * math.sqrt(dim),
         signal_var=1.0,
         noise_var=max(float(noise_var), 1e-10),
         bound_b=1.0,
         feature_scale=FEATURE_HIGH,
-        inputs=np.empty((cap, dim)),
-        sq_norms=np.empty(cap),
-        targets=np.empty(cap),
-        chol=np.zeros((cap, cap)),
-        white=np.empty(cap),
+        inputs=np.empty((horizon, dim)),
+        sq_norms=np.empty(horizon),
+        targets=np.empty(horizon),
+        chol=np.zeros((horizon, horizon)),
+        white=np.empty(horizon),
     )
 
 
@@ -222,16 +221,6 @@ def _kernel_cross(state: GpState, a: np.ndarray, a_sq: np.ndarray, b: np.ndarray
     sq = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return state.signal_var * np.exp(-sq / (2.0 * state.lengthscale**2))
-
-
-def _grow(state: GpState) -> None:
-    """Double the capacity of a full state, zero-padding every buffer."""
-    extra = state.inputs.shape[0]
-    state.inputs = np.pad(state.inputs, ((0, extra), (0, 0)))
-    state.sq_norms = np.pad(state.sq_norms, (0, extra))
-    state.targets = np.pad(state.targets, (0, extra))
-    state.chol = np.pad(state.chol, ((0, extra), (0, extra)))
-    state.white = np.pad(state.white, (0, extra))
 
 
 def _refactor(state: GpState) -> None:
@@ -285,8 +274,6 @@ def gp_update(state: GpState, scaled_row: np.ndarray, column: np.ndarray, y: flo
     var_pre = max(state.signal_var - sq_norm, 0.0)
     state.info_gain += 0.5 * math.log1p(var_pre / state.noise_var)
 
-    if state.n_obs == state.inputs.shape[0]:
-        _grow(state)
     n = state.n_obs
     state.inputs[n] = scaled_row
     state.sq_norms[n] = _sq_norms(scaled_row)

@@ -107,16 +107,6 @@ class GoodnessSpec:
             if self.weights is not None or self.rho is not None or self.target_ratios is not None:
                 raise ValueError(f"{self.kind} takes no weights, rho or target_ratios")
 
-    def __eq__(self, other) -> bool:
-        # the dataclass default compares the vectors with ==, which is ambiguous
-        if not isinstance(other, GoodnessSpec):
-            return NotImplemented
-        return (
-            (self.kind, self.rho) == (other.kind, other.rho)
-            and np.array_equal(self.weights, other.weights)
-            and np.array_equal(self.target_ratios, other.target_ratios)
-        )
-
     def resolved_weights(self, n_agents: int) -> np.ndarray:
         """Weight vector of length n_agents (weighted-gini only), cached;
         explicit weights are returned as given (RunConfig checks length)."""

@@ -65,14 +65,15 @@ class AllocationDecision:
     gp_conditioning: list[estimators.GpConditioning] | None = None
 
 
-def make_estimator(kind: PolicyKind, params: estimators.ConfidenceParams):
-    """Fresh estimator state for one run of the policy, or None for
-    uniform."""
+def make_estimator(kind: PolicyKind, params: estimators.ConfidenceParams, horizon: int):
+    """Fresh estimator state for one run of the policy over horizon
+    rounds, or None for uniform. A GP state holds one observation per
+    round."""
     if kind.uses_ridge:
         return estimators.init_ridge(params.dim, params.lam)
     if kind.uses_gp:
         # GP observation noise follows the sub-Gaussian parameter
-        return estimators.init_gp(params.dim, params.noise_r**2)
+        return estimators.init_gp(params.dim, params.noise_r**2, horizon)
     return None
 
 

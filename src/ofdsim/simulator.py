@@ -17,8 +17,8 @@ Each run splits its seed into four independent streams (instance,
 items, noise, policy), so replaying a config is bit-reproducible and
 policies sharing a seed face identical instances and item sequences.
 
-One round loop, :func:`run_batch`, steps R runs that differ only in seed
-in lockstep. Their ledgers are one (R, N) array, their contexts one
+One round loop, :func:`run_batch`, steps R runs of one config, one per
+seed, in lockstep. Their ledgers are one (R, N) array, their contexts one
 (R, N, d) array and a ridge state one state with a leading run axis, so
 each layer's function runs once per round for all R runs. Each run's
 arithmetic is the arithmetic it takes alone, in stacked numpy forms
@@ -32,7 +32,7 @@ is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .estimators import GP_MAX_NOISE_R, ConfidenceParams
 MAX_HORIZON = 10**6
 # bound on the bytes of the contexts and utilities drawn ahead for a batch
 BLOCK_BYTES = 1 << 18
-# a GP run holds a factor of at least 8 * horizon**2 bytes, and a batch holds
-# its runs' factors at once; this bounds their bytes, one run at the least
+# a GP run holds a factor of 8 * horizon**2 bytes, and a batch holds its
+# runs' factors at once; this bounds their bytes, one run at the least
 GP_BATCH_BYTES = 1 << 26
 
 
@@ -73,6 +73,18 @@ def size_problems(
     return problems
 
 
+def checked_seeds(seeds) -> tuple[int, ...]:
+    """The seeds of one or more runs as a tuple; there must be at least
+    one, and each must be an integer >= 0."""
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("runs need at least 1 seed")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seeds
+
+
 @dataclass
 class RunConfig:
     """Everything one run needs. Construction checks the run's inputs and
@@ -94,8 +106,7 @@ class RunConfig:
         )
         if problems:
             raise ValueError("\n".join(problems))
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        checked_seeds([self.seed])
         for name in ("weights", "target_ratios"):
             vector = getattr(self.goodness, name)
             if vector is not None and vector.size != self.n_agents:
@@ -115,9 +126,6 @@ class RunConfig:
                 f"(at most {GP_MAX_NOISE_R!r})"
             )
 
-    def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=seed)
-
 
 @dataclass
 class RunTrace:
@@ -133,45 +141,40 @@ class RunTrace:
 
 def run_single(config: RunConfig) -> RunTrace:
     """Execute one seeded run and return its full trace."""
-    return run_batch([config])[0]
+    return run_batch(config, [config.seed])[0]
 
 
 # a fault shows as a non-finite value, which the loop checks and reports as
 # a run abort, so numpy's warnings on the way to it would only be noise
 @np.errstate(invalid="ignore", over="ignore")
-def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
-    """Execute R runs that differ only in seed, in lockstep, and return
-    their traces in config order. Each run's trace is the one it makes
-    alone, bit for bit.
+def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
+    """Execute R runs of config, one per seed, in lockstep, and return
+    their traces in seed order; config.seed is not read. Each run's trace
+    is the one it makes alone, bit for bit.
 
-    A run that faults mid-flight makes the batch run its configs one at
-    a time, so the RunAbortedError raised is the first in config order
-    and carries what that run alone reports. GP runs are stepped in
-    batches of at most GP_BATCH_BYTES of factors, in config order."""
-    if not configs:
-        raise ValueError("run_batch needs at least 1 config")
-    first = configs[0]
-    if any(replace(config, seed=first.seed) != first for config in configs[1:]):
-        raise ValueError("the configs of a batch may differ only in seed")
-    runs = len(configs)
-    spec, kind, params = first.goodness, first.policy, first.confidence
-    n, horizon, noise_r = first.n_agents, first.horizon, params.noise_r
+    A run that faults mid-flight makes the batch run its seeds one at a
+    time, so the RunAbortedError raised is the first in seed order and
+    carries what that run alone reports. GP runs are stepped in batches
+    of at most GP_BATCH_BYTES of factors, in seed order."""
+    seeds = checked_seeds(seeds)
+    runs = len(seeds)
+    spec, kind, params = config.goodness, config.policy, config.confidence
+    n, horizon, noise_r = config.n_agents, config.horizon, params.noise_r
     if kind.uses_gp:
         most = max(1, GP_BATCH_BYTES // (8 * horizon**2))
         if runs > most:
-            chunks = [configs[k : k + most] for k in range(0, runs, most)]
-            return [trace for chunk in chunks for trace in run_batch(chunk)]
+            return [trace for k in range(0, runs, most)
+                    for trace in run_batch(config, seeds[k : k + most])]
 
-    streams = [map(np.random.default_rng, np.random.SeedSequence(c.seed).spawn(4))
-               for c in configs]
+    streams = [map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
+               for seed in seeds]
     instance_rngs, item_rngs, noise_rngs, policy_rngs = map(list, zip(*streams))
     instances = [
-        environment.generate_instance(
-            n, first.item_dim, first.agent_dim, first.utility_kind, noise_r, rng
-        )
+        environment.generate_instance(n, config.item_dim, config.agent_dim,
+                                      config.utility_kind, rng)
         for rng in instance_rngs
     ]
-    states = [policies.make_estimator(kind, params) for _ in configs]
+    states = [policies.make_estimator(kind, params, horizon) for _ in seeds]
     estimator = estimators.stack_ridge(states) if kind.uses_ridge else states
     # these kinds cannot score the warm start's zero ledger entries
     needs_positive = spec.kind in goodness.POSITIVE_LEDGER_KINDS
@@ -235,11 +238,11 @@ def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
             policies.observe(kind, estimator, decision, contexts, y)
         except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
             if runs > 1:
-                return [run_batch([config])[0] for config in configs]
+                return [run_batch(config, [seed])[0] for seed in seeds]
             row = totals[0]
             low = int(np.argmin(row))
             raise RunAbortedError(
-                f"run seed={first.seed} aborted at round {t}: {exc}; ledger of {n} agents: "
+                f"run seed={seeds[0]} aborted at round {t}: {exc}; ledger of {n} agents: "
                 f"min {float(row[low])!r} (agent {low}), max {float(row.max())!r}"
             ) from exc
 
@@ -255,7 +258,7 @@ def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
     )
     return [
         RunTrace(
-            seed=config.seed,
+            seed=seed,
             horizon=horizon,
             chosen=chosen[r],
             oracle=oracle[r],
@@ -264,7 +267,7 @@ def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
             cum_regret=np.cumsum(inst_regret[r]),
             final_totals=totals[r],
         )
-        for r, config in enumerate(configs)
+        for r, seed in enumerate(seeds)
     ]
 
 

@@ -74,7 +74,7 @@ def _paired_ci(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return _mean_ci(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
 
-def _config(policy: str, seed: int, noise_r: float | None = None, **kwargs) -> RunConfig:
+def _config(policy: str, seed: int = 0, noise_r: float | None = None, **kwargs) -> RunConfig:
     cfg = dict(
         horizon=1000,
         n_agents=10,
@@ -92,9 +92,9 @@ def _config(policy: str, seed: int, noise_r: float | None = None, **kwargs) -> R
 
 @pytest.fixture(scope="module")
 def pool_map():
-    """Map a top-level function, such as run_batch over groups of
-    RunConfigs, on one spawned worker per core, shared by this module's
-    tests; results come back in input order.
+    """Map a top-level function over tuples of its arguments, such as
+    run_batch over (config, seeds) pairs, on one spawned worker per core,
+    shared by this module's tests; results come back in input order.
 
     Each run owns its seeded streams, so a result does not depend on the
     process that computed it (criterion 11 checks this for the CLI).
@@ -109,17 +109,17 @@ def pool_map():
     with mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"):
         workers = context.Pool(os.cpu_count())
     with workers:
-        yield lambda fn, items: workers.map(fn, items, chunksize=1)
+        yield lambda fn, items: workers.starmap(fn, items, chunksize=1)
 
 
 def _groups(items: list, size: int) -> list[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def _run_groups(pool_map, groups: list[list[RunConfig]]) -> list:
-    """Traces of every config, in input order; each group of configs that
-    differ only in seed runs as one lockstep batch on a worker. Each
-    criterion passes at least two groups, so both workers get runs."""
+def _run_groups(pool_map, groups: list[tuple[RunConfig, list[int]]]) -> list:
+    """Traces of every group's runs, in input order; each group, a config
+    and its seeds, runs as one lockstep batch on a worker. Each criterion
+    passes at least two groups, so both workers get runs."""
     return [trace for batch in pool_map(run_batch, groups) for trace in batch]
 
 
@@ -252,7 +252,7 @@ def _coverage_run(seed: int) -> bool:
 
 def test_05_confidence_ellipsoid_coverage(pool_map):
     runs = 200
-    covered = sum(pool_map(_coverage_run, range(runs)))
+    covered = sum(pool_map(_coverage_run, zip(range(runs))))
     ok = covered >= int(0.95 * runs)
     assert _report(5, ok, f"{covered}/{runs} runs fully covered (need >= {int(0.95 * runs)})"), (
         f"covered {covered}"
@@ -263,9 +263,9 @@ def test_06_regret_stays_under_theoretical_bound(pool_map):
     runs, horizon, d = 100, 2000, 10
     params = ConfidenceParams.defaults(d)
     bounds = np.array([theoretical_bound(params, d, 1.0, t) for t in range(1, horizon + 1)])
-    traces = _run_groups(pool_map, _groups([
-        _config("ucb", seed, horizon=horizon, item_dim=5, agent_dim=5) for seed in range(runs)
-    ], runs // 2))
+    config = _config("ucb", horizon=horizon, item_dim=5, agent_dim=5)
+    traces = _run_groups(pool_map, [(config, half)
+                                    for half in _groups(list(range(runs)), runs // 2)])
     dominated = sum(bool(np.all(trace.cum_regret <= bounds)) for trace in traces)
     ok = dominated >= 95
     assert _report(6, ok, f"{dominated}/{runs} runs dominated at every round (need >= 95)"), (
@@ -287,9 +287,8 @@ def test_07_headline_regret_ordering_and_sublinearity(pool_map):
     """
     horizon, reps = 10_000, 20
     names = ("ucb", "ts", "greedy", "uniform")
-    runs = _run_groups(pool_map, [
-        [_config(name, seed, horizon=horizon) for seed in range(reps)] for name in names
-    ])
+    runs = _run_groups(pool_map, [(_config(name, horizon=horizon), range(reps))
+                                  for name in names])
     traces = dict(zip(names, _groups(runs, reps)))
     finals = {k: np.array([tr.cum_regret[-1] for tr in v]) for k, v in traces.items()}
     mci = {k: _mean_ci(v) for k, v in finals.items()}
@@ -333,8 +332,7 @@ def test_08_regret_scales_monotonically_with_agents_and_dimension(pool_map):
     points = [(policy, axis, point) for policy in ("ucb", "ts")
               for axis, grid in sweeps.items() for point in grid]
     runs = _run_groups(pool_map, [
-        [_config(policy, seed, horizon=horizon, goodness=goodness, **point)
-         for seed in range(reps)]
+        (_config(policy, horizon=horizon, goodness=goodness, **point), range(reps))
         for policy, _, point in points
     ])
     mean_finals: dict[tuple[str, str], list[float]] = {}
@@ -377,8 +375,7 @@ def test_09_fairness_knob_trades_welfare_for_equality(pool_map):
         e for e in expand_preset("fig3-rho-sweep", reps=20, base_seed=0)
         if e.proto.policy.name in ("ucb", "uniform")
     ]
-    runs = _run_groups(pool_map, [[entry.proto.with_seed(s) for s in entry.seeds]
-                                  for entry in entries])
+    runs = _run_groups(pool_map, [(entry.proto, entry.seeds) for entry in entries])
     finals = {"ucb": {}, "uniform": {}}
     specs = {}
     for entry, group in zip(entries, _groups(runs, len(entries[0].seeds))):
@@ -455,7 +452,7 @@ def test_10_gp_beats_linear_model_on_square_utilities(pool_map):
     kw = dict(horizon=horizon, utility_kind="square")
     # halves of each policy's seeds, so the GP runs are shared by both workers
     runs = _run_groups(pool_map, [
-        [_config(name, s, **kw) for s in half]
+        (_config(name, **kw), half)
         for name in ("gp-ucb", "ucb") for half in _groups(list(range(reps)), reps // 2)
     ])
     gp, lin = (np.array([tr.cum_regret[-1] for tr in group]) for group in _groups(runs, reps))

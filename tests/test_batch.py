@@ -24,25 +24,26 @@ SPECS = {
 }
 
 
-def configs(runs, policy="ucb", spec=SPECS[goodness.WEIGHTED_GINI], noise_r=0.1, **kw):
-    """A batch of runs seeded 11, 12, ...; policy is a name or a PolicyKind."""
+def batch(runs, policy="ucb", spec=SPECS[goodness.WEIGHTED_GINI], noise_r=0.1, **kw):
+    """A config seeded 11 and the batch's seeds 11, 12, ...; policy is a
+    name or a PolicyKind."""
     base = dict(horizon=60, n_agents=N_AGENTS, item_dim=2, agent_dim=2)
     base.update(kw)
     if isinstance(policy, str):
         policy = PolicyKind(policy)
     confidence = ConfidenceParams.defaults(base["item_dim"] + base["agent_dim"], noise_r=noise_r)
-    return [RunConfig(seed=seed, policy=policy, goodness=spec, confidence=confidence, **base)
-            for seed in range(11, 11 + runs)]
+    config = RunConfig(seed=11, policy=policy, goodness=spec, confidence=confidence, **base)
+    return config, list(range(11, 11 + runs))
 
 
-def assert_batch_equals_singles(batch):
-    traces = simulator.run_batch(batch)
-    assert len(traces) == len(batch)
-    for trace, config in zip(traces, batch):
-        alone = simulator.run_single(config)
+def assert_batch_equals_singles(config, seeds):
+    traces = simulator.run_batch(config, seeds)
+    assert len(traces) == len(seeds)
+    for trace, seed in zip(traces, seeds):
+        alone = simulator.run_single(dataclasses.replace(config, seed=seed))
         for field in dataclasses.fields(RunTrace):
             mine, theirs = getattr(trace, field.name), getattr(alone, field.name)
-            assert np.array_equal(mine, theirs), (config.seed, field.name)
+            assert np.array_equal(mine, theirs), (seed, field.name)
     return traces
 
 
@@ -50,22 +51,30 @@ def assert_batch_equals_singles(batch):
 @pytest.mark.parametrize("kind", goodness.KINDS)
 @pytest.mark.parametrize("policy", policies.POLICY_NAMES)
 def test_batch_equals_single_runs(policy, kind, runs):
-    assert_batch_equals_singles(configs(runs, policy, SPECS[kind]))
+    assert_batch_equals_singles(*batch(runs, policy, SPECS[kind]))
 
 
-@pytest.mark.parametrize("batch", [
-    pytest.param(configs(2, "ucb", noise_r=0.0), id="ucb-noiseless"),
-    pytest.param(configs(2, "ts", noise_r=0.0), id="ts-noiseless"),
-    pytest.param(configs(2, "gp-ts", noise_r=0.0, utility_kind="square"), id="gp-ts-noiseless"),
-    pytest.param(configs(5, PolicyKind("greedy", epsilon=0.0)), id="greedy-eps-0"),
-    pytest.param(configs(5, PolicyKind("greedy", epsilon=1.0)), id="greedy-eps-1"),
-    pytest.param(configs(5, PolicyKind("greedy", epsilon=0.5), horizon=200), id="greedy-eps-0.5"),
-    pytest.param(configs(2, "ucb", utility_kind="square"), id="ucb-square"),
-    pytest.param(configs(2, "gp-ucb", utility_kind="square"), id="gp-ucb-square"),
-    pytest.param(configs(2, "gp-ts", utility_kind="square"), id="gp-ts-square"),
+@pytest.mark.parametrize("case", [
+    pytest.param(batch(2, "ucb", noise_r=0.0), id="ucb-noiseless"),
+    pytest.param(batch(2, "ts", noise_r=0.0), id="ts-noiseless"),
+    pytest.param(batch(2, "gp-ts", noise_r=0.0, utility_kind="square"), id="gp-ts-noiseless"),
+    pytest.param(batch(5, PolicyKind("greedy", epsilon=0.0)), id="greedy-eps-0"),
+    pytest.param(batch(5, PolicyKind("greedy", epsilon=1.0)), id="greedy-eps-1"),
+    pytest.param(batch(5, PolicyKind("greedy", epsilon=0.5), horizon=200), id="greedy-eps-0.5"),
+    pytest.param(batch(2, "ucb", utility_kind="square"), id="ucb-square"),
+    pytest.param(batch(2, "gp-ucb", utility_kind="square"), id="gp-ucb-square"),
+    pytest.param(batch(2, "gp-ts", utility_kind="square"), id="gp-ts-square"),
 ])
-def test_batch_equals_single_runs_at_the_edges(batch):
-    assert_batch_equals_singles(batch)
+def test_batch_equals_single_runs_at_the_edges(case):
+    assert_batch_equals_singles(*case)
+
+
+@pytest.mark.parametrize("policy", ["ts", "gp-ts"])
+def test_batch_ignores_the_config_seed(policy):
+    # the config is seeded 11, which none of the batch's runs takes
+    config, _ = batch(1, policy, utility_kind="square")
+    traces = assert_batch_equals_singles(config, [20, 5, 30])
+    assert [trace.seed for trace in traces] == [20, 5, 30]
 
 
 def test_batch_equals_single_runs_on_constant_ties(monkeypatch):
@@ -80,8 +89,9 @@ def test_batch_equals_single_runs_on_constant_ties(monkeypatch):
 
     monkeypatch.setattr(environment, "generate_instance", equal_agents)
     for policy in ("ucb", "ts", "greedy"):
-        batch = configs(5, policy, GoodnessSpec(goodness.WEIGHTED_GINI, rho=1.0), horizon=100)
-        for trace in assert_batch_equals_singles(batch):
+        config, seeds = batch(5, policy, GoodnessSpec(goodness.WEIGHTED_GINI, rho=1.0),
+                              horizon=100)
+        for trace in assert_batch_equals_singles(config, seeds):
             assert np.unique(trace.chosen[N_AGENTS:]).size == N_AGENTS, policy
 
 
@@ -91,29 +101,26 @@ def test_gp_runs_are_stepped_within_the_factor_bound(monkeypatch):
     sizes = []
     run_batch = simulator.run_batch
 
-    def counting(batch):
-        sizes.append(len(batch))
-        return run_batch(batch)
+    def counting(config, seeds):
+        sizes.append(len(seeds))
+        return run_batch(config, seeds)
 
     monkeypatch.setattr(simulator, "run_batch", counting)
-    batch = configs(5, "gp-ucb", utility_kind="square")
-    traces = simulator.run_batch(batch)
+    config, seeds = batch(5, "gp-ucb", utility_kind="square")
+    traces = simulator.run_batch(config, seeds)
     assert sizes == [5, 2, 2, 1]
     monkeypatch.undo()
-    for trace, alone in zip(traces, simulator.run_batch(batch)):
+    for trace, alone in zip(traces, simulator.run_batch(config, seeds)):
         assert np.array_equal(trace.chosen, alone.chosen)
 
 
-def test_batch_of_several_configs_is_rejected():
-    batch = configs(2) + configs(1, horizon=61)
-    with pytest.raises(ValueError, match="differ only in seed"):
-        simulator.run_batch(batch)
-    with pytest.raises(ValueError, match="at least 1"):
-        simulator.run_batch([])
-    # equal specs built apart are one config
-    ratios = SPECS[goodness.TARGETED].target_ratios.copy()
-    same = configs(1, spec=GoodnessSpec(goodness.TARGETED, target_ratios=ratios))
-    assert_batch_equals_singles(configs(1, spec=SPECS[goodness.TARGETED]) + same)
+def test_batch_needs_valid_seeds():
+    config, _ = batch(1)
+    with pytest.raises(ValueError, match="at least 1 seed"):
+        simulator.run_batch(config, [])
+    for bad in (-1, 1.5, "x", True):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            simulator.run_batch(config, [11, bad])
 
 
 # the tiny-lambda run of tests/test_cli.py, whose M^-1 loses definiteness:
@@ -125,14 +132,14 @@ ABORTS_AT_10 = 15793235383387715774
 @pytest.mark.parametrize("first_seed", [35, 39], ids=["healthy-first", "later-abort-first"])
 def test_batch_raises_the_line_the_sequential_loop_raises(first_seed):
     confidence = ConfidenceParams.defaults(4, lam=1e-15)
-    batch = [RunConfig(seed=seed, policy=PolicyKind("ucb"), goodness=SPECS[goodness.WEIGHTED_GINI],
+    config = RunConfig(seed=0, policy=PolicyKind("ucb"), goodness=SPECS[goodness.WEIGHTED_GINI],
                        confidence=confidence, horizon=20, n_agents=10, item_dim=2, agent_dim=2)
-             for seed in (first_seed, ABORTS_AT_10)]
+    seeds = [first_seed, ABORTS_AT_10]
     with pytest.raises(simulator.RunAbortedError) as sequential:
-        for config in batch:
-            simulator.run_single(config)
+        for seed in seeds:
+            simulator.run_single(dataclasses.replace(config, seed=seed))
     with pytest.raises(simulator.RunAbortedError) as batched:
-        simulator.run_batch(batch)
+        simulator.run_batch(config, seeds)
     assert str(batched.value) == str(sequential.value)
     assert f"seed={ABORTS_AT_10 if first_seed == 35 else 39} " in str(batched.value)
 

@@ -433,6 +433,9 @@ MANIFEST_EDITS = {
         lambda entry: entry["config"]["goodness"].update(rho=None, weights=[1.0, 0.5]),
     "gp-noise-r-1e200": lambda entry: (entry["policy"].update(name="gp-ucb"),
                                        entry["config"]["confidence"].update(noise_r=1e200)),
+    "negative-seed": lambda entry: entry.update(seeds=[-1, 5]),
+    "non-integer-seed": lambda entry: entry.update(seeds=[1.5, 5]),
+    "no-seeds": lambda entry: entry.update(seeds=[]),
 }
 
 
@@ -520,8 +523,8 @@ def test_pool_is_no_wider_than_the_runs(tmp_path, monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     assert run_cli(*small_run_args(tmp_path / "x", jobs="64")) == 0

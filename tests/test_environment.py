@@ -13,7 +13,7 @@ from ofdsim.goodness import GoodnessSpec
 from ofdsim.policies import PolicyKind
 
 
-def make_instance(theta, agent_features, kind="linear", noise_r=0.0, item_dim=1):
+def make_instance(theta, agent_features, kind="linear", item_dim=1):
     theta = np.asarray(theta, dtype=np.float64)
     agent_features = np.asarray(agent_features, dtype=np.float64)
     return ProblemInstance(
@@ -23,7 +23,6 @@ def make_instance(theta, agent_features, kind="linear", noise_r=0.0, item_dim=1)
         agent_features=agent_features,
         theta_star=theta,
         utility_kind=kind,
-        noise_r=noise_r,
     )
 
 
@@ -50,8 +49,7 @@ def replay_truths(config):
     streams = np.random.SeedSequence(config.seed).spawn(4)
     inst_rng, item_rng = np.random.default_rng(streams[0]), np.random.default_rng(streams[1])
     inst = environment.generate_instance(
-        config.n_agents, config.item_dim, config.agent_dim, config.utility_kind,
-        config.confidence.noise_r, inst_rng,
+        config.n_agents, config.item_dim, config.agent_dim, config.utility_kind, inst_rng
     )
     return np.stack([
         environment.true_utilities(inst, environment.draw_item(inst, item_rng, 1)[0])
@@ -61,7 +59,7 @@ def replay_truths(config):
 
 def test_generate_instance_unit_norm_and_ranges():
     rng = np.random.default_rng(0)
-    inst = environment.generate_instance(6, 3, 2, "linear", 0.1, rng)
+    inst = environment.generate_instance(6, 3, 2, "linear", rng)
     assert np.linalg.norm(inst.theta_star) == pytest.approx(1.0, abs=1e-12)
     assert inst.agent_features.shape == (6, 2)
     assert np.all(inst.agent_features > 0.0) and np.all(inst.agent_features < 10.0)
@@ -69,11 +67,11 @@ def test_generate_instance_unit_norm_and_ranges():
 
 
 def test_generate_instance_deterministic():
-    a = environment.generate_instance(4, 2, 2, "linear", 0.1, np.random.default_rng(5))
-    b = environment.generate_instance(4, 2, 2, "linear", 0.1, np.random.default_rng(5))
+    a = environment.generate_instance(4, 2, 2, "linear", np.random.default_rng(5))
+    b = environment.generate_instance(4, 2, 2, "linear", np.random.default_rng(5))
     np.testing.assert_array_equal(a.theta_star, b.theta_star)
     np.testing.assert_array_equal(a.agent_features, b.agent_features)
-    c = environment.generate_instance(4, 2, 2, "linear", 0.1, np.random.default_rng(6))
+    c = environment.generate_instance(4, 2, 2, "linear", np.random.default_rng(6))
     assert not np.array_equal(a.theta_star, c.theta_star)
 
 
@@ -81,7 +79,7 @@ def test_feature_coordinate_mean():
     rng = np.random.default_rng(1)
     draws = np.concatenate(
         [
-            environment.generate_instance(50, 1, 4, "linear", 0.0, rng).agent_features.ravel()
+            environment.generate_instance(50, 1, 4, "linear", rng).agent_features.ravel()
             for _ in range(500)
         ]
     )
@@ -90,7 +88,7 @@ def test_feature_coordinate_mean():
 
 
 def test_draw_item_concatenation_layout():
-    inst = environment.generate_instance(5, 3, 2, "linear", 0.0, np.random.default_rng(2))
+    inst = environment.generate_instance(5, 3, 2, "linear", np.random.default_rng(2))
     block = environment.draw_item(inst, np.random.default_rng(3), 4)
     # a block of rounds draws the items that one round at a time would
     rng = np.random.default_rng(3)
@@ -112,7 +110,7 @@ def test_identical_agents_get_identical_contexts():
 
 
 def test_context_norm_box_bound():
-    inst = environment.generate_instance(8, 2, 2, "linear", 0.0, np.random.default_rng(5))
+    inst = environment.generate_instance(8, 2, 2, "linear", np.random.default_rng(5))
     rng = np.random.default_rng(6)
     for _ in range(200):
         ctx = environment.draw_item(inst, rng, 1)[0]
@@ -126,7 +124,7 @@ def test_linear_utility_projection():
 
 
 def test_linear_utility_cauchy_schwarz_cap():
-    inst = environment.generate_instance(4, 3, 3, "linear", 0.0, np.random.default_rng(7))
+    inst = environment.generate_instance(4, 3, 3, "linear", np.random.default_rng(7))
     rng = np.random.default_rng(8)
     cap = 10.0 * math.sqrt(6)
     for _ in range(200):
@@ -145,7 +143,7 @@ def test_square_utility_value_and_scaling():
 
 
 def test_square_utility_range():
-    inst = environment.generate_instance(4, 2, 2, "square", 0.0, np.random.default_rng(9))
+    inst = environment.generate_instance(4, 2, 2, "square", np.random.default_rng(9))
     rng = np.random.default_rng(10)
     cap = 10.0 * math.sqrt(4)
     for _ in range(100):
@@ -194,7 +192,7 @@ def test_oracle_min_weights_favors_min_agent():
 
 
 def test_oracle_single_agent():
-    inst = environment.generate_instance(1, 2, 2, "linear", 0.0, np.random.default_rng(15))
+    inst = environment.generate_instance(1, 2, 2, "linear", np.random.default_rng(15))
     ctx = environment.draw_item(inst, np.random.default_rng(16), 1)[0]
     spec = GoodnessSpec("weighted-gini", rho=0.85)
     assert oracle(inst, spec, [1.0], ctx) == 0

@@ -225,7 +225,7 @@ def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42):
     params = ConfidenceParams.defaults(dim, noise_r=noise_r)
     spec = GoodnessSpec("weighted-gini", rho=0.85)
     totals = np.zeros((1, n_agents))
-    gp = policies.make_estimator(kind, params)
+    gp = policies.make_estimator(kind, params, rounds)
     rng = np.random.default_rng(seed)
     for t in range(1, rounds + 1):
         contexts = rng.uniform(0.0, 10.0, (1, n_agents, dim))
@@ -241,20 +241,20 @@ def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42):
 
 
 def test_gp_prior_point():
-    gp = estimators.init_gp(2, noise_var=0.01)
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=1)
     means, stds = _posterior(gp, np.array([[3.0, 4.0]]))
     assert means[0] == 0.0
     assert stds[0] == pytest.approx(1.0)
 
 
 def test_gp_default_lengthscale_scales_with_dim():
-    gp = estimators.init_gp(9, noise_var=0.01)
+    gp = estimators.init_gp(9, noise_var=0.01, horizon=1)
     assert gp.lengthscale == pytest.approx(0.2 * 3.0)
 
 
 def test_gp_interpolates_with_tiny_noise():
     # raw feature units; FEATURE_HIGH scales them to 0.1, 0.4 and 0.9
-    gp = estimators.init_gp(1, noise_var=1e-10)
+    gp = estimators.init_gp(1, noise_var=1e-10, horizon=3)
     pts = np.array([1.0, 4.0, 9.0])
     ys = np.array([2.0, -1.0, 0.5])
     for z, y in zip(pts, ys):
@@ -267,7 +267,7 @@ def test_gp_interpolates_with_tiny_noise():
 
 def test_gp_fits_square_function_on_grid():
     # raw feature units in (0, 10); 10*z^2 on the unit box is x^2/10
-    gp = estimators.init_gp(1, noise_var=1e-6)
+    gp = estimators.init_gp(1, noise_var=1e-6, horizon=20)
     grid = np.linspace(0.25, 9.75, 20)
     for x in grid:
         _observe(gp, np.array([x]), float(0.1 * x * x))
@@ -278,7 +278,7 @@ def test_gp_fits_square_function_on_grid():
 
 def test_gp_posterior_variance_nonnegative_and_shrinking():
     rng = np.random.default_rng(30)
-    gp = estimators.init_gp(2, noise_var=0.01)
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=50)
     q = np.array([[5.0, 5.0]])
     _, before = _posterior(gp, q)
     for _ in range(50):
@@ -290,7 +290,7 @@ def test_gp_posterior_variance_nonnegative_and_shrinking():
 
 def test_gp_info_gain_matches_gram_log_det():
     rng = np.random.default_rng(17)
-    gp = estimators.init_gp(2, noise_var=0.01)
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=200)
     xs = rng.uniform(0.0, 10.0, (200, 2))
     for x in xs:
         _observe(gp, x, float(x.sum() / 10.0 + rng.normal(0.0, 0.1)))
@@ -306,8 +306,8 @@ def test_gp_posterior_order_invariant():
     rng = np.random.default_rng(31)
     xs = rng.uniform(0.0, 10.0, (120, 2))
     ys = xs.sum(axis=1) / 10.0
-    a = estimators.init_gp(2, noise_var=0.01)
-    b = estimators.init_gp(2, noise_var=0.01)
+    a = estimators.init_gp(2, noise_var=0.01, horizon=120)
+    b = estimators.init_gp(2, noise_var=0.01, horizon=120)
     order = rng.permutation(120)
     for i in range(120):
         _observe(a, xs[i], float(ys[i]))
@@ -343,7 +343,7 @@ def _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain):
 ], ids=["noisy", "noiseless"])
 def test_gp_incremental_factor_matches_fresh_algebra(noise_var, tol_chol, tol_white, rel_gain):
     rng = np.random.default_rng(40)
-    gp = estimators.init_gp(2, noise_var=noise_var)
+    gp = estimators.init_gp(2, noise_var=noise_var, horizon=600)
     for _ in range(600):
         x = rng.uniform(0.0, 10.0, 2)
         _observe(gp, x, float(np.sum((x / 10.0) ** 2)))
@@ -378,22 +378,21 @@ def test_gp_round_makes_one_triangular_solve(monkeypatch):
     monkeypatch.setattr(estimators, "solve_triangular", counting)
     for name in ("gp-ucb", "gp-ts"):
         per_round = []
-        # 130 rounds cross both buffer doublings, 64 -> 128 -> 256; the
-        # first 5 are round-robin, the rest are scored
+        # of 130 rounds, the first 5 are round-robin and the rest are scored
         for gp in _gp_policy_rounds(name, 0.1, 130):
             per_round.append(len(calls))
             calls.clear()
         assert per_round == [1] * 130, name
         assert gp.n_obs == 130
-        assert gp.inputs.shape[0] == 256
-        # the squared norms kept beside the inputs, padded at each doubling,
-        # are the ones the block of stored inputs gives
+        # the buffers hold the horizon's observations, and the squared norms
+        # kept beside the inputs are the ones the block of stored inputs gives
+        assert gp.inputs.shape[0] == gp.chol.shape[0] == 130
         np.testing.assert_array_equal(gp.sq_norms[:130], np.sum(gp.inputs[:130] ** 2, axis=1))
 
 
 def test_gp_width_multiplier_grows_with_info_gain():
     p = default_params(2)
-    gp = estimators.init_gp(2, noise_var=0.01)
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=30)
     w0 = estimators.gp_width_multiplier(gp, p)
     assert w0 == pytest.approx(math.sqrt(2.0 * (1.0 + math.log(1 / 0.05))) + 1.0)
     rng = np.random.default_rng(33)
@@ -406,7 +405,7 @@ def test_gp_width_multiplier_grows_with_info_gain():
 def test_gp_ucb_scores_match_scalar_and_dominate_mean():
     p = default_params(2)
     rng = np.random.default_rng(34)
-    gp = estimators.init_gp(2, noise_var=0.01)
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=25)
     for _ in range(25):
         x = rng.uniform(0.0, 10.0, 2)
         _observe(gp, x, float(x.prod() / 20.0))
@@ -422,7 +421,7 @@ def test_gp_ucb_scores_match_scalar_and_dominate_mean():
 def test_gp_ts_scores_reproducible_and_shaped():
     p = default_params(2)
     rng = np.random.default_rng(35)
-    gp = estimators.init_gp(2, noise_var=0.01)
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=15)
     for _ in range(15):
         x = rng.uniform(0.0, 10.0, 2)
         _observe(gp, x, float(x.sum() / 5.0))

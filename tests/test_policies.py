@@ -51,15 +51,15 @@ class TestPolicyKind:
 
 def test_make_estimator_dispatch():
     params = ConfidenceParams.defaults(4)
-    assert isinstance(policies.make_estimator(PolicyKind("ucb"), params), estimators.RidgeState)
-    assert isinstance(policies.make_estimator(PolicyKind("ts"), params), estimators.RidgeState)
-    assert isinstance(policies.make_estimator(PolicyKind("gp-ucb"), params), estimators.GpState)
-    assert policies.make_estimator(PolicyKind("uniform"), params) is None
+    assert isinstance(policies.make_estimator(PolicyKind("ucb"), params, 10), estimators.RidgeState)
+    assert isinstance(policies.make_estimator(PolicyKind("ts"), params, 10), estimators.RidgeState)
+    assert isinstance(policies.make_estimator(PolicyKind("gp-ucb"), params, 10), estimators.GpState)
+    assert policies.make_estimator(PolicyKind("uniform"), params, 10) is None
 
 
 def test_gp_estimator_noise_floor():
     params = ConfidenceParams.defaults(4, noise_r=0.0)
-    gp = policies.make_estimator(PolicyKind("gp-ts"), params)
+    gp = policies.make_estimator(PolicyKind("gp-ts"), params, 10)
     assert gp.noise_var == pytest.approx(1e-10)
 
 
@@ -80,7 +80,7 @@ def test_round_robin_first_n_rounds():
     # a warm-start round scores no agent, yet observe still conditions
     # the GP on the chosen agent's context
     params = ConfidenceParams.defaults(3)
-    est = policies.make_estimator(PolicyKind("gp-ucb"), params)
+    est = policies.make_estimator(PolicyKind("gp-ucb"), params, 10)
     contexts = np.random.default_rng(1).uniform(0.0, 1.0, (n, 3))
     for agent in range(n):
         decision = policies.AllocationDecision(np.array([agent]))
@@ -113,7 +113,7 @@ def test_min_weights_pick_lowest_total_on_equal_scores():
     params = ConfidenceParams.defaults(2)
     totals = np.array([5.0, 1.0, 3.0])
     contexts = np.ones((3, 2))
-    est = policies.make_estimator(PolicyKind("ucb"), params)
+    est = policies.make_estimator(PolicyKind("ucb"), params, 10)
     decision = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
                           estimators.stack_ridge([est]), params, np.random.default_rng(3))
     assert decision.agent[0] == 1
@@ -185,7 +185,7 @@ def test_observe_counts_invariant():
     params = ConfidenceParams.defaults(2)
     spec = GoodnessSpec("weighted-gini", rho=0.9)
     totals = np.ones(3)
-    est = estimators.stack_ridge([policies.make_estimator(PolicyKind("ucb"), params)])
+    est = estimators.stack_ridge([policies.make_estimator(PolicyKind("ucb"), params, 10)])
     rng = np.random.default_rng(6)
     contexts = rng.uniform(0.0, 10.0, (3, 2))
     for t in range(4, 44):
@@ -208,7 +208,7 @@ def test_greedy_zero_epsilon_equals_ucb_zero_alpha():
 
     def run(kind):
         totals = np.zeros(n)
-        est = estimators.stack_ridge([policies.make_estimator(kind, params)])
+        est = estimators.stack_ridge([policies.make_estimator(kind, params, 10)])
         rng = np.random.default_rng(8)
         sequence = []
         for t in range(1, rounds + 1):

@@ -99,10 +99,10 @@ class TestRunConfig:
         make_config(policy=PolicyKind("ucb"),
                     confidence=ConfidenceParams.defaults(4, noise_r=1e200))
 
-    def test_with_seed(self):
-        cfg = make_config()
-        assert cfg.with_seed(9).seed == 9
-        assert cfg.seed == 3
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            make_config(seed=seed)
 
 
 def test_single_agent_run_has_zero_regret():
