@@ -497,6 +497,11 @@ def run_command(ns: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 3
 
+    if any(entry.proto.policy.uses_gp for entry in plan.entries):
+        # a GP run solves with scipy; loaded here, before the pool forks, it is
+        # inherited by the workers, and no run pays for the import mid-flight
+        import scipy.linalg  # noqa: F401
+
     try:
         written = execute_entries(plan.entries, plan.jobs, plan.out)
     except simulator.RunAbortedError as exc:

@@ -19,6 +19,12 @@ sqrt(k(x,x) + noise_var - |v|^2), one step of the up-looking Cholesky
 factorization, and makes no solve of its own. Only if that pivot's
 square falls to 1e-12*signal_var or below is the factor recomputed from
 scratch. The width multiplier is sqrt(2*(gamma + 1 + log(1/delta))) + B.
+
+Only the GP path needs scipy, for its triangular solves, and this module
+does not import it: solve_triangular loads it on its first call. The CLI
+imports scipy.linalg before its process pool forks when a plan has a GP
+policy, so that the workers inherit it; a ridge-only process never loads
+scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import linalg
 from .environment import FEATURE_HIGH
@@ -168,6 +173,17 @@ def ts_sample(state: RidgeState, params: ConfidenceParams, t: int,
 
 # RunConfig caps a GP policy's noise_r here, so its noise variance noise_r**2 stays finite
 GP_MAX_NOISE_R = math.sqrt(np.finfo(float).max)
+# RunConfig caps the bytes of a GP run's factor, 8 * horizon**2, here (T <= 16384), so
+# a run too long for memory is a config error and not a MemoryError when it starts
+GP_MAX_FACTOR_BYTES = 1 << 31
+
+
+def solve_triangular(a: np.ndarray, b: np.ndarray, **kwargs) -> np.ndarray:
+    """scipy.linalg.solve_triangular, which loads scipy on its first call,
+    so that a process with no GP run never loads it."""
+    from scipy.linalg import solve_triangular as solve
+
+    return solve(a, b, **kwargs)
 
 
 @dataclass

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import environment, estimators, goodness, linalg, policies
-from .estimators import GP_MAX_NOISE_R, ConfidenceParams
+from .estimators import GP_MAX_FACTOR_BYTES, GP_MAX_NOISE_R, ConfidenceParams
 
 MAX_HORIZON = 10**6
 # bound on the bytes of the contexts and utilities drawn ahead for a batch
@@ -124,6 +124,11 @@ class RunConfig:
             raise ValueError(
                 f"noise_r {self.confidence.noise_r!r} is too large for a GP policy "
                 f"(at most {GP_MAX_NOISE_R!r})"
+            )
+        if self.policy.uses_gp and 8 * self.horizon**2 > GP_MAX_FACTOR_BYTES:
+            raise ValueError(
+                f"horizon {self.horizon} is too long for a GP policy, whose factor takes "
+                f"8*horizon**2 = {8 * self.horizon**2} bytes (at most {GP_MAX_FACTOR_BYTES})"
             )
 
 

@@ -4,11 +4,13 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ofdsim import cli, environment, goodness
+from ofdsim import cli, environment, estimators, goodness
 from ofdsim.cli import ConfigError
 
 
@@ -350,6 +352,48 @@ def test_gp_noise_scale_overflowing_its_variance_exits_2(tmp_path, capsys):
     assert "too large for a GP policy" in err
 
 
+def no_buffers(*args, **kwargs):
+    raise AssertionError("init_gp was called")
+
+
+def test_gp_horizon_too_long_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # the factor's byte bound rejects the run before any buffer is allocated
+    monkeypatch.setattr(estimators, "init_gp", no_buffers)
+    args = ["run", "--policy", "gp-ucb", "--utility", "square", "--horizon", "16385",
+            "--agents", "3", "--reps", "1", "--out", str(tmp_path / "x")]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "too long for a GP policy" in err
+
+
+SCIPY_PROBE = """
+import sys
+from ofdsim import cli
+assert "scipy" not in sys.modules, "import ofdsim.cli loads scipy"
+small = ["--agents", "3", "--item-dim", "1", "--agent-dim", "1", "--horizon", "20",
+         "--reps", "2", "--jobs", "2"]
+assert cli.main(["run", "--policy", "ucb", *small, "--out", sys.argv[1] + "/ridge"]) == 0
+assert "scipy" not in sys.modules, "a ridge run loads scipy"
+loaded = []
+execute = cli.execute_entries
+def spy(*args, **kwargs):
+    loaded.append("scipy.linalg" in sys.modules)
+    return execute(*args, **kwargs)
+cli.execute_entries = spy
+assert cli.main(["run", "--policy", "gp-ucb", *small, "--out", sys.argv[1] + "/gp"]) == 0
+assert loaded == [True], "scipy.linalg is not loaded before a GP plan executes"
+"""
+
+
+def test_scipy_is_loaded_only_for_a_gp_plan(tmp_path):
+    # a fresh interpreter: this one has scipy already, since the acceptance tests import it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_unwritable_outdir_exit_code(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -436,6 +480,8 @@ MANIFEST_EDITS = {
     "negative-seed": lambda entry: entry.update(seeds=[-1, 5]),
     "non-integer-seed": lambda entry: entry.update(seeds=[1.5, 5]),
     "no-seeds": lambda entry: entry.update(seeds=[]),
+    "gp-horizon-16385": lambda entry: (entry["policy"].update(name="gp-ucb"),
+                                       entry["config"].update(horizon=16385)),
 }
 
 
@@ -452,7 +498,9 @@ def edited_manifest_error(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("edit", list(MANIFEST_EDITS.values()), ids=list(MANIFEST_EDITS))
-def test_edited_manifest_exits_2(tmp_path, capsys, edit):
+def test_edited_manifest_exits_2(tmp_path, capsys, monkeypatch, edit):
+    # each edit is rejected before any run starts, so no GP buffer is allocated
+    monkeypatch.setattr(estimators, "init_gp", no_buffers)
     assert edited_manifest_error(tmp_path, capsys, edit).startswith("config error:")
 
 

@@ -367,6 +367,26 @@ def test_gp_factor_from_reused_columns_matches_fresh_algebra(
     _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain)
 
 
+def test_solve_triangular_gives_scipys_bits():
+    # the module's solve loads scipy when called and forwards the call unchanged
+    from scipy import linalg as sp
+
+    rng = np.random.default_rng(17)
+    n = 9
+    a = rng.standard_normal((n, n))
+    chol = np.zeros((12, 12))
+    chol[:n, :n] = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    # gp_condition's form: the strided view, several right-hand sides, no finiteness scan
+    rhs = rng.standard_normal((n, 4))
+    got = estimators.solve_triangular(chol[:n, :n], rhs, lower=True, check_finite=False)
+    assert np.array_equal(got, sp.solve_triangular(chol[:n, :n], rhs, lower=True,
+                                                   check_finite=False))
+    # _refactor's form: a fresh contiguous factor, one right-hand side, the default scan
+    lower, targets = np.ascontiguousarray(chol[:n, :n]), rng.standard_normal(n)
+    got = estimators.solve_triangular(lower, targets, lower=True)
+    assert np.array_equal(got, sp.solve_triangular(lower, targets, lower=True))
+
+
 def test_gp_round_makes_one_triangular_solve(monkeypatch):
     calls = []
     solve = estimators.solve_triangular

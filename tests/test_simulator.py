@@ -99,6 +99,15 @@ class TestRunConfig:
         make_config(policy=PolicyKind("ucb"),
                     confidence=ConfidenceParams.defaults(4, noise_r=1e200))
 
+    def test_gp_factor_must_fit_its_byte_bound(self):
+        # a GP run's factor takes 8*horizon**2 bytes; the bound is checked, not allocated
+        longest = math.isqrt(simulator.GP_MAX_FACTOR_BYTES // 8)
+        assert longest == 16384
+        with pytest.raises(ValueError, match="too long for a GP policy"):
+            make_config(policy=PolicyKind("gp-ucb"), horizon=longest + 1)
+        make_config(policy=PolicyKind("gp-ts"), horizon=longest)
+        make_config(policy=PolicyKind("ucb"), horizon=longest + 1)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
