@@ -16,15 +16,18 @@ solve: gp_condition gives v = L^-1 k(inputs, xs) for every context, the
 round's scores come from it, and the observed context's column of v is
 the new row of the factor. gp_update appends that row with pivot
 sqrt(k(x,x) + noise_var - |v|^2), one step of the up-looking Cholesky
-factorization, and makes no solve of its own. Only if that pivot's
-square falls to 1e-12*signal_var or below is the factor recomputed from
-scratch. The width multiplier is sqrt(2*(gamma + 1 + log(1/delta))) + B.
+factorization, and makes no solve of its own. A pivot whose square falls
+to 1e-12*signal_var or below raises NumericError, which aborts the run;
+the factor is never rebuilt. The width multiplier is
+sqrt(2*(gamma + 1 + log(1/delta))) + B.
 
-Only the GP path needs scipy, for its triangular solves, and this module
-does not import it: solve_triangular loads it on its first call. The CLI
-imports scipy.linalg before its process pool forks when a plan has a GP
-policy, so that the workers inherit it; a ridge-only process never loads
-scipy.
+The factor lives in a (T, T) buffer, and solve_triangular hands its
+leading rows to LAPACK's dtrtrs in place, with leading dimension T, so
+no round copies its n x n block. That call is the only use of scipy, and
+this module does not import it: solve_triangular loads it on its first
+call. The CLI imports scipy.linalg before its process pool forks when a
+plan has a GP policy, so that the workers inherit it; a ridge-only
+process never loads scipy.
 """
 
 from __future__ import annotations
@@ -174,16 +177,31 @@ def ts_sample(state: RidgeState, params: ConfidenceParams, t: int,
 # RunConfig caps a GP policy's noise_r here, so its noise variance noise_r**2 stays finite
 GP_MAX_NOISE_R = math.sqrt(np.finfo(float).max)
 # RunConfig caps the bytes of a GP run's factor, 8 * horizon**2, here (T <= 16384), so
-# a run too long for memory is a config error and not a MemoryError when it starts
+# a run too long for memory is a config error and not a MemoryError when it starts.
+# The factor is a run's whole GP memory because solve_triangular reads it in place: a
+# copy of its n x n block per solve would add up to 8*n**2 bytes, about 4 GiB in all
+# near this bound
 GP_MAX_FACTOR_BYTES = 1 << 31
 
 
-def solve_triangular(a: np.ndarray, b: np.ndarray, **kwargs) -> np.ndarray:
-    """scipy.linalg.solve_triangular, which loads scipy on its first call,
-    so that a process with no GP run never loads it."""
-    from scipy.linalg import solve_triangular as solve
+def solve_triangular(chol: np.ndarray, n: int, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for the lower factor L = chol[:n, :n] of the (T, T) buffer
+    chol and b of shape (n, m), with the factor read in place. chol[:n] is
+    a C-contiguous (n, T) block, so its transpose is L^T as a Fortran
+    array with leading dimension T, and LAPACK's dtrtrs solves
+    (L^T)^T x = b on it. scipy.linalg.solve_triangular makes this same
+    call on a copy of chol[:n, :n], so the bits are the same. scipy is
+    loaded on the first call, so that a process with no GP run never
+    loads it. With no observations the result has no rows and LAPACK is
+    not called."""
+    if n == 0:
+        return np.empty((0, b.shape[1]))
+    from scipy.linalg.lapack import dtrtrs
 
-    return solve(a, b, **kwargs)
+    x, info = dtrtrs(chol[:n].T, b, lower=0, trans=1, lda=chol.shape[1])
+    if info != 0:
+        raise linalg.NumericError(f"GP triangular solve failed at {n} observations (info {info})")
+    return x
 
 
 @dataclass
@@ -195,7 +213,6 @@ class GpState:
     feature_scale: float
     inputs: np.ndarray = field(repr=False)
     sq_norms: np.ndarray = field(repr=False)
-    targets: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
     white: np.ndarray = field(repr=False)
     n_obs: int = 0
@@ -219,7 +236,6 @@ def init_gp(dim: int, noise_var: float, horizon: int) -> GpState:
         feature_scale=FEATURE_HIGH,
         inputs=np.empty((horizon, dim)),
         sq_norms=np.empty(horizon),
-        targets=np.empty(horizon),
         chol=np.zeros((horizon, horizon)),
         white=np.empty(horizon),
     )
@@ -239,23 +255,6 @@ def _kernel_cross(state: GpState, a: np.ndarray, a_sq: np.ndarray, b: np.ndarray
     return state.signal_var * np.exp(-sq / (2.0 * state.lengthscale**2))
 
 
-def _refactor(state: GpState) -> None:
-    """Recompute the Cholesky factor and whitened targets from scratch."""
-    n = state.n_obs
-    inputs, sq_norms = state.inputs[:n], state.sq_norms[:n]
-    gram = _kernel_cross(state, inputs, sq_norms, inputs, sq_norms)
-    gram[np.diag_indices(n)] += state.noise_var
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise linalg.NumericError(
-            f"GP Gram factorization failed at {n} observations "
-            f"(noise_var={state.noise_var:.3e})"
-        ) from exc
-    state.chol[:n, :n] = lower
-    state.white[:n] = solve_triangular(lower, state.targets[:n], lower=True)
-
-
 class GpConditioning(NamedTuple):
     """The GP conditioned on m query rows: the rows in scaled units
     (m, dim), v = L^-1 k(inputs, scaled) of shape (n_obs, m), and the
@@ -269,14 +268,12 @@ class GpConditioning(NamedTuple):
 def gp_condition(state: GpState, xs: np.ndarray) -> GpConditioning:
     """Condition on the rows of xs, a float array of shape (m, dim) in raw
     feature units, with one triangular solve. With no observations v has
-    no rows: the means are 0 and signal_var - |v|^2 is the prior variance.
-    The factor and the cross-kernel come from validated contexts only, so
-    scipy's scan for non-finite entries is skipped."""
+    no rows: the means are 0 and signal_var - |v|^2 is the prior variance."""
     n = state.n_obs
     scaled = xs / state.feature_scale
     k_cross = _kernel_cross(state, state.inputs[:n], state.sq_norms[:n], scaled,
                             _sq_norms(scaled))
-    v = solve_triangular(state.chol[:n, :n], k_cross, lower=True, check_finite=False)
+    v = solve_triangular(state.chol, n, k_cross)
     return GpConditioning(scaled, v, v.T @ state.white[:n])
 
 
@@ -285,20 +282,23 @@ def gp_update(state: GpState, scaled_row: np.ndarray, column: np.ndarray, y: flo
     units, whose conditioning column on the current factor is column,
     shape (n_obs,), as gp_condition gives it. The column gives both the
     pre-update variance, which advances the information gain, and the new
-    row of the Cholesky factor, so the update makes no solve."""
+    row of the Cholesky factor, so the update makes no solve. A pivot
+    whose square falls to 1e-12*signal_var or below raises NumericError
+    before the state is touched."""
+    n = state.n_obs
     sq_norm = float(column @ column)
+    gap = state.signal_var + state.noise_var - sq_norm
+    if gap <= 1e-12 * state.signal_var:
+        raise linalg.NumericError(
+            f"GP factor lost positive definiteness at {n + 1} observations "
+            f"(pivot squared {gap:.3e}, noise_var={state.noise_var:.3e})"
+        )
     var_pre = max(state.signal_var - sq_norm, 0.0)
     state.info_gain += 0.5 * math.log1p(var_pre / state.noise_var)
 
-    n = state.n_obs
     state.inputs[n] = scaled_row
     state.sq_norms[n] = _sq_norms(scaled_row)
-    state.targets[n] = y
-    gap = state.signal_var + state.noise_var - sq_norm
     state.n_obs = n + 1
-    if gap <= 1e-12 * state.signal_var:
-        _refactor(state)
-        return state
     pivot = math.sqrt(gap)
     state.chol[n, :n] = column
     state.chol[n, n] = pivot

@@ -321,14 +321,15 @@ def test_gp_posterior_order_invariant():
 
 def _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain):
     """The incremental factor, whitened targets and information gain
-    against a fresh Cholesky of the Gram matrix, a solve and slogdet."""
+    against a fresh Cholesky of the Gram matrix, a solve and slogdet. The
+    runs fed y = |x/10|^2, the squared norm of each stored scaled input."""
     n = gp.n_obs
     scaled = gp.inputs[:n]
     sq_norms = estimators._sq_norms(scaled)
     gram = estimators._kernel_cross(gp, scaled, sq_norms, scaled, sq_norms)
     lower = np.linalg.cholesky(gram + gp.noise_var * np.eye(n))
     np.testing.assert_allclose(gp.chol[:n, :n], lower, rtol=0.0, atol=tol_chol)
-    white = np.linalg.solve(lower, gp.targets[:n])
+    white = np.linalg.solve(lower, np.sum(scaled**2, axis=1))
     np.testing.assert_allclose(gp.white[:n], white, rtol=0.0, atol=tol_white)
     sign, log_det = np.linalg.slogdet(np.eye(n) + gram / gp.noise_var)
     assert sign > 0
@@ -367,24 +368,70 @@ def test_gp_factor_from_reused_columns_matches_fresh_algebra(
     _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain)
 
 
+def _factor_buffer(n, size, seed=17):
+    """A (size, size) buffer whose leading n x n block is a Cholesky factor
+    and whose other entries are zero, as GpState.chol holds it."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    chol = np.zeros((size, size))
+    chol[:n, :n] = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    return chol
+
+
 def test_solve_triangular_gives_scipys_bits():
-    # the module's solve loads scipy when called and forwards the call unchanged
     from scipy import linalg as sp
 
-    rng = np.random.default_rng(17)
-    n = 9
-    a = rng.standard_normal((n, n))
-    chol = np.zeros((12, 12))
-    chol[:n, :n] = np.linalg.cholesky(a @ a.T + n * np.eye(n))
-    # gp_condition's form: the strided view, several right-hand sides, no finiteness scan
-    rhs = rng.standard_normal((n, 4))
-    got = estimators.solve_triangular(chol[:n, :n], rhs, lower=True, check_finite=False)
-    assert np.array_equal(got, sp.solve_triangular(chol[:n, :n], rhs, lower=True,
-                                                   check_finite=False))
-    # _refactor's form: a fresh contiguous factor, one right-hand side, the default scan
-    lower, targets = np.ascontiguousarray(chol[:n, :n]), rng.standard_normal(n)
-    got = estimators.solve_triangular(lower, targets, lower=True)
-    assert np.array_equal(got, sp.solve_triangular(lower, targets, lower=True))
+    # one row, a leading block and the full buffer
+    for n in (1, 9, 12):
+        chol = _factor_buffer(n, 12)
+        rhs = np.random.default_rng(18).standard_normal((n, 4))
+        got = estimators.solve_triangular(chol, n, rhs)
+        assert np.array_equal(got, sp.solve_triangular(chol[:n, :n], rhs, lower=True)), n
+
+
+def test_solve_triangular_reads_the_factor_in_place(monkeypatch):
+    # LAPACK gets the buffer's own memory as a Fortran array, so no block is copied
+    from scipy.linalg import lapack
+
+    factors = []
+    dtrtrs = lapack.dtrtrs
+
+    def spy(a, b, **kwargs):
+        factors.append(a)
+        return dtrtrs(a, b, **kwargs)
+
+    monkeypatch.setattr(lapack, "dtrtrs", spy)
+    chol = _factor_buffer(9, 12)
+    estimators.solve_triangular(chol, 9, np.ones((9, 4)))
+    (a,) = factors
+    assert a.flags.f_contiguous
+    assert np.shares_memory(a, chol)
+
+
+def test_solve_triangular_with_no_observations_calls_no_lapack(monkeypatch, capfd):
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(lapack, "dtrtrs", lambda *args, **kwargs: pytest.fail("LAPACK called"))
+    v = estimators.solve_triangular(np.zeros((12, 12)), 0, np.ones((0, 4)))
+    assert v.shape == (0, 4)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_gp_update_rejects_a_lost_pivot_and_leaves_the_state():
+    from ofdsim.linalg import NumericError
+
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=5)
+    for x in ([1.0, 2.0], [5.0, 5.0], [9.0, 3.0]):
+        _observe(gp, np.array(x), 0.5)
+    before = {name: np.copy(getattr(gp, name))
+              for name in ("inputs", "sq_norms", "chol", "white", "info_gain")}
+    # |column|^2 == signal_var + noise_var leaves the pivot no positive square
+    column = np.full(3, math.sqrt((gp.signal_var + gp.noise_var) / 3))
+    with pytest.raises(NumericError, match="at 4 observations"):
+        estimators.gp_update(gp, np.array([0.3, 0.3]), column, 1.0)
+    assert gp.n_obs == 3
+    for name, value in before.items():
+        np.testing.assert_array_equal(getattr(gp, name), value, err_msg=name)
 
 
 def test_gp_round_makes_one_triangular_solve(monkeypatch):
