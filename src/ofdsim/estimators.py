@@ -107,7 +107,6 @@ def stack_ridge(states: list[RidgeState]) -> RidgeState:
     precisions = [state.precision for state in states]
     return RidgeState(
         precision=linalg.PrecisionState(
-            dim=precisions[0].dim,
             m_mat=np.stack([p.m_mat for p in precisions]),
             m_inv=np.stack([p.m_inv for p in precisions]),
             log_det=np.array([p.log_det for p in precisions]),

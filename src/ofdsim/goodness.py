@@ -108,10 +108,8 @@ class GoodnessSpec:
                 raise ValueError(f"{self.kind} takes no weights, rho or target_ratios")
 
     def resolved_weights(self, n_agents: int) -> np.ndarray:
-        """Weight vector of length n_agents (weighted-gini only), cached;
-        explicit weights are returned as given (RunConfig checks length)."""
-        if self.kind != WEIGHTED_GINI:
-            raise ValueError(f"{self.kind} has no weight vector")
+        """Weighted Gini's weight vector of length n_agents, cached; explicit
+        weights are returned as given (RunConfig checks length)."""
         if self.weights is not None:
             return self.weights
         if self._weights_cache is None or self._weights_cache[0] != n_agents:

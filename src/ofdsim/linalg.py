@@ -6,10 +6,10 @@ The round loop reads only the inverse, and posterior sampling factorizes
 it afresh on every draw; M and the log-determinant are kept for the
 benchmark's state verifier. The round loop steps the runs of a batch
 together, so the functions here take one state or a state whose arrays
-carry a leading run axis. The dimension and regularizer come checked
-from ConfidenceParams; the checks here are the mid-run faults, a
-non-positive Sherman-Morrison denominator and a failed Cholesky
-factorization.
+carry a leading run axis. The dimension, the last axis of a state's
+arrays, and the regularizer come checked from ConfidenceParams; the
+checks here are the mid-run faults, a non-positive Sherman-Morrison
+denominator and a failed Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class NumericError(RuntimeError):
 
 @dataclass
 class PrecisionState:
-    dim: int
     m_mat: np.ndarray
     m_inv: np.ndarray
     log_det: float
@@ -47,7 +46,6 @@ def init_precision(dim: int, lam: float) -> PrecisionState:
     """
     lam = float(lam)
     return PrecisionState(
-        dim=int(dim),
         m_mat=np.eye(dim) * lam,
         m_inv=np.eye(dim) / lam,
         log_det=dim * np.log(lam),
@@ -107,5 +105,5 @@ def sample_gaussian(
             f"covariance factorization failed after {state.n_updates} updates; "
             f"smallest eigenvalue of M^-1 is {smallest:.3e}"
         ) from exc
-    z = np.array([rng.standard_normal(state.dim) for rng in rngs]).reshape(mean.shape)
+    z = np.array([rng.standard_normal(mean.shape[-1]) for rng in rngs]).reshape(mean.shape)
     return mean + scale * np.matmul(chol, z[..., None])[..., 0]

@@ -5,14 +5,16 @@ function as a candidate allocation, and pick the argmax.
 The simulator makes the round-robin picks of rounds 1..N itself; a
 policy chooses from round N+1 on. The simulator steps the R runs of a
 batch together, so a policy chooses for every run at once: ledgers
-arrive as (R, N), contexts as (R, N, d), and the ridge state with a
-leading run axis. Each run keeps its own generator, and a run draws
-from it exactly what it would draw alone: a TS parameter, an epsilon
-coin and an exploring pick, and a tie draw. Ties in candidate goodness
-are broken uniformly at random within a relative tolerance of 1e-9; the
-tie draw is only taken when there is an actual tie, so deterministic
-variants consume identical rng streams. The GP steps each run's state
-in turn within the round.
+arrive as (R, N), contexts as (R, N, d) and the ridge state with a
+leading run axis, and the picks leave as an int array (R,), with each
+GP run's conditioning on the round's contexts for observe to take back.
+Each run keeps its own generator, and a run draws from it exactly what
+it would draw alone: a TS parameter, an epsilon coin and an exploring
+pick, and a tie draw. Ties in candidate goodness are broken uniformly
+at random within a relative tolerance of 1e-9; the tie draw is only
+taken when there is an actual tie, so deterministic variants consume
+identical rng streams. The GP steps each run's state in turn within
+the round.
 """
 
 from __future__ import annotations
@@ -52,17 +54,6 @@ class PolicyKind:
     @property
     def uses_gp(self) -> bool:
         return self.name in _GP_POLICIES
-
-
-@dataclass
-class AllocationDecision:
-    """Each run's chosen agent, an int array of shape (R,). A GP policy's
-    scored round keeps each run's conditioning on every context, whose
-    column for the chosen agent :func:`observe` appends to the factor; it
-    is None on a round that scored no agent."""
-
-    agent: np.ndarray
-    gp_conditioning: list[estimators.GpConditioning] | None = None
 
 
 def make_estimator(kind: PolicyKind, params: estimators.ConfidenceParams, horizon: int):
@@ -105,16 +96,18 @@ def select_agent(
     estimator,
     params: estimators.ConfidenceParams,
     rngs: list[np.random.Generator],
-) -> AllocationDecision:
+) -> tuple[np.ndarray, list[estimators.GpConditioning] | None]:
     """Choose each run's agent for round t > n_agents, given the ledger
     totals (R, n_agents) and contexts, a float array of shape (R,
     n_agents, dim), one row per agent. estimator steps every run: a
     ridge state stacked by :func:`estimators.stack_ridge`, the runs' GP
     states, or None for uniform. Run r draws from rngs[r] alone. A
-    non-finite candidate goodness raises :class:`linalg.NumericError`."""
+    non-finite candidate goodness raises :class:`linalg.NumericError`.
+    Returns the picks (R,) and, under a GP policy, each run's
+    conditioning on every context for :func:`observe`, else None."""
     n = totals.shape[1]
     if kind.name == "uniform":
-        return AllocationDecision(np.array([rng.integers(n) for rng in rngs]))
+        return np.array([rng.integers(n) for rng in rngs]), None
     scored = None
     if kind.name == "greedy" and kind.epsilon > 0.0:
         explores = [rng.random() < kind.epsilon for rng in rngs]
@@ -123,7 +116,7 @@ def select_agent(
             picks = np.array([rng.integers(n) if e else -1 for rng, e in zip(rngs, explores)])
             scored = [r for r, e in enumerate(explores) if not e]
             if not scored:
-                return AllocationDecision(picks)
+                return picks, None
     cond = None
     if kind.uses_gp:
         cond = [estimators.gp_condition(state, xs) for state, xs in zip(estimator, contexts)]
@@ -143,31 +136,32 @@ def select_agent(
     adds = np.maximum(scores, 0.0)
     if scored is None:
         values = goodness.candidate_scores(spec, totals, adds)
-        return AllocationDecision(_pick_max(values, rngs), cond)
+        return _pick_max(values, rngs), cond
     values = goodness.candidate_scores(spec, totals[scored], adds[scored])
     picks[scored] = _pick_max(values, [rngs[r] for r in scored])
-    return AllocationDecision(picks, cond)
+    return picks, cond
 
 
 def observe(
     kind: PolicyKind,
     estimator,
-    decision: AllocationDecision,
+    agents: np.ndarray,
+    conditioning: list[estimators.GpConditioning] | None,
     contexts: np.ndarray,
     y: np.ndarray,
 ) -> None:
-    """Fold each run's realized utility y (R,) of the agent decision chose
+    """Fold each run's realized utility y (R,) of its agent in agents (R,)
     from contexts, the round's (R, n_agents, dim) array, into estimator,
-    as :func:`select_agent` takes it; uniform keeps no estimate."""
-    agents = decision.agent
+    as :func:`select_agent` takes it, given the conditioning select_agent
+    returned (None on a round-robin round); uniform keeps no estimate."""
     if kind.uses_ridge:
         estimators.ridge_update(estimator, contexts[np.arange(agents.size), agents], y)
     elif kind.uses_gp:
         for r, (state, agent) in enumerate(zip(estimator, agents)):
-            if decision.gp_conditioning is None:
+            if conditioning is None:
                 # a round-robin round conditioned nothing while choosing
                 cond = estimators.gp_condition(state, contexts[r, agent : agent + 1])
                 col = 0
             else:
-                cond, col = decision.gp_conditioning[r], agent
+                cond, col = conditioning[r], agent
             estimators.gp_update(state, cond.scaled[col], cond.v[:, col], float(y[r]))

@@ -9,13 +9,16 @@ regret comparison uses true utilities on both sides while the ledger
 accumulates noisy observations; that asymmetry is deliberate.
 
 Rounds 1..N are a round-robin warm start: round t goes to agent t-1 and
-draws nothing, so every ledger entry is positive before a goodness that
-needs it is evaluated. Under NSW and log-NSW those rounds carry zero
-regret.
+draws nothing from the policy stream, so every ledger entry is positive
+before a goodness that needs it is evaluated. Under NSW and log-NSW
+those rounds carry zero regret.
 
 Each run splits its seed into four independent streams (instance,
 items, noise, policy), so replaying a config is bit-reproducible and
 policies sharing a seed face identical instances and item sequences.
+The noise stream draws one Normal(0, R^2) every round, at R = 0 too,
+where each draw is +0.0 and leaves the utility as it was; it feeds
+nothing else, so its draws move no other stream.
 
 One round loop, :func:`run_batch`, steps R runs of one config, one per
 seed, in lockstep. Their ledgers are one (R, N) array, their contexts one
@@ -52,19 +55,28 @@ class RunAbortedError(RuntimeError):
     mid-flight."""
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def size_problems(
     horizon: int, n_agents: int, item_dim: int, agent_dim: int, utility_kind: str
 ) -> list[str]:
     """RunConfig's rules on its sizes and utility kind, one message per
     broken field. They need no policy, goodness or confidence, so a
-    caller whose other pieces failed can still report them."""
-    sizes = {"n_agents": n_agents, "item_dim": item_dim, "agent_dim": agent_dim}
-    problems = [f"{name} must be >= 1, got {value}" for name, value in sizes.items() if value < 1]
-    if horizon < max(n_agents, 1):
+    caller whose other pieces failed can still report them. A size that
+    is not an integer is reported as such and compared with nothing."""
+    sizes = dict(horizon=horizon, n_agents=n_agents, item_dim=item_dim, agent_dim=agent_dim)
+    whole = {name: value for name, value in sizes.items() if _is_integer(value)}
+    problems = [f"{name} must be an integer, got {value!r}"
+                for name, value in sizes.items() if name not in whole]
+    problems += [f"{name} must be >= 1, got {value}" for name, value in whole.items()
+                 if name != "horizon" and value < 1]
+    if whole.keys() >= {"horizon", "n_agents"} and horizon < max(n_agents, 1):
         problems.append(
             f"horizon {horizon} is shorter than the round-robin phase over {n_agents} agents"
         )
-    if horizon > MAX_HORIZON:
+    if "horizon" in whole and horizon > MAX_HORIZON:
         problems.append(f"horizon capped at {MAX_HORIZON}, got {horizon}")
     if utility_kind not in environment.UTILITY_KINDS:
         problems.append(
@@ -80,7 +92,7 @@ def checked_seeds(seeds) -> tuple[int, ...]:
     if not seeds:
         raise ValueError("runs need at least 1 seed")
     for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not _is_integer(seed) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return seeds
 
@@ -210,20 +222,18 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
                 [environment.true_utilities(inst, xs) for inst, xs in zip(instances, drawn)],
                 axis=1,
             )
-            if noise_r > 0.0:
-                noise_block = np.stack([rng.normal(0.0, noise_r, size) for rng in noise_rngs],
-                                       axis=1)
+            noise_block = np.stack([rng.normal(0.0, noise_r, size) for rng in noise_rngs],
+                                   axis=1)
         contexts = context_block[j]
         truths = truth_block[j]
         try:
             warm = t <= n
             if warm:
-                decision = policies.AllocationDecision(np.full(runs, idx))
+                picks, conditioning = np.full(runs, idx), None
             else:
-                decision = policies.select_agent(
+                picks, conditioning = policies.select_agent(
                     kind, spec, totals, t, contexts, estimator, params, policy_rngs
                 )
-            picks = decision.agent
             at_pick = offsets + picks
             if warm and needs_positive:
                 best, gap = picks, no_gap
@@ -236,11 +246,9 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
                 gap = values.take(offsets + best) - values.take(at_pick)
                 if not math.isfinite(float(gap.max())):
                     raise goodness.GoodnessDomainError("oracle candidate goodness is not finite")
-            y = truths.take(at_pick)
-            if noise_r > 0.0:
-                y += noise_block[j]
+            y = truths.take(at_pick) + noise_block[j]
             ledger[at_pick] += y
-            policies.observe(kind, estimator, decision, contexts, y)
+            policies.observe(kind, estimator, picks, conditioning, contexts, y)
         except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
             if runs > 1:
                 return [run_batch(config, [seed])[0] for seed in seeds]

@@ -34,6 +34,7 @@ from ofdsim.goodness import GoodnessSpec, weights_from_rho
 from ofdsim.policies import PolicyKind
 from ofdsim.simulator import (
     RunConfig,
+    _mean_ci,
     aggregate,
     gini_coefficient,
     min_ratio,
@@ -54,14 +55,6 @@ def _report(num: int, ok: bool, detail: str) -> bool:
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num:02d}] {status} - {detail}")
     return ok
-
-
-def _mean_ci(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(1.96 * values.std(ddof=1) / np.sqrt(values.size))
 
 
 def _paired_ci(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -482,6 +482,8 @@ MANIFEST_EDITS = {
     "no-seeds": lambda entry: entry.update(seeds=[]),
     "gp-horizon-16385": lambda entry: (entry["policy"].update(name="gp-ucb"),
                                        entry["config"].update(horizon=16385)),
+    "horizon-float": lambda entry: entry["config"].update(horizon=20.0),
+    "n-agents-float": lambda entry: entry["config"].update(n_agents=3.0),
 }
 
 

@@ -230,13 +230,14 @@ def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42):
     for t in range(1, rounds + 1):
         contexts = rng.uniform(0.0, 10.0, (1, n_agents, dim))
         if t <= n_agents:
-            decision = policies.AllocationDecision(np.array([t - 1]))
+            picks, conditioning = np.array([t - 1]), None
         else:
-            decision = policies.select_agent(kind, spec, totals, t, contexts, [gp], params, [rng])
-        agent = decision.agent[0]
+            picks, conditioning = policies.select_agent(kind, spec, totals, t, contexts, [gp],
+                                                        params, [rng])
+        agent = picks[0]
         y = float(np.sum((contexts[0, agent] / 10.0) ** 2))
         totals[0, agent] += y
-        policies.observe(kind, [gp], decision, contexts, np.array([y]))
+        policies.observe(kind, [gp], picks, conditioning, contexts, np.array([y]))
         yield gp
 
 

@@ -83,9 +83,8 @@ def test_round_robin_first_n_rounds():
     est = policies.make_estimator(PolicyKind("gp-ucb"), params, 10)
     contexts = np.random.default_rng(1).uniform(0.0, 1.0, (n, 3))
     for agent in range(n):
-        decision = policies.AllocationDecision(np.array([agent]))
-        assert decision.gp_conditioning is None
-        policies.observe(PolicyKind("gp-ucb"), [est], decision, contexts[None], np.ones(1))
+        policies.observe(PolicyKind("gp-ucb"), [est], np.array([agent]), None, contexts[None],
+                         np.ones(1))
     assert est.n_obs == n
     np.testing.assert_allclose(est.inputs[:n], contexts / est.feature_scale)
 
@@ -114,9 +113,9 @@ def test_min_weights_pick_lowest_total_on_equal_scores():
     totals = np.array([5.0, 1.0, 3.0])
     contexts = np.ones((3, 2))
     est = policies.make_estimator(PolicyKind("ucb"), params, 10)
-    decision = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
+    picks, _ = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
                           estimators.stack_ridge([est]), params, np.random.default_rng(3))
-    assert decision.agent[0] == 1
+    assert picks[0] == 1
     adds = np.maximum(estimators.ucb_scores(est, params, 4, contexts), 0.0)
     values = goodness.candidate_scores(spec, totals, adds)
     assert values[1] == values.max() > values[0]
@@ -131,9 +130,9 @@ def test_usw_picks_largest_score_on_equal_totals():
     # alpha = sqrt(lam)*S is constant across agents at equal widths, so
     # the ranking follows the mean scores
     contexts = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
-    decision = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
+    picks, _ = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
                           estimators.stack_ridge([est]), params, np.random.default_rng(4))
-    assert decision.agent[0] == 1
+    assert picks[0] == 1
 
 
 def test_uniform_frequencies():
@@ -141,8 +140,8 @@ def test_uniform_frequencies():
     rng = np.random.default_rng(3)
     counts = np.zeros(10)
     for _ in range(10**5):
-        decision = select_one(PolicyKind("uniform"), spec, totals, 11, contexts, None, params, rng)
-        counts[decision.agent[0]] += 1
+        picks, _ = select_one(PolicyKind("uniform"), spec, totals, 11, contexts, None, params, rng)
+        counts[picks[0]] += 1
     np.testing.assert_allclose(counts / 10**5, np.full(10, 0.1), atol=0.01)
 
 
@@ -154,10 +153,10 @@ def test_greedy_exploration_coin():
     kind = PolicyKind("greedy", epsilon=1.0)  # always explores
     hits = np.zeros(5)
     for _ in range(2000):
-        decision = select_one(kind, spec, totals, 6, contexts, est, params, rng)
+        picks, conditioning = select_one(kind, spec, totals, 6, contexts, est, params, rng)
         # exploring scores no agent, so it carries no GP conditioning either
-        assert decision.gp_conditioning is None
-        hits[decision.agent[0]] += 1
+        assert conditioning is None
+        hits[picks[0]] += 1
     assert hits.min() > 0  # exploration may land on any agent
 
 
@@ -166,8 +165,8 @@ def test_observe_updates_estimator():
     est = estimators.init_ridge(2, params.lam)
     stacked = estimators.stack_ridge([est])
     contexts = np.array([[5.0, 5.0], [1.0, 2.0]])
-    policies.observe(PolicyKind("ucb"), stacked, policies.AllocationDecision(np.array([1])),
-                     contexts[None], np.array([3.0]))
+    policies.observe(PolicyKind("ucb"), stacked, np.array([1]), None, contexts[None],
+                     np.array([3.0]))
     estimators.unstack_ridge(stacked, [est])
     assert est.precision.n_updates == 1
     np.testing.assert_array_equal(est.moment, 3.0 * contexts[1])
@@ -176,8 +175,7 @@ def test_observe_updates_estimator():
 def test_observe_uniform_skips_estimator():
     # uniform has no estimator; observe must not touch the None it is given
     policies.observe(
-        PolicyKind("uniform"), None, policies.AllocationDecision(np.array([0])),
-        np.ones((1, 2, 2)), np.array([2.0]),
+        PolicyKind("uniform"), None, np.array([0]), None, np.ones((1, 2, 2)), np.array([2.0]),
     )
 
 
@@ -189,10 +187,12 @@ def test_observe_counts_invariant():
     rng = np.random.default_rng(6)
     contexts = rng.uniform(0.0, 10.0, (3, 2))
     for t in range(4, 44):
-        decision = select_one(PolicyKind("ucb"), spec, totals, t, contexts, est, params, rng)
+        picks, conditioning = select_one(PolicyKind("ucb"), spec, totals, t, contexts, est,
+                                         params, rng)
         y = float(rng.uniform(0.1, 2.0))
-        totals[decision.agent[0]] += y
-        policies.observe(PolicyKind("ucb"), est, decision, contexts[None], np.array([y]))
+        totals[picks[0]] += y
+        policies.observe(PolicyKind("ucb"), est, picks, conditioning, contexts[None],
+                         np.array([y]))
         assert est.precision.n_updates == t - 3
 
 
@@ -213,13 +213,14 @@ def test_greedy_zero_epsilon_equals_ucb_zero_alpha():
         sequence = []
         for t in range(1, rounds + 1):
             if t <= n:
-                decision = policies.AllocationDecision(np.array([t - 1]))
+                picks, conditioning = np.array([t - 1]), None
             else:
-                decision = select_one(kind, spec, totals, t, items[t - 1], est, params, rng)
-            a = int(decision.agent[0])
+                picks, conditioning = select_one(kind, spec, totals, t, items[t - 1], est,
+                                                 params, rng)
+            a = int(picks[0])
             y = float(truths[t - 1][a])
             totals[a] += y
-            policies.observe(kind, est, decision, items[t - 1][None], np.array([y]))
+            policies.observe(kind, est, picks, conditioning, items[t - 1][None], np.array([y]))
             sequence.append(a)
         return sequence
 
@@ -242,7 +243,7 @@ def test_scores_clamped_before_goodness():
         select_one(
             PolicyKind("greedy", epsilon=0.0), spec, totals, 3, contexts,
             estimators.stack_ridge([est]), params, np.random.default_rng(seed),
-        ).agent[0]
+        )[0][0]
         for seed in range(20)
     }
     assert picks == {0, 1}

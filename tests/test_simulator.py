@@ -63,6 +63,14 @@ class TestRunConfig:
                                                         "unknown"]
         assert lines == simulator.size_problems(simulator.MAX_HORIZON + 1, 0, 0, 2, "cubic")
 
+    @pytest.mark.parametrize("field, value", [("horizon", 20.0), ("n_agents", 3.0),
+                                              ("horizon", "20"), ("item_dim", True)])
+    def test_sizes_must_be_integers(self, field, value):
+        # a non-integer size gets its own line and is compared with nothing
+        with pytest.raises(ValueError) as exc_info:
+            make_config(**{field: value})
+        assert str(exc_info.value) == f"{field} must be an integer, got {value!r}"
+
     def test_confidence_defaults_to_experiment_values(self):
         cfg = make_config()
         assert cfg.confidence.dim == 4

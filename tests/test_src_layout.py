@@ -16,8 +16,7 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 VERIFIER = BENCH / "verify.py"
 # the state a run carries from round to round; RunTrace and AggregateSeries
 # are the run's output and are read by whoever asked for it
-STATE_CLASSES = ("PrecisionState", "RidgeState", "GpState", "AllocationDecision",
-                 "ProblemInstance")
+STATE_CLASSES = ("PrecisionState", "RidgeState", "GpState", "ProblemInstance")
 
 
 def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
