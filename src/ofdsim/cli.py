@@ -375,16 +375,18 @@ def _entry_to_json(entry: RunSpecEntry) -> dict:
 
 def _entry_from_json(payload: dict) -> RunSpecEntry:
     cfg = payload["config"]
+    sizes = {name: cfg[name]
+             for name in ("horizon", "n_agents", "item_dim", "agent_dim", "utility_kind")}
+    # checked before the confidence parameters, whose dim is built from two of them
+    problems = simulator.size_problems(**sizes)
+    if problems:
+        raise ConfigError(problems)
     proto = RunConfig(
-        horizon=cfg["horizon"],
         seed=0,
         policy=PolicyKind(**payload["policy"]),
         goodness=_goodness_from_json(cfg["goodness"]),
-        n_agents=cfg["n_agents"],
-        item_dim=cfg["item_dim"],
-        agent_dim=cfg["agent_dim"],
-        utility_kind=cfg["utility_kind"],
         confidence=ConfidenceParams(dim=cfg["item_dim"] + cfg["agent_dim"], **cfg["confidence"]),
+        **sizes,
     )
     return RunSpecEntry(name=payload["name"], proto=proto, seeds=tuple(payload["seeds"]))
 
@@ -496,11 +498,6 @@ def run_command(ns: argparse.Namespace) -> int:
     except PermissionError as exc:
         print(str(exc), file=sys.stderr)
         return 3
-
-    if any(entry.proto.policy.uses_gp for entry in plan.entries):
-        # a GP run solves with scipy; loaded here, before the pool forks, it is
-        # inherited by the workers, and no run pays for the import mid-flight
-        import scipy.linalg  # noqa: F401
 
     try:
         written = execute_entries(plan.entries, plan.jobs, plan.out)

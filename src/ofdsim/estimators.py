@@ -21,13 +21,13 @@ to 1e-12*signal_var or below raises NumericError, which aborts the run;
 the factor is never rebuilt. The width multiplier is
 sqrt(2*(gamma + 1 + log(1/delta))) + B.
 
-The factor lives in a (T, T) buffer, and solve_triangular hands its
-leading rows to LAPACK's dtrtrs in place, with leading dimension T, so
-no round copies its n x n block. That call is the only use of scipy, and
-this module does not import it: solve_triangular loads it on its first
-call. The CLI imports scipy.linalg before its process pool forks when a
-plan has a GP policy, so that the workers inherit it; a ridge-only
-process never loads scipy.
+The factor lives in a (T, T) buffer, beside a (T, 32) buffer holding
+the inverse of each of its 32-row diagonal blocks, which gp_update
+extends by one row per observation. solve_triangular runs forward
+substitution a block at a time: it subtracts the solved part's product
+with the rows' off-diagonal block, read from the factor in place, and
+multiplies what is left by the block's inverse. So no round copies the
+n x n block, and the GP, like the rest of the package, needs only numpy.
 """
 
 from __future__ import annotations
@@ -177,29 +177,29 @@ def ts_sample(state: RidgeState, params: ConfidenceParams, t: int,
 GP_MAX_NOISE_R = math.sqrt(np.finfo(float).max)
 # RunConfig caps the bytes of a GP run's factor, 8 * horizon**2, here (T <= 16384), so
 # a run too long for memory is a config error and not a MemoryError when it starts.
-# The factor is a run's whole GP memory because solve_triangular reads it in place: a
-# copy of its n x n block per solve would add up to 8*n**2 bytes, about 4 GiB in all
-# near this bound
+# The factor and its block inverses are a run's whole GP memory because solve_triangular
+# reads the factor in place: a copy of its n x n block per solve would add up to
+# 8*n**2 bytes, about 4 GiB in all near this bound
 GP_MAX_FACTOR_BYTES = 1 << 31
+# rows of each diagonal block of the GP factor whose inverse is kept. With 64 rows the
+# block inverses' rounding moves a noiseless run's whitened targets past the
+# fresh-algebra tolerances
+GP_BLOCK = 32
 
 
-def solve_triangular(chol: np.ndarray, n: int, b: np.ndarray) -> np.ndarray:
-    """L^-1 b for the lower factor L = chol[:n, :n] of the (T, T) buffer
-    chol and b of shape (n, m), with the factor read in place. chol[:n] is
-    a C-contiguous (n, T) block, so its transpose is L^T as a Fortran
-    array with leading dimension T, and LAPACK's dtrtrs solves
-    (L^T)^T x = b on it. scipy.linalg.solve_triangular makes this same
-    call on a copy of chol[:n, :n], so the bits are the same. scipy is
-    loaded on the first call, so that a process with no GP run never
-    loads it. With no observations the result has no rows and LAPACK is
-    not called."""
-    if n == 0:
-        return np.empty((0, b.shape[1]))
-    from scipy.linalg.lapack import dtrtrs
-
-    x, info = dtrtrs(chol[:n].T, b, lower=0, trans=1, lda=chol.shape[1])
-    if info != 0:
-        raise linalg.NumericError(f"GP triangular solve failed at {n} observations (info {info})")
+def solve_triangular(state: GpState, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for the factor L of state's n_obs observations and b of
+    shape (n_obs, m), by forward substitution over 32-row blocks: each
+    block's rows of x are the block's inverse times b's rows less the
+    factor's rows left of the block times the x already solved. The
+    factor is read in place, so a solve allocates only x and one block's
+    (32, m) remainder. With no observations x has no rows."""
+    n = state.n_obs
+    x = np.empty((n, b.shape[1]))
+    for k0 in range(0, n, GP_BLOCK):
+        k1 = min(k0 + GP_BLOCK, n)
+        rhs = b[k0:k1] - state.chol[k0:k1, :k0] @ x[:k0]
+        x[k0:k1] = state.block_inv[k0:k1, : k1 - k0] @ rhs
     return x
 
 
@@ -213,6 +213,7 @@ class GpState:
     inputs: np.ndarray = field(repr=False)
     sq_norms: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
+    block_inv: np.ndarray = field(repr=False)
     white: np.ndarray = field(repr=False)
     n_obs: int = 0
     info_gain: float = 0.0
@@ -223,8 +224,11 @@ def init_gp(dim: int, noise_var: float, horizon: int) -> GpState:
     over features rescaled by 1/FEATURE_HIGH into the unit box, where the
     lengthscale is 0.2*sqrt(dim). Its buffers hold the horizon's
     observations, one per round; each stored input's squared norm is kept
-    beside it, so conditioning does not recompute them. noise_var is
-    floored at 1e-10, which keeps a noiseless run's Gram matrix regular;
+    beside it, so conditioning does not recompute them. Row i of the
+    (T, 32) block_inv holds row i mod 32 of the inverse of the factor's
+    diagonal block that row i falls in; it takes 8*32*T bytes, at most
+    4 MiB under GP_MAX_FACTOR_BYTES' cap T <= 16384. noise_var is floored
+    at 1e-10, which keeps a noiseless run's Gram matrix regular;
     ConfidenceParams checks dim >= 1 and RunConfig keeps noise_var
     finite."""
     return GpState(
@@ -236,6 +240,7 @@ def init_gp(dim: int, noise_var: float, horizon: int) -> GpState:
         inputs=np.empty((horizon, dim)),
         sq_norms=np.empty(horizon),
         chol=np.zeros((horizon, horizon)),
+        block_inv=np.zeros((horizon, GP_BLOCK)),
         white=np.empty(horizon),
     )
 
@@ -272,18 +277,19 @@ def gp_condition(state: GpState, xs: np.ndarray) -> GpConditioning:
     scaled = xs / state.feature_scale
     k_cross = _kernel_cross(state, state.inputs[:n], state.sq_norms[:n], scaled,
                             _sq_norms(scaled))
-    v = solve_triangular(state.chol, n, k_cross)
+    v = solve_triangular(state, k_cross)
     return GpConditioning(scaled, v, v.T @ state.white[:n])
 
 
 def gp_update(state: GpState, scaled_row: np.ndarray, column: np.ndarray, y: float) -> GpState:
     """Append the observation y at scaled_row, shape (dim,) in scaled
     units, whose conditioning column on the current factor is column,
-    shape (n_obs,), as gp_condition gives it. The column gives both the
-    pre-update variance, which advances the information gain, and the new
-    row of the Cholesky factor, so the update makes no solve. A pivot
-    whose square falls to 1e-12*signal_var or below raises NumericError
-    before the state is touched."""
+    shape (n_obs,), as gp_condition gives it. The column gives the
+    pre-update variance, which advances the information gain, the new row
+    of the Cholesky factor and the new row of its diagonal block's
+    inverse, so the update makes no solve. A pivot whose square falls to
+    1e-12*signal_var or below raises NumericError before the state is
+    touched."""
     n = state.n_obs
     sq_norm = float(column @ column)
     gap = state.signal_var + state.noise_var - sq_norm
@@ -301,6 +307,10 @@ def gp_update(state: GpState, scaled_row: np.ndarray, column: np.ndarray, y: flo
     pivot = math.sqrt(gap)
     state.chol[n, :n] = column
     state.chol[n, n] = pivot
+    # [[A, 0], [c, p]]^-1 = [[A^-1, 0], [-c A^-1 / p, 1 / p]] within the block
+    k0 = n - n % GP_BLOCK
+    state.block_inv[n, : n - k0] = -(column[k0:n] @ state.block_inv[k0:n, : n - k0]) / pivot
+    state.block_inv[n, n - k0] = 1.0 / pivot
     state.white[n] = (y - float(column @ state.white[:n])) / pivot
     return state
 

@@ -369,25 +369,24 @@ def test_gp_horizon_too_long_for_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 SCIPY_PROBE = """
 import sys
-from ofdsim import cli
-assert "scipy" not in sys.modules, "import ofdsim.cli loads scipy"
+from ofdsim import cli, simulator
+run_batch = simulator.run_batch
+def checked(*args):
+    traces = run_batch(*args)
+    assert "scipy" not in sys.modules, "a pool worker's run loads scipy"
+    return traces
+simulator.run_batch = checked
 small = ["--agents", "3", "--item-dim", "1", "--agent-dim", "1", "--horizon", "20",
          "--reps", "2", "--jobs", "2"]
-assert cli.main(["run", "--policy", "ucb", *small, "--out", sys.argv[1] + "/ridge"]) == 0
-assert "scipy" not in sys.modules, "a ridge run loads scipy"
-loaded = []
-execute = cli.execute_entries
-def spy(*args, **kwargs):
-    loaded.append("scipy.linalg" in sys.modules)
-    return execute(*args, **kwargs)
-cli.execute_entries = spy
-assert cli.main(["run", "--policy", "gp-ucb", *small, "--out", sys.argv[1] + "/gp"]) == 0
-assert loaded == [True], "scipy.linalg is not loaded before a GP plan executes"
+for policy in ("ucb", "gp-ucb"):
+    assert cli.main(["run", "--policy", policy, *small, "--out", f"{sys.argv[1]}/{policy}"]) == 0
+assert "scipy" not in sys.modules, "an ofdsim run loads scipy"
 """
 
 
-def test_scipy_is_loaded_only_for_a_gp_plan(tmp_path):
-    # a fresh interpreter: this one has scipy already, since the acceptance tests import it
+def test_no_run_loads_scipy(tmp_path):
+    # a fresh interpreter: this one has scipy already, since the acceptance tests
+    # import it; the forked workers run the batches, and each checks its own modules
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -484,6 +483,8 @@ MANIFEST_EDITS = {
                                        entry["config"].update(horizon=16385)),
     "horizon-float": lambda entry: entry["config"].update(horizon=20.0),
     "n-agents-float": lambda entry: entry["config"].update(n_agents=3.0),
+    "item-dim-float": lambda entry: entry["config"].update(item_dim=2.0),
+    "agent-dim-float": lambda entry: entry["config"].update(agent_dim=2.0),
 }
 
 
@@ -504,6 +505,14 @@ def test_edited_manifest_exits_2(tmp_path, capsys, monkeypatch, edit):
     # each edit is rejected before any run starts, so no GP buffer is allocated
     monkeypatch.setattr(estimators, "init_gp", no_buffers)
     assert edited_manifest_error(tmp_path, capsys, edit).startswith("config error:")
+
+
+@pytest.mark.parametrize("name, field", [("item-dim-float", "item_dim"),
+                                         ("agent-dim-float", "agent_dim")])
+def test_manifest_float_dim_names_its_field(tmp_path, capsys, name, field):
+    # the sizes are checked before the confidence dim is built from them
+    err = edited_manifest_error(tmp_path, capsys, MANIFEST_EDITS[name])
+    assert err == f"config error: {field} must be an integer, got 2.0\n"
 
 
 # flags that break what the manifest edit of the same name breaks

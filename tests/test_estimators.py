@@ -1,6 +1,8 @@
 """Ridge/TS confidence machinery and the GP posterior."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +322,17 @@ def test_gp_posterior_order_invariant():
     np.testing.assert_allclose(sa, sb, atol=1e-8)
 
 
+def _grown_gp(noise_var, n=200):
+    """A GP after n observations appended through gp_update, on uniform
+    inputs with y = |x/10|^2."""
+    rng = np.random.default_rng(40)
+    gp = estimators.init_gp(2, noise_var=noise_var, horizon=n)
+    for _ in range(n):
+        x = rng.uniform(0.0, 10.0, 2)
+        _observe(gp, x, float(np.sum((x / 10.0) ** 2)))
+    return gp
+
+
 def _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain):
     """The incremental factor, whitened targets and information gain
     against a fresh Cholesky of the Gram matrix, a solve and slogdet. The
@@ -344,11 +357,7 @@ def _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain):
     (1e-10, 1e-6, 1e-4, 1e-6),
 ], ids=["noisy", "noiseless"])
 def test_gp_incremental_factor_matches_fresh_algebra(noise_var, tol_chol, tol_white, rel_gain):
-    rng = np.random.default_rng(40)
-    gp = estimators.init_gp(2, noise_var=noise_var, horizon=600)
-    for _ in range(600):
-        x = rng.uniform(0.0, 10.0, 2)
-        _observe(gp, x, float(np.sum((x / 10.0) ** 2)))
+    gp = _grown_gp(noise_var, 600)
     _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain)
 
 
@@ -369,53 +378,58 @@ def test_gp_factor_from_reused_columns_matches_fresh_algebra(
     _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain)
 
 
-def _factor_buffer(n, size, seed=17):
-    """A (size, size) buffer whose leading n x n block is a Cholesky factor
-    and whose other entries are zero, as GpState.chol holds it."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    chol = np.zeros((size, size))
-    chol[:n, :n] = np.linalg.cholesky(a @ a.T + n * np.eye(n))
-    return chol
-
-
-def test_solve_triangular_gives_scipys_bits():
+# Tolerances sit a decade above what these inputs measure: relative error
+# 1.6e-14 noisy and 1.0e-9 noiseless (scipy's own substitution is 1.6e-10
+# off an extended-precision one there), residuals 4.4e-16 and 3.0e-14,
+# block-inverse rows 3.1e-16 and 1.8e-14.
+@pytest.mark.parametrize("noise_var, rel_x, residual, rel_inv", [
+    (0.01, 2e-13, 5e-15, 4e-15),
+    (1e-10, 2e-8, 3e-13, 2e-13),
+], ids=["noisy", "noiseless"])
+def test_solve_triangular_matches_scipy(noise_var, rel_x, residual, rel_inv):
     from scipy import linalg as sp
 
-    # one row, a leading block and the full buffer
-    for n in (1, 9, 12):
-        chol = _factor_buffer(n, 12)
-        rhs = np.random.default_rng(18).standard_normal((n, 4))
-        got = estimators.solve_triangular(chol, n, rhs)
-        assert np.array_equal(got, sp.solve_triangular(chol[:n, :n], rhs, lower=True)), n
+    gp = _grown_gp(noise_var)
+    # the kernel columns of fresh contexts, as gp_condition solves for them
+    xs = np.random.default_rng(41).uniform(0.0, 10.0, (6, 2)) / gp.feature_scale
+    k_cross = estimators._kernel_cross(gp, gp.inputs, gp.sq_norms, xs, estimators._sq_norms(xs))
+    # within a block, at its edges, across two and three blocks, and over seven
+    for n in (1, 31, 32, 33, 64, 65, 200):
+        lower, b = gp.chol[:n, :n], k_cross[:n]
+        got = estimators.solve_triangular(dataclasses.replace(gp, n_obs=n), b)
+        want = sp.solve_triangular(lower, b, lower=True)
+        assert np.linalg.norm(got - want) <= rel_x * np.linalg.norm(want), n
+        assert np.max(np.abs(lower @ got - b)) <= residual, n
+    for k0 in range(0, 200, estimators.GP_BLOCK):
+        k1 = min(k0 + estimators.GP_BLOCK, 200)
+        want = np.linalg.inv(gp.chol[k0:k1, k0:k1])
+        np.testing.assert_allclose(gp.block_inv[k0:k1, : k1 - k0], want, rtol=0.0,
+                                   atol=rel_inv * np.max(np.abs(want)), err_msg=str(k0))
 
 
-def test_solve_triangular_reads_the_factor_in_place(monkeypatch):
-    # LAPACK gets the buffer's own memory as a Fortran array, so no block is copied
-    from scipy.linalg import lapack
+def test_solve_triangular_reads_the_factor_in_place():
+    # an identity factor, L^-1 b = b; the solve allocates its result and a
+    # block's remainder, 2 * 8 n m bytes at most, where a copy of the factor
+    # would take 8 n^2, 100 times that
+    n, m = 2000, 10
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=n)
+    gp.chol[:] = np.eye(n)
+    gp.block_inv[np.arange(n), np.arange(n) % estimators.GP_BLOCK] = 1.0
+    gp.n_obs = n
+    b = np.random.default_rng(18).standard_normal((n, m))
+    tracemalloc.start()
+    try:
+        got = estimators.solve_triangular(gp, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, b)
+    assert peak < 2 * 8 * n * m
 
-    factors = []
-    dtrtrs = lapack.dtrtrs
 
-    def spy(a, b, **kwargs):
-        factors.append(a)
-        return dtrtrs(a, b, **kwargs)
-
-    monkeypatch.setattr(lapack, "dtrtrs", spy)
-    chol = _factor_buffer(9, 12)
-    estimators.solve_triangular(chol, 9, np.ones((9, 4)))
-    (a,) = factors
-    assert a.flags.f_contiguous
-    assert np.shares_memory(a, chol)
-
-
-def test_solve_triangular_with_no_observations_calls_no_lapack(monkeypatch, capfd):
-    from scipy.linalg import lapack
-
-    monkeypatch.setattr(lapack, "dtrtrs", lambda *args, **kwargs: pytest.fail("LAPACK called"))
-    v = estimators.solve_triangular(np.zeros((12, 12)), 0, np.ones((0, 4)))
-    assert v.shape == (0, 4)
-    assert capfd.readouterr() == ("", "")
+def test_solve_triangular_with_no_observations_has_no_rows():
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=12)
+    assert estimators.solve_triangular(gp, np.ones((0, 4))).shape == (0, 4)
 
 
 def test_gp_update_rejects_a_lost_pivot_and_leaves_the_state():
@@ -425,7 +439,7 @@ def test_gp_update_rejects_a_lost_pivot_and_leaves_the_state():
     for x in ([1.0, 2.0], [5.0, 5.0], [9.0, 3.0]):
         _observe(gp, np.array(x), 0.5)
     before = {name: np.copy(getattr(gp, name))
-              for name in ("inputs", "sq_norms", "chol", "white", "info_gain")}
+              for name in ("inputs", "sq_norms", "chol", "block_inv", "white", "info_gain")}
     # |column|^2 == signal_var + noise_var leaves the pivot no positive square
     column = np.full(3, math.sqrt((gp.signal_var + gp.noise_var) / 3))
     with pytest.raises(NumericError, match="at 4 observations"):

@@ -1,6 +1,6 @@
 """src/ holds what the simulator runs: no public definition that only
-tests use, no state field that nothing reads, and every function the
-benchmark's tracer times."""
+tests use, no state field that nothing reads, every function the
+benchmark's tracer times, and numpy as its one numeric library."""
 
 import ast
 import json
@@ -37,6 +37,22 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
             names.add(node.name)
         stack.extend(ast.iter_child_nodes(node))
     return names
+
+
+def test_no_module_imports_scipy():
+    # numpy is the one numeric backend; scipy serves only the tests as an oracle
+    importers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                importers.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not importers, f"modules under src/ofdsim that import scipy: {importers}"
 
 
 def test_every_public_definition_is_used_in_src():
