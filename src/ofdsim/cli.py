@@ -138,7 +138,7 @@ def _goodness_spec(
     objective."""
     weights = None
     if kind == goodness.WEIGHTED_GINI and rho == 0.0:
-        weights, rho = goodness.esw_weights(n_agents), None
+        weights, rho = goodness.weights_from_rho(0.0, n_agents), None
     return goodness.GoodnessSpec(kind, weights=weights, rho=rho, target_ratios=target_ratios)
 
 
@@ -342,13 +342,12 @@ def _goodness_to_json(spec: goodness.GoodnessSpec) -> dict:
 
 
 def _goodness_from_json(payload: dict) -> goodness.GoodnessSpec:
-    weights = payload.get("weights")
-    ratios = payload.get("target_ratios")
+    # the spec makes its vectors float arrays, naming one that holds no numbers
     return goodness.GoodnessSpec(
         kind=payload["kind"],
-        weights=None if weights is None else np.asarray(weights, dtype=np.float64),
+        weights=payload.get("weights"),
         rho=payload.get("rho"),
-        target_ratios=None if ratios is None else np.asarray(ratios, dtype=np.float64),
+        target_ratios=payload.get("target_ratios"),
     )
 
 

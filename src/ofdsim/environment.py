@@ -26,18 +26,13 @@ FEATURE_HIGH = 10.0
 @dataclass(frozen=True)
 class ProblemInstance:
     """One drawn instance. Only :func:`generate_instance` builds one, from
-    the sizes and utility kind that RunConfig has checked."""
+    the sizes and utility kind that RunConfig has checked. The sizes are
+    its arrays' shapes: agent_features is (n_agents, agent_dim) and
+    theta_star (dim,), where dim = item_dim + agent_dim."""
 
-    n_agents: int
-    item_dim: int
-    agent_dim: int
     agent_features: np.ndarray
     theta_star: np.ndarray
     utility_kind: str
-
-    @property
-    def dim(self) -> int:
-        return self.item_dim + self.agent_dim
 
 
 def generate_instance(
@@ -52,14 +47,8 @@ def generate_instance(
     agent_features = rng.uniform(0.0, FEATURE_HIGH, size=(n_agents, agent_dim))
     raw = rng.uniform(0.0, FEATURE_HIGH, size=dim)
     theta = raw / np.linalg.norm(raw)
-    return ProblemInstance(
-        n_agents=n_agents,
-        item_dim=item_dim,
-        agent_dim=agent_dim,
-        agent_features=agent_features,
-        theta_star=theta,
-        utility_kind=utility_kind,
-    )
+    return ProblemInstance(agent_features=agent_features, theta_star=theta,
+                           utility_kind=utility_kind)
 
 
 def draw_item(instance: ProblemInstance, rng: np.random.Generator, rounds: int) -> np.ndarray:
@@ -68,10 +57,12 @@ def draw_item(instance: ProblemInstance, rng: np.random.Generator, rounds: int) 
     item's features followed by agent n's. The draws are those of
     ``rounds`` one-item calls in turn, so a run's items do not depend on
     how its rounds are blocked."""
-    item = rng.uniform(0.0, FEATURE_HIGH, size=(rounds, instance.item_dim))
-    per_agent = np.empty((rounds, instance.n_agents, instance.dim))
-    per_agent[:, :, : instance.item_dim] = item[:, None, :]
-    per_agent[:, :, instance.item_dim :] = instance.agent_features
+    n_agents, agent_dim = instance.agent_features.shape
+    item_dim = instance.theta_star.size - agent_dim
+    item = rng.uniform(0.0, FEATURE_HIGH, size=(rounds, item_dim))
+    per_agent = np.empty((rounds, n_agents, item_dim + agent_dim))
+    per_agent[:, :, :item_dim] = item[:, None, :]
+    per_agent[:, :, item_dim:] = instance.agent_features
     return per_agent
 
 
@@ -86,4 +77,4 @@ def true_utilities(instance: ProblemInstance, xs: np.ndarray) -> np.ndarray:
     proj = xs @ instance.theta_star
     if instance.utility_kind == LINEAR:
         return proj
-    return proj**2 / (FEATURE_HIGH * math.sqrt(instance.dim))
+    return proj**2 / (FEATURE_HIGH * math.sqrt(instance.theta_star.size))

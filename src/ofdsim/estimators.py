@@ -7,8 +7,9 @@ re-derives theta_hat = M^-1 b after every observation. Confidence widths
 follow the self-normalized bound alpha_t = R*sqrt(d*log((1+t*L^2/lam)/delta))
 + sqrt(lam)*S; posterior sampling uses beta_t = R*sqrt(9*d*log(t/delta)).
 The round loop steps the ridge states of a batch's runs as one state with
-a leading run axis (stack_ridge, unstack_ridge); the ridge functions take
-one state or a stacked one.
+a leading run axis (stack_ridge), of which each run's own state holds
+views of its row, so it is the run's estimate at every round; the ridge
+functions take one state or a stacked one.
 
 The GP path keeps the Cholesky factor L of K + noise_var*I, the whitened
 targets L^-1 y and the information gain. A round makes one triangular
@@ -56,17 +57,21 @@ class ConfidenceParams:
         problems = []
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             problems.append(f"dim must be a positive integer, got {self.dim!r}")
-        # R = 0 and S = 0 are legal limits (noiseless / unbounded-free cases)
-        if not np.isfinite(self.noise_r) or self.noise_r < 0.0:
-            problems.append(f"noise_r must be >= 0, got {self.noise_r!r}")
-        if not np.isfinite(self.param_bound_s) or self.param_bound_s < 0.0:
-            problems.append(f"param_bound_s must be >= 0, got {self.param_bound_s!r}")
-        if not np.isfinite(self.feature_bound_l) or self.feature_bound_l <= 0.0:
-            problems.append(f"feature_bound_l must be positive, got {self.feature_bound_l!r}")
-        if not 0.0 < self.delta < 1.0:
-            problems.append(f"delta must lie in (0,1), got {self.delta!r}")
-        if not np.isfinite(self.lam) or self.lam <= 0.0:
-            problems.append(f"lambda must be positive, got {self.lam!r}")
+        # each real field's rule, which also rejects NaN and inf; R = 0 and
+        # S = 0 are legal limits (noiseless / unbounded-free cases)
+        rules = (
+            ("noise_r", self.noise_r, lambda v: 0.0 <= v < math.inf, "must be >= 0"),
+            ("param_bound_s", self.param_bound_s, lambda v: 0.0 <= v < math.inf, "must be >= 0"),
+            ("feature_bound_l", self.feature_bound_l, lambda v: 0.0 < v < math.inf,
+             "must be positive"),
+            ("delta", self.delta, lambda v: 0.0 < v < 1.0, "must lie in (0,1)"),
+            ("lambda", self.lam, lambda v: 0.0 < v < math.inf, "must be positive"),
+        )
+        for name, value, holds, words in rules:
+            if not linalg.is_real(value):
+                problems.append(f"{name} must be a real number, got {value!r}")
+            elif not holds(value):
+                problems.append(f"{name} {words}, got {value!r}")
         if problems:
             raise ValueError("\n".join(problems))
 
@@ -103,38 +108,34 @@ def init_ridge(dim: int, lam: float) -> RidgeState:
 
 def stack_ridge(states: list[RidgeState]) -> RidgeState:
     """The states of R runs as one state whose arrays carry a leading run
-    axis, for the round loop to step the runs together."""
+    axis, for the round loop to step the runs together. Each run's state
+    is handed views of its row, its log det the 0-d view log_det[r, ...],
+    so every update of the stacked state updates it too."""
     precisions = [state.precision for state in states]
-    return RidgeState(
-        precision=linalg.PrecisionState(
-            m_mat=np.stack([p.m_mat for p in precisions]),
-            m_inv=np.stack([p.m_inv for p in precisions]),
-            log_det=np.array([p.log_det for p in precisions]),
-            n_updates=precisions[0].n_updates,
-        ),
+    whole = linalg.PrecisionState(
+        m_mat=np.stack([p.m_mat for p in precisions]),
+        m_inv=np.stack([p.m_inv for p in precisions]),
+        log_det=np.array([p.log_det for p in precisions]),
+    )
+    stacked = RidgeState(
+        precision=whole,
         moment=np.stack([state.moment for state in states]),
         theta_hat=np.stack([state.theta_hat for state in states]),
     )
-
-
-def unstack_ridge(stacked: RidgeState, states: list[RidgeState]) -> None:
-    """Hand each run's state its row of stacked: its arrays become views
-    of the stacked ones, and its log det and update count plain values."""
-    whole = stacked.precision
-    for r, state in enumerate(states):
-        precision = state.precision
+    for r, (state, precision) in enumerate(zip(states, precisions)):
         precision.m_mat, precision.m_inv = whole.m_mat[r], whole.m_inv[r]
-        precision.log_det, precision.n_updates = float(whole.log_det[r]), whole.n_updates
+        precision.log_det = whole.log_det[r, ...]
         state.moment, state.theta_hat = stacked.moment[r], stacked.theta_hat[r]
+    return stacked
 
 
 def ridge_update(state: RidgeState, x: np.ndarray, y: np.ndarray | float) -> RidgeState:
     """Fold observations (x, y) into the ridge estimate: x of shape
     (..., dim) and y of shape (...), one per run of a stacked state;
-    mutates state."""
+    mutates state, theta_hat in place."""
     linalg.rank_one_update(state.precision, x)
     state.moment += np.asarray(y)[..., None] * x
-    state.theta_hat = np.matmul(state.precision.m_inv, state.moment[..., None])[..., 0]
+    np.matmul(state.precision.m_inv, state.moment[..., None], out=state.theta_hat[..., None])
     return state
 
 
@@ -185,6 +186,8 @@ GP_MAX_FACTOR_BYTES = 1 << 31
 # block inverses' rounding moves a noiseless run's whitened targets past the
 # fresh-algebra tolerances
 GP_BLOCK = 32
+# the RKHS norm bound B of the GP's width multiplier
+GP_BOUND_B = 1.0
 
 
 def solve_triangular(state: GpState, b: np.ndarray) -> np.ndarray:
@@ -208,7 +211,6 @@ class GpState:
     lengthscale: float
     signal_var: float
     noise_var: float
-    bound_b: float
     feature_scale: float
     inputs: np.ndarray = field(repr=False)
     sq_norms: np.ndarray = field(repr=False)
@@ -220,7 +222,7 @@ class GpState:
 
 
 def init_gp(dim: int, noise_var: float, horizon: int) -> GpState:
-    """RBF-kernel GP with signal variance 1 and RKHS norm bound B = 1,
+    """RBF-kernel GP with signal variance 1 and RKHS norm bound GP_BOUND_B,
     over features rescaled by 1/FEATURE_HIGH into the unit box, where the
     lengthscale is 0.2*sqrt(dim). Its buffers hold the horizon's
     observations, one per round; each stored input's squared norm is kept
@@ -235,7 +237,6 @@ def init_gp(dim: int, noise_var: float, horizon: int) -> GpState:
         lengthscale=0.2 * math.sqrt(dim),
         signal_var=1.0,
         noise_var=max(float(noise_var), 1e-10),
-        bound_b=1.0,
         feature_scale=FEATURE_HIGH,
         inputs=np.empty((horizon, dim)),
         sq_norms=np.empty(horizon),
@@ -316,7 +317,7 @@ def gp_update(state: GpState, scaled_row: np.ndarray, column: np.ndarray, y: flo
 
 
 def gp_width_multiplier(state: GpState, params: ConfidenceParams) -> float:
-    return math.sqrt(2.0 * (state.info_gain + 1.0 + math.log(1.0 / params.delta))) + state.bound_b
+    return math.sqrt(2.0 * (state.info_gain + 1.0 + math.log(1.0 / params.delta))) + GP_BOUND_B
 
 
 def gp_ucb_scores(state: GpState, params: ConfidenceParams, cond: GpConditioning) -> np.ndarray:

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
+
 WEIGHTED_GINI = "weighted-gini"
 NSW = "nsw"
 LOG_NSW = "log-nsw"
@@ -39,20 +41,27 @@ class GoodnessDomainError(ValueError):
     """A utility vector lies outside the goodness function's domain."""
 
 
+def _real_vector(name: str, value) -> np.ndarray:
+    """value as a float array, if its entries are real numbers and not
+    bools or strings, which the scalar fields' rule rejects too."""
+    try:
+        vector = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        vector = None
+    if vector is None or vector.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got {value!r}")
+    return vector.astype(np.float64, copy=False)
+
+
 def weights_from_rho(rho: float, n_agents: int) -> np.ndarray:
     """Geometric weights (1, rho, rho^2, ...) of length n_agents.
 
-    rho must lie in (0, 1], which GoodnessSpec checks, and n_agents must
-    be >= 1, which RunConfig checks; rho = 1 yields all ones.
+    rho must lie in [0, 1] and n_agents be >= 1. rho = 1 yields all ones
+    and rho = 0 yields (1, 0, ..., 0), under which the goodness is min(u).
+    GoodnessSpec.rho lies in (0, 1], so the CLI gives a spec rho = 0 as
+    these explicit weights.
     """
     return np.power(float(rho), np.arange(n_agents, dtype=np.float64))
-
-
-def esw_weights(n_agents: int) -> np.ndarray:
-    """Weights (1, 0, ..., 0): the goodness becomes min(u)."""
-    w = np.zeros(n_agents)
-    w[0] = 1.0
-    return w
 
 
 @dataclass
@@ -71,7 +80,7 @@ class GoodnessSpec:
             if (self.weights is None) == (self.rho is None):
                 raise ValueError("weighted-gini requires exactly one of weights or rho")
             if self.weights is not None:
-                w = np.asarray(self.weights, dtype=np.float64)
+                w = _real_vector("weights", self.weights)
                 if w.ndim != 1 or w.size < 1:
                     raise ValueError("weights must be a non-empty 1-d array")
                 if not np.all(np.isfinite(w)):
@@ -84,7 +93,9 @@ class GoodnessSpec:
                     raise ValueError("weights must be non-increasing")
                 self.weights = w
             else:
-                if not np.isfinite(self.rho) or self.rho <= 0.0 or self.rho > 1.0:
+                if not linalg.is_real(self.rho):
+                    raise ValueError(f"rho must be a real number, got {self.rho!r}")
+                if not 0.0 < self.rho <= 1.0:
                     raise ValueError(f"rho must lie in (0,1], got {self.rho!r}")
                 self.rho = float(self.rho)
             if self.target_ratios is not None:
@@ -94,7 +105,7 @@ class GoodnessSpec:
                 raise ValueError("targeted goodness requires target-ratios")
             if self.weights is not None or self.rho is not None:
                 raise ValueError("weights/rho are only valid for weighted-gini")
-            r = np.asarray(self.target_ratios, dtype=np.float64)
+            r = _real_vector("target_ratios", self.target_ratios)
             if r.ndim != 1 or r.size < 1:
                 raise ValueError("target_ratios must be a non-empty 1-d array")
             if not np.all(np.isfinite(r)) or np.any(r <= 0.0):

@@ -9,12 +9,13 @@ together, so the functions here take one state or a state whose arrays
 carry a leading run axis. The dimension, the last axis of a state's
 arrays, and the regularizer come checked from ConfidenceParams; the
 checks here are the mid-run faults, a non-positive Sherman-Morrison
-denominator and a failed Cholesky factorization.
+denominator and a failed Cholesky factorization. :func:`is_real` is the
+rule the constructors apply to every real-valued field of a run.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +25,17 @@ class NumericError(RuntimeError):
     """Raised when a factorization or a rank-one update loses definiteness."""
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number: a numbers.Real, which numpy's float
+    and integer scalars are, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class PrecisionState:
     m_mat: np.ndarray
     m_inv: np.ndarray
     log_det: float
-    n_updates: int = 0
 
 
 def init_precision(dim: int, lam: float) -> PrecisionState:
@@ -49,7 +55,6 @@ def init_precision(dim: int, lam: float) -> PrecisionState:
         m_mat=np.eye(dim) * lam,
         m_inv=np.eye(dim) / lam,
         log_det=dim * np.log(lam),
-        n_updates=0,
     )
 
 
@@ -70,14 +75,10 @@ def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
     denom = 1.0 + np.matmul(v[..., None, :], z[..., None])[..., 0, 0]
     low = float(denom.min())
     if not low > 0.0:
-        raise NumericError(
-            f"Sherman-Morrison denominator {low:.3e} is not positive "
-            f"after {state.n_updates} updates"
-        )
+        raise NumericError(f"Sherman-Morrison denominator {low:.3e} is not positive")
     state.m_mat += v[..., :, None] * v[..., None, :]
     state.m_inv -= z[..., :, None] * z[..., None, :] / denom[..., None, None]
     state.log_det += np.log(denom)
-    state.n_updates += 1
     return state
 
 
@@ -102,8 +103,7 @@ def sample_gaussian(
     except np.linalg.LinAlgError as exc:
         smallest = float(np.linalg.eigvalsh(state.m_inv)[..., 0].min())
         raise NumericError(
-            f"covariance factorization failed after {state.n_updates} updates; "
-            f"smallest eigenvalue of M^-1 is {smallest:.3e}"
+            f"covariance factorization failed; smallest eigenvalue of M^-1 is {smallest:.3e}"
         ) from exc
     z = np.array([rng.standard_normal(mean.shape[-1]) for rng in rngs]).reshape(mean.shape)
     return mean + scale * np.matmul(chol, z[..., None])[..., 0]

@@ -42,7 +42,9 @@ class PolicyKind:
         problems = []
         if self.name not in POLICY_NAMES:
             problems.append(f"unknown policy {self.name!r}; choose from {', '.join(POLICY_NAMES)}")
-        if not 0.0 <= self.epsilon <= 1.0:
+        if not linalg.is_real(self.epsilon):
+            problems.append(f"epsilon must be a real number, got {self.epsilon!r}")
+        elif not 0.0 <= self.epsilon <= 1.0:
             problems.append(f"epsilon must lie in [0,1], got {self.epsilon!r}")
         if problems:
             raise ValueError("\n".join(problems))

@@ -23,13 +23,15 @@ nothing else, so its draws move no other stream.
 One round loop, :func:`run_batch`, steps R runs of one config, one per
 seed, in lockstep. Their ledgers are one (R, N) array, their contexts one
 (R, N, d) array and a ridge state one state with a leading run axis, so
-each layer's function runs once per round for all R runs. Each run's
-arithmetic is the arithmetic it takes alone, in stacked numpy forms
-that give each run's bits, and each run draws from its own streams:
-items and noise a block of rounds ahead, which draws what one round at
-a time would, and the policy stream what the run alone would. So a
-run's trace does not depend on the batch it ran in. :func:`run_single`
-is a batch of one.
+each layer's function runs once per round for all R runs. Each value is
+kept once: a run's own ridge state holds views of its row of the stacked
+state, and its trace arrays are rows of (R, T) arrays written a round's
+column at a time. Each run's arithmetic is the arithmetic it takes
+alone, in stacked numpy forms that give each run's bits, and each run
+draws from its own streams: items and noise a block of rounds ahead,
+which draws what one round at a time would, and the policy stream what
+the run alone would. So a run's trace does not depend on the batch it
+ran in. :func:`run_single` is a batch of one.
 """
 
 from __future__ import annotations
@@ -147,7 +149,6 @@ class RunConfig:
 @dataclass
 class RunTrace:
     seed: int
-    horizon: int
     chosen: np.ndarray
     oracle: np.ndarray
     realized: np.ndarray
@@ -197,17 +198,17 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
     needs_positive = spec.kind in goodness.POSITIVE_LEDGER_KINDS
     # items and noise are drawn a block of rounds at a time, which draws
     # what one round at a time would
-    block = min(horizon, max(1, BLOCK_BYTES // (8 * runs * n * (instances[0].dim + 1))))
+    block = min(horizon, max(1, BLOCK_BYTES // (8 * runs * n * (params.dim + 1))))
 
     totals = np.zeros((runs, n))
     # run r's agent a sits at r*n + a of the flat ledger and of a round's
     # (runs, n) arrays
     ledger, offsets = totals.reshape(-1), np.arange(runs) * n
     no_gap = np.zeros(runs)
-    chosen = np.empty((horizon, runs), dtype=np.int64)
-    oracle = np.empty((horizon, runs), dtype=np.int64)
-    realized = np.empty((horizon, runs))
-    inst_regret = np.empty((horizon, runs))
+    chosen = np.empty((runs, horizon), dtype=np.int64)
+    oracle = np.empty((runs, horizon), dtype=np.int64)
+    realized = np.empty((runs, horizon))
+    inst_regret = np.empty((runs, horizon))
 
     for t in range(1, horizon + 1):
         idx = t - 1
@@ -259,20 +260,14 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
                 f"min {float(row[low])!r} (agent {low}), max {float(row.max())!r}"
             ) from exc
 
-        chosen[idx] = picks
-        oracle[idx] = best
-        realized[idx] = y
-        inst_regret[idx] = gap
+        chosen[:, idx] = picks
+        oracle[:, idx] = best
+        realized[:, idx] = y
+        inst_regret[:, idx] = gap
 
-    if kind.uses_ridge:
-        estimators.unstack_ridge(estimator, states)
-    chosen, oracle, realized, inst_regret = (
-        np.ascontiguousarray(column.T) for column in (chosen, oracle, realized, inst_regret)
-    )
     return [
         RunTrace(
             seed=seed,
-            horizon=horizon,
             chosen=chosen[r],
             oracle=oracle[r],
             realized=realized[r],
@@ -286,8 +281,6 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
 
 @dataclass
 class AggregateSeries:
-    horizon: int
-    n_reps: int
     mean_regret: np.ndarray
     ci95: np.ndarray
     final_metrics: dict
@@ -317,8 +310,8 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     usw is taken over every rep."""
     if not traces:
         raise ValueError("aggregate needs at least 1 trace")
-    horizon = traces[0].horizon
-    if any(tr.horizon != horizon for tr in traces):
+    horizon = traces[0].cum_regret.size
+    if any(tr.cum_regret.size != horizon for tr in traces):
         raise ValueError("all traces must share one horizon")
     stacked = np.stack([tr.cum_regret for tr in traces])
     finals = np.stack([tr.final_totals for tr in traces])
@@ -330,8 +323,6 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
         "left_out": len(finals) - len(scored),
     }
     return AggregateSeries(
-        horizon=horizon,
-        n_reps=len(traces),
         mean_regret=stacked.mean(axis=0),
         ci95=_ci95(stacked),
         final_metrics=metrics,
@@ -367,7 +358,7 @@ def min_ratio(u: np.ndarray) -> float:
 
 def series_csv_lines(series: AggregateSeries) -> list[str]:
     lines = ["t,mean_regret,ci95"]
-    for idx in range(series.horizon):
+    for idx in range(series.mean_regret.size):
         lines.append(
             f"{idx + 1},{float(series.mean_regret[idx])!r},{float(series.ci95[idx])!r}"
         )

@@ -95,6 +95,50 @@ def test_batch_equals_single_runs_on_constant_ties(monkeypatch):
             assert np.unique(trace.chosen[N_AGENTS:]).size == N_AGENTS, policy
 
 
+def handed_out_states(monkeypatch, config, seeds):
+    """The estimator state policies.make_estimator hands each run of
+    run_batch(config, seeds), in seed order, after the batch ends."""
+    kept = []
+    make = policies.make_estimator
+
+    def keep(*args, **kwargs):
+        kept.append(make(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(policies, "make_estimator", keep)
+    simulator.run_batch(config, seeds)
+    monkeypatch.undo()
+    return kept
+
+
+@pytest.mark.parametrize("policy", ["ucb", "ts", "greedy", "gp-ucb"])
+def test_each_runs_state_ends_as_its_final_estimate(monkeypatch, policy):
+    # a ridge run's state is a view of its row of the batch's stacked state
+    config, seeds = batch(3, policy, utility_kind="square")
+    states = handed_out_states(monkeypatch, config, seeds)
+    assert len(states) == len(seeds)
+    for state, seed in zip(states, seeds):
+        alone, = handed_out_states(monkeypatch, dataclasses.replace(config, seed=seed), [seed])
+        if policy == "gp-ucb":
+            n = alone.n_obs
+            assert state.n_obs == n == config.horizon
+            pairs = [(state.chol[:n, :n], alone.chol[:n, :n]), (state.white[:n], alone.white[:n]),
+                     (state.info_gain, alone.info_gain)]
+        else:
+            mine, theirs = state.precision, alone.precision
+            pairs = [(mine.m_mat, theirs.m_mat), (mine.m_inv, theirs.m_inv),
+                     (mine.log_det, theirs.log_det), (state.moment, alone.moment),
+                     (state.theta_hat, alone.theta_hat)]
+            # the state is the run's final estimate, whatever path both took
+            prec, lam = state.precision, config.confidence.lam
+            assert not np.array_equal(prec.m_mat, lam * np.eye(4))
+            assert prec.log_det == pytest.approx(np.linalg.slogdet(prec.m_mat)[1], rel=1e-12)
+            np.testing.assert_allclose(prec.m_inv, np.linalg.inv(prec.m_mat), rtol=1e-9)
+            assert np.array_equal(state.theta_hat, prec.m_inv @ state.moment)
+        for k, (got, want) in enumerate(pairs):
+            assert np.array_equal(got, want), (seed, k)
+
+
 def test_gp_runs_are_stepped_within_the_factor_bound(monkeypatch):
     # two 60-round factors fit the bound, so five GP runs go in batches of 2, 2 and 1
     monkeypatch.setattr(simulator, "GP_BATCH_BYTES", 2 * 8 * 60**2)

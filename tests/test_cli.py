@@ -81,7 +81,7 @@ def test_fig3_grid_covers_rho_range_inclusive():
         by_name.setdefault(e.name, e)
     zero_point = by_name["fig3-rho-sweep-r000"]
     np.testing.assert_array_equal(
-        zero_point.proto.goodness.weights, goodness.esw_weights(10)
+        zero_point.proto.goodness.weights, [1.0] + [0.0] * 9
     )
 
 
@@ -201,7 +201,7 @@ def test_targeted_requires_ratios():
 def test_rho_zero_maps_to_min_weights():
     entries = cli.validate_config(make_ns(policy="ucb", rho=0.0, agents=3, horizon=50)).entries
     np.testing.assert_array_equal(
-        entries[0].proto.goodness.weights, goodness.esw_weights(3)
+        entries[0].proto.goodness.weights, [1.0, 0.0, 0.0]
     )
 
 
@@ -448,7 +448,7 @@ def test_goodness_abort_exit_code(tmp_path, capsys):
         # ledger already holds round 10's utility, given to agent 9
         (["--policy", "ucb", "--lambda", "1e-15", "--agents", "10", "--horizon", "20"],
          ["run aborted: run seed=15793235383387715774 aborted at round 10: Sherman-Morrison "
-          "denominator -5.613e+00 is not positive after 9 updates; ledger of 10 agents: "
+          "denominator -5.613e+00 is not positive; ledger of 10 agents: "
           "min 5.036029756395931 (agent 9), max 15.327921728420566\n"]),
         # a noisy ledger goes negative under log-nsw
         (["--policy", "ucb", "--noise-r", "1e6", "--goodness", "log-nsw", "--agents", "5",
@@ -485,6 +485,15 @@ MANIFEST_EDITS = {
     "n-agents-float": lambda entry: entry["config"].update(n_agents=3.0),
     "item-dim-float": lambda entry: entry["config"].update(item_dim=2.0),
     "agent-dim-float": lambda entry: entry["config"].update(agent_dim=2.0),
+    "noise-r-string": lambda entry: entry["config"]["confidence"].update(noise_r="0.1"),
+    "noise-r-true": lambda entry: entry["config"]["confidence"].update(noise_r=True),
+    "delta-string": lambda entry: entry["config"]["confidence"].update(delta="0.05"),
+    "epsilon-string": lambda entry: entry["policy"].update(epsilon="0.1"),
+    "rho-string": lambda entry: entry["config"]["goodness"].update(rho="0.5"),
+    "weights-strings":
+        lambda entry: entry["config"]["goodness"].update(rho=None, weights=["a"]),
+    "target-ratios-strings": lambda entry: entry["config"]["goodness"].update(
+        kind="targeted", rho=None, target_ratios=["0.5", "0.5"]),
 }
 
 
@@ -513,6 +522,24 @@ def test_manifest_float_dim_names_its_field(tmp_path, capsys, name, field):
     # the sizes are checked before the confidence dim is built from them
     err = edited_manifest_error(tmp_path, capsys, MANIFEST_EDITS[name])
     assert err == f"config error: {field} must be an integer, got 2.0\n"
+
+
+NON_REAL_LINES = {
+    "noise-r-string": "noise_r must be a real number, got '0.1'",
+    "noise-r-true": "noise_r must be a real number, got True",
+    "delta-string": "delta must be a real number, got '0.05'",
+    "epsilon-string": "epsilon must be a real number, got '0.1'",
+    "rho-string": "rho must be a real number, got '0.5'",
+    "weights-strings": "weights must be real numbers, got ['a']",
+    "target-ratios-strings": "target_ratios must be real numbers, got ['0.5', '0.5']",
+}
+
+
+@pytest.mark.parametrize("name, line", NON_REAL_LINES.items(), ids=list(NON_REAL_LINES))
+def test_manifest_non_real_value_names_its_field(tmp_path, capsys, name, line):
+    # a string or a bool is no real number, even where it would convert to one
+    err = edited_manifest_error(tmp_path, capsys, MANIFEST_EDITS[name])
+    assert err == f"config error: {line}\n"
 
 
 # flags that break what the manifest edit of the same name breaks

@@ -13,15 +13,12 @@ from ofdsim.goodness import GoodnessSpec
 from ofdsim.policies import PolicyKind
 
 
-def make_instance(theta, agent_features, kind="linear", item_dim=1):
-    theta = np.asarray(theta, dtype=np.float64)
-    agent_features = np.asarray(agent_features, dtype=np.float64)
+def make_instance(theta, agent_features, kind="linear"):
+    """An instance whose items take the dimensions of theta that the
+    agent features leave."""
     return ProblemInstance(
-        n_agents=agent_features.shape[0],
-        item_dim=item_dim,
-        agent_dim=theta.size - item_dim,
-        agent_features=agent_features,
-        theta_star=theta,
+        agent_features=np.asarray(agent_features, dtype=np.float64),
+        theta_star=np.asarray(theta, dtype=np.float64),
         utility_kind=kind,
     )
 
@@ -63,7 +60,7 @@ def test_generate_instance_unit_norm_and_ranges():
     assert np.linalg.norm(inst.theta_star) == pytest.approx(1.0, abs=1e-12)
     assert inst.agent_features.shape == (6, 2)
     assert np.all(inst.agent_features > 0.0) and np.all(inst.agent_features < 10.0)
-    assert inst.dim == 5
+    assert inst.theta_star.shape == (5,)
 
 
 def test_generate_instance_deterministic():
@@ -104,7 +101,7 @@ def test_identical_agents_get_identical_contexts():
     feats = np.array([[4.0, 4.0], [4.0, 4.0]])
     theta = np.array([1.0, 0.0, 0.0])
     theta /= np.linalg.norm(theta)
-    inst = make_instance(theta, feats, item_dim=1)
+    inst = make_instance(theta, feats)
     ctx = environment.draw_item(inst, np.random.default_rng(4), 1)[0]
     np.testing.assert_array_equal(ctx[0], ctx[1])
 
@@ -185,8 +182,8 @@ def test_oracle_min_weights_favors_min_agent():
     # can raise the minimum
     feats = np.full((3, 2), 5.0)
     theta = np.full(4, 0.5)
-    inst = make_instance(theta, feats, item_dim=2)
-    spec = GoodnessSpec("weighted-gini", weights=goodness.esw_weights(3))
+    inst = make_instance(theta, feats)
+    spec = GoodnessSpec("weighted-gini", weights=np.array([1.0, 0.0, 0.0]))
     ctx = environment.draw_item(inst, np.random.default_rng(14), 1)[0]
     assert oracle(inst, spec, [9.0, 2.0, 5.0], ctx) == 1
 
@@ -203,7 +200,7 @@ def test_oracle_single_agent():
 def test_oracle_breaks_ties_at_lowest_index():
     feats = np.full((4, 2), 3.0)
     theta = np.full(3, 1.0) / math.sqrt(3.0)
-    inst = make_instance(theta, feats, item_dim=1)
+    inst = make_instance(theta, feats)
     spec = GoodnessSpec("weighted-gini", rho=1.0)
     ctx = environment.draw_item(inst, np.random.default_rng(17), 1)[0]
     # all candidates identical

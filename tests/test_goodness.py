@@ -28,7 +28,9 @@ def test_weights_from_rho_small_rho_approaches_min_weights():
 
 
 def test_esw_weights():
-    np.testing.assert_array_equal(goodness.esw_weights(4), [1.0, 0.0, 0.0, 0.0])
+    # rho = 0 gives the min objective's weights, bit for bit
+    for n in (1, 2, 4, 25):
+        np.testing.assert_array_equal(goodness.weights_from_rho(0.0, n), np.eye(1, n)[0])
 
 
 class TestSpecValidation:
@@ -158,7 +160,7 @@ def test_candidate_scores_matches_slow_path():
         adds = rng.uniform(0.0, 8.0, n)
         specs = [
             GoodnessSpec("weighted-gini", rho=0.85),
-            GoodnessSpec("weighted-gini", weights=goodness.esw_weights(n)),
+            GoodnessSpec("weighted-gini", weights=goodness.weights_from_rho(0.0, n)),
             GoodnessSpec("nsw"),
             GoodnessSpec("log-nsw"),
         ]

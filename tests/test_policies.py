@@ -167,9 +167,10 @@ def test_observe_updates_estimator():
     contexts = np.array([[5.0, 5.0], [1.0, 2.0]])
     policies.observe(PolicyKind("ucb"), stacked, np.array([1]), None, contexts[None],
                      np.array([3.0]))
-    estimators.unstack_ridge(stacked, [est])
-    assert est.precision.n_updates == 1
+    # the run's own state holds views of its row of the stacked one
     np.testing.assert_array_equal(est.moment, 3.0 * contexts[1])
+    assert np.any(est.theta_hat != 0.0)
+    np.testing.assert_array_equal(est.theta_hat, est.precision.m_inv @ est.moment)
 
 
 def test_observe_uniform_skips_estimator():
@@ -186,6 +187,7 @@ def test_observe_counts_invariant():
     est = estimators.stack_ridge([policies.make_estimator(PolicyKind("ucb"), params, 10)])
     rng = np.random.default_rng(6)
     contexts = rng.uniform(0.0, 10.0, (3, 2))
+    moment = np.zeros(2)
     for t in range(4, 44):
         picks, conditioning = select_one(PolicyKind("ucb"), spec, totals, t, contexts, est,
                                          params, rng)
@@ -193,7 +195,9 @@ def test_observe_counts_invariant():
         totals[picks[0]] += y
         policies.observe(PolicyKind("ucb"), est, picks, conditioning, contexts[None],
                          np.array([y]))
-        assert est.precision.n_updates == t - 3
+        # each observe folds exactly its one observation in
+        moment += y * contexts[picks[0]]
+        np.testing.assert_array_equal(est.moment[0], moment)
 
 
 def test_greedy_zero_epsilon_equals_ucb_zero_alpha():

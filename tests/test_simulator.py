@@ -34,7 +34,6 @@ def make_trace(cum_final, horizon=2, n_agents=2, totals=(1.0, 2.0)):
     inst = np.diff(cum, prepend=0.0)
     return RunTrace(
         seed=0,
-        horizon=horizon,
         chosen=np.zeros(horizon, dtype=np.int64),
         oracle=np.zeros(horizon, dtype=np.int64),
         realized=np.ones(horizon),
@@ -142,7 +141,8 @@ def test_same_seed_identical_traces():
 
 def test_trace_shape_and_regret_monotonicity():
     trace = simulator.run_single(make_config(policy=PolicyKind("ts"), horizon=80))
-    assert trace.horizon == 80
+    for name in ("chosen", "oracle", "realized", "inst_regret", "cum_regret"):
+        assert getattr(trace, name).shape == (80,), name
     assert np.all(trace.inst_regret >= 0.0)
     assert np.all(np.diff(trace.cum_regret) >= 0.0)
     np.testing.assert_array_equal(trace.cum_regret, np.cumsum(trace.inst_regret))
@@ -225,7 +225,7 @@ def test_aggregate_hand_example():
     assert series.mean_regret[-1] == pytest.approx(12.0)
     # sample stddev of (10, 14) is 2*sqrt(2)
     assert series.ci95[-1] == pytest.approx(1.96 * 2.0 * math.sqrt(2.0) / math.sqrt(2.0), rel=1e-12)
-    assert series.n_reps == 2
+    assert series.mean_regret.shape == series.ci95.shape == (2,)
 
 
 def test_aggregate_identical_traces_zero_ci():
@@ -256,7 +256,6 @@ def test_aggregate_final_metrics():
 def test_aggregate_single_trace_is_its_own_mean():
     trace = make_trace(5.0, totals=(1.0, 3.0))
     series = simulator.aggregate([trace])
-    assert series.n_reps == 1
     np.testing.assert_array_equal(series.mean_regret, trace.cum_regret)
     np.testing.assert_array_equal(series.ci95, np.zeros(2))
     assert series.final_metrics["usw"] == (4.0, 0.0)
