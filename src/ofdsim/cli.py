@@ -6,9 +6,11 @@ plotting.
 Each run option is declared once, in ``OPTIONS``, which drives the
 parser, the defaults and the config-file keys. The rules of a run live
 in the constructors of ``PolicyKind``, ``GoodnessSpec``,
-``ConfidenceParams`` and ``RunConfig``: the CLI builds a run through
-them, as the manifest reader does, and itself checks only what belongs
-to a command (base seed, reps, jobs, and which options combine).
+``ConfidenceParams`` and ``RunConfig``: ``_build_run`` builds a run from
+flags, a config file or a manifest through them, reporting every field
+they reject. The CLI checks by itself only what belongs to a command: its
+header (base seed, reps, jobs), which options combine, and a manifest's
+entry and seed counts.
 
 Exit codes: 0 success, 2 config/preset/manifest error, 3 unwritable
 output directory, 4 a run aborted mid-flight (goodness domain or
@@ -99,6 +101,10 @@ class RunSpecEntry:
     seeds: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # the name becomes a file name in the output directory
+        if not isinstance(self.name, str) or self.name in ("", ".", "..") or any(
+                sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+            raise ValueError(f"entry name must be a plain file name, got {self.name!r}")
         simulator.checked_seeds(self.seeds)
 
     @property
@@ -131,15 +137,15 @@ def _derive_seeds(base_seed: int, reps: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _goodness_spec(
+def _goodness_args(
     kind: str, n_agents: int, rho: float | None = None, target_ratios: np.ndarray | None = None
-) -> goodness.GoodnessSpec:
-    """The run's goodness; under weighted Gini, rho 0 means the min
-    objective."""
+) -> dict:
+    """The run's GoodnessSpec arguments; under weighted Gini, rho 0 means
+    the min objective."""
     weights = None
     if kind == goodness.WEIGHTED_GINI and rho == 0.0:
         weights, rho = goodness.weights_from_rho(0.0, n_agents), None
-    return goodness.GoodnessSpec(kind, weights=weights, rho=rho, target_ratios=target_ratios)
+    return dict(kind=kind, weights=weights, rho=rho, target_ratios=target_ratios)
 
 
 def expand_preset(preset: str, reps: int, base_seed: int) -> list[RunSpecEntry]:
@@ -154,7 +160,8 @@ def expand_preset(preset: str, reps: int, base_seed: int) -> list[RunSpecEntry]:
 
     def add(name: str, policies: list[PolicyKind], *, rho: float, **fields) -> None:
         for pol in policies:
-            spec = _goodness_spec(goodness.WEIGHTED_GINI, fields["n_agents"], rho)
+            args = _goodness_args(goodness.WEIGHTED_GINI, fields["n_agents"], rho)
+            spec = goodness.GoodnessSpec(**args)
             proto = RunConfig(seed=0, policy=pol, goodness=spec, **fields)
             entries.append(RunSpecEntry(name=name, proto=proto, seeds=seeds))
 
@@ -206,8 +213,38 @@ def _clashes(given, keys, mode: str) -> list[str]:
     return [f"{_flag(key)} cannot be combined with --{mode}" for key in keys if given(key)]
 
 
-def _jobs_problems(jobs: int) -> list[str]:
-    return [] if jobs >= 1 else [f"jobs must be >= 1, got {jobs}"]
+def _command_problems(seed, reps, jobs) -> list[str]:
+    """A command's header rules, for every source: the base seed an
+    integer >= 0, reps and jobs integers >= 1. One line per broken field."""
+    rules = (("seed", seed, 0, "must be non-negative"), ("reps", reps, 1, "must be >= 1"),
+             ("jobs", jobs, 1, "must be >= 1"))
+    return [f"{name} {words}, got {value!r}" for name, value, low, words in rules
+            if not (simulator.is_integer(value) and value >= low)]
+
+
+def _build_run(policy: dict, goodness_args: dict, confidence, sizes: dict,
+               problems=()) -> RunConfig:
+    """The one way a run is built from flags, a config file or a manifest:
+    PolicyKind(**policy), GoodnessSpec(**goodness_args) and confidence(dim)
+    each on its own, then RunConfig. Raises ConfigError with the caller's
+    problems and every rejected field. While a size is broken, the
+    confidence is built at dim 1, so that only the size reports it."""
+    size_lines = simulator.size_problems(**sizes)
+    dim = 1 if size_lines else sizes["item_dim"] + sizes["agent_dim"]
+    problems, parts = list(problems), []
+    for make, kwargs in ((PolicyKind, policy), (goodness.GoodnessSpec, goodness_args),
+                         (confidence, {"dim": dim})):
+        try:
+            parts.append(make(**kwargs))
+        except (TypeError, ValueError) as exc:
+            problems += str(exc).splitlines()
+    if problems or size_lines:
+        raise ConfigError(problems + size_lines)
+    kind, spec, params = parts
+    try:
+        return RunConfig(seed=0, policy=kind, goodness=spec, confidence=params, **sizes)
+    except ValueError as exc:
+        raise ConfigError(str(exc).splitlines()) from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -246,9 +283,9 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
     """Resolve flags + optional config file into a plan of concrete runs.
 
     Flags win over the file, the file over ``DEFAULTS``; the base seed
-    falls back to ``OFD_SEED``, then 0. An ad-hoc run is built through
-    the constructors that check every run. Raises ConfigError carrying
-    one line per rejected field, theirs and the command's.
+    falls back to ``OFD_SEED``, then 0. An ad-hoc run is built by
+    ``_build_run``. Raises ConfigError carrying one line per rejected
+    field, the run's and the command's.
     """
     config_path = getattr(ns, "config", None)
     file_values = _read_config_file(config_path) if config_path else {}
@@ -260,8 +297,7 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
         flag = _flag_value(ns, key)
         return file_values.get(key, DEFAULTS[key]) if flag is None else flag
 
-    reps, jobs = grab("reps"), grab("jobs")
-    problems = _jobs_problems(jobs)
+    problems = []
     base_seed = grab("seed")
     if base_seed is None:
         env_seed = os.environ.get("OFD_SEED", "0")
@@ -272,10 +308,8 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
         if base_seed < 0:
             problems.append(f"OFD_SEED must be a non-negative integer, got {env_seed!r}")
             base_seed = 0
-    elif base_seed < 0:
-        problems.append(f"seed must be non-negative, got {base_seed}")
-    if reps < 1:
-        problems.append(f"reps must be >= 1, got {reps}")
+    reps, jobs = grab("reps"), grab("jobs")
+    problems += _command_problems(base_seed, reps, jobs)
     if problems:
         raise ConfigError(problems)
 
@@ -288,20 +322,11 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
             raise ConfigError(clashes)
         return RunPlan(expand_preset(preset, reps, base_seed), base_seed, preset, reps, out, jobs)
 
-    def build(make, *args, **kwargs):
-        """make(*args, **kwargs), or None with its rejections in problems."""
-        try:
-            return make(*args, **kwargs)
-        except ValueError as exc:
-            problems.extend(str(exc).splitlines())
-            return None
-
-    # A missing or broken field is reported once. What depends on it is
+    # A missing or unparsable option is reported once, and the run is
     # built from a stand-in, so that it still reports its own fields.
     policy = grab("policy")
     if policy is None:
         problems.append("either --preset or --policy is required")
-    kind = build(PolicyKind, policy or "ucb", epsilon=grab("epsilon"))
     ratios_text = grab("target_ratios")
     try:
         ratios = None if ratios_text is None else _parse_ratios(ratios_text)
@@ -311,19 +336,15 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
     kind_name = grab("goodness")
     # rho shapes weighted Gini only; set for another goodness, the spec rejects it
     rho = grab("rho") if kind_name == goodness.WEIGHTED_GINI or given("rho") else None
-    agents, item_dim, agent_dim = grab("agents"), grab("item_dim"), grab("agent_dim")
-    spec = build(_goodness_spec, kind_name, max(agents, 1), rho, ratios)
-    confidence = build(
-        ConfidenceParams.defaults, max(item_dim + agent_dim, 1),
-        noise_r=grab("noise_r"), delta=grab("delta"), lam=grab("lambda"),
+    proto = _build_run(
+        dict(name=policy or "ucb", epsilon=grab("epsilon")),
+        _goodness_args(kind_name, max(grab("agents"), 1), rho, ratios),
+        lambda dim: ConfidenceParams.defaults(dim, noise_r=grab("noise_r"), delta=grab("delta"),
+                                              lam=grab("lambda")),
+        dict(horizon=grab("horizon"), n_agents=grab("agents"), item_dim=grab("item_dim"),
+             agent_dim=grab("agent_dim"), utility_kind=grab("utility")),
+        problems,
     )
-    sizes = dict(horizon=grab("horizon"), n_agents=agents, item_dim=item_dim,
-                 agent_dim=agent_dim, utility_kind=grab("utility"))
-    if problems:
-        raise ConfigError(problems + simulator.size_problems(**sizes))
-    proto = build(RunConfig, seed=0, policy=kind, goodness=spec, confidence=confidence, **sizes)
-    if problems:
-        raise ConfigError(problems)
     entries = [RunSpecEntry(name="adhoc", proto=proto, seeds=_derive_seeds(base_seed, reps))]
     return RunPlan(entries, base_seed, preset, reps, out, jobs)
 
@@ -339,16 +360,6 @@ def _goodness_to_json(spec: goodness.GoodnessSpec) -> dict:
         "weights": None if spec.weights is None else spec.weights.tolist(),
         "target_ratios": None if spec.target_ratios is None else spec.target_ratios.tolist(),
     }
-
-
-def _goodness_from_json(payload: dict) -> goodness.GoodnessSpec:
-    # the spec makes its vectors float arrays, naming one that holds no numbers
-    return goodness.GoodnessSpec(
-        kind=payload["kind"],
-        weights=payload.get("weights"),
-        rho=payload.get("rho"),
-        target_ratios=payload.get("target_ratios"),
-    )
 
 
 def _entry_to_json(entry: RunSpecEntry) -> dict:
@@ -376,17 +387,8 @@ def _entry_from_json(payload: dict) -> RunSpecEntry:
     cfg = payload["config"]
     sizes = {name: cfg[name]
              for name in ("horizon", "n_agents", "item_dim", "agent_dim", "utility_kind")}
-    # checked before the confidence parameters, whose dim is built from two of them
-    problems = simulator.size_problems(**sizes)
-    if problems:
-        raise ConfigError(problems)
-    proto = RunConfig(
-        seed=0,
-        policy=PolicyKind(**payload["policy"]),
-        goodness=_goodness_from_json(cfg["goodness"]),
-        confidence=ConfidenceParams(dim=cfg["item_dim"] + cfg["agent_dim"], **cfg["confidence"]),
-        **sizes,
-    )
+    proto = _build_run(payload["policy"], cfg["goodness"],
+                       lambda dim: ConfidenceParams(dim=dim, **cfg["confidence"]), sizes)
     return RunSpecEntry(name=payload["name"], proto=proto, seeds=tuple(payload["seeds"]))
 
 
@@ -463,23 +465,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
     """Replay plan for a manifest; output goes next to it unless --out.
     The manifest fixes the runs, so of the options only --out and --jobs
-    may come with it."""
+    may come with it, and its header obeys the rules of the flags."""
     replay_only = [key for key in (*DEFAULTS, "config") if key not in ("out", "jobs")]
     problems = _clashes(lambda key: _flag_value(ns, key) is not None, replay_only, "manifest")
-    jobs = DEFAULTS["jobs"] if ns.jobs is None else ns.jobs
-    problems += _jobs_problems(jobs)
-    if problems:
-        raise ConfigError(problems)
     with open(ns.manifest, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return RunPlan(
-        entries=[_entry_from_json(item) for item in payload["entries"]],
-        seed=payload["seed"],
-        preset=payload.get("preset"),
-        reps=payload["reps"],
-        out=ns.out if ns.out else os.path.dirname(os.path.abspath(ns.manifest)),
-        jobs=jobs,
-    )
+    seed, reps = payload["seed"], payload["reps"]
+    jobs = DEFAULTS["jobs"] if ns.jobs is None else ns.jobs
+    problems += _command_problems(seed, reps, jobs)
+    if not payload["entries"]:
+        problems.append("a manifest must hold at least 1 entry")
+    if problems:
+        raise ConfigError(problems)
+    entries = [_entry_from_json(item) for item in payload["entries"]]
+    # the entries of a grid point share their name and seeds: one line each
+    counts = dict.fromkeys(f"entry {entry.name!r} has {len(entry.seeds)} seeds, not reps={reps}"
+                           for entry in entries if len(entry.seeds) != reps)
+    if counts:
+        raise ConfigError(list(counts))
+    out = ns.out if ns.out else os.path.dirname(os.path.abspath(ns.manifest))
+    return RunPlan(entries, seed, payload.get("preset"), reps, out, jobs)
 
 
 def run_command(ns: argparse.Namespace) -> int:

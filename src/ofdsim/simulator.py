@@ -57,7 +57,7 @@ class RunAbortedError(RuntimeError):
     mid-flight."""
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
@@ -69,7 +69,7 @@ def size_problems(
     caller whose other pieces failed can still report them. A size that
     is not an integer is reported as such and compared with nothing."""
     sizes = dict(horizon=horizon, n_agents=n_agents, item_dim=item_dim, agent_dim=agent_dim)
-    whole = {name: value for name, value in sizes.items() if _is_integer(value)}
+    whole = {name: value for name, value in sizes.items() if is_integer(value)}
     problems = [f"{name} must be an integer, got {value!r}"
                 for name, value in sizes.items() if name not in whole]
     problems += [f"{name} must be >= 1, got {value}" for name, value in whole.items()
@@ -94,7 +94,7 @@ def checked_seeds(seeds) -> tuple[int, ...]:
     if not seeds:
         raise ValueError("runs need at least 1 seed")
     for seed in seeds:
-        if not _is_integer(seed) or seed < 0:
+        if not is_integer(seed) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return seeds
 

@@ -466,7 +466,9 @@ def test_11_cli_output_is_bitwise_deterministic(tmp_path: Path):
             sys.executable, "-m", "ofdsim", "run", "--preset", "fig1-linear-d4",
             "--reps", "2", "--seed", "3", "--jobs", str(jobs), "--out", str(out),
         ]
-        res = subprocess.run(cmd, capture_output=True, text=True, env=os.environ.copy())
+        # the child imports the package this suite imported, installed or not
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)))
+        res = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
         return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 

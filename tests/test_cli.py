@@ -468,7 +468,7 @@ def test_mid_run_faults_exit_4_with_one_short_line(tmp_path, capsys, flags, name
     assert "np.float64" not in err and len(err.encode()) < 500
 
 
-MANIFEST_EDITS = {
+ENTRY_EDITS = {
     "rho-2": lambda entry: entry["config"]["goodness"].update(rho=2.0),
     "horizon-below-agents": lambda entry: entry["config"].update(horizon=2),
     "unknown-policy": lambda entry: entry["policy"].update(name="best"),
@@ -494,18 +494,36 @@ MANIFEST_EDITS = {
         lambda entry: entry["config"]["goodness"].update(rho=None, weights=["a"]),
     "target-ratios-strings": lambda entry: entry["config"]["goodness"].update(
         kind="targeted", rho=None, target_ratios=["0.5", "0.5"]),
+    "policy-rho-delta": lambda entry: (entry["policy"].update(name="best"),
+                                       entry["config"]["goodness"].update(rho=2.0),
+                                       entry["config"]["confidence"].update(delta=2.0)),
+    "goodness-unknown-key": lambda entry: entry["config"]["goodness"].update(scale=2.0),
+    "entry-name-escapes": lambda entry: entry.update(name="../../x"),
 }
 
 
-def edited_manifest_error(tmp_path, capsys, edit):
-    """stderr of replaying a small run's manifest after edit changed its entry."""
+def in_first_entry(edit):
+    """An edit of a manifest that applies edit to its first entry."""
+    return lambda manifest: edit(manifest["entries"][0])
+
+
+MANIFEST_EDITS = {
+    **{name: in_first_entry(edit) for name, edit in ENTRY_EDITS.items()},
+    "no-entries": lambda manifest: manifest.update(entries=[]),
+    "header-seed-reps": lambda manifest: manifest.update(reps="x", seed=-5),
+    "reps-not-seed-count": lambda manifest: manifest.update(reps=2),
+}
+
+
+def edited_manifest_error(tmp_path, capsys, edit, *replay_args):
+    """stderr of replaying a small run's manifest after edit changed it."""
     out = tmp_path / "a"
     assert run_cli(*small_run_args(out)) == 0
     capsys.readouterr()
     manifest = json.loads((out / "manifest.json").read_text())
-    edit(manifest["entries"][0])
+    edit(manifest)
     (out / "manifest.json").write_text(json.dumps(manifest))
-    assert run_cli("run", "--manifest", str(out / "manifest.json")) == 2
+    assert run_cli("run", "--manifest", str(out / "manifest.json"), *replay_args) == 2
     return capsys.readouterr().err
 
 
@@ -548,6 +566,7 @@ FLAG_EDITS = {
     "horizon-below-agents": {"horizon": "2"},
     "unknown-policy": {"policy": "best"},
     "gp-noise-r-1e200": {"policy": "gp-ucb", "noise_r": "1e200"},
+    "policy-rho-delta": {"policy": "best", "rho": "2", "delta": "2"},
 }
 
 
@@ -559,6 +578,39 @@ def test_flag_and_manifest_paths_print_the_same_error(tmp_path, capsys, name):
     from_manifest = edited_manifest_error(tmp_path, capsys, MANIFEST_EDITS[name])
     assert from_flags.startswith("config error:")
     assert from_flags == from_manifest
+
+
+# rules a replay obeys that no flag can break
+REPLAY_LINES = {
+    "goodness-unknown-key":
+        ["GoodnessSpec.__init__() got an unexpected keyword argument 'scale'"],
+    "no-entries": ["a manifest must hold at least 1 entry"],
+    "header-seed-reps": ["seed must be non-negative, got -5", "reps must be >= 1, got 'x'"],
+    "reps-not-seed-count": ["entry 'adhoc' has 3 seeds, not reps=2"],
+}
+
+
+@pytest.mark.parametrize("name, lines", REPLAY_LINES.items(), ids=list(REPLAY_LINES))
+def test_manifest_header_and_blocks_name_each_problem(tmp_path, capsys, name, lines):
+    err = edited_manifest_error(tmp_path, capsys, MANIFEST_EDITS[name])
+    assert err.splitlines() == [f"config error: {line}" for line in lines]
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../x", 5, None])
+def test_entry_name_must_be_a_plain_file_name(name):
+    proto = cli.expand_preset("fig1-linear-d4", 1, 0)[0].proto
+    with pytest.raises(ValueError, match="plain file name"):
+        cli.RunSpecEntry(name=name, proto=proto, seeds=(1,))
+
+
+def test_entry_name_cannot_write_outside_out(tmp_path, capsys):
+    # replayed to <d>/out/deep, the name '../../x' would write <d>/x_ucb.csv
+    deep = tmp_path / "out" / "deep"
+    err = edited_manifest_error(tmp_path, capsys, MANIFEST_EDITS["entry-name-escapes"],
+                                "--out", str(deep))
+    assert err == "config error: entry name must be a plain file name, got '../../x'\n"
+    written = {path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")}
+    assert written == {"a", "a/adhoc_ucb.csv", "a/manifest.json"}
 
 
 def test_manifest_rejects_run_shaping_options(tmp_path, capsys):
