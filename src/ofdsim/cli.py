@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -103,7 +102,7 @@ class RunSpecEntry:
     def __post_init__(self) -> None:
         # the name becomes a file name in the output directory
         if not isinstance(self.name, str) or self.name in ("", ".", "..") or any(
-                sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+                sep and sep in self.name for sep in ("/", os.sep, os.altsep, "\0")):
             raise ValueError(f"entry name must be a plain file name, got {self.name!r}")
         simulator.checked_seeds(self.seeds)
 
@@ -337,7 +336,7 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
     # rho shapes weighted Gini only; set for another goodness, the spec rejects it
     rho = grab("rho") if kind_name == goodness.WEIGHTED_GINI or given("rho") else None
     proto = _build_run(
-        dict(name=policy or "ucb", epsilon=grab("epsilon")),
+        dict(name="ucb" if policy is None else policy, epsilon=grab("epsilon")),
         _goodness_args(kind_name, max(grab("agents"), 1), rho, ratios),
         lambda dim: ConfidenceParams.defaults(dim, noise_r=grab("noise_r"), delta=grab("delta"),
                                               lam=grab("lambda")),
@@ -416,6 +415,10 @@ def execute_entries(entries: list[RunSpecEntry], jobs: int, outdir: str) -> list
     time, and write one aggregate CSV each."""
     batches = _batches(entries, jobs)
     if jobs > 1 and len(batches) > 1:
+        # imported here, so that a run that starts no pool does not load
+        # concurrent.futures and multiprocessing (about 30 ms)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
             done = list(pool.map(simulator.run_batch, *zip(*batches), chunksize=1))
     else:
@@ -477,7 +480,16 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
         problems.append("a manifest must hold at least 1 entry")
     if problems:
         raise ConfigError(problems)
-    entries = [_entry_from_json(item) for item in payload["entries"]]
+    entries = []
+    for item in payload["entries"]:
+        try:
+            entries.append(_entry_from_json(item))
+        except (KeyError, ValueError, TypeError) as exc:
+            # every broken entry's lines, in entry order; the entries of a
+            # grid point share their seeds, so a line already given is not repeated
+            problems += [line for line in str(exc).splitlines() if line not in problems]
+    if problems:
+        raise ConfigError(problems)
     # the entries of a grid point share their name and seeds: one line each
     counts = dict.fromkeys(f"entry {entry.name!r} has {len(entry.seeds)} seeds, not reps={reps}"
                            for entry in entries if len(entry.seeds) != reps)

@@ -12,14 +12,13 @@ views of its row, so it is the run's estimate at every round; the ridge
 functions take one state or a stacked one.
 
 The GP path keeps the Cholesky factor L of K + noise_var*I, the whitened
-targets L^-1 y and the information gain. A round makes one triangular
-solve: gp_condition gives v = L^-1 k(inputs, xs) for every context, the
-round's scores come from it, and the observed context's column of v is
-the new row of the factor. gp_update appends that row with pivot
-sqrt(k(x,x) + noise_var - |v|^2), one step of the up-looking Cholesky
-factorization, and makes no solve of its own. A pivot whose square falls
-to 1e-12*signal_var or below raises NumericError, which aborts the run;
-the factor is never rebuilt. The width multiplier is
+targets L^-1 y and the information gain. A round's scores come from
+v = L^-1 k(inputs, xs) for every context, and the observed context's
+column of v is the new row of the factor: gp_update appends that row
+with pivot sqrt(k(x,x) + noise_var - |v|^2), one step of the up-looking
+Cholesky factorization, and makes no solve of its own. A pivot whose
+square falls to 1e-12*signal_var or below raises NumericError, which
+aborts the run; the factor is never rebuilt. The width multiplier is
 sqrt(2*(gamma + 1 + log(1/delta))) + B.
 
 The factor lives in a (T, T) buffer, beside a (T, 32) buffer holding
@@ -29,6 +28,18 @@ substitution a block at a time: it subtracts the solved part's product
 with the rows' off-diagonal block, read from the factor in place, and
 multiplies what is left by the block's inverse. So no round copies the
 n x n block, and the GP, like the rest of the package, needs only numpy.
+
+A block's rows of v depend only on the factor's rows up to the block's
+end, so a run conditions a window of coming rounds, whose contexts are
+drawn ahead, at once (gp_window). For the factor's settled blocks, the
+ones complete when the window opens, one pass of stacked products
+solves every round of the window; when the factor completes a block
+within the window, the block is solved for the window's remaining
+rounds the same way, and each round solves only the rows of the open
+block (gp_round). The window has a leading round axis, so every product
+keeps the (rows, k) @ (k, m) shape one round gives it, and with it the
+round's bits: a right-hand side widened to (k, W*m) would take other
+BLAS paths. gp_condition conditions one round as a window of one.
 """
 
 from __future__ import annotations
@@ -186,23 +197,26 @@ GP_MAX_FACTOR_BYTES = 1 << 31
 # block inverses' rounding moves a noiseless run's whitened targets past the
 # fresh-algebra tolerances
 GP_BLOCK = 32
+# bound on the bytes of the solves a GP run keeps for the rounds of its window
+GP_WINDOW_BYTES = 1 << 18
 # the RKHS norm bound B of the GP's width multiplier
 GP_BOUND_B = 1.0
 
 
-def solve_triangular(state: GpState, b: np.ndarray) -> np.ndarray:
-    """L^-1 b for the factor L of state's n_obs observations and b of
-    shape (n_obs, m), by forward substitution over 32-row blocks: each
-    block's rows of x are the block's inverse times b's rows less the
-    factor's rows left of the block times the x already solved. The
-    factor is read in place, so a solve allocates only x and one block's
-    (32, m) remainder. With no observations x has no rows."""
-    n = state.n_obs
-    x = np.empty((n, b.shape[1]))
-    for k0 in range(0, n, GP_BLOCK):
-        k1 = min(k0 + GP_BLOCK, n)
-        rhs = b[k0:k1] - state.chol[k0:k1, :k0] @ x[:k0]
-        x[k0:k1] = state.block_inv[k0:k1, : k1 - k0] @ rhs
+def solve_triangular(state: GpState, b: np.ndarray, x: np.ndarray, lo: int) -> np.ndarray:
+    """Rows lo.. of L^-1 b for the factor L of state's observations, by
+    forward substitution over 32-row blocks: each block's rows of x are
+    the block's inverse times b's rows less the factor's rows left of the
+    block times the x already solved. b holds the right-hand side's rows
+    from lo on, shape (..., rows, m), with any leading stack axes; x holds
+    the solution's rows above lo, lo a multiple of 32, and takes the rows
+    solved. The factor is read in place, so a solve allocates only one
+    block's remainder. With no rows nothing is solved."""
+    hi = lo + b.shape[-2]
+    for k0 in range(lo, hi, GP_BLOCK):
+        k1 = min(k0 + GP_BLOCK, hi)
+        rhs = b[..., k0 - lo : k1 - lo, :] - state.chol[k0:k1, :k0] @ x[..., :k0, :]
+        x[..., k0:k1, :] = state.block_inv[k0:k1, : k1 - k0] @ rhs
     return x
 
 
@@ -253,11 +267,21 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
 
 def _kernel_cross(state: GpState, a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,
                   b_sq: np.ndarray) -> np.ndarray:
-    """k(a_i, b_j) for scaled inputs a (n,d) and b (m,d), whose squared row
-    norms are a_sq (n,) and b_sq (m,)."""
-    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
+    """k(a_i, b_j) for scaled inputs a (n,d) and b (..., m, d), whose
+    squared row norms are a_sq (n,) and b_sq (..., m); shape (..., n, m).
+    Each step is elementwise, so computing it in place, which keeps a
+    window's kernel to two arrays, gives every element the bits of
+    exp(-((a_sq + b_sq) - 2*a.b) / (2*l^2)) * signal_var taken apart."""
+    cross = a @ np.swapaxes(b, -1, -2)
+    cross *= 2.0
+    sq = a_sq[:, None] + b_sq[..., None, :]
+    sq -= cross
     np.maximum(sq, 0.0, out=sq)
-    return state.signal_var * np.exp(-sq / (2.0 * state.lengthscale**2))
+    np.negative(sq, out=sq)
+    sq /= 2.0 * state.lengthscale**2
+    np.exp(sq, out=sq)
+    sq *= state.signal_var
+    return sq
 
 
 class GpConditioning(NamedTuple):
@@ -270,16 +294,71 @@ class GpConditioning(NamedTuple):
     means: np.ndarray
 
 
+class GpWindow(NamedTuple):
+    """The GP conditioned ahead on W coming rounds of m query rows each,
+    the first of them with n0 observations: the rows in scaled units
+    (W, m, dim) and their squared norms (W, m), and v (W, n0 + W - 1, m),
+    whose v[w, :n0 + w] is round w's L^-1 k(inputs, scaled[w]) once
+    gp_round has solved its open block."""
+
+    scaled: np.ndarray
+    sq_norms: np.ndarray
+    v: np.ndarray
+    n0: int
+
+
+def _solve_rows(state: GpState, lo: int, hi: int, scaled: np.ndarray, sq_norms: np.ndarray,
+                v: np.ndarray) -> None:
+    """Solve rows lo..hi of v, lo a multiple of 32, for query rows scaled
+    (..., m, dim) with squared norms sq_norms (..., m), into v (..., rows,
+    m) with the same leading axes. A one-row product takes BLAS's
+    matrix-vector path, whose bits differ from a row's inside a larger
+    product, so the kernel rows come from a product of two rows or more
+    wherever the state holds two."""
+    k_lo = max(min(lo, hi - 2), 0)
+    k_cross = _kernel_cross(state, state.inputs[k_lo:hi], state.sq_norms[k_lo:hi], scaled,
+                            sq_norms)
+    solve_triangular(state, k_cross[..., lo - k_lo :, :], v, lo)
+
+
+def gp_window(state: GpState, xs: np.ndarray) -> GpWindow:
+    """Condition ahead on the first rounds of xs, the contexts of the
+    rounds to come, shape (rounds, m, dim) in raw feature units: as many
+    as keep the window's v within GP_WINDOW_BYTES, at least one. Solves
+    the rows of the factor's settled blocks for every round of the
+    window."""
+    n0, m = state.n_obs, xs.shape[1]
+    # W rounds hold W*(n0 + W - 1) rows of v: the largest W within the bound
+    most = GP_WINDOW_BYTES // (8 * m)
+    rounds = min(len(xs), max(1, (math.isqrt((n0 - 1) ** 2 + 4 * most) - (n0 - 1)) // 2))
+    scaled = xs[:rounds] / state.feature_scale
+    window = GpWindow(scaled, _sq_norms(scaled), np.empty((rounds, n0 + rounds - 1, m)), n0)
+    _solve_rows(state, 0, n0 - n0 % GP_BLOCK, *window[:3])
+    return window
+
+
+def gp_round(state: GpState, window: GpWindow) -> GpConditioning:
+    """The conditioning of the window's round that the state has reached,
+    one observation a round. A block the factor completed since the
+    window opened is solved for this and every later round of the window;
+    the rows of the open block are solved for this round alone."""
+    n = state.n_obs
+    w = n - window.n0
+    top = n - n % GP_BLOCK
+    if top < n:
+        _solve_rows(state, top, n, window.scaled[w], window.sq_norms[w], window.v[w])
+    elif w > 0:
+        _solve_rows(state, top - GP_BLOCK, top, window.scaled[w:], window.sq_norms[w:],
+                    window.v[w:])
+    v = window.v[w, :n]
+    return GpConditioning(window.scaled[w], v, v.T @ state.white[:n])
+
+
 def gp_condition(state: GpState, xs: np.ndarray) -> GpConditioning:
     """Condition on the rows of xs, a float array of shape (m, dim) in raw
-    feature units, with one triangular solve. With no observations v has
+    feature units: the window of one round. With no observations v has
     no rows: the means are 0 and signal_var - |v|^2 is the prior variance."""
-    n = state.n_obs
-    scaled = xs / state.feature_scale
-    k_cross = _kernel_cross(state, state.inputs[:n], state.sq_norms[:n], scaled,
-                            _sq_norms(scaled))
-    v = solve_triangular(state, k_cross)
-    return GpConditioning(scaled, v, v.T @ state.white[:n])
+    return gp_round(state, gp_window(state, xs[None]))
 
 
 def gp_update(state: GpState, scaled_row: np.ndarray, column: np.ndarray, y: float) -> GpState:

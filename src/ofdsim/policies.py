@@ -5,16 +5,17 @@ function as a candidate allocation, and pick the argmax.
 The simulator makes the round-robin picks of rounds 1..N itself; a
 policy chooses from round N+1 on. The simulator steps the R runs of a
 batch together, so a policy chooses for every run at once: ledgers
-arrive as (R, N), contexts as (R, N, d) and the ridge state with a
-leading run axis, and the picks leave as an int array (R,), with each
-GP run's conditioning on the round's contexts for observe to take back.
-Each run keeps its own generator, and a run draws from it exactly what
-it would draw alone: a TS parameter, an epsilon coin and an exploring
-pick, and a tie draw. Ties in candidate goodness are broken uniformly
-at random within a relative tolerance of 1e-9; the tie draw is only
-taken when there is an actual tie, so deterministic variants consume
-identical rng streams. The GP steps each run's state in turn within
-the round.
+arrive as (R, N), a round's contexts as (R, N, d) and the ridge state
+with a leading run axis, and the picks leave as an int array (R,). The
+contexts of the rounds after it, drawn ahead, come with the round's: a
+GP run conditions a window of them at once, and hands the window to
+observe and to the next round. Each run keeps its own generator, and a
+run draws from it exactly what it would draw alone: a TS parameter, an
+epsilon coin and an exploring pick, and a tie draw. Ties in candidate
+goodness are broken uniformly at random within a relative tolerance of
+1e-9; the tie draw is only taken when there is an actual tie, so
+deterministic variants consume identical rng streams. The GP steps each
+run's state in turn within the round.
 """
 
 from __future__ import annotations
@@ -98,15 +99,22 @@ def select_agent(
     estimator,
     params: estimators.ConfidenceParams,
     rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, list[estimators.GpConditioning] | None]:
+    windows: list[estimators.GpWindow] | None,
+) -> tuple[np.ndarray, list[estimators.GpWindow] | None]:
     """Choose each run's agent for round t > n_agents, given the ledger
-    totals (R, n_agents) and contexts, a float array of shape (R,
-    n_agents, dim), one row per agent. estimator steps every run: a
-    ridge state stacked by :func:`estimators.stack_ridge`, the runs' GP
-    states, or None for uniform. Run r draws from rngs[r] alone. A
-    non-finite candidate goodness raises :class:`linalg.NumericError`.
-    Returns the picks (R,) and, under a GP policy, each run's
-    conditioning on every context for :func:`observe`, else None."""
+    totals (R, n_agents) and contexts, a float array of shape (rounds, R,
+    n_agents, dim): round t's contexts, one row per agent, and those
+    drawn for the rounds after it. estimator steps every run: a ridge
+    state stacked by :func:`estimators.stack_ridge`, the runs' GP states,
+    or None for uniform. Run r draws from rngs[r] alone. A non-finite
+    candidate goodness raises :class:`linalg.NumericError`.
+
+    A GP run conditions a window of coming rounds at once. windows are
+    the runs' windows that the call for the round before returned, kept
+    while they last, or None; a new window opens on contexts. Returns the
+    picks (R,) and, under a GP policy, each run's window for
+    :func:`observe` and the next round, else None."""
+    xs = contexts[0]
     n = totals.shape[1]
     if kind.name == "uniform":
         return np.array([rng.integers(n) for rng in rngs]), None
@@ -119,9 +127,11 @@ def select_agent(
             scored = [r for r, e in enumerate(explores) if not e]
             if not scored:
                 return picks, None
-    cond = None
     if kind.uses_gp:
-        cond = [estimators.gp_condition(state, xs) for state, xs in zip(estimator, contexts)]
+        if windows is None or estimator[0].n_obs - windows[0].n0 >= len(windows[0].v):
+            windows = [estimators.gp_window(state, contexts[:, r])
+                       for r, state in enumerate(estimator)]
+        cond = [estimators.gp_round(state, window) for state, window in zip(estimator, windows)]
         if kind.name == "gp-ucb":
             scores = np.array([estimators.gp_ucb_scores(state, params, c)
                                for state, c in zip(estimator, cond)])
@@ -129,41 +139,44 @@ def select_agent(
             scores = np.array([estimators.gp_ts_scores(state, params, c, rng)
                                for state, c, rng in zip(estimator, cond, rngs)])
     elif kind.name == "ucb":
-        scores = estimators.ucb_scores(estimator, params, t, contexts)
+        scores = estimators.ucb_scores(estimator, params, t, xs)
     elif kind.name == "ts":
         theta = estimators.ts_sample(estimator, params, t, rngs)
-        scores = np.matmul(contexts, theta[..., None])[..., 0]
+        scores = np.matmul(xs, theta[..., None])[..., 0]
     else:
-        scores = np.matmul(contexts, estimator.theta_hat[..., None])[..., 0]
+        scores = np.matmul(xs, estimator.theta_hat[..., None])[..., 0]
     adds = np.maximum(scores, 0.0)
     if scored is None:
         values = goodness.candidate_scores(spec, totals, adds)
-        return _pick_max(values, rngs), cond
+        return _pick_max(values, rngs), windows
     values = goodness.candidate_scores(spec, totals[scored], adds[scored])
     picks[scored] = _pick_max(values, [rngs[r] for r in scored])
-    return picks, cond
+    return picks, windows
 
 
 def observe(
     kind: PolicyKind,
     estimator,
     agents: np.ndarray,
-    conditioning: list[estimators.GpConditioning] | None,
+    windows: list[estimators.GpWindow] | None,
     contexts: np.ndarray,
     y: np.ndarray,
 ) -> None:
     """Fold each run's realized utility y (R,) of its agent in agents (R,)
     from contexts, the round's (R, n_agents, dim) array, into estimator,
-    as :func:`select_agent` takes it, given the conditioning select_agent
-    returned (None on a round-robin round); uniform keeps no estimate."""
+    as :func:`select_agent` takes it, given the windows select_agent
+    returned (None on a round-robin round, which conditions the observed
+    context alone); uniform keeps no estimate."""
     if kind.uses_ridge:
         estimators.ridge_update(estimator, contexts[np.arange(agents.size), agents], y)
     elif kind.uses_gp:
         for r, (state, agent) in enumerate(zip(estimator, agents)):
-            if conditioning is None:
-                # a round-robin round conditioned nothing while choosing
+            if windows is None:
                 cond = estimators.gp_condition(state, contexts[r, agent : agent + 1])
-                col = 0
+                row, column = cond.scaled[0], cond.v[:, 0]
             else:
-                cond, col = conditioning[r], agent
-            estimators.gp_update(state, cond.scaled[col], cond.v[:, col], float(y[r]))
+                # the window's round w holds this round's conditioning
+                n, window = state.n_obs, windows[r]
+                w = n - window.n0
+                row, column = window.scaled[w, agent], window.v[w, :n, agent]
+            estimators.gp_update(state, row, column, float(y[r]))

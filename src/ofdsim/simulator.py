@@ -1,12 +1,18 @@
 """Round loop wiring environment, policy and goodness together, plus
 multi-seed aggregation and the fairness/efficiency metrics.
 
-Per round: draw an item, evaluate every agent's candidate goodness
-under the true utilities (the greedy one-step oracle), let the policy
-pick an agent, charge the goodness gap as instantaneous regret, then
-feed the noisy realized utility to the ledger and the estimator. The
-regret comparison uses true utilities on both sides while the ledger
-accumulates noisy observations; that asymmetry is deliberate.
+Per round: draw an item, let the policy pick an agent, then feed the
+noisy realized utility to the ledger and the estimator. Regret is the
+goodness gap, under the true utilities, between the greedy one-step
+oracle's pick and the policy's, scored on the ledger before the pick.
+The regret comparison uses true utilities on both sides while the ledger
+accumulates noisy observations; that asymmetry is deliberate. The oracle
+waits on nothing the policy does, so the loop keeps each round's ledger
+and charges the oracle once per block of rounds, in one call for the
+block's rounds stacked. A fault is still reported at its own round: a
+fault of the oracle at the first round whose oracle faults, found round
+by round when the block's call faults, and a fault of the policy after
+the oracle of the rounds before it is charged.
 
 Rounds 1..N are a round-robin warm start: round t goes to agent t-1 and
 draws nothing from the policy stream, so every ledger entry is positive
@@ -30,8 +36,10 @@ column at a time. Each run's arithmetic is the arithmetic it takes
 alone, in stacked numpy forms that give each run's bits, and each run
 draws from its own streams: items and noise a block of rounds ahead,
 which draws what one round at a time would, and the policy stream what
-the run alone would. So a run's trace does not depend on the batch it
-ran in. :func:`run_single` is a batch of one.
+the run alone would. A GP policy is handed the rest of the block's
+contexts, so it conditions a window of coming rounds at once. So a
+run's trace does not depend on the batch it ran in. :func:`run_single`
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -45,7 +53,8 @@ from . import environment, estimators, goodness, linalg, policies
 from .estimators import GP_MAX_FACTOR_BYTES, GP_MAX_NOISE_R, ConfidenceParams
 
 MAX_HORIZON = 10**6
-# bound on the bytes of the contexts and utilities drawn ahead for a batch
+# bound on the bytes of the contexts and utilities drawn ahead for a batch,
+# and of the candidate ledgers of one oracle call
 BLOCK_BYTES = 1 << 18
 # a GP run holds a factor of 8 * horizon**2 bytes, and a batch holds its
 # runs' factors at once; this bounds their bytes, one run at the least
@@ -199,17 +208,48 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
     # items and noise are drawn a block of rounds at a time, which draws
     # what one round at a time would
     block = min(horizon, max(1, BLOCK_BYTES // (8 * runs * n * (params.dim + 1))))
+    # rounds per oracle call, whose weighted-Gini candidates take 8*runs*n*n bytes a round
+    chunk = max(1, BLOCK_BYTES // (8 * runs * n * n))
 
     totals = np.zeros((runs, n))
     # run r's agent a sits at r*n + a of the flat ledger and of a round's
     # (runs, n) arrays
     ledger, offsets = totals.reshape(-1), np.arange(runs) * n
-    no_gap = np.zeros(runs)
+    # each round's ledger before its pick, kept for the block's oracle
+    before = np.empty((block, runs, n))
     chosen = np.empty((runs, horizon), dtype=np.int64)
     oracle = np.empty((runs, horizon), dtype=np.int64)
     realized = np.empty((runs, horizon))
     inst_regret = np.empty((runs, horizon))
 
+    def charge(lo: int, hi: int) -> tuple | None:
+        """Charge the oracle of rounds lo..hi-1, counted from 0, all of the
+        current block, in calls of at most chunk rounds. A faulting call is
+        made again round by round, so the first fault found is the first in
+        round order, and it is returned as (round, error, that round's
+        ledger); None when every round is charged."""
+        first = lo - lo % block
+        if needs_positive and lo < n:
+            # the warm start charges no regret
+            warm = min(hi, n)
+            oracle[:, lo:warm], inst_regret[:, lo:warm] = chosen[:, lo:warm], 0.0
+            lo = warm
+        for k0 in range(lo, hi, chunk):
+            k1 = min(k0 + chunk, hi)
+            try:
+                best, gap = _oracle(spec, before[k0 - first : k1 - first],
+                                    truth_block[k0 - first : k1 - first], chosen[:, k0:k1].T)
+            except goodness.GoodnessDomainError:
+                for k in range(k0, k1):
+                    try:
+                        _oracle(spec, before[k - first], truth_block[k - first], chosen[:, k])
+                    except goodness.GoodnessDomainError as exc:
+                        return k + 1, exc, before[k - first, 0]
+                raise
+            oracle[:, k0:k1], inst_regret[:, k0:k1] = best.T, gap.T
+        return None
+
+    windows, charged = None, 0
     for t in range(1, horizon + 1):
         idx = t - 1
         j = idx % block
@@ -227,43 +267,40 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
                                    axis=1)
         contexts = context_block[j]
         truths = truth_block[j]
+        before[j] = totals
+        # the rounds whose picks are made; a fault in round t's pick comes
+        # before its oracle, and one in its observe after it
+        made, fault = idx, None
         try:
-            warm = t <= n
-            if warm:
-                picks, conditioning = np.full(runs, idx), None
+            if t <= n:
+                picks, windows = np.full(runs, idx), None
             else:
-                picks, conditioning = policies.select_agent(
-                    kind, spec, totals, t, contexts, estimator, params, policy_rngs
+                picks, windows = policies.select_agent(
+                    kind, spec, totals, t, context_block[j:], estimator, params, policy_rngs,
+                    windows,
                 )
+            chosen[:, idx] = picks
+            made = t
             at_pick = offsets + picks
-            if warm and needs_positive:
-                best, gap = picks, no_gap
-            else:
-                # the one-step oracle; argmax breaks ties to the lowest index,
-                # and to the first NaN, which leaves gap NaN. values[best] is
-                # the row's max, so gap is >= 0 or NaN.
-                values = goodness.candidate_scores(spec, totals, truths)
-                best = values.argmax(axis=1)
-                gap = values.take(offsets + best) - values.take(at_pick)
-                if not math.isfinite(float(gap.max())):
-                    raise goodness.GoodnessDomainError("oracle candidate goodness is not finite")
             y = truths.take(at_pick) + noise_block[j]
             ledger[at_pick] += y
-            policies.observe(kind, estimator, picks, conditioning, contexts, y)
+            realized[:, idx] = y
+            policies.observe(kind, estimator, picks, windows, contexts, y)
         except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
+            fault = (t, exc, totals[0])
+        if fault is None and j < size - 1:
+            continue
+        fault = charge(charged, made) or fault
+        charged = made
+        if fault is not None:
             if runs > 1:
                 return [run_batch(config, [seed])[0] for seed in seeds]
-            row = totals[0]
+            t, exc, row = fault
             low = int(np.argmin(row))
             raise RunAbortedError(
                 f"run seed={seeds[0]} aborted at round {t}: {exc}; ledger of {n} agents: "
                 f"min {float(row[low])!r} (agent {low}), max {float(row.max())!r}"
             ) from exc
-
-        chosen[:, idx] = picks
-        oracle[:, idx] = best
-        realized[:, idx] = y
-        inst_regret[:, idx] = gap
 
     return [
         RunTrace(
@@ -277,6 +314,23 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
         )
         for r, seed in enumerate(seeds)
     ]
+
+
+def _oracle(spec: goodness.GoodnessSpec, ledgers: np.ndarray, truths: np.ndarray,
+            picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step oracle of one round or of a stack of them: ledgers and
+    truths of shape (..., runs, n_agents) and the picks (..., runs).
+    Returns the oracle's agents and the regret of the picks. argmax breaks
+    ties to the lowest index, and to the first NaN, which leaves the gap
+    NaN; the best value is the row's max, so a gap is >= 0 or NaN. A
+    non-finite gap raises GoodnessDomainError."""
+    values = goodness.candidate_scores(spec, ledgers, truths)
+    best = values.argmax(axis=-1)
+    gap = (np.take_along_axis(values, best[..., None], -1)
+           - np.take_along_axis(values, picks[..., None], -1))[..., 0]
+    if not math.isfinite(float(gap.max())):
+        raise goodness.GoodnessDomainError("oracle candidate goodness is not finite")
+    return best, gap
 
 
 @dataclass

@@ -69,6 +69,28 @@ def test_batch_equals_single_runs_at_the_edges(case):
     assert_batch_equals_singles(*case)
 
 
+@pytest.mark.parametrize("policy", ["gp-ucb", "gp-ts"])
+def test_gp_batch_spans_windows_and_item_blocks(monkeypatch, policy):
+    # items are drawn 37 rounds ahead at R = 3 and 111 at R = 1, so the
+    # batch and its runs alone condition windows cut at other rounds, and
+    # 300 rounds cross nine 32-row blocks of the factor
+    monkeypatch.setattr(simulator, "BLOCK_BYTES", 8 * 3 * N_AGENTS * 5 * 37)
+    assert_batch_equals_singles(*batch(3, policy, utility_kind="square", horizon=300))
+
+
+@pytest.mark.parametrize("policy", ["ucb", "gp-ts"])
+def test_runs_do_not_depend_on_block_or_oracle_call_sizes(monkeypatch, policy):
+    # at N = 10 and d = 4 an oracle call takes half an item block: blocks of
+    # 1, 7 and 60 rounds are charged in calls of 1, 3 and 30 rounds
+    config, seeds = batch(2, policy, utility_kind="square", horizon=120, n_agents=10)
+    want = simulator.run_batch(config, seeds)
+    for rounds in (1, 7, 60):
+        monkeypatch.setattr(simulator, "BLOCK_BYTES", 8 * 2 * 10 * 5 * rounds)
+        for got, ref in zip(simulator.run_batch(config, seeds), want):
+            for field in dataclasses.fields(RunTrace):
+                assert np.array_equal(getattr(got, field.name), getattr(ref, field.name)), rounds
+
+
 @pytest.mark.parametrize("policy", ["ts", "gp-ts"])
 def test_batch_ignores_the_config_seed(policy):
     # the config is seeded 11, which none of the batch's runs takes
@@ -204,6 +226,9 @@ def test_stacked_forms_match_per_run_calls(n, d, runs):
     candidates = rng.uniform(0.0, 10.0, (runs, n, n))
     weights = 0.85 ** np.arange(n)
     ledgers = rng.uniform(0.5, 2.0, (runs, n))
+    # the oracle scores a block's rounds in one call: (rounds, runs, ...) stacks
+    round_candidates = rng.uniform(0.0, 10.0, (3, runs, n, n))
+    round_ledgers = rng.uniform(0.5, 2.0, (3, runs, n))
     z = np.matmul(m_inv, v[..., None])[..., 0]
     stacked_vs_single = [
         (np.matmul(xs, m_inv), [xs[r] @ m_inv[r] for r in range(runs)]),
@@ -217,6 +242,10 @@ def test_stacked_forms_match_per_run_calls(n, d, runs):
         (np.linalg.cholesky(m_inv), [np.linalg.cholesky(m_inv[r]) for r in range(runs)]),
         (np.prod(ledgers, axis=-1), [np.prod(ledgers[r]) for r in range(runs)]),
         (np.sum(np.log(ledgers), axis=-1), [np.sum(np.log(ledgers[r])) for r in range(runs)]),
+        (round_candidates @ weights, [round_candidates[k] @ weights for k in range(3)]),
+        (np.prod(round_ledgers, axis=-1), [np.prod(round_ledgers[k], axis=-1) for k in range(3)]),
+        (np.sum(np.log(round_ledgers), axis=-1),
+         [np.sum(np.log(round_ledgers[k]), axis=-1) for k in range(3)]),
     ]
     for k, (stacked, singles) in enumerate(stacked_vs_single):
         assert np.array_equal(stacked, np.stack(singles)), k

@@ -1,6 +1,7 @@
 """Config resolution, preset registry, artifact emission, exit codes."""
 
 import argparse
+import concurrent.futures
 import json
 import os
 import re
@@ -231,6 +232,15 @@ def test_config_file_problems_carry_line_numbers(tmp_path):
     assert ":2:" in text and ":3:" in text and ":4:" in text
 
 
+def test_config_file_empty_policy_is_no_policy_name(tmp_path):
+    # an empty value names no policy; it does not fall back to ucb
+    path = tmp_path / "run.cfg"
+    path.write_text("policy =\n")
+    with pytest.raises(ConfigError) as exc_info:
+        cli.validate_config(make_ns(config=str(path)))
+    assert exc_info.value.problems[0].startswith("unknown policy ''")
+
+
 def test_environment_seed_default(monkeypatch):
     monkeypatch.setenv("OFD_SEED", "77")
     a = cli.validate_config(make_ns(policy="ucb", reps=2))
@@ -456,8 +466,22 @@ def test_goodness_abort_exit_code(tmp_path, capsys):
         # noise at the float limit overflows a ledger total to -inf
         (["--policy", "uniform", "--noise-r", "1e308", "--agents", "3", "--horizon", "60"],
          ["round 2", "oracle candidate goodness is not finite"]),
+        # the same overflow in a learner's warm start: the run goes on to the
+        # policy's fault at round 13, and the oracle's fault at round 2,
+        # charged with the rounds before 13, comes first
+        (["--policy", "ucb", "--noise-r", "1e308", "--agents", "12", "--horizon", "60"],
+         ["run aborted: run seed=15793235383387715774 aborted at round 2: oracle candidate "
+          "goodness is not finite; ledger of 12 agents: min -inf (agent 0), max 0.0\n"]),
+        # an exploring learner checks no ledger, so the negative NSW ledger of
+        # round 6 is found when the block's oracle is charged, at round 50
+        (["--policy", "greedy", "--epsilon", "1", "--goodness", "nsw", "--noise-r", "30",
+          "--agents", "5", "--horizon", "50"],
+         ["run aborted: run seed=15793235383387715774 aborted at round 6: nsw requires strictly "
+          "positive utilities, got min -48.53273330549815; ledger of 5 agents: "
+          "min -48.53273330549815 (agent 0), max 3.518364481470523\n"]),
     ],
-    ids=["tiny-lambda", "negative-log-nsw-ledger", "overflowing-ledger"],
+    ids=["tiny-lambda", "negative-log-nsw-ledger", "overflowing-ledger",
+         "overflowing-ledger-in-warm-start", "negative-nsw-ledger-exploring"],
 )
 def test_mid_run_faults_exit_4_with_one_short_line(tmp_path, capsys, flags, names):
     args = ["run", *flags, "--reps", "1", "--seed", "0", "--out", str(tmp_path / "x")]
@@ -488,6 +512,7 @@ ENTRY_EDITS = {
     "noise-r-string": lambda entry: entry["config"]["confidence"].update(noise_r="0.1"),
     "noise-r-true": lambda entry: entry["config"]["confidence"].update(noise_r=True),
     "delta-string": lambda entry: entry["config"]["confidence"].update(delta="0.05"),
+    "delta-2": lambda entry: entry["config"]["confidence"].update(delta=2.0),
     "epsilon-string": lambda entry: entry["policy"].update(epsilon="0.1"),
     "rho-string": lambda entry: entry["config"]["goodness"].update(rho="0.5"),
     "weights-strings":
@@ -499,6 +524,7 @@ ENTRY_EDITS = {
                                        entry["config"]["confidence"].update(delta=2.0)),
     "goodness-unknown-key": lambda entry: entry["config"]["goodness"].update(scale=2.0),
     "entry-name-escapes": lambda entry: entry.update(name="../../x"),
+    "empty-policy": lambda entry: entry["policy"].update(name=""),
 }
 
 
@@ -507,11 +533,26 @@ def in_first_entry(edit):
     return lambda manifest: edit(manifest["entries"][0])
 
 
+def in_two_entries(first_edit, second_edit):
+    """An edit of a manifest that appends a copy of its first entry, named
+    'other', and applies first_edit to the first and second_edit to the copy."""
+    def edit(manifest):
+        first = manifest["entries"][0]
+        second = json.loads(json.dumps(first))
+        second["name"] = "other"
+        manifest["entries"].append(second)
+        first_edit(first)
+        second_edit(second)
+    return edit
+
+
 MANIFEST_EDITS = {
     **{name: in_first_entry(edit) for name, edit in ENTRY_EDITS.items()},
     "no-entries": lambda manifest: manifest.update(entries=[]),
     "header-seed-reps": lambda manifest: manifest.update(reps="x", seed=-5),
     "reps-not-seed-count": lambda manifest: manifest.update(reps=2),
+    "rho-and-delta-entries": in_two_entries(ENTRY_EDITS["rho-2"], ENTRY_EDITS["delta-2"]),
+    "rho-in-two-entries": in_two_entries(ENTRY_EDITS["rho-2"], ENTRY_EDITS["rho-2"]),
 }
 
 
@@ -567,6 +608,7 @@ FLAG_EDITS = {
     "unknown-policy": {"policy": "best"},
     "gp-noise-r-1e200": {"policy": "gp-ucb", "noise_r": "1e200"},
     "policy-rho-delta": {"policy": "best", "rho": "2", "delta": "2"},
+    "empty-policy": {"policy": ""},
 }
 
 
@@ -587,6 +629,9 @@ REPLAY_LINES = {
     "no-entries": ["a manifest must hold at least 1 entry"],
     "header-seed-reps": ["seed must be non-negative, got -5", "reps must be >= 1, got 'x'"],
     "reps-not-seed-count": ["entry 'adhoc' has 3 seeds, not reps=2"],
+    # every broken entry's lines, in entry order, each line once
+    "rho-and-delta-entries": ["rho must lie in (0,1], got 2.0", "delta must lie in (0,1), got 2.0"],
+    "rho-in-two-entries": ["rho must lie in (0,1], got 2.0"],
 }
 
 
@@ -596,7 +641,7 @@ def test_manifest_header_and_blocks_name_each_problem(tmp_path, capsys, name, li
     assert err.splitlines() == [f"config error: {line}" for line in lines]
 
 
-@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../x", 5, None])
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../x", 5, None, "x\0y"])
 def test_entry_name_must_be_a_plain_file_name(name):
     proto = cli.expand_preset("fig1-linear-d4", 1, 0)[0].proto
     with pytest.raises(ValueError, match="plain file name"):
@@ -664,7 +709,8 @@ def test_pool_is_no_wider_than_the_runs(tmp_path, monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # execute_entries imports the pool class only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert run_cli(*small_run_args(tmp_path / "x", jobs="64")) == 0
     assert widths == [3]
 

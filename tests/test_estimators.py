@@ -1,6 +1,5 @@
 """Ridge/TS confidence machinery and the GP posterior."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -217,29 +216,44 @@ def _posterior(gp, xs):
     return cond.means, np.sqrt(np.maximum(gp.signal_var - np.sum(cond.v**2, axis=0), 0.0))
 
 
-def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42):
-    """Run a GP policy as the simulator does, round robin for the first
-    n_agents rounds and select_agent after, then observe, on fresh uniform
-    contexts and y = |x/10|^2, as a batch of one run; yields the state
-    after each round."""
+def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42, block=23):
+    """Run a GP policy as the simulator does, on uniform contexts drawn a
+    block of rounds ahead and y = |x/10|^2, as a batch of one run: round
+    robin for the first n_agents rounds and select_agent after, which
+    conditions windows of the rest of each block, then observe; yields
+    the state after each round."""
     kind = PolicyKind(name)
     params = ConfidenceParams.defaults(dim, noise_r=noise_r)
     spec = GoodnessSpec("weighted-gini", rho=0.85)
     totals = np.zeros((1, n_agents))
     gp = policies.make_estimator(kind, params, rounds)
     rng = np.random.default_rng(seed)
+    windows = None
     for t in range(1, rounds + 1):
-        contexts = rng.uniform(0.0, 10.0, (1, n_agents, dim))
+        j = (t - 1) % block
+        if j == 0:
+            contexts = rng.uniform(0.0, 10.0, (min(block, rounds - t + 1), 1, n_agents, dim))
         if t <= n_agents:
-            picks, conditioning = np.array([t - 1]), None
+            picks, windows = np.array([t - 1]), None
         else:
-            picks, conditioning = policies.select_agent(kind, spec, totals, t, contexts, [gp],
-                                                        params, [rng])
+            picks, windows = policies.select_agent(kind, spec, totals, t, contexts[j:], [gp],
+                                                   params, [rng], windows)
         agent = picks[0]
-        y = float(np.sum((contexts[0, agent] / 10.0) ** 2))
+        y = float(np.sum((contexts[j, 0, agent] / 10.0) ** 2))
         totals[0, agent] += y
-        policies.observe(kind, [gp], picks, conditioning, contexts, np.array([y]))
+        policies.observe(kind, [gp], picks, windows, contexts[j], np.array([y]))
         yield gp
+
+
+def _one_round(gp, scaled):
+    """v and the means of the conditioning on scaled (m, dim) as one round
+    made it before windows: one kernel product over every stored input
+    and one solve."""
+    n = gp.n_obs
+    k_cross = estimators._kernel_cross(gp, gp.inputs[:n], gp.sq_norms[:n], scaled,
+                                       estimators._sq_norms(scaled))
+    v = estimators.solve_triangular(gp, k_cross, np.empty(k_cross.shape), 0)
+    return v, v.T @ gp.white[:n]
 
 
 def test_gp_prior_point():
@@ -321,15 +335,45 @@ def test_gp_posterior_order_invariant():
     np.testing.assert_allclose(sa, sb, atol=1e-8)
 
 
-def _grown_gp(noise_var, n=200):
+def _grown_gp(noise_var, n=200, horizon=None):
     """A GP after n observations appended through gp_update, on uniform
-    inputs with y = |x/10|^2."""
+    inputs with y = |x/10|^2; its buffers hold horizon observations, n by
+    default."""
     rng = np.random.default_rng(40)
-    gp = estimators.init_gp(2, noise_var=noise_var, horizon=n)
+    gp = estimators.init_gp(2, noise_var=noise_var, horizon=horizon or n)
     for _ in range(n):
         x = rng.uniform(0.0, 10.0, 2)
         _observe(gp, x, float(np.sum((x / 10.0) ** 2)))
     return gp
+
+
+@pytest.mark.parametrize("n0", [1, 31, 32, 33, 64, 65, 200])
+@pytest.mark.parametrize("noise_var", [0.01, 1e-10], ids=["noisy", "noiseless"])
+def test_gp_window_equals_one_round_conditioning(noise_var, n0):
+    # 80 rounds from n0 observations, on item blocks of 23 rounds: each
+    # window ends at its block's end or where GP_WINDOW_BYTES cuts it, the
+    # factor completes blocks within windows, and rounds at n = 32q + 1
+    # have a one-row open block
+    rng = np.random.default_rng(50 + n0)
+    rounds, block = 80, 23
+    gp = _grown_gp(noise_var, n0, horizon=n0 + rounds)
+    contexts = rng.uniform(0.0, 10.0, (rounds, 6, 2))
+    cuts, window = set(), None
+    for i in range(rounds):
+        if window is None or gp.n_obs - window.n0 == len(window.v):
+            rest = contexts[i : i - i % block + block]
+            window = estimators.gp_window(gp, rest)
+            cuts.add(len(window.v) == len(rest))
+        cond = estimators.gp_round(gp, window)
+        v, means = _one_round(gp, cond.scaled)
+        assert np.array_equal(cond.scaled, contexts[i] / gp.feature_scale)
+        assert np.array_equal(cond.v, v) and np.array_equal(cond.means, means), gp.n_obs
+        pick = rng.integers(6)
+        estimators.gp_update(gp, cond.scaled[pick], cond.v[:, pick], float(rng.uniform()))
+    # windows end at their block's end, and from 200 observations the byte
+    # bound cuts them short of it too
+    assert True in cuts
+    assert False in cuts or n0 < 200
 
 
 def _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain):
@@ -395,7 +439,7 @@ def test_solve_triangular_matches_scipy(noise_var, rel_x, residual, rel_inv):
     # within a block, at its edges, across two and three blocks, and over seven
     for n in (1, 31, 32, 33, 64, 65, 200):
         lower, b = gp.chol[:n, :n], k_cross[:n]
-        got = estimators.solve_triangular(dataclasses.replace(gp, n_obs=n), b)
+        got = estimators.solve_triangular(gp, b, np.empty(b.shape), 0)
         want = sp.solve_triangular(lower, b, lower=True)
         assert np.linalg.norm(got - want) <= rel_x * np.linalg.norm(want), n
         assert np.max(np.abs(lower @ got - b)) <= residual, n
@@ -407,8 +451,8 @@ def test_solve_triangular_matches_scipy(noise_var, rel_x, residual, rel_inv):
 
 
 def test_solve_triangular_reads_the_factor_in_place():
-    # an identity factor, L^-1 b = b; the solve allocates its result and a
-    # block's remainder, 2 * 8 n m bytes at most, where a copy of the factor
+    # an identity factor, L^-1 b = b; the result and the solve's one block
+    # remainder take 2 * 8 n m bytes at most, where a copy of the factor
     # would take 8 n^2, 100 times that
     n, m = 2000, 10
     gp = estimators.init_gp(2, noise_var=0.01, horizon=n)
@@ -418,7 +462,7 @@ def test_solve_triangular_reads_the_factor_in_place():
     b = np.random.default_rng(18).standard_normal((n, m))
     tracemalloc.start()
     try:
-        got = estimators.solve_triangular(gp, b)
+        got = estimators.solve_triangular(gp, b, np.empty(b.shape), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -428,7 +472,7 @@ def test_solve_triangular_reads_the_factor_in_place():
 
 def test_solve_triangular_with_no_observations_has_no_rows():
     gp = estimators.init_gp(2, noise_var=0.01, horizon=12)
-    assert estimators.solve_triangular(gp, np.ones((0, 4))).shape == (0, 4)
+    assert estimators.solve_triangular(gp, np.ones((0, 4)), np.empty((0, 4)), 0).shape == (0, 4)
 
 
 def test_gp_update_rejects_a_lost_pivot_and_leaves_the_state():
@@ -448,22 +492,36 @@ def test_gp_update_rejects_a_lost_pivot_and_leaves_the_state():
         np.testing.assert_array_equal(getattr(gp, name), value, err_msg=name)
 
 
-def test_gp_round_makes_one_triangular_solve(monkeypatch):
-    calls = []
-    solve = estimators.solve_triangular
+def test_gp_solves_each_rounds_columns_once(monkeypatch):
+    # a round's v has one row per observation. Windows solve the settled
+    # blocks' rows for all their rounds, and a block completed within a
+    # window for the rounds left, while each round solves its open block:
+    # every row of every round is solved once, with the bits of one
+    # kernel product and one solve over all its rows
+    solve, round_ = estimators.solve_triangular, estimators.gp_round
+    rows, same = [0], []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counting(state, b, x, lo):
+        rows[0] += b[..., 0].size
+        return solve(state, b, x, lo)
+
+    def checking(state, window):
+        cond = round_(state, window)
+        solved = rows[0]
+        v, means = _one_round(state, cond.scaled)
+        rows[0] = solved
+        same.append(np.array_equal(cond.v, v) and np.array_equal(cond.means, means))
+        return cond
 
     monkeypatch.setattr(estimators, "solve_triangular", counting)
+    monkeypatch.setattr(estimators, "gp_round", checking)
     for name in ("gp-ucb", "gp-ts"):
-        per_round = []
         # of 130 rounds, the first 5 are round-robin and the rest are scored
         for gp in _gp_policy_rounds(name, 0.1, 130):
-            per_round.append(len(calls))
-            calls.clear()
-        assert per_round == [1] * 130, name
+            pass
+        assert rows[0] == sum(range(130)), name
+        assert same == [True] * 130, name
+        rows[0], same = 0, []
         assert gp.n_obs == 130
         # the buffers hold the horizon's observations, and the squared norms
         # kept beside the inputs are the ones the block of stored inputs gives

@@ -12,9 +12,11 @@ from ofdsim.simulator import RunConfig, run_single
 
 
 def select_one(kind, spec, totals, t, contexts, est, params, rng):
-    """select_agent for a batch of one run, whose estimator est is a
-    stacked ridge state, a list of one GP state, or None."""
-    return policies.select_agent(kind, spec, totals[None], t, contexts[None], est, params, [rng])
+    """select_agent for a batch of one run and a block of one round, whose
+    estimator est is a stacked ridge state, a list of one GP state, or
+    None."""
+    return policies.select_agent(kind, spec, totals[None], t, contexts[None, None], est, params,
+                                 [rng], None)
 
 
 def make_setup(n=4, dim=3, rho=0.85):

@@ -118,3 +118,21 @@ def test_every_traced_function_exists():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert json.loads(done.stdout) == [], "traced metrics whose functions are missing"
+
+
+def test_a_run_that_starts_no_pool_loads_no_multiprocessing(tmp_path):
+    # concurrent.futures and multiprocessing take about 30 ms to import, and
+    # only a run that starts a worker pool needs them
+    argv = ["run", "--policy", "ucb", "--agents", "3", "--horizon", "20", "--reps", "2",
+            "--jobs", "1", "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from ofdsim import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "[]"
