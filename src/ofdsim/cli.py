@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import environment, goodness, simulator
+from . import environment, goodness, linalg, simulator
 from .estimators import ConfidenceParams
 from .policies import POLICY_NAMES, PolicyKind
 from .simulator import RunConfig
@@ -218,20 +218,22 @@ def _command_problems(seed, reps, jobs) -> list[str]:
     rules = (("seed", seed, 0, "must be non-negative"), ("reps", reps, 1, "must be >= 1"),
              ("jobs", jobs, 1, "must be >= 1"))
     return [f"{name} {words}, got {value!r}" for name, value, low, words in rules
-            if not (simulator.is_integer(value) and value >= low)]
+            if not (linalg.is_integer(value) and value >= low)]
 
 
-def _build_run(policy: dict, goodness_args: dict, confidence, sizes: dict,
+def _build_run(policy: dict, goodness_args, confidence, sizes: dict,
                problems=()) -> RunConfig:
     """The one way a run is built from flags, a config file or a manifest:
-    PolicyKind(**policy), GoodnessSpec(**goodness_args) and confidence(dim)
-    each on its own, then RunConfig. Raises ConfigError with the caller's
-    problems and every rejected field. While a size is broken, the
-    confidence is built at dim 1, so that only the size reports it."""
+    PolicyKind(**policy), GoodnessSpec(**goodness_args(n_agents)) and
+    confidence(dim) each on its own, then RunConfig. Raises ConfigError
+    with the caller's problems and every rejected field. While a size is
+    broken, the goodness is built for 1 agent and the confidence at dim 1,
+    so that only the size reports it and nothing is sized by it."""
     size_lines = simulator.size_problems(**sizes)
+    n_agents = 1 if size_lines else sizes["n_agents"]
     dim = 1 if size_lines else sizes["item_dim"] + sizes["agent_dim"]
     problems, parts = list(problems), []
-    for make, kwargs in ((PolicyKind, policy), (goodness.GoodnessSpec, goodness_args),
+    for make, kwargs in ((PolicyKind, policy), (goodness.GoodnessSpec, goodness_args(n_agents)),
                          (confidence, {"dim": dim})):
         try:
             parts.append(make(**kwargs))
@@ -337,7 +339,7 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
     rho = grab("rho") if kind_name == goodness.WEIGHTED_GINI or given("rho") else None
     proto = _build_run(
         dict(name="ucb" if policy is None else policy, epsilon=grab("epsilon")),
-        _goodness_args(kind_name, max(grab("agents"), 1), rho, ratios),
+        lambda n_agents: _goodness_args(kind_name, n_agents, rho, ratios),
         lambda dim: ConfidenceParams.defaults(dim, noise_r=grab("noise_r"), delta=grab("delta"),
                                               lam=grab("lambda")),
         dict(horizon=grab("horizon"), n_agents=grab("agents"), item_dim=grab("item_dim"),
@@ -386,7 +388,7 @@ def _entry_from_json(payload: dict) -> RunSpecEntry:
     cfg = payload["config"]
     sizes = {name: cfg[name]
              for name in ("horizon", "n_agents", "item_dim", "agent_dim", "utility_kind")}
-    proto = _build_run(payload["policy"], cfg["goodness"],
+    proto = _build_run(payload["policy"], lambda n_agents: cfg["goodness"],
                        lambda dim: ConfidenceParams(dim=dim, **cfg["confidence"]), sizes)
     return RunSpecEntry(name=payload["name"], proto=proto, seeds=tuple(payload["seeds"]))
 

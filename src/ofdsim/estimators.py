@@ -31,15 +31,15 @@ n x n block, and the GP, like the rest of the package, needs only numpy.
 
 A block's rows of v depend only on the factor's rows up to the block's
 end, so a run conditions a window of coming rounds, whose contexts are
-drawn ahead, at once (gp_window). For the factor's settled blocks, the
-ones complete when the window opens, one pass of stacked products
-solves every round of the window; when the factor completes a block
-within the window, the block is solved for the window's remaining
-rounds the same way, and each round solves only the rows of the open
-block (gp_round). The window has a leading round axis, so every product
-keeps the (rows, k) @ (k, m) shape one round gives it, and with it the
-round's bits: a right-hand side widened to (k, W*m) would take other
-BLAS paths. gp_condition conditions one round as a window of one.
+drawn ahead, at once, through one call, gp_round. A window opens with
+one pass of stacked products that solves the factor's settled blocks
+for all its rounds; a block the factor completes within the window is
+solved for the rounds left the same way, and each round solves only
+the rows of its open block. The scores and gp_update read the round
+from the window, and no other module reads its fields. The window has
+a leading round axis, so every product keeps the (rows, k) @ (k, m)
+shape one round gives it, and with it the round's bits: a right-hand
+side widened to (k, W*m) would take other BLAS paths.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class ConfidenceParams:
     def __post_init__(self) -> None:
         # one line per broken field, so a caller can report each of them
         problems = []
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if not linalg.is_integer(self.dim) or self.dim < 1:
             problems.append(f"dim must be a positive integer, got {self.dim!r}")
         # each real field's rule, which also rejects NaN and inf; R = 0 and
         # S = 0 are legal limits (noiseless / unbounded-free cases)
@@ -187,12 +187,6 @@ def ts_sample(state: RidgeState, params: ConfidenceParams, t: int,
 
 # RunConfig caps a GP policy's noise_r here, so its noise variance noise_r**2 stays finite
 GP_MAX_NOISE_R = math.sqrt(np.finfo(float).max)
-# RunConfig caps the bytes of a GP run's factor, 8 * horizon**2, here (T <= 16384), so
-# a run too long for memory is a config error and not a MemoryError when it starts.
-# The factor and its block inverses are a run's whole GP memory because solve_triangular
-# reads the factor in place: a copy of its n x n block per solve would add up to
-# 8*n**2 bytes, about 4 GiB in all near this bound
-GP_MAX_FACTOR_BYTES = 1 << 31
 # rows of each diagonal block of the GP factor whose inverse is kept. With 64 rows the
 # block inverses' rounding moves a noiseless run's whitened targets past the
 # fresh-algebra tolerances
@@ -243,7 +237,7 @@ def init_gp(dim: int, noise_var: float, horizon: int) -> GpState:
     beside it, so conditioning does not recompute them. Row i of the
     (T, 32) block_inv holds row i mod 32 of the inverse of the factor's
     diagonal block that row i falls in; it takes 8*32*T bytes, at most
-    4 MiB under GP_MAX_FACTOR_BYTES' cap T <= 16384. noise_var is floored
+    4 MiB under RunConfig's cap T <= 16384. noise_var is floored
     at 1e-10, which keeps a noiseless run's Gram matrix regular;
     ConfidenceParams checks dim >= 1 and RunConfig keeps noise_var
     finite."""
@@ -284,22 +278,13 @@ def _kernel_cross(state: GpState, a: np.ndarray, a_sq: np.ndarray, b: np.ndarray
     return sq
 
 
-class GpConditioning(NamedTuple):
-    """The GP conditioned on m query rows: the rows in scaled units
-    (m, dim), v = L^-1 k(inputs, scaled) of shape (n_obs, m), and the
-    posterior means v^T L^-1 y (m,)."""
-
-    scaled: np.ndarray
-    v: np.ndarray
-    means: np.ndarray
-
-
 class GpWindow(NamedTuple):
     """The GP conditioned ahead on W coming rounds of m query rows each,
     the first of them with n0 observations: the rows in scaled units
     (W, m, dim) and their squared norms (W, m), and v (W, n0 + W - 1, m),
     whose v[w, :n0 + w] is round w's L^-1 k(inputs, scaled[w]) once
-    gp_round has solved its open block."""
+    gp_round has solved its open block. Only this module reads its
+    fields."""
 
     scaled: np.ndarray
     sq_norms: np.ndarray
@@ -321,28 +306,27 @@ def _solve_rows(state: GpState, lo: int, hi: int, scaled: np.ndarray, sq_norms: 
     solve_triangular(state, k_cross[..., lo - k_lo :, :], v, lo)
 
 
-def gp_window(state: GpState, xs: np.ndarray) -> GpWindow:
-    """Condition ahead on the first rounds of xs, the contexts of the
-    rounds to come, shape (rounds, m, dim) in raw feature units: as many
-    as keep the window's v within GP_WINDOW_BYTES, at least one. Solves
-    the rows of the factor's settled blocks for every round of the
-    window."""
-    n0, m = state.n_obs, xs.shape[1]
-    # W rounds hold W*(n0 + W - 1) rows of v: the largest W within the bound
-    most = GP_WINDOW_BYTES // (8 * m)
-    rounds = min(len(xs), max(1, (math.isqrt((n0 - 1) ** 2 + 4 * most) - (n0 - 1)) // 2))
-    scaled = xs[:rounds] / state.feature_scale
-    window = GpWindow(scaled, _sq_norms(scaled), np.empty((rounds, n0 + rounds - 1, m)), n0)
-    _solve_rows(state, 0, n0 - n0 % GP_BLOCK, *window[:3])
-    return window
-
-
-def gp_round(state: GpState, window: GpWindow) -> GpConditioning:
-    """The conditioning of the window's round that the state has reached,
-    one observation a round. A block the factor completed since the
-    window opened is solved for this and every later round of the window;
-    the rows of the open block are solved for this round alone."""
+def gp_round(state: GpState, window: GpWindow | None, xs: np.ndarray) -> GpWindow:
+    """Condition the round the state has reached, one observation a
+    round, and return the window the scores and gp_update read it from.
+    window, the one the round before returned, is kept while it has
+    rounds left; else a window opens on the first rounds of xs, the
+    contexts of the rounds to come, shape (rounds, m, dim) in raw feature
+    units: as many as keep its v within GP_WINDOW_BYTES, at least one,
+    with the factor's settled blocks solved for all of them. A block the
+    factor completed since the window opened is solved for this and every
+    later round of the window; the rows of the open block for this round
+    alone. With no observations v has no rows: the means are 0 and
+    signal_var - |v|^2 is the prior variance."""
     n = state.n_obs
+    if window is None or n - window.n0 >= len(window.v):
+        m = xs.shape[1]
+        # W rounds hold W*(n + W - 1) rows of v: the largest W within the bound
+        most = GP_WINDOW_BYTES // (8 * m)
+        rounds = min(len(xs), max(1, (math.isqrt((n - 1) ** 2 + 4 * most) - (n - 1)) // 2))
+        scaled = xs[:rounds] / state.feature_scale
+        window = GpWindow(scaled, _sq_norms(scaled), np.empty((rounds, n + rounds - 1, m)), n)
+        _solve_rows(state, 0, n - n % GP_BLOCK, *window[:3])
     w = n - window.n0
     top = n - n % GP_BLOCK
     if top < n:
@@ -350,27 +334,20 @@ def gp_round(state: GpState, window: GpWindow) -> GpConditioning:
     elif w > 0:
         _solve_rows(state, top - GP_BLOCK, top, window.scaled[w:], window.sq_norms[w:],
                     window.v[w:])
-    v = window.v[w, :n]
-    return GpConditioning(window.scaled[w], v, v.T @ state.white[:n])
+    return window
 
 
-def gp_condition(state: GpState, xs: np.ndarray) -> GpConditioning:
-    """Condition on the rows of xs, a float array of shape (m, dim) in raw
-    feature units: the window of one round. With no observations v has
-    no rows: the means are 0 and signal_var - |v|^2 is the prior variance."""
-    return gp_round(state, gp_window(state, xs[None]))
-
-
-def gp_update(state: GpState, scaled_row: np.ndarray, column: np.ndarray, y: float) -> GpState:
-    """Append the observation y at scaled_row, shape (dim,) in scaled
-    units, whose conditioning column on the current factor is column,
-    shape (n_obs,), as gp_condition gives it. The column gives the
-    pre-update variance, which advances the information gain, the new row
-    of the Cholesky factor and the new row of its diagonal block's
-    inverse, so the update makes no solve. A pivot whose square falls to
-    1e-12*signal_var or below raises NumericError before the state is
-    touched."""
+def gp_update(state: GpState, window: GpWindow, agent: int, y: float) -> GpState:
+    """Append the observation y at the round's query row agent of window,
+    as gp_round returned it. The row's column of v gives the pre-update
+    variance, which advances the information gain, the new row of the
+    Cholesky factor and the new row of its diagonal block's inverse, so
+    the update makes no solve; the row's squared norm comes from the
+    window too. A pivot whose square falls to 1e-12*signal_var or below
+    raises NumericError before the state is touched."""
     n = state.n_obs
+    w = n - window.n0
+    column = window.v[w, :n, agent]
     sq_norm = float(column @ column)
     gap = state.signal_var + state.noise_var - sq_norm
     if gap <= 1e-12 * state.signal_var:
@@ -381,8 +358,8 @@ def gp_update(state: GpState, scaled_row: np.ndarray, column: np.ndarray, y: flo
     var_pre = max(state.signal_var - sq_norm, 0.0)
     state.info_gain += 0.5 * math.log1p(var_pre / state.noise_var)
 
-    state.inputs[n] = scaled_row
-    state.sq_norms[n] = _sq_norms(scaled_row)
+    state.inputs[n] = window.scaled[w, agent]
+    state.sq_norms[n] = window.sq_norms[w, agent]
     state.n_obs = n + 1
     pivot = math.sqrt(gap)
     state.chol[n, :n] = column
@@ -399,20 +376,25 @@ def gp_width_multiplier(state: GpState, params: ConfidenceParams) -> float:
     return math.sqrt(2.0 * (state.info_gain + 1.0 + math.log(1.0 / params.delta))) + GP_BOUND_B
 
 
-def gp_ucb_scores(state: GpState, params: ConfidenceParams, cond: GpConditioning) -> np.ndarray:
-    """Optimistic GP score of each row cond was conditioned on."""
-    stds = np.sqrt(np.maximum(state.signal_var - np.sum(cond.v**2, axis=0), 0.0))
-    return cond.means + gp_width_multiplier(state, params) * stds
+def gp_ucb_scores(state: GpState, params: ConfidenceParams, window: GpWindow) -> np.ndarray:
+    """Optimistic GP score of each query row of the round gp_round
+    returned window for."""
+    n = state.n_obs
+    v = window.v[n - window.n0, :n]
+    stds = np.sqrt(np.maximum(state.signal_var - np.sum(v**2, axis=0), 0.0))
+    return v.T @ state.white[:n] + gp_width_multiplier(state, params) * stds
 
 
 def gp_ts_scores(
-    state: GpState, params: ConfidenceParams, cond: GpConditioning, rng: np.random.Generator
+    state: GpState, params: ConfidenceParams, window: GpWindow, rng: np.random.Generator
 ) -> np.ndarray:
-    """One joint posterior sample over the rows cond was conditioned on,
-    width-scaled."""
-    m = len(cond.scaled)
-    sq_norms = _sq_norms(cond.scaled)
-    cov = _kernel_cross(state, cond.scaled, sq_norms, cond.scaled, sq_norms) - cond.v.T @ cond.v
+    """One joint posterior sample over the query rows of the round
+    gp_round returned window for, width-scaled."""
+    n = state.n_obs
+    w = n - window.n0
+    v, scaled, sq_norms = window.v[w, :n], window.scaled[w], window.sq_norms[w]
+    m = len(scaled)
+    cov = _kernel_cross(state, scaled, sq_norms, scaled, sq_norms) - v.T @ v
     jitter = 1e-10 * state.signal_var
     for _ in range(8):
         try:
@@ -423,4 +405,4 @@ def gp_ts_scores(
     else:
         raise linalg.NumericError("joint posterior covariance is not factorizable")
     draw = lower @ rng.standard_normal(m)
-    return cond.means + gp_width_multiplier(state, params) * draw
+    return v.T @ state.white[:n] + gp_width_multiplier(state, params) * draw

@@ -9,8 +9,9 @@ together, so the functions here take one state or a state whose arrays
 carry a leading run axis. The dimension, the last axis of a state's
 arrays, and the regularizer come checked from ConfidenceParams; the
 checks here are the mid-run faults, a non-positive Sherman-Morrison
-denominator and a failed Cholesky factorization. :func:`is_real` is the
-rule the constructors apply to every real-valued field of a run.
+denominator and a failed Cholesky factorization. :func:`is_real` and
+:func:`is_integer` are the rules the constructors apply to every
+real-valued and every integer field of a run.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ def is_real(value) -> bool:
     """Whether value is a real number: a numbers.Real, which numpy's float
     and integer scalars are, and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer: a Python or numpy integer, and not a
+    bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass

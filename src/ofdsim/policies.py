@@ -8,14 +8,15 @@ batch together, so a policy chooses for every run at once: ledgers
 arrive as (R, N), a round's contexts as (R, N, d) and the ridge state
 with a leading run axis, and the picks leave as an int array (R,). The
 contexts of the rounds after it, drawn ahead, come with the round's: a
-GP run conditions a window of them at once, and hands the window to
-observe and to the next round. Each run keeps its own generator, and a
-run draws from it exactly what it would draw alone: a TS parameter, an
-epsilon coin and an exploring pick, and a tie draw. Ties in candidate
-goodness are broken uniformly at random within a relative tolerance of
-1e-9; the tie draw is only taken when there is an actual tie, so
-deterministic variants consume identical rng streams. The GP steps each
-run's state in turn within the round.
+GP run conditions a window of them at once, and hands the window, whose
+fields only estimators reads, to observe and to the next round. Each
+run keeps its own generator, and a run draws from it exactly what it
+would draw alone: a TS parameter, an epsilon coin and an exploring
+pick, and a tie draw. Ties in candidate goodness are broken uniformly
+at random within a relative tolerance of 1e-9; the tie draw is only
+taken when there is an actual tie, so deterministic variants consume
+identical rng streams. The GP steps each run's state in turn within the
+round.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ def select_agent(
     candidate goodness raises :class:`linalg.NumericError`.
 
     A GP run conditions a window of coming rounds at once. windows are
-    the runs' windows that the call for the round before returned, kept
-    while they last, or None; a new window opens on contexts. Returns the
-    picks (R,) and, under a GP policy, each run's window for
+    the runs' windows that the call for the round before returned, or
+    None, and :func:`estimators.gp_round` keeps or replaces each. Returns
+    the picks (R,) and, under a GP policy, each run's window for
     :func:`observe` and the next round, else None."""
     xs = contexts[0]
     n = totals.shape[1]
@@ -128,16 +129,15 @@ def select_agent(
             if not scored:
                 return picks, None
     if kind.uses_gp:
-        if windows is None or estimator[0].n_obs - windows[0].n0 >= len(windows[0].v):
-            windows = [estimators.gp_window(state, contexts[:, r])
-                       for r, state in enumerate(estimator)]
-        cond = [estimators.gp_round(state, window) for state, window in zip(estimator, windows)]
+        previous = windows or [None] * len(estimator)
+        windows = [estimators.gp_round(state, window, contexts[:, r])
+                   for r, (state, window) in enumerate(zip(estimator, previous))]
         if kind.name == "gp-ucb":
-            scores = np.array([estimators.gp_ucb_scores(state, params, c)
-                               for state, c in zip(estimator, cond)])
+            scores = np.array([estimators.gp_ucb_scores(state, params, window)
+                               for state, window in zip(estimator, windows)])
         else:
-            scores = np.array([estimators.gp_ts_scores(state, params, c, rng)
-                               for state, c, rng in zip(estimator, cond, rngs)])
+            scores = np.array([estimators.gp_ts_scores(state, params, window, rng)
+                               for state, window, rng in zip(estimator, windows, rngs)])
     elif kind.name == "ucb":
         scores = estimators.ucb_scores(estimator, params, t, xs)
     elif kind.name == "ts":
@@ -165,18 +165,16 @@ def observe(
     """Fold each run's realized utility y (R,) of its agent in agents (R,)
     from contexts, the round's (R, n_agents, dim) array, into estimator,
     as :func:`select_agent` takes it, given the windows select_agent
-    returned (None on a round-robin round, which conditions the observed
-    context alone); uniform keeps no estimate."""
+    returned, which :func:`estimators.gp_update` reads the round's column
+    from (None on a round-robin round, which conditions the observed
+    context alone as a window of one round); uniform keeps no estimate."""
     if kind.uses_ridge:
         estimators.ridge_update(estimator, contexts[np.arange(agents.size), agents], y)
     elif kind.uses_gp:
         for r, (state, agent) in enumerate(zip(estimator, agents)):
             if windows is None:
-                cond = estimators.gp_condition(state, contexts[r, agent : agent + 1])
-                row, column = cond.scaled[0], cond.v[:, 0]
+                window = estimators.gp_round(state, None, contexts[None, r, agent : agent + 1])
+                agent = 0
             else:
-                # the window's round w holds this round's conditioning
-                n, window = state.n_obs, windows[r]
-                w = n - window.n0
-                row, column = window.scaled[w, agent], window.v[w, :n, agent]
-            estimators.gp_update(state, row, column, float(y[r]))
+                window = windows[r]
+            estimators.gp_update(state, window, agent, float(y[r]))

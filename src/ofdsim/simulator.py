@@ -50,24 +50,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import environment, estimators, goodness, linalg, policies
-from .estimators import GP_MAX_FACTOR_BYTES, GP_MAX_NOISE_R, ConfidenceParams
+from .estimators import GP_MAX_NOISE_R, ConfidenceParams
 
 MAX_HORIZON = 10**6
 # bound on the bytes of the contexts and utilities drawn ahead for a batch,
 # and of the candidate ledgers of one oracle call
 BLOCK_BYTES = 1 << 18
-# a GP run holds a factor of 8 * horizon**2 bytes, and a batch holds its
-# runs' factors at once; this bounds their bytes, one run at the least
-GP_BATCH_BYTES = 1 << 26
+# a run's square arrays: a GP run's factor takes 8 * horizon**2 bytes, and a
+# weighted-Gini round's candidate ledgers 8 * n_agents**2. RunConfig caps each
+# here (T, N <= 16384), so a run too large for memory is a config error and not
+# a MemoryError when it starts
+MAX_SQUARE_BYTES = 1 << 31
+# a batch holds its runs' square arrays at once; this bounds their bytes, one
+# run at the least
+BATCH_SQUARE_BYTES = 1 << 26
 
 
 class RunAbortedError(RuntimeError):
     """A run hit a goodness domain violation or a numerical failure
     mid-flight."""
-
-
-def is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def size_problems(
@@ -78,7 +79,7 @@ def size_problems(
     caller whose other pieces failed can still report them. A size that
     is not an integer is reported as such and compared with nothing."""
     sizes = dict(horizon=horizon, n_agents=n_agents, item_dim=item_dim, agent_dim=agent_dim)
-    whole = {name: value for name, value in sizes.items() if is_integer(value)}
+    whole = {name: value for name, value in sizes.items() if linalg.is_integer(value)}
     problems = [f"{name} must be an integer, got {value!r}"
                 for name, value in sizes.items() if name not in whole]
     problems += [f"{name} must be >= 1, got {value}" for name, value in whole.items()
@@ -103,7 +104,7 @@ def checked_seeds(seeds) -> tuple[int, ...]:
     if not seeds:
         raise ValueError("runs need at least 1 seed")
     for seed in seeds:
-        if not is_integer(seed) or seed < 0:
+        if not linalg.is_integer(seed) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return seeds
 
@@ -148,10 +149,17 @@ class RunConfig:
                 f"noise_r {self.confidence.noise_r!r} is too large for a GP policy "
                 f"(at most {GP_MAX_NOISE_R!r})"
             )
-        if self.policy.uses_gp and 8 * self.horizon**2 > GP_MAX_FACTOR_BYTES:
+        if self.policy.uses_gp and 8 * self.horizon**2 > MAX_SQUARE_BYTES:
             raise ValueError(
                 f"horizon {self.horizon} is too long for a GP policy, whose factor takes "
-                f"8*horizon**2 = {8 * self.horizon**2} bytes (at most {GP_MAX_FACTOR_BYTES})"
+                f"8*horizon**2 = {8 * self.horizon**2} bytes (at most {MAX_SQUARE_BYTES})"
+            )
+        gini = self.goodness.kind == goodness.WEIGHTED_GINI
+        if gini and 8 * self.n_agents**2 > MAX_SQUARE_BYTES:
+            raise ValueError(
+                f"n_agents {self.n_agents} is too many for weighted Gini, whose candidate "
+                f"ledgers take 8*n_agents**2 = {8 * self.n_agents**2} bytes a round "
+                f"(at most {MAX_SQUARE_BYTES})"
             )
 
 
@@ -181,17 +189,20 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
 
     A run that faults mid-flight makes the batch run its seeds one at a
     time, so the RunAbortedError raised is the first in seed order and
-    carries what that run alone reports. GP runs are stepped in batches
-    of at most GP_BATCH_BYTES of factors, in seed order."""
+    carries what that run alone reports. Runs are stepped in batches of
+    at most BATCH_SQUARE_BYTES of square arrays, GP factors and
+    weighted-Gini candidate ledgers, in seed order."""
     seeds = checked_seeds(seeds)
     runs = len(seeds)
     spec, kind, params = config.goodness, config.policy, config.confidence
     n, horizon, noise_r = config.n_agents, config.horizon, params.noise_r
-    if kind.uses_gp:
-        most = max(1, GP_BATCH_BYTES // (8 * horizon**2))
-        if runs > most:
-            return [trace for k in range(0, runs, most)
-                    for trace in run_batch(config, seeds[k : k + most])]
+    square = 8 * horizon**2 if kind.uses_gp else 0
+    if spec.kind == goodness.WEIGHTED_GINI:
+        square += 8 * n**2
+    most = max(1, BATCH_SQUARE_BYTES // max(square, 1))
+    if runs > most:
+        return [trace for k in range(0, runs, most)
+                for trace in run_batch(config, seeds[k : k + most])]
 
     streams = [map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
                for seed in seeds]

@@ -161,9 +161,9 @@ def test_each_runs_state_ends_as_its_final_estimate(monkeypatch, policy):
             assert np.array_equal(got, want), (seed, k)
 
 
-def test_gp_runs_are_stepped_within_the_factor_bound(monkeypatch):
-    # two 60-round factors fit the bound, so five GP runs go in batches of 2, 2 and 1
-    monkeypatch.setattr(simulator, "GP_BATCH_BYTES", 2 * 8 * 60**2)
+def counted_batches(monkeypatch, config, seeds):
+    """The traces of run_batch(config, seeds) and the size of every batch
+    it ran, the split ones included."""
     sizes = []
     run_batch = simulator.run_batch
 
@@ -172,12 +172,32 @@ def test_gp_runs_are_stepped_within_the_factor_bound(monkeypatch):
         return run_batch(config, seeds)
 
     monkeypatch.setattr(simulator, "run_batch", counting)
-    config, seeds = batch(5, "gp-ucb", utility_kind="square")
     traces = simulator.run_batch(config, seeds)
-    assert sizes == [5, 2, 2, 1]
     monkeypatch.undo()
+    return traces, sizes
+
+
+def test_gp_runs_are_stepped_within_the_factor_bound(monkeypatch):
+    # two 60-round factors and their weighted-Gini candidate ledgers fit the
+    # bound, so five GP runs go in batches of 2, 2 and 1
+    monkeypatch.setattr(simulator, "BATCH_SQUARE_BYTES", 2 * 8 * (60**2 + N_AGENTS**2))
+    config, seeds = batch(5, "gp-ucb", utility_kind="square")
+    traces, sizes = counted_batches(monkeypatch, config, seeds)
+    assert sizes == [5, 2, 2, 1]
     for trace, alone in zip(traces, simulator.run_batch(config, seeds)):
         assert np.array_equal(trace.chosen, alone.chosen)
+
+
+def test_weighted_gini_runs_are_stepped_within_the_square_bound(monkeypatch):
+    # a weighted-Gini round's candidate ledgers take 8*n_agents**2 bytes a run;
+    # two runs' fit the bound, so five ridge runs go in batches of 2, 2 and 1
+    monkeypatch.setattr(simulator, "BATCH_SQUARE_BYTES", 2 * 8 * N_AGENTS**2)
+    config, seeds = batch(5, "ucb")
+    traces, sizes = counted_batches(monkeypatch, config, seeds)
+    assert sizes == [5, 2, 2, 1]
+    for trace, alone in zip(traces, simulator.run_batch(config, seeds)):
+        for field in dataclasses.fields(RunTrace):
+            assert np.array_equal(getattr(trace, field.name), getattr(alone, field.name))
 
 
 def test_batch_needs_valid_seeds():

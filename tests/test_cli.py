@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,37 @@ def test_gp_horizon_too_long_for_memory_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "too long for a GP policy" in err
+
+
+def test_rho_zero_weights_wait_for_the_sizes(tmp_path, capsys):
+    # rho 0 gives explicit weights, one per agent; a broken agent count builds
+    # none, so the run reports the short horizon as it does without rho 0
+    errs = []
+    for rho in (["--rho", "0"], []):
+        args = ["run", "--policy", "ucb", *rho, "--agents", "1000000000000",
+                "--horizon", "100", "--reps", "1", "--out", str(tmp_path / "x")]
+        assert run_cli(*args) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == ("config error: horizon 100 is shorter than the round-robin "
+                                  "phase over 1000000000000 agents\n")
+
+
+@pytest.mark.parametrize("rho", ["0", "0.85"])
+def test_weighted_gini_agents_too_many_for_memory_exit_2(tmp_path, capsys, rho):
+    # one round's candidate ledgers take 8*n_agents**2 bytes, 2 GiB at 16384
+    # agents; the bound rejects the run before anything of that size exists
+    args = ["run", "--policy", "uniform", "--rho", rho, "--agents", "16385",
+            "--horizon", "16385", "--reps", "1", "--out", str(tmp_path / "x")]
+    tracemalloc.start()
+    try:
+        assert run_cli(*args) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "n_agents 16385 is too many for weighted Gini" in err
 
 
 SCIPY_PROBE = """

@@ -35,6 +35,14 @@ class TestConfidenceParams:
         lines = str(exc_info.value).splitlines()
         assert [line.split()[0] for line in lines] == ["noise_r", "delta", "lambda"]
 
+    @pytest.mark.parametrize("dim", [True, 2.0, "2"])
+    def test_dim_must_be_an_integer_and_not_a_bool(self, dim):
+        # the integer rule every RunConfig size takes, which rejects a bool
+        with pytest.raises(ValueError) as exc_info:
+            ConfidenceParams(dim=dim, noise_r=0.1, param_bound_s=1.0,
+                             feature_bound_l=10.0, delta=0.05, lam=0.01)
+        assert str(exc_info.value) == f"dim must be a positive integer, got {dim!r}"
+
     def test_rejects_invalid_fields(self):
         with pytest.raises(ValueError):
             ConfidenceParams(dim=0, noise_r=0.1, param_bound_s=1.0,
@@ -206,14 +214,14 @@ def test_ts_sample_shared_across_round():
 
 def _observe(gp, x, y):
     """Condition on x alone, then append it, as a round-robin round does."""
-    cond = estimators.gp_condition(gp, x[None, :])
-    estimators.gp_update(gp, cond.scaled[0], cond.v[:, 0], y)
+    estimators.gp_update(gp, estimators.gp_round(gp, None, x[None, None]), 0, y)
 
 
 def _posterior(gp, xs):
     """Posterior means and standard deviations at the rows of xs."""
-    cond = estimators.gp_condition(gp, xs)
-    return cond.means, np.sqrt(np.maximum(gp.signal_var - np.sum(cond.v**2, axis=0), 0.0))
+    v = estimators.gp_round(gp, None, xs[None]).v[0]
+    stds = np.sqrt(np.maximum(gp.signal_var - np.sum(v**2, axis=0), 0.0))
+    return v.T @ gp.white[: gp.n_obs], stds
 
 
 def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42, block=23):
@@ -357,19 +365,23 @@ def test_gp_window_equals_one_round_conditioning(noise_var, n0):
     rng = np.random.default_rng(50 + n0)
     rounds, block = 80, 23
     gp = _grown_gp(noise_var, n0, horizon=n0 + rounds)
+    p = default_params(2)
     contexts = rng.uniform(0.0, 10.0, (rounds, 6, 2))
     cuts, window = set(), None
     for i in range(rounds):
-        if window is None or gp.n_obs - window.n0 == len(window.v):
-            rest = contexts[i : i - i % block + block]
-            window = estimators.gp_window(gp, rest)
+        rest = contexts[i : i - i % block + block]
+        kept, window = window, estimators.gp_round(gp, window, rest)
+        if window is not kept:
             cuts.add(len(window.v) == len(rest))
-        cond = estimators.gp_round(gp, window)
-        v, means = _one_round(gp, cond.scaled)
-        assert np.array_equal(cond.scaled, contexts[i] / gp.feature_scale)
-        assert np.array_equal(cond.v, v) and np.array_equal(cond.means, means), gp.n_obs
-        pick = rng.integers(6)
-        estimators.gp_update(gp, cond.scaled[pick], cond.v[:, pick], float(rng.uniform()))
+        n = gp.n_obs
+        w = n - window.n0
+        v, means = _one_round(gp, window.scaled[w])
+        assert np.array_equal(window.scaled[w], contexts[i] / gp.feature_scale)
+        assert np.array_equal(window.v[w, :n], v), n
+        stds = np.sqrt(np.maximum(gp.signal_var - np.sum(v**2, axis=0), 0.0))
+        scores = means + estimators.gp_width_multiplier(gp, p) * stds
+        assert np.array_equal(estimators.gp_ucb_scores(gp, p, window), scores), n
+        estimators.gp_update(gp, window, rng.integers(6), float(rng.uniform()))
     # windows end at their block's end, and from 200 observations the byte
     # bound cuts them short of it too
     assert True in cuts
@@ -433,7 +445,7 @@ def test_solve_triangular_matches_scipy(noise_var, rel_x, residual, rel_inv):
     from scipy import linalg as sp
 
     gp = _grown_gp(noise_var)
-    # the kernel columns of fresh contexts, as gp_condition solves for them
+    # the kernel columns of fresh contexts, as gp_round solves for them
     xs = np.random.default_rng(41).uniform(0.0, 10.0, (6, 2)) / gp.feature_scale
     k_cross = estimators._kernel_cross(gp, gp.inputs, gp.sq_norms, xs, estimators._sq_norms(xs))
     # within a block, at its edges, across two and three blocks, and over seven
@@ -483,10 +495,13 @@ def test_gp_update_rejects_a_lost_pivot_and_leaves_the_state():
         _observe(gp, np.array(x), 0.5)
     before = {name: np.copy(getattr(gp, name))
               for name in ("inputs", "sq_norms", "chol", "block_inv", "white", "info_gain")}
-    # |column|^2 == signal_var + noise_var leaves the pivot no positive square
+    # |column|^2 == signal_var + noise_var leaves the pivot no positive square,
+    # in a one-round window of one query row
     column = np.full(3, math.sqrt((gp.signal_var + gp.noise_var) / 3))
+    window = estimators.GpWindow(np.full((1, 1, 2), 0.3), np.full((1, 1), 0.18),
+                                 column[None, :, None], 3)
     with pytest.raises(NumericError, match="at 4 observations"):
-        estimators.gp_update(gp, np.array([0.3, 0.3]), column, 1.0)
+        estimators.gp_update(gp, window, 0, 1.0)
     assert gp.n_obs == 3
     for name, value in before.items():
         np.testing.assert_array_equal(getattr(gp, name), value, err_msg=name)
@@ -505,13 +520,14 @@ def test_gp_solves_each_rounds_columns_once(monkeypatch):
         rows[0] += b[..., 0].size
         return solve(state, b, x, lo)
 
-    def checking(state, window):
-        cond = round_(state, window)
-        solved = rows[0]
-        v, means = _one_round(state, cond.scaled)
+    def checking(state, window, xs):
+        window = round_(state, window, xs)
+        solved, n = rows[0], state.n_obs
+        w = n - window.n0
+        v, _ = _one_round(state, window.scaled[w])
         rows[0] = solved
-        same.append(np.array_equal(cond.v, v) and np.array_equal(cond.means, means))
-        return cond
+        same.append(np.array_equal(window.v[w, :n], v))
+        return window
 
     monkeypatch.setattr(estimators, "solve_triangular", counting)
     monkeypatch.setattr(estimators, "gp_round", checking)
@@ -524,7 +540,8 @@ def test_gp_solves_each_rounds_columns_once(monkeypatch):
         rows[0], same = 0, []
         assert gp.n_obs == 130
         # the buffers hold the horizon's observations, and the squared norms
-        # kept beside the inputs are the ones the block of stored inputs gives
+        # gp_update takes from the window are the ones the block of stored
+        # inputs gives
         assert gp.inputs.shape[0] == gp.chol.shape[0] == 130
         np.testing.assert_array_equal(gp.sq_norms[:130], np.sum(gp.inputs[:130] ** 2, axis=1))
 
@@ -549,8 +566,8 @@ def test_gp_ucb_scores_match_scalar_and_dominate_mean():
         x = rng.uniform(0.0, 10.0, 2)
         _observe(gp, x, float(x.prod() / 20.0))
     xs = rng.uniform(0.0, 10.0, (6, 2))
-    batch = estimators.gp_ucb_scores(gp, p, estimators.gp_condition(gp, xs))
-    singles = [estimators.gp_ucb_scores(gp, p, estimators.gp_condition(gp, x[None, :]))[0]
+    batch = estimators.gp_ucb_scores(gp, p, estimators.gp_round(gp, None, xs[None]))
+    singles = [estimators.gp_ucb_scores(gp, p, estimators.gp_round(gp, None, x[None, None]))[0]
                for x in xs]
     np.testing.assert_allclose(batch, singles, rtol=1e-10)
     means, _ = _posterior(gp, xs)
@@ -565,13 +582,13 @@ def test_gp_ts_scores_reproducible_and_shaped():
         x = rng.uniform(0.0, 10.0, 2)
         _observe(gp, x, float(x.sum() / 5.0))
     xs = rng.uniform(0.0, 10.0, (4, 2))
-    cond = estimators.gp_condition(gp, xs)
-    a = estimators.gp_ts_scores(gp, p, cond, np.random.default_rng(77))
-    b = estimators.gp_ts_scores(gp, p, cond, np.random.default_rng(77))
+    window = estimators.gp_round(gp, None, xs[None])
+    a = estimators.gp_ts_scores(gp, p, window, np.random.default_rng(77))
+    b = estimators.gp_ts_scores(gp, p, window, np.random.default_rng(77))
     np.testing.assert_array_equal(a, b)
     assert a.shape == (4,)
     # dispersion grows with the width multiplier, so fresh draws differ
-    c = estimators.gp_ts_scores(gp, p, cond, np.random.default_rng(78))
+    c = estimators.gp_ts_scores(gp, p, window, np.random.default_rng(78))
     assert not np.array_equal(a, c)
 
 

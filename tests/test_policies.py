@@ -155,9 +155,9 @@ def test_greedy_exploration_coin():
     kind = PolicyKind("greedy", epsilon=1.0)  # always explores
     hits = np.zeros(5)
     for _ in range(2000):
-        picks, conditioning = select_one(kind, spec, totals, 6, contexts, est, params, rng)
-        # exploring scores no agent, so it carries no GP conditioning either
-        assert conditioning is None
+        picks, windows = select_one(kind, spec, totals, 6, contexts, est, params, rng)
+        # exploring scores no agent, so it carries no GP window either
+        assert windows is None
         hits[picks[0]] += 1
     assert hits.min() > 0  # exploration may land on any agent
 
@@ -191,11 +191,11 @@ def test_observe_counts_invariant():
     contexts = rng.uniform(0.0, 10.0, (3, 2))
     moment = np.zeros(2)
     for t in range(4, 44):
-        picks, conditioning = select_one(PolicyKind("ucb"), spec, totals, t, contexts, est,
+        picks, windows = select_one(PolicyKind("ucb"), spec, totals, t, contexts, est,
                                          params, rng)
         y = float(rng.uniform(0.1, 2.0))
         totals[picks[0]] += y
-        policies.observe(PolicyKind("ucb"), est, picks, conditioning, contexts[None],
+        policies.observe(PolicyKind("ucb"), est, picks, windows, contexts[None],
                          np.array([y]))
         # each observe folds exactly its one observation in
         moment += y * contexts[picks[0]]
@@ -219,14 +219,14 @@ def test_greedy_zero_epsilon_equals_ucb_zero_alpha():
         sequence = []
         for t in range(1, rounds + 1):
             if t <= n:
-                picks, conditioning = np.array([t - 1]), None
+                picks, windows = np.array([t - 1]), None
             else:
-                picks, conditioning = select_one(kind, spec, totals, t, items[t - 1], est,
+                picks, windows = select_one(kind, spec, totals, t, items[t - 1], est,
                                                  params, rng)
             a = int(picks[0])
             y = float(truths[t - 1][a])
             totals[a] += y
-            policies.observe(kind, est, picks, conditioning, items[t - 1][None], np.array([y]))
+            policies.observe(kind, est, picks, windows, items[t - 1][None], np.array([y]))
             sequence.append(a)
         return sequence
 

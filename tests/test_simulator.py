@@ -108,12 +108,22 @@ class TestRunConfig:
 
     def test_gp_factor_must_fit_its_byte_bound(self):
         # a GP run's factor takes 8*horizon**2 bytes; the bound is checked, not allocated
-        longest = math.isqrt(simulator.GP_MAX_FACTOR_BYTES // 8)
+        longest = math.isqrt(simulator.MAX_SQUARE_BYTES // 8)
         assert longest == 16384
         with pytest.raises(ValueError, match="too long for a GP policy"):
             make_config(policy=PolicyKind("gp-ucb"), horizon=longest + 1)
         make_config(policy=PolicyKind("gp-ts"), horizon=longest)
         make_config(policy=PolicyKind("ucb"), horizon=longest + 1)
+
+    def test_weighted_gini_candidates_must_fit_the_byte_bound(self):
+        # one round's weighted-Gini candidate ledgers take 8*n_agents**2 bytes;
+        # the other goodness kinds score a round in (n_agents,) arrays
+        most = math.isqrt(simulator.MAX_SQUARE_BYTES // 8)
+        assert most == 16384
+        with pytest.raises(ValueError, match="n_agents 16385 is too many for weighted Gini"):
+            make_config(n_agents=most + 1, horizon=most + 1)
+        make_config(n_agents=most, horizon=most)
+        make_config(n_agents=most + 1, horizon=most + 1, goodness=GoodnessSpec("log-nsw"))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_seed_must_be_a_non_negative_integer(self, seed):

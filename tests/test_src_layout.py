@@ -1,6 +1,7 @@
 """src/ holds what the simulator runs: no public definition that only
 tests use, no state field that nothing reads, every function the
-benchmark's tracer times, and numpy as its one numeric library."""
+benchmark's tracer times, numpy as its one numeric library,
+and a GP window whose fields only estimators reads."""
 
 import ast
 import json
@@ -136,3 +137,18 @@ def test_a_run_that_starts_no_pool_loads_no_multiprocessing(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_only_estimators_reads_a_gp_window():
+    # a GP window's layout, and when it is spent, are decided in estimators
+    # alone: every other module hands a window on whole
+    from ofdsim.estimators import GpWindow
+
+    readers = sorted({
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        if path.name != "estimators.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in GpWindow._fields
+    })
+    assert not readers, f"modules other than estimators.py that read a GpWindow field: {readers}"
