@@ -31,15 +31,16 @@ n x n block, and the GP, like the rest of the package, needs only numpy.
 
 A block's rows of v depend only on the factor's rows up to the block's
 end, so a run conditions a window of coming rounds, whose contexts are
-drawn ahead, at once, through one call, gp_round. A window opens with
-one pass of stacked products that solves the factor's settled blocks
-for all its rounds; a block the factor completes within the window is
-solved for the rounds left the same way, and each round solves only
-the rows of its open block. The scores and gp_update read the round
-from the window, and no other module reads its fields. The window has
-a leading round axis, so every product keeps the (rows, k) @ (k, m)
-shape one round gives it, and with it the round's bits: a right-hand
-side widened to (k, W*m) would take other BLAS paths.
+drawn ahead, at once, through one call, gp_round, and its state keeps
+the window while it has rounds left. A window opens with one pass of
+stacked products that solves the factor's settled blocks for all its
+rounds; a block the factor completes within the window is solved for
+the rounds left the same way, and each round solves only the rows of
+its open block. The scores and gp_update read the round from the
+state's window, and no other module names it. The window has a leading
+round axis, so every product keeps the (rows, k) @ (k, m) shape one
+round gives it, and with it the round's bits: a right-hand side widened
+to (k, W*m) would take other BLAS paths.
 """
 
 from __future__ import annotations
@@ -227,6 +228,7 @@ class GpState:
     white: np.ndarray = field(repr=False)
     n_obs: int = 0
     info_gain: float = 0.0
+    window: GpWindow | None = field(default=None, init=False, repr=False)
 
 
 def init_gp(dim: int, noise_var: float, horizon: int) -> GpState:
@@ -283,8 +285,8 @@ class GpWindow(NamedTuple):
     the first of them with n0 observations: the rows in scaled units
     (W, m, dim) and their squared norms (W, m), and v (W, n0 + W - 1, m),
     whose v[w, :n0 + w] is round w's L^-1 k(inputs, scaled[w]) once
-    gp_round has solved its open block. Only this module reads its
-    fields."""
+    gp_round has solved its open block. A GP state keeps its window, and
+    no other module names this type."""
 
     scaled: np.ndarray
     sq_norms: np.ndarray
@@ -306,20 +308,25 @@ def _solve_rows(state: GpState, lo: int, hi: int, scaled: np.ndarray, sq_norms: 
     solve_triangular(state, k_cross[..., lo - k_lo :, :], v, lo)
 
 
-def gp_round(state: GpState, window: GpWindow | None, xs: np.ndarray) -> GpWindow:
+def _holds_round(state: GpState) -> bool:
+    """Whether the state's window holds the round the state has reached."""
+    return state.window is not None and state.n_obs - state.window.n0 < len(state.window.v)
+
+
+def gp_round(state: GpState, xs: np.ndarray) -> None:
     """Condition the round the state has reached, one observation a
-    round, and return the window the scores and gp_update read it from.
-    window, the one the round before returned, is kept while it has
-    rounds left; else a window opens on the first rounds of xs, the
-    contexts of the rounds to come, shape (rounds, m, dim) in raw feature
-    units: as many as keep its v within GP_WINDOW_BYTES, at least one,
-    with the factor's settled blocks solved for all of them. A block the
-    factor completed since the window opened is solved for this and every
-    later round of the window; the rows of the open block for this round
-    alone. With no observations v has no rows: the means are 0 and
-    signal_var - |v|^2 is the prior variance."""
-    n = state.n_obs
-    if window is None or n - window.n0 >= len(window.v):
+    round, in the state's window, which the scores and gp_update read it
+    from. The window is kept while it has rounds left; else a window
+    opens on the first rounds of xs, the contexts of the rounds to come,
+    shape (rounds, m, dim) in raw feature units: as many as keep its v
+    within GP_WINDOW_BYTES, at least one, with the factor's settled
+    blocks solved for all of them. A block the factor completed since the
+    window opened is solved for this and every later round of the window;
+    the rows of the open block for this round alone. With no observations
+    v has no rows: the means are 0 and signal_var - |v|^2 is the prior
+    variance."""
+    n, window = state.n_obs, state.window
+    if not _holds_round(state):
         m = xs.shape[1]
         # W rounds hold W*(n + W - 1) rows of v: the largest W within the bound
         most = GP_WINDOW_BYTES // (8 * m)
@@ -327,6 +334,7 @@ def gp_round(state: GpState, window: GpWindow | None, xs: np.ndarray) -> GpWindo
         scaled = xs[:rounds] / state.feature_scale
         window = GpWindow(scaled, _sq_norms(scaled), np.empty((rounds, n + rounds - 1, m)), n)
         _solve_rows(state, 0, n - n % GP_BLOCK, *window[:3])
+        state.window = window
     w = n - window.n0
     top = n - n % GP_BLOCK
     if top < n:
@@ -334,18 +342,23 @@ def gp_round(state: GpState, window: GpWindow | None, xs: np.ndarray) -> GpWindo
     elif w > 0:
         _solve_rows(state, top - GP_BLOCK, top, window.scaled[w:], window.sq_norms[w:],
                     window.v[w:])
-    return window
 
 
-def gp_update(state: GpState, window: GpWindow, agent: int, y: float) -> GpState:
-    """Append the observation y at the round's query row agent of window,
-    as gp_round returned it. The row's column of v gives the pre-update
-    variance, which advances the information gain, the new row of the
-    Cholesky factor and the new row of its diagonal block's inverse, so
-    the update makes no solve; the row's squared norm comes from the
-    window too. A pivot whose square falls to 1e-12*signal_var or below
-    raises NumericError before the state is touched."""
-    n = state.n_obs
+def gp_update(state: GpState, xs: np.ndarray, agent: int, y: float) -> GpState:
+    """Append the observation y at row agent of the round's contexts xs
+    (m, dim), reading the row from the state's window; a round no window
+    holds, a warm-start round that no score conditioned, is first
+    conditioned at that row alone, as a window of one round. The row's
+    column of v gives the pre-update variance, which advances the
+    information gain, the new row of the Cholesky factor and the new row
+    of its diagonal block's inverse, so the update makes no solve; the
+    row's squared norm comes from the window too. A pivot whose square
+    falls to 1e-12*signal_var or below raises NumericError before the
+    observation is appended."""
+    if not _holds_round(state):
+        gp_round(state, xs[None, agent : agent + 1])
+        agent = 0
+    n, window = state.n_obs, state.window
     w = n - window.n0
     column = window.v[w, :n, agent]
     sq_norm = float(column @ column)
@@ -376,21 +389,20 @@ def gp_width_multiplier(state: GpState, params: ConfidenceParams) -> float:
     return math.sqrt(2.0 * (state.info_gain + 1.0 + math.log(1.0 / params.delta))) + GP_BOUND_B
 
 
-def gp_ucb_scores(state: GpState, params: ConfidenceParams, window: GpWindow) -> np.ndarray:
+def gp_ucb_scores(state: GpState, params: ConfidenceParams) -> np.ndarray:
     """Optimistic GP score of each query row of the round gp_round
-    returned window for."""
-    n = state.n_obs
+    conditioned."""
+    n, window = state.n_obs, state.window
     v = window.v[n - window.n0, :n]
     stds = np.sqrt(np.maximum(state.signal_var - np.sum(v**2, axis=0), 0.0))
     return v.T @ state.white[:n] + gp_width_multiplier(state, params) * stds
 
 
-def gp_ts_scores(
-    state: GpState, params: ConfidenceParams, window: GpWindow, rng: np.random.Generator
-) -> np.ndarray:
+def gp_ts_scores(state: GpState, params: ConfidenceParams,
+                 rng: np.random.Generator) -> np.ndarray:
     """One joint posterior sample over the query rows of the round
-    gp_round returned window for, width-scaled."""
-    n = state.n_obs
+    gp_round conditioned, width-scaled."""
+    n, window = state.n_obs, state.window
     w = n - window.n0
     v, scaled, sq_norms = window.v[w, :n], window.scaled[w], window.sq_norms[w]
     m = len(scaled)

@@ -8,10 +8,10 @@ batch together, so a policy chooses for every run at once: ledgers
 arrive as (R, N), a round's contexts as (R, N, d) and the ridge state
 with a leading run axis, and the picks leave as an int array (R,). The
 contexts of the rounds after it, drawn ahead, come with the round's: a
-GP run conditions a window of them at once, and hands the window, whose
-fields only estimators reads, to observe and to the next round. Each
-run keeps its own generator, and a run draws from it exactly what it
-would draw alone: a TS parameter, an epsilon coin and an exploring
+GP run conditions a window of them at once, which its state keeps for
+observe and the rounds after, so neither call takes or returns one.
+Each run keeps its own generator, and a run draws from it exactly what
+it would draw alone: a TS parameter, an epsilon coin and an exploring
 pick, and a tie draw. Ties in candidate goodness are broken uniformly
 at random within a relative tolerance of 1e-9; the tie draw is only
 taken when there is an actual tie, so deterministic variants consume
@@ -100,25 +100,23 @@ def select_agent(
     estimator,
     params: estimators.ConfidenceParams,
     rngs: list[np.random.Generator],
-    windows: list[estimators.GpWindow] | None,
-) -> tuple[np.ndarray, list[estimators.GpWindow] | None]:
+) -> np.ndarray:
     """Choose each run's agent for round t > n_agents, given the ledger
     totals (R, n_agents) and contexts, a float array of shape (rounds, R,
     n_agents, dim): round t's contexts, one row per agent, and those
     drawn for the rounds after it. estimator steps every run: a ridge
     state stacked by :func:`estimators.stack_ridge`, the runs' GP states,
     or None for uniform. Run r draws from rngs[r] alone. A non-finite
-    candidate goodness raises :class:`linalg.NumericError`.
+    candidate goodness raises :class:`linalg.NumericError`. Returns the
+    picks (R,).
 
-    A GP run conditions a window of coming rounds at once. windows are
-    the runs' windows that the call for the round before returned, or
-    None, and :func:`estimators.gp_round` keeps or replaces each. Returns
-    the picks (R,) and, under a GP policy, each run's window for
-    :func:`observe` and the next round, else None."""
+    A GP run conditions a window of coming rounds at once:
+    :func:`estimators.gp_round` keeps the window in the run's state while
+    it has rounds left, else opens one on the contexts drawn ahead."""
     xs = contexts[0]
     n = totals.shape[1]
     if kind.name == "uniform":
-        return np.array([rng.integers(n) for rng in rngs]), None
+        return np.array([rng.integers(n) for rng in rngs])
     scored = None
     if kind.name == "greedy" and kind.epsilon > 0.0:
         explores = [rng.random() < kind.epsilon for rng in rngs]
@@ -127,17 +125,15 @@ def select_agent(
             picks = np.array([rng.integers(n) if e else -1 for rng, e in zip(rngs, explores)])
             scored = [r for r, e in enumerate(explores) if not e]
             if not scored:
-                return picks, None
+                return picks
     if kind.uses_gp:
-        previous = windows or [None] * len(estimator)
-        windows = [estimators.gp_round(state, window, contexts[:, r])
-                   for r, (state, window) in enumerate(zip(estimator, previous))]
+        for r, state in enumerate(estimator):
+            estimators.gp_round(state, contexts[:, r])
         if kind.name == "gp-ucb":
-            scores = np.array([estimators.gp_ucb_scores(state, params, window)
-                               for state, window in zip(estimator, windows)])
+            scores = np.array([estimators.gp_ucb_scores(state, params) for state in estimator])
         else:
-            scores = np.array([estimators.gp_ts_scores(state, params, window, rng)
-                               for state, window, rng in zip(estimator, windows, rngs)])
+            scores = np.array([estimators.gp_ts_scores(state, params, rng)
+                               for state, rng in zip(estimator, rngs)])
     elif kind.name == "ucb":
         scores = estimators.ucb_scores(estimator, params, t, xs)
     elif kind.name == "ts":
@@ -148,33 +144,20 @@ def select_agent(
     adds = np.maximum(scores, 0.0)
     if scored is None:
         values = goodness.candidate_scores(spec, totals, adds)
-        return _pick_max(values, rngs), windows
+        return _pick_max(values, rngs)
     values = goodness.candidate_scores(spec, totals[scored], adds[scored])
     picks[scored] = _pick_max(values, [rngs[r] for r in scored])
-    return picks, windows
+    return picks
 
 
 def observe(
-    kind: PolicyKind,
-    estimator,
-    agents: np.ndarray,
-    windows: list[estimators.GpWindow] | None,
-    contexts: np.ndarray,
-    y: np.ndarray,
+    kind: PolicyKind, estimator, agents: np.ndarray, contexts: np.ndarray, y: np.ndarray
 ) -> None:
     """Fold each run's realized utility y (R,) of its agent in agents (R,)
     from contexts, the round's (R, n_agents, dim) array, into estimator,
-    as :func:`select_agent` takes it, given the windows select_agent
-    returned, which :func:`estimators.gp_update` reads the round's column
-    from (None on a round-robin round, which conditions the observed
-    context alone as a window of one round); uniform keeps no estimate."""
+    as :func:`select_agent` takes it; uniform keeps no estimate."""
     if kind.uses_ridge:
         estimators.ridge_update(estimator, contexts[np.arange(agents.size), agents], y)
     elif kind.uses_gp:
         for r, (state, agent) in enumerate(zip(estimator, agents)):
-            if windows is None:
-                window = estimators.gp_round(state, None, contexts[None, r, agent : agent + 1])
-                agent = 0
-            else:
-                window = windows[r]
-            estimators.gp_update(state, window, agent, float(y[r]))
+            estimators.gp_update(state, contexts[r], agent, float(y[r]))

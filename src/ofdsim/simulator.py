@@ -37,9 +37,9 @@ alone, in stacked numpy forms that give each run's bits, and each run
 draws from its own streams: items and noise a block of rounds ahead,
 which draws what one round at a time would, and the policy stream what
 the run alone would. A GP policy is handed the rest of the block's
-contexts, so it conditions a window of coming rounds at once. So a
-run's trace does not depend on the batch it ran in. :func:`run_single`
-is a batch of one.
+contexts, so it conditions a window of coming rounds at once, which
+each run's GP state keeps. So a run's trace does not depend on the
+batch it ran in. :func:`run_single` is a batch of one.
 """
 
 from __future__ import annotations
@@ -130,37 +130,43 @@ class RunConfig:
         )
         if problems:
             raise ValueError("\n".join(problems))
-        checked_seeds([self.seed])
+        # the cross-field rules, one line per broken rule, reported together
+        try:
+            checked_seeds([self.seed])
+        except ValueError as exc:
+            problems.append(str(exc))
         for name in ("weights", "target_ratios"):
             vector = getattr(self.goodness, name)
             if vector is not None and vector.size != self.n_agents:
-                raise ValueError(
+                problems.append(
                     f"goodness {name} have length {vector.size}, expected n_agents={self.n_agents}"
                 )
         if self.confidence is None:
             self.confidence = ConfidenceParams.defaults(self.item_dim + self.agent_dim)
         elif self.confidence.dim != self.item_dim + self.agent_dim:
-            raise ValueError(
+            problems.append(
                 f"confidence.dim {self.confidence.dim} != item_dim + agent_dim "
                 f"{self.item_dim + self.agent_dim}"
             )
         if self.policy.uses_gp and self.confidence.noise_r > GP_MAX_NOISE_R:
-            raise ValueError(
+            problems.append(
                 f"noise_r {self.confidence.noise_r!r} is too large for a GP policy "
                 f"(at most {GP_MAX_NOISE_R!r})"
             )
         if self.policy.uses_gp and 8 * self.horizon**2 > MAX_SQUARE_BYTES:
-            raise ValueError(
+            problems.append(
                 f"horizon {self.horizon} is too long for a GP policy, whose factor takes "
                 f"8*horizon**2 = {8 * self.horizon**2} bytes (at most {MAX_SQUARE_BYTES})"
             )
         gini = self.goodness.kind == goodness.WEIGHTED_GINI
         if gini and 8 * self.n_agents**2 > MAX_SQUARE_BYTES:
-            raise ValueError(
+            problems.append(
                 f"n_agents {self.n_agents} is too many for weighted Gini, whose candidate "
                 f"ledgers take 8*n_agents**2 = {8 * self.n_agents**2} bytes a round "
                 f"(at most {MAX_SQUARE_BYTES})"
             )
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 @dataclass
@@ -260,7 +266,7 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
             oracle[:, k0:k1], inst_regret[:, k0:k1] = best.T, gap.T
         return None
 
-    windows, charged = None, 0
+    charged = 0
     for t in range(1, horizon + 1):
         idx = t - 1
         j = idx % block
@@ -284,19 +290,17 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
         made, fault = idx, None
         try:
             if t <= n:
-                picks, windows = np.full(runs, idx), None
+                picks = np.full(runs, idx)
             else:
-                picks, windows = policies.select_agent(
-                    kind, spec, totals, t, context_block[j:], estimator, params, policy_rngs,
-                    windows,
-                )
+                picks = policies.select_agent(kind, spec, totals, t, context_block[j:],
+                                              estimator, params, policy_rngs)
             chosen[:, idx] = picks
             made = t
             at_pick = offsets + picks
             y = truths.take(at_pick) + noise_block[j]
             ledger[at_pick] += y
             realized[:, idx] = y
-            policies.observe(kind, estimator, picks, windows, contexts, y)
+            policies.observe(kind, estimator, picks, contexts, y)
         except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
             fault = (t, exc, totals[0])
         if fault is None and j < size - 1:
@@ -364,10 +368,15 @@ def _mean_ci(values) -> tuple[float, float]:
     return float(values.mean()), float(_ci95(values))
 
 
+# a series that leaves the float range is reported as a run abort, so numpy's
+# overflow warnings on the way to it would only be noise
+@np.errstate(invalid="ignore", over="ignore")
 def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     """Mean cumulative regret per round with 95% CI half-widths, plus
     final-round efficiency/fairness metrics. A single trace is its own
-    mean, with every CI 0.
+    mean, with every CI 0. A mean or CI that is not finite, as when
+    squaring the deviations of huge regrets overflows, raises
+    RunAbortedError naming the first such round.
 
     Noise can leave a realized ledger total negative, where gini and
     min_ratio are undefined: those reps are left out of both metrics and
@@ -379,6 +388,14 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     if any(tr.cum_regret.size != horizon for tr in traces):
         raise ValueError("all traces must share one horizon")
     stacked = np.stack([tr.cum_regret for tr in traces])
+    mean_regret, ci95 = stacked.mean(axis=0), _ci95(stacked)
+    finite = np.isfinite(mean_regret) & np.isfinite(ci95)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise RunAbortedError(
+            f"regret series leaves the float range at round {k + 1}: mean_regret "
+            f"{float(mean_regret[k])!r}, ci95 {float(ci95[k])!r}"
+        )
     finals = np.stack([tr.final_totals for tr in traces])
     scored = finals[~np.any(finals < 0.0, axis=1)]
     metrics = {
@@ -387,11 +404,7 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
         "min_ratio": _mean_ci([min_ratio(row) for row in scored]) if len(scored) else None,
         "left_out": len(finals) - len(scored),
     }
-    return AggregateSeries(
-        mean_regret=stacked.mean(axis=0),
-        ci95=_ci95(stacked),
-        final_metrics=metrics,
-    )
+    return AggregateSeries(mean_regret=mean_regret, ci95=ci95, final_metrics=metrics)
 
 
 def _checked_ledger(u, metric: str) -> tuple[np.ndarray, float]:
@@ -409,10 +422,14 @@ def _checked_ledger(u, metric: str) -> tuple[np.ndarray, float]:
 
 
 def gini_coefficient(u: np.ndarray) -> float:
-    """Relative mean absolute difference: sum_ij |u_i-u_j| / (2 N^2 mean)."""
+    """Relative mean absolute difference, sum_ij |u_i-u_j| / (2 N^2 mean),
+    taken over the sorted ledger u_(1) <= ... <= u_(N) as
+    sum_k (2k - N - 1) u_(k) / (N * total), in O(N) memory. The sum is
+    elementwise: a BLAS product would be the first BLAS call of a CLI
+    process whose pool workers make its runs, which raises its peak RSS."""
     u, total = _checked_ledger(u, "gini_coefficient")
-    diffs = float(np.abs(u[:, None] - u[None, :]).sum())
-    return diffs / (2.0 * u.size * total)
+    ranks = 2.0 * np.arange(1, u.size + 1) - u.size - 1
+    return float((ranks * np.sort(u)).sum()) / (u.size * total)
 
 
 def min_ratio(u: np.ndarray) -> float:

@@ -9,7 +9,9 @@ slow, direct way, so the round loop's fast paths can be checked against it:
   randomized and brute-force checks of the goodness axioms;
 - :func:`theoretical_bound`: the closed-form high-probability regret
   ceiling;
-- :func:`inv_norm`: the Mahalanobis norm sqrt(x^T M^-1 x) of one vector.
+- :func:`inv_norm`: the Mahalanobis norm sqrt(x^T M^-1 x) of one vector;
+- :func:`gini_pairwise`: the Gini coefficient from every pair's absolute
+  difference.
 """
 
 from __future__ import annotations
@@ -194,3 +196,9 @@ def inv_norm(state: PrecisionState, x: np.ndarray) -> float:
     """Mahalanobis-style norm sqrt(x^T M^-1 x); clamps tiny negatives to 0."""
     q = float(x @ state.m_inv @ x)
     return float(np.sqrt(max(q, 0.0)))
+
+
+def gini_pairwise(u: np.ndarray) -> float:
+    """Relative mean absolute difference sum_ij |u_i-u_j| / (2 N^2 mean)
+    over the N x N matrix of pairwise differences."""
+    return float(np.abs(u[:, None] - u[None, :]).sum()) / (2.0 * u.size * float(u.sum()))

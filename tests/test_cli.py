@@ -409,6 +409,36 @@ def test_weighted_gini_agents_too_many_for_memory_exit_2(tmp_path, capsys, rho):
     assert "n_agents 16385 is too many for weighted Gini" in err
 
 
+def test_every_rejected_cross_field_rule_prints_its_line(tmp_path, capsys):
+    # the GP noise, the GP horizon and the weighted-Gini agent count are each
+    # rejected, and each gets its line
+    args = ["run", "--policy", "gp-ucb", "--utility", "square", "--horizon", "16385",
+            "--agents", "16385", "--noise-r", "1e200", "--reps", "1", "--out", str(tmp_path / "x")]
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == (
+        "config error: noise_r 1e+200 is too large for a GP policy "
+        "(at most 1.3407807929942596e+154)\n"
+        "config error: horizon 16385 is too long for a GP policy, whose factor takes "
+        "8*horizon**2 = 2147745800 bytes (at most 2147483648)\n"
+        "config error: n_agents 16385 is too many for weighted Gini, whose candidate ledgers "
+        "take 8*n_agents**2 = 2147745800 bytes a round (at most 2147483648)\n"
+    )
+
+
+def test_a_regret_series_out_of_the_float_range_exits_4_and_writes_no_csv(tmp_path, capsys):
+    # regrets near 1e285 leave the mean finite, but squaring their deviations
+    # overflows the CI to inf; a single run's CI is 0, so this takes two
+    out = tmp_path / "x"
+    args = ["run", "--policy", "ucb", "--noise-r", "1e300", "--reps", "2", "--horizon", "60",
+            "--seed", "0", "--out", str(out)]
+    assert run_cli(*args) == 4
+    assert capsys.readouterr().err == (
+        "run aborted: regret series leaves the float range at round 19: "
+        "mean_regret 5.948067633911132e+284, ci95 inf\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 SCIPY_PROBE = """
 import sys
 from ofdsim import cli, simulator

@@ -212,14 +212,24 @@ def test_ts_sample_shared_across_round():
 # Gaussian process
 
 
+def _fresh_round(gp, xs):
+    """Condition gp's next round on xs (rounds, m, dim) in a window opened
+    afresh, whatever window gp holds, and return the window."""
+    gp.window = None
+    estimators.gp_round(gp, xs)
+    return gp.window
+
+
 def _observe(gp, x, y):
-    """Condition on x alone, then append it, as a round-robin round does."""
-    estimators.gp_update(gp, estimators.gp_round(gp, None, x[None, None]), 0, y)
+    """Append x in a round no window holds, as a round-robin round does:
+    gp_update conditions on x alone."""
+    gp.window = None
+    estimators.gp_update(gp, x[None], 0, y)
 
 
 def _posterior(gp, xs):
     """Posterior means and standard deviations at the rows of xs."""
-    v = estimators.gp_round(gp, None, xs[None]).v[0]
+    v = _fresh_round(gp, xs[None]).v[0]
     stds = np.sqrt(np.maximum(gp.signal_var - np.sum(v**2, axis=0), 0.0))
     return v.T @ gp.white[: gp.n_obs], stds
 
@@ -228,28 +238,27 @@ def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42, block=2
     """Run a GP policy as the simulator does, on uniform contexts drawn a
     block of rounds ahead and y = |x/10|^2, as a batch of one run: round
     robin for the first n_agents rounds and select_agent after, which
-    conditions windows of the rest of each block, then observe; yields
-    the state after each round."""
+    conditions windows of the rest of each block in the state, then
+    observe; yields the state after each round."""
     kind = PolicyKind(name)
     params = ConfidenceParams.defaults(dim, noise_r=noise_r)
     spec = GoodnessSpec("weighted-gini", rho=0.85)
     totals = np.zeros((1, n_agents))
     gp = policies.make_estimator(kind, params, rounds)
     rng = np.random.default_rng(seed)
-    windows = None
     for t in range(1, rounds + 1):
         j = (t - 1) % block
         if j == 0:
             contexts = rng.uniform(0.0, 10.0, (min(block, rounds - t + 1), 1, n_agents, dim))
         if t <= n_agents:
-            picks, windows = np.array([t - 1]), None
+            picks = np.array([t - 1])
         else:
-            picks, windows = policies.select_agent(kind, spec, totals, t, contexts[j:], [gp],
-                                                   params, [rng], windows)
+            picks = policies.select_agent(kind, spec, totals, t, contexts[j:], [gp], params,
+                                          [rng])
         agent = picks[0]
         y = float(np.sum((contexts[j, 0, agent] / 10.0) ** 2))
         totals[0, agent] += y
-        policies.observe(kind, [gp], picks, windows, contexts[j], np.array([y]))
+        policies.observe(kind, [gp], picks, contexts[j], np.array([y]))
         yield gp
 
 
@@ -367,10 +376,12 @@ def test_gp_window_equals_one_round_conditioning(noise_var, n0):
     gp = _grown_gp(noise_var, n0, horizon=n0 + rounds)
     p = default_params(2)
     contexts = rng.uniform(0.0, 10.0, (rounds, 6, 2))
-    cuts, window = set(), None
+    cuts = set()
     for i in range(rounds):
         rest = contexts[i : i - i % block + block]
-        kept, window = window, estimators.gp_round(gp, window, rest)
+        kept = gp.window
+        estimators.gp_round(gp, rest)
+        window = gp.window
         if window is not kept:
             cuts.add(len(window.v) == len(rest))
         n = gp.n_obs
@@ -380,8 +391,8 @@ def test_gp_window_equals_one_round_conditioning(noise_var, n0):
         assert np.array_equal(window.v[w, :n], v), n
         stds = np.sqrt(np.maximum(gp.signal_var - np.sum(v**2, axis=0), 0.0))
         scores = means + estimators.gp_width_multiplier(gp, p) * stds
-        assert np.array_equal(estimators.gp_ucb_scores(gp, p, window), scores), n
-        estimators.gp_update(gp, window, rng.integers(6), float(rng.uniform()))
+        assert np.array_equal(estimators.gp_ucb_scores(gp, p), scores), n
+        estimators.gp_update(gp, contexts[i], rng.integers(6), float(rng.uniform()))
     # windows end at their block's end, and from 200 observations the byte
     # bound cuts them short of it too
     assert True in cuts
@@ -498,10 +509,10 @@ def test_gp_update_rejects_a_lost_pivot_and_leaves_the_state():
     # |column|^2 == signal_var + noise_var leaves the pivot no positive square,
     # in a one-round window of one query row
     column = np.full(3, math.sqrt((gp.signal_var + gp.noise_var) / 3))
-    window = estimators.GpWindow(np.full((1, 1, 2), 0.3), np.full((1, 1), 0.18),
-                                 column[None, :, None], 3)
+    gp.window = estimators.GpWindow(np.full((1, 1, 2), 0.3), np.full((1, 1), 0.18),
+                                    column[None, :, None], 3)
     with pytest.raises(NumericError, match="at 4 observations"):
-        estimators.gp_update(gp, window, 0, 1.0)
+        estimators.gp_update(gp, np.full((1, 2), 3.0), 0, 1.0)
     assert gp.n_obs == 3
     for name, value in before.items():
         np.testing.assert_array_equal(getattr(gp, name), value, err_msg=name)
@@ -520,14 +531,13 @@ def test_gp_solves_each_rounds_columns_once(monkeypatch):
         rows[0] += b[..., 0].size
         return solve(state, b, x, lo)
 
-    def checking(state, window, xs):
-        window = round_(state, window, xs)
-        solved, n = rows[0], state.n_obs
+    def checking(state, xs):
+        round_(state, xs)
+        solved, n, window = rows[0], state.n_obs, state.window
         w = n - window.n0
         v, _ = _one_round(state, window.scaled[w])
         rows[0] = solved
         same.append(np.array_equal(window.v[w, :n], v))
-        return window
 
     monkeypatch.setattr(estimators, "solve_triangular", counting)
     monkeypatch.setattr(estimators, "gp_round", checking)
@@ -566,9 +576,12 @@ def test_gp_ucb_scores_match_scalar_and_dominate_mean():
         x = rng.uniform(0.0, 10.0, 2)
         _observe(gp, x, float(x.prod() / 20.0))
     xs = rng.uniform(0.0, 10.0, (6, 2))
-    batch = estimators.gp_ucb_scores(gp, p, estimators.gp_round(gp, None, xs[None]))
-    singles = [estimators.gp_ucb_scores(gp, p, estimators.gp_round(gp, None, x[None, None]))[0]
-               for x in xs]
+    _fresh_round(gp, xs[None])
+    batch = estimators.gp_ucb_scores(gp, p)
+    singles = []
+    for x in xs:
+        _fresh_round(gp, x[None, None])
+        singles.append(estimators.gp_ucb_scores(gp, p)[0])
     np.testing.assert_allclose(batch, singles, rtol=1e-10)
     means, _ = _posterior(gp, xs)
     assert np.all(batch >= means)
@@ -582,13 +595,13 @@ def test_gp_ts_scores_reproducible_and_shaped():
         x = rng.uniform(0.0, 10.0, 2)
         _observe(gp, x, float(x.sum() / 5.0))
     xs = rng.uniform(0.0, 10.0, (4, 2))
-    window = estimators.gp_round(gp, None, xs[None])
-    a = estimators.gp_ts_scores(gp, p, window, np.random.default_rng(77))
-    b = estimators.gp_ts_scores(gp, p, window, np.random.default_rng(77))
+    _fresh_round(gp, xs[None])
+    a = estimators.gp_ts_scores(gp, p, np.random.default_rng(77))
+    b = estimators.gp_ts_scores(gp, p, np.random.default_rng(77))
     np.testing.assert_array_equal(a, b)
     assert a.shape == (4,)
     # dispersion grows with the width multiplier, so fresh draws differ
-    c = estimators.gp_ts_scores(gp, p, window, np.random.default_rng(78))
+    c = estimators.gp_ts_scores(gp, p, np.random.default_rng(78))
     assert not np.array_equal(a, c)
 
 

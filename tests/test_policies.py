@@ -16,7 +16,7 @@ def select_one(kind, spec, totals, t, contexts, est, params, rng):
     estimator est is a stacked ridge state, a list of one GP state, or
     None."""
     return policies.select_agent(kind, spec, totals[None], t, contexts[None, None], est, params,
-                                 [rng], None)
+                                 [rng])
 
 
 def make_setup(n=4, dim=3, rho=0.85):
@@ -85,7 +85,7 @@ def test_round_robin_first_n_rounds():
     est = policies.make_estimator(PolicyKind("gp-ucb"), params, 10)
     contexts = np.random.default_rng(1).uniform(0.0, 1.0, (n, 3))
     for agent in range(n):
-        policies.observe(PolicyKind("gp-ucb"), [est], np.array([agent]), None, contexts[None],
+        policies.observe(PolicyKind("gp-ucb"), [est], np.array([agent]), contexts[None],
                          np.ones(1))
     assert est.n_obs == n
     np.testing.assert_allclose(est.inputs[:n], contexts / est.feature_scale)
@@ -115,8 +115,8 @@ def test_min_weights_pick_lowest_total_on_equal_scores():
     totals = np.array([5.0, 1.0, 3.0])
     contexts = np.ones((3, 2))
     est = policies.make_estimator(PolicyKind("ucb"), params, 10)
-    picks, _ = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
-                          estimators.stack_ridge([est]), params, np.random.default_rng(3))
+    picks = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
+                       estimators.stack_ridge([est]), params, np.random.default_rng(3))
     assert picks[0] == 1
     adds = np.maximum(estimators.ucb_scores(est, params, 4, contexts), 0.0)
     values = goodness.candidate_scores(spec, totals, adds)
@@ -132,8 +132,8 @@ def test_usw_picks_largest_score_on_equal_totals():
     # alpha = sqrt(lam)*S is constant across agents at equal widths, so
     # the ranking follows the mean scores
     contexts = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
-    picks, _ = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
-                          estimators.stack_ridge([est]), params, np.random.default_rng(4))
+    picks = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
+                       estimators.stack_ridge([est]), params, np.random.default_rng(4))
     assert picks[0] == 1
 
 
@@ -142,7 +142,7 @@ def test_uniform_frequencies():
     rng = np.random.default_rng(3)
     counts = np.zeros(10)
     for _ in range(10**5):
-        picks, _ = select_one(PolicyKind("uniform"), spec, totals, 11, contexts, None, params, rng)
+        picks = select_one(PolicyKind("uniform"), spec, totals, 11, contexts, None, params, rng)
         counts[picks[0]] += 1
     np.testing.assert_allclose(counts / 10**5, np.full(10, 0.1), atol=0.01)
 
@@ -155,9 +155,9 @@ def test_greedy_exploration_coin():
     kind = PolicyKind("greedy", epsilon=1.0)  # always explores
     hits = np.zeros(5)
     for _ in range(2000):
-        picks, windows = select_one(kind, spec, totals, 6, contexts, est, params, rng)
-        # exploring scores no agent, so it carries no GP window either
-        assert windows is None
+        picks = select_one(kind, spec, totals, 6, contexts, est, params, rng)
+        # an exploring round returns the picks of the batch of one run alone
+        assert picks.shape == (1,) and picks.dtype.kind == "i"
         hits[picks[0]] += 1
     assert hits.min() > 0  # exploration may land on any agent
 
@@ -167,8 +167,7 @@ def test_observe_updates_estimator():
     est = estimators.init_ridge(2, params.lam)
     stacked = estimators.stack_ridge([est])
     contexts = np.array([[5.0, 5.0], [1.0, 2.0]])
-    policies.observe(PolicyKind("ucb"), stacked, np.array([1]), None, contexts[None],
-                     np.array([3.0]))
+    policies.observe(PolicyKind("ucb"), stacked, np.array([1]), contexts[None], np.array([3.0]))
     # the run's own state holds views of its row of the stacked one
     np.testing.assert_array_equal(est.moment, 3.0 * contexts[1])
     assert np.any(est.theta_hat != 0.0)
@@ -177,9 +176,8 @@ def test_observe_updates_estimator():
 
 def test_observe_uniform_skips_estimator():
     # uniform has no estimator; observe must not touch the None it is given
-    policies.observe(
-        PolicyKind("uniform"), None, np.array([0]), None, np.ones((1, 2, 2)), np.array([2.0]),
-    )
+    policies.observe(PolicyKind("uniform"), None, np.array([0]), np.ones((1, 2, 2)),
+                     np.array([2.0]))
 
 
 def test_observe_counts_invariant():
@@ -191,12 +189,10 @@ def test_observe_counts_invariant():
     contexts = rng.uniform(0.0, 10.0, (3, 2))
     moment = np.zeros(2)
     for t in range(4, 44):
-        picks, windows = select_one(PolicyKind("ucb"), spec, totals, t, contexts, est,
-                                         params, rng)
+        picks = select_one(PolicyKind("ucb"), spec, totals, t, contexts, est, params, rng)
         y = float(rng.uniform(0.1, 2.0))
         totals[picks[0]] += y
-        policies.observe(PolicyKind("ucb"), est, picks, windows, contexts[None],
-                         np.array([y]))
+        policies.observe(PolicyKind("ucb"), est, picks, contexts[None], np.array([y]))
         # each observe folds exactly its one observation in
         moment += y * contexts[picks[0]]
         np.testing.assert_array_equal(est.moment[0], moment)
@@ -219,14 +215,13 @@ def test_greedy_zero_epsilon_equals_ucb_zero_alpha():
         sequence = []
         for t in range(1, rounds + 1):
             if t <= n:
-                picks, windows = np.array([t - 1]), None
+                picks = np.array([t - 1])
             else:
-                picks, windows = select_one(kind, spec, totals, t, items[t - 1], est,
-                                                 params, rng)
+                picks = select_one(kind, spec, totals, t, items[t - 1], est, params, rng)
             a = int(picks[0])
             y = float(truths[t - 1][a])
             totals[a] += y
-            policies.observe(kind, est, picks, windows, items[t - 1][None], np.array([y]))
+            policies.observe(kind, est, picks, items[t - 1][None], np.array([y]))
             sequence.append(a)
         return sequence
 
@@ -249,7 +244,7 @@ def test_scores_clamped_before_goodness():
         select_one(
             PolicyKind("greedy", epsilon=0.0), spec, totals, 3, contexts,
             estimators.stack_ridge([est]), params, np.random.default_rng(seed),
-        )[0][0]
+        )[0]
         for seed in range(20)
     }
     assert picks == {0, 1}

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ofdsim.goodness import GoodnessSpec
 from ofdsim.policies import PolicyKind
 from ofdsim.simulator import RunConfig, RunTrace
 
-from oracles import theoretical_bound
+from oracles import gini_pairwise, theoretical_bound
 
 
 def make_config(**kw):
@@ -129,6 +130,20 @@ class TestRunConfig:
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             make_config(seed=seed)
+
+    def test_every_broken_cross_field_rule_gets_a_line_in_order(self):
+        # the seed, vector-length, confidence.dim, GP-noise, GP-horizon and
+        # weighted-Gini agent rules are reported together, one line each
+        with pytest.raises(ValueError) as exc_info:
+            make_config(seed=-1, policy=PolicyKind("gp-ucb"), horizon=16385, n_agents=16385,
+                        goodness=GoodnessSpec("weighted-gini", weights=np.ones(3)),
+                        confidence=ConfidenceParams.defaults(7, noise_r=1e200))
+        lines = str(exc_info.value).splitlines()
+        starts = ("seed must be", "goodness weights have length 3", "confidence.dim 7",
+                  "noise_r 1e+200", "horizon 16385", "n_agents 16385")
+        assert len(lines) == len(starts)
+        for line, start in zip(lines, starts):
+            assert line.startswith(start), line
 
 
 def test_single_agent_run_has_zero_regret():
@@ -285,6 +300,36 @@ def test_aggregate_leaves_out_negative_ledgers_from_fairness_metrics():
     assert only_negative.final_metrics["gini"] is None
     assert only_negative.final_metrics["min_ratio"] is None
     assert simulator.aggregate(traces[:1]).final_metrics["left_out"] == 0
+
+
+def test_aggregate_rejects_a_series_that_leaves_the_float_range():
+    # squaring the deviations of regrets near 1e300 overflows the CI to inf
+    # from the second round on; the first round's CI is finite
+    traces = [make_trace(1e300, horizon=3), make_trace(-1e300, horizon=3)]
+    traces[0].cum_regret[0] = traces[1].cum_regret[0] = 1.0
+    with pytest.raises(simulator.RunAbortedError,
+                       match=r"at round 2: mean_regret 0\.0, ci95 inf"):
+        simulator.aggregate(traces)
+
+
+def test_gini_matches_the_pairwise_form():
+    rng = np.random.default_rng(60)
+    for n in (1, 2, 3, 10, 2000):
+        u = rng.uniform(0.0, 10.0, n)
+        want = gini_pairwise(u)
+        assert simulator.gini_coefficient(u) == pytest.approx(want, rel=1e-12, abs=0.0), n
+
+
+def test_gini_takes_linear_memory():
+    # the pairwise form's N x N matrix would take 32 MB at N = 2000
+    u = np.random.default_rng(61).uniform(0.0, 10.0, 2000)
+    tracemalloc.start()
+    try:
+        simulator.gini_coefficient(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_aggregate_input_validation():

@@ -1,7 +1,7 @@
 """src/ holds what the simulator runs: no public definition that only
 tests use, no state field that nothing reads, every function the
 benchmark's tracer times, numpy as its one numeric library,
-and a GP window whose fields only estimators reads."""
+and a GP window that only estimators names."""
 
 import ast
 import json
@@ -141,14 +141,18 @@ def test_a_run_that_starts_no_pool_loads_no_multiprocessing(tmp_path):
 
 def test_only_estimators_reads_a_gp_window():
     # a GP window's layout, and when it is spent, are decided in estimators
-    # alone: every other module hands a window on whole
+    # alone: a GP state keeps its window, and no other module names the
+    # type, reads the state's window or reads a field of one
     from ofdsim.estimators import GpWindow
 
+    names = {"GpWindow", "window", *GpWindow._fields}
     readers = sorted({
         f"{path.name}:{node.lineno}"
         for path in PACKAGE.glob("*.py")
         if path.name != "estimators.py"
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr in GpWindow._fields
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id == "GpWindow")
+        or (isinstance(node, ast.alias) and node.name == "GpWindow")
     })
-    assert not readers, f"modules other than estimators.py that read a GpWindow field: {readers}"
+    assert not readers, f"modules other than estimators.py that name a GP window: {readers}"
