@@ -1,7 +1,9 @@
 """Command-line front end: presets for the synthetic experiments,
 ad-hoc runs from flags or a key=value config file, parallel seed
 fan-out in lockstep batches, and CSV/manifest emission for external
-plotting.
+plotting. The entries of a grid point share their seeds and world, so
+its ridge-policy entries run as one batch; every entry is aggregated
+before the first CSV is written.
 
 Each run option is declared once, in ``OPTIONS``, which drives the
 parser, the defaults and the config-file keys. The rules of a run live
@@ -129,11 +131,8 @@ def _derive_seeds(base_seed: int, reps: int) -> tuple[int, ...]:
     or sweep point, so every policy and every grid point of an
     experiment faces identical instances and item sequences (paired
     comparisons)."""
-    out = []
-    for rep in range(reps):
-        ss = np.random.SeedSequence([base_seed, rep])
-        out.append(int(ss.generate_state(1, np.uint64)[0]))
-    return tuple(out)
+    return tuple(int(np.random.SeedSequence([base_seed, rep]).generate_state(1, np.uint64)[0])
+                 for rep in range(reps))
 
 
 def _goodness_args(
@@ -151,17 +150,17 @@ def expand_preset(preset: str, reps: int, base_seed: int) -> list[RunSpecEntry]:
     """Resolve a preset name into its full list of runs."""
     if preset not in PRESET_NAMES:
         raise ConfigError([f"unknown preset {preset!r}; choose from {', '.join(PRESET_NAMES)}"])
-    main_four = [PolicyKind("ucb"), PolicyKind("ts"), PolicyKind("greedy"), PolicyKind("uniform")]
-    ucb_ts = [PolicyKind("ucb"), PolicyKind("ts")]
-    entries: list[RunSpecEntry] = []
+    main_four = ("ucb", "ts", "greedy", "uniform")
+    ucb_ts = ("ucb", "ts")
+    entries = []
 
     seeds = _derive_seeds(base_seed, reps)
 
-    def add(name: str, policies: list[PolicyKind], *, rho: float, **fields) -> None:
-        for pol in policies:
-            args = _goodness_args(goodness.WEIGHTED_GINI, fields["n_agents"], rho)
-            spec = goodness.GoodnessSpec(**args)
-            proto = RunConfig(seed=0, policy=pol, goodness=spec, **fields)
+    def add(name: str, policies, *, rho: float, **fields) -> None:
+        for policy in policies:
+            spec = goodness.GoodnessSpec(**_goodness_args(goodness.WEIGHTED_GINI,
+                                                          fields["n_agents"], rho))
+            proto = RunConfig(seed=0, policy=PolicyKind(policy), goodness=spec, **fields)
             entries.append(RunSpecEntry(name=name, proto=proto, seeds=seeds))
 
     if preset.startswith("fig1-linear"):
@@ -169,7 +168,7 @@ def expand_preset(preset: str, reps: int, base_seed: int) -> list[RunSpecEntry]:
         add(preset, main_four, horizon=10000, n_agents=10,
             item_dim=half, agent_dim=half, rho=0.85)
     elif preset == "fig1-square":
-        gp_pair = [PolicyKind("ucb"), PolicyKind("ts"), PolicyKind("gp-ucb"), PolicyKind("gp-ts")]
+        gp_pair = ("ucb", "ts", "gp-ucb", "gp-ts")
         add(preset, gp_pair, horizon=500, n_agents=10, item_dim=2, agent_dim=2,
             rho=0.85, utility_kind=environment.SQUARE)
     elif preset == "fig2-vary-agents":
@@ -249,9 +248,8 @@ def _build_run(policy: dict, goodness_args, confidence, sizes: dict,
 
 
 def _read_config_file(path: str) -> dict:
-    values = {}
-    problems = []
-    with open(path, "r", encoding="utf-8") as fh:
+    values, problems = {}, []
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -353,6 +351,9 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
 # ---------------------------------------------------------------------------
 # serialization for the manifest
 
+# a run's sizes and utility kind, RunConfig's fields of the same names
+_SIZES = ("horizon", "n_agents", "item_dim", "agent_dim", "utility_kind")
+
 
 def _goodness_to_json(spec: goodness.GoodnessSpec) -> dict:
     return {
@@ -373,11 +374,7 @@ def _entry_to_json(entry: RunSpecEntry) -> dict:
         "policy": asdict(proto.policy),
         "seeds": list(entry.seeds),
         "config": {
-            "horizon": proto.horizon,
-            "n_agents": proto.n_agents,
-            "item_dim": proto.item_dim,
-            "agent_dim": proto.agent_dim,
-            "utility_kind": proto.utility_kind,
+            **{name: getattr(proto, name) for name in _SIZES},
             "goodness": _goodness_to_json(proto.goodness),
             "confidence": confidence,
         },
@@ -386,8 +383,7 @@ def _entry_to_json(entry: RunSpecEntry) -> dict:
 
 def _entry_from_json(payload: dict) -> RunSpecEntry:
     cfg = payload["config"]
-    sizes = {name: cfg[name]
-             for name in ("horizon", "n_agents", "item_dim", "agent_dim", "utility_kind")}
+    sizes = {name: cfg[name] for name in _SIZES}
     proto = _build_run(payload["policy"], lambda n_agents: cfg["goodness"],
                        lambda dim: ConfidenceParams(dim=dim, **cfg["confidence"]), sizes)
     return RunSpecEntry(name=payload["name"], proto=proto, seeds=tuple(payload["seeds"]))
@@ -397,24 +393,35 @@ def _entry_from_json(payload: dict) -> RunSpecEntry:
 # execution
 
 
-def _batches(entries: list[RunSpecEntry], jobs: int) -> list[tuple[RunConfig, tuple]]:
-    """One batch, a run and its seeds, per entry, in order. While there
-    are fewer batches than jobs, the seeds of the largest are split in
-    two halves, so every worker gets runs."""
-    batches = [(entry.proto, entry.seeds) for entry in entries]
+def _batches(entries: list[RunSpecEntry], jobs: int) -> list[tuple]:
+    """Batches of runs, each a run, its seeds and each seed's policy kind,
+    in entry-then-seed order: one per entry, but the entries of the ridge
+    policies next to each other that share a name, seeds and world (their
+    manifest block but the policy) make one. While there are fewer
+    batches than jobs, the runs of the largest are split in two halves,
+    so every worker gets runs."""
+    batches, last = [], None
+    for entry in entries:
+        key = entry.proto.policy.uses_ridge and {**_entry_to_json(entry), "policy": 0, "csv": 0}
+        proto, seeds, kinds = batches.pop() if key and key == last else (entry.proto, (), ())
+        batches.append((proto, seeds + entry.seeds,
+                        kinds + (entry.proto.policy,) * len(entry.seeds)))
+        last = key
     while len(batches) < jobs:
         k = max(range(len(batches)), key=lambda i: len(batches[i][1]))
-        proto, seeds = batches[k]
+        proto, seeds, kinds = batches[k]
         if len(seeds) < 2:
             break
         half = (len(seeds) + 1) // 2
-        batches[k : k + 1] = [(proto, seeds[:half]), (proto, seeds[half:])]
+        batches[k : k + 1] = [(proto, seeds[:half], kinds[:half]),
+                              (proto, seeds[half:], kinds[half:])]
     return batches
 
 
 def execute_entries(entries: list[RunSpecEntry], jobs: int, outdir: str) -> list[str]:
-    """Run every entry's repetitions, a batch of seeds in lockstep at a
-    time, and write one aggregate CSV each."""
+    """Run every entry's repetitions, a batch of runs in lockstep at a
+    time, aggregate each entry in order, and only then write one
+    aggregate CSV each, so a run abort leaves no CSV."""
     batches = _batches(entries, jobs)
     if jobs > 1 and len(batches) > 1:
         # imported here, so that a run that starts no pool does not load
@@ -424,28 +431,21 @@ def execute_entries(entries: list[RunSpecEntry], jobs: int, outdir: str) -> list
         with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
             done = list(pool.map(simulator.run_batch, *zip(*batches), chunksize=1))
     else:
-        done = [simulator.run_batch(proto, seeds) for proto, seeds in batches]
-    traces = [trace for batch in done for trace in batch]
-
-    written = []
-    offset = 0
-    for entry in entries:
-        chunk = traces[offset : offset + len(entry.seeds)]
-        offset += len(entry.seeds)
-        series = simulator.aggregate(chunk)
+        done = [simulator.run_batch(*batch) for batch in batches]
+    traces = iter(sum(done, []))
+    series = [simulator.aggregate([next(traces) for _ in entry.seeds]) for entry in entries]
+    for entry, entry_series in zip(entries, series):
         path = os.path.join(outdir, entry.csv_name)
-        simulator.write_series_csv(series, path)
-        written.append(entry.csv_name)
+        simulator.write_series_csv(entry_series, path)
         print(f"wrote {path}")
-    return written
+    return [entry.csv_name for entry in entries]
 
 
 def _prepare_outdir(outdir: str) -> None:
     try:
         os.makedirs(outdir, exist_ok=True)
         probe = os.path.join(outdir, ".write-probe")
-        with open(probe, "w", encoding="utf-8") as fh:
-            fh.write("")
+        open(probe, "w", encoding="utf-8").close()
         os.remove(probe)
     except OSError as exc:
         raise PermissionError(f"output directory {outdir!r} is not writable: {exc}") from exc
@@ -473,7 +473,7 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
     may come with it, and its header obeys the rules of the flags."""
     replay_only = [key for key in (*DEFAULTS, "config") if key not in ("out", "jobs")]
     problems = _clashes(lambda key: _flag_value(ns, key) is not None, replay_only, "manifest")
-    with open(ns.manifest, "r", encoding="utf-8") as fh:
+    with open(ns.manifest, encoding="utf-8") as fh:
         payload = json.load(fh)
     seed, reps = payload["seed"], payload["reps"]
     jobs = DEFAULTS["jobs"] if ns.jobs is None else ns.jobs
@@ -497,7 +497,7 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
                            for entry in entries if len(entry.seeds) != reps)
     if counts:
         raise ConfigError(list(counts))
-    out = ns.out if ns.out else os.path.dirname(os.path.abspath(ns.manifest))
+    out = ns.out or os.path.dirname(os.path.abspath(ns.manifest))
     return RunPlan(entries, seed, payload.get("preset"), reps, out, jobs)
 
 

@@ -141,6 +141,18 @@ def stack_ridge(states: list[RidgeState]) -> RidgeState:
     return stacked
 
 
+def ridge_rows(state: RidgeState, rows: slice) -> RidgeState:
+    """The runs of a stacked state in rows, a slice, as a stacked state
+    of views: it reads and updates those rows of state in place."""
+    precision = state.precision
+    return RidgeState(
+        precision=linalg.PrecisionState(m_mat=precision.m_mat[rows], m_inv=precision.m_inv[rows],
+                                        log_det=precision.log_det[rows]),
+        moment=state.moment[rows],
+        theta_hat=state.theta_hat[rows],
+    )
+
+
 def ridge_update(state: RidgeState, x: np.ndarray, y: np.ndarray | float) -> RidgeState:
     """Fold observations (x, y) into the ridge estimate: x of shape
     (..., dim) and y of shape (...), one per run of a stacked state;
@@ -264,20 +276,22 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
 def _kernel_cross(state: GpState, a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,
                   b_sq: np.ndarray) -> np.ndarray:
     """k(a_i, b_j) for scaled inputs a (n,d) and b (..., m, d), whose
-    squared row norms are a_sq (n,) and b_sq (..., m); shape (..., n, m).
-    Each step is elementwise, so computing it in place, which keeps a
-    window's kernel to two arrays, gives every element the bits of
+    squared row norms are a_sq (n,) and b_sq (..., m); shape (..., n, m),
+    a view of an array laid out (..., m, n), with the n stored inputs
+    innermost, where the broadcast sum runs fastest. Each step is
+    elementwise, IEEE addition commutes and x / -c is -(x / c), so
+    computing it in place, which keeps a window's kernel to two arrays,
+    gives every element the bits of
     exp(-((a_sq + b_sq) - 2*a.b) / (2*l^2)) * signal_var taken apart."""
-    cross = a @ np.swapaxes(b, -1, -2)
+    cross = a @ b.swapaxes(-1, -2)
     cross *= 2.0
-    sq = a_sq[:, None] + b_sq[..., None, :]
-    sq -= cross
+    sq = b_sq[..., :, None] + a_sq
+    sq -= cross.swapaxes(-1, -2)
     np.maximum(sq, 0.0, out=sq)
-    np.negative(sq, out=sq)
-    sq /= 2.0 * state.lengthscale**2
+    sq /= -2.0 * state.lengthscale**2
     np.exp(sq, out=sq)
     sq *= state.signal_var
-    return sq
+    return sq.swapaxes(-1, -2)
 
 
 class GpWindow(NamedTuple):

@@ -4,9 +4,12 @@ function as a candidate allocation, and pick the argmax.
 
 The simulator makes the round-robin picks of rounds 1..N itself; a
 policy chooses from round N+1 on. The simulator steps the R runs of a
-batch together, so a policy chooses for every run at once: ledgers
+batch together, so the policies choose for every run at once: ledgers
 arrive as (R, N), a round's contexts as (R, N, d) and the ridge state
-with a leading run axis, and the picks leave as an int array (R,). The
+with a leading run axis, and the picks leave as an int array (R,). A
+batch may hold runs of several ridge policies, as row groups
+(:func:`row_groups`): each policy scores its own rows, and one
+candidate-goodness call, one argmax and one update serve them all. The
 contexts of the rounds after it, drawn ahead, come with the round's: a
 GP run conditions a window of them at once, which its state keeps for
 observe and the rounds after, so neither call takes or returns one.
@@ -21,6 +24,7 @@ round.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,35 +95,69 @@ def _pick_max(values: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray
     return picks
 
 
+def row_groups(kinds: tuple[PolicyKind, ...], estimator) -> list[tuple]:
+    """A batch's runs, whose policy kinds are kinds in run order and whose
+    estimator is theirs as the round loop steps it, as (kind, rows, state)
+    groups in order: rows the slice of a stretch of runs of one policy and
+    state what those runs score with. A batch of one policy is one group
+    whose state is the estimator itself; a batch of several ridge policies
+    hands each group views of its rows (:func:`estimators.ridge_rows`)."""
+    groups, lo = [], 0
+    for kind, same in itertools.groupby(kinds):
+        hi = lo + len(list(same))
+        groups.append((kind, slice(lo, hi)))
+        lo = hi
+    if len(groups) == 1:
+        return [(*groups[0], estimator)]
+    return [(kind, rows, estimators.ridge_rows(estimator, rows)) for kind, rows in groups]
+
+
+def _ridge_scores(kind: PolicyKind, t: int, xs: np.ndarray, state: estimators.RidgeState,
+                  params: estimators.ConfidenceParams,
+                  rngs: list[np.random.Generator]) -> np.ndarray:
+    """The agent scores (R, n_agents) of R runs of one ridge policy, whose
+    contexts xs are (R, n_agents, dim) and whose stacked state is state."""
+    if kind.name == "ucb":
+        return estimators.ucb_scores(state, params, t, xs)
+    theta = estimators.ts_sample(state, params, t, rngs) if kind.name == "ts" else state.theta_hat
+    return np.matmul(xs, theta[..., None])[..., 0]
+
+
 def select_agent(
-    kind: PolicyKind,
+    groups: list[tuple],
     spec: goodness.GoodnessSpec,
     totals: np.ndarray,
     t: int,
     contexts: np.ndarray,
-    estimator,
     params: estimators.ConfidenceParams,
     rngs: list[np.random.Generator],
 ) -> np.ndarray:
     """Choose each run's agent for round t > n_agents, given the ledger
     totals (R, n_agents) and contexts, a float array of shape (rounds, R,
     n_agents, dim): round t's contexts, one row per agent, and those
-    drawn for the rounds after it. estimator steps every run: a ridge
-    state stacked by :func:`estimators.stack_ridge`, the runs' GP states,
-    or None for uniform. Run r draws from rngs[r] alone. A non-finite
-    candidate goodness raises :class:`linalg.NumericError`. Returns the
-    picks (R,).
+    drawn for the rounds after it. groups holds the batch's runs as
+    :func:`row_groups` makes them: each policy scores its own rows, from
+    a ridge state stacked by :func:`estimators.stack_ridge` or views of
+    its rows, the runs' GP states, or None for uniform. Only the ridge
+    policies share a batch, and one candidate-goodness call and one
+    argmax then serve every run. Run r draws from rngs[r] alone. A
+    non-finite candidate goodness raises :class:`linalg.NumericError`.
+    Returns the picks (R,).
 
     A GP run conditions a window of coming rounds at once:
     :func:`estimators.gp_round` keeps the window in the run's state while
     it has rounds left, else opens one on the contexts drawn ahead."""
-    xs = contexts[0]
     n = totals.shape[1]
+    kind, _, state = groups[0]
     if kind.name == "uniform":
         return np.array([rng.integers(n) for rng in rngs])
     scored = None
-    if kind.name == "greedy" and kind.epsilon > 0.0:
-        explores = [rng.random() < kind.epsilon for rng in rngs]
+    coins = [(rows, member.epsilon) for member, rows, _ in groups
+             if member.name == "greedy" and member.epsilon > 0.0]
+    if coins:
+        explores = [False] * len(rngs)
+        for rows, epsilon in coins:
+            explores[rows] = [rng.random() < epsilon for rng in rngs[rows]]
         if any(explores):
             # an exploring run scores no agent, so its row is left unchecked
             picks = np.array([rng.integers(n) if e else -1 for rng, e in zip(rngs, explores)])
@@ -127,20 +165,20 @@ def select_agent(
             if not scored:
                 return picks
     if kind.uses_gp:
-        for r, state in enumerate(estimator):
-            estimators.gp_round(state, contexts[:, r])
+        for r, run_state in enumerate(state):
+            estimators.gp_round(run_state, contexts[:, r])
         if kind.name == "gp-ucb":
-            scores = np.array([estimators.gp_ucb_scores(state, params) for state in estimator])
+            scores = np.array([estimators.gp_ucb_scores(run_state, params) for run_state in state])
         else:
-            scores = np.array([estimators.gp_ts_scores(state, params, rng)
-                               for state, rng in zip(estimator, rngs)])
-    elif kind.name == "ucb":
-        scores = estimators.ucb_scores(estimator, params, t, xs)
-    elif kind.name == "ts":
-        theta = estimators.ts_sample(estimator, params, t, rngs)
-        scores = np.matmul(xs, theta[..., None])[..., 0]
+            scores = np.array([estimators.gp_ts_scores(run_state, params, rng)
+                               for run_state, rng in zip(state, rngs)])
+    elif len(groups) == 1:
+        scores = _ridge_scores(kind, t, contexts[0], state, params, rngs)
     else:
-        scores = np.matmul(xs, estimator.theta_hat[..., None])[..., 0]
+        scores = np.empty(totals.shape)
+        for member, rows, rows_state in groups:
+            scores[rows] = _ridge_scores(member, t, contexts[0, rows], rows_state, params,
+                                         rngs[rows])
     adds = np.maximum(scores, 0.0)
     if scored is None:
         values = goodness.candidate_scores(spec, totals, adds)
@@ -150,14 +188,14 @@ def select_agent(
     return picks
 
 
-def observe(
-    kind: PolicyKind, estimator, agents: np.ndarray, contexts: np.ndarray, y: np.ndarray
-) -> None:
+def observe(estimator, agents: np.ndarray, contexts: np.ndarray, y: np.ndarray) -> None:
     """Fold each run's realized utility y (R,) of its agent in agents (R,)
-    from contexts, the round's (R, n_agents, dim) array, into estimator,
-    as :func:`select_agent` takes it; uniform keeps no estimate."""
-    if kind.uses_ridge:
+    from contexts, the round's (R, n_agents, dim) array, into the batch's
+    estimator: one update of a stacked ridge state for every run, whatever
+    its policy, or each run's GP state in turn; uniform's None keeps no
+    estimate."""
+    if isinstance(estimator, estimators.RidgeState):
         estimators.ridge_update(estimator, contexts[np.arange(agents.size), agents], y)
-    elif kind.uses_gp:
+    elif estimator is not None:
         for r, (state, agent) in enumerate(zip(estimator, agents)):
             estimators.gp_update(state, contexts[r], agent, float(y[r]))

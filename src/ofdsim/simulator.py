@@ -26,20 +26,25 @@ The noise stream draws one Normal(0, R^2) every round, at R = 0 too,
 where each draw is +0.0 and leaves the utility as it was; it feeds
 nothing else, so its draws move no other stream.
 
-One round loop, :func:`run_batch`, steps R runs of one config, one per
-seed, in lockstep. Their ledgers are one (R, N) array, their contexts one
-(R, N, d) array and a ridge state one state with a leading run axis, so
-each layer's function runs once per round for all R runs. Each value is
-kept once: a run's own ridge state holds views of its row of the stacked
-state, and its trace arrays are rows of (R, T) arrays written a round's
-column at a time. Each run's arithmetic is the arithmetic it takes
-alone, in stacked numpy forms that give each run's bits, and each run
-draws from its own streams: items and noise a block of rounds ahead,
-which draws what one round at a time would, and the policy stream what
-the run alone would. A GP policy is handed the rest of the block's
-contexts, so it conditions a window of coming rounds at once, which
-each run's GP state keeps. So a run's trace does not depend on the
-batch it ran in. :func:`run_single` is a batch of one.
+One round loop, :func:`run_batch`, steps R runs of one world, one per
+seed, in lockstep. The runs may take different ridge policies (ucb, ts,
+greedy), each policy's runs a stretch of rows, as the CLI batches the
+entries of a grid point; a GP or uniform batch holds one policy. Their
+ledgers are one (R, N) array, their contexts one (R, N, d) array and a
+ridge state one state with a leading run axis, so each layer's function
+runs once per round for all R runs: one update, one candidate-goodness
+call and one argmax, while each policy scores its own rows through
+views of the stacked state. Each value is kept once: a run's own ridge
+state holds views of its row of the stacked state, and its trace arrays
+are rows of (R, T) arrays written a round's column at a time. Each
+run's arithmetic is the arithmetic it takes alone, in stacked numpy
+forms that give each run's bits, and each run draws from its own
+streams: items and noise a block of rounds ahead, which draws what one
+round at a time would, and the policy stream what the run alone would.
+A GP policy is handed the rest of the block's contexts, so it conditions
+a window of coming rounds at once, which each run's GP state keeps. So a
+run's trace does not depend on the batch it ran in. :func:`run_single`
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -188,27 +193,35 @@ def run_single(config: RunConfig) -> RunTrace:
 # a fault shows as a non-finite value, which the loop checks and reports as
 # a run abort, so numpy's warnings on the way to it would only be noise
 @np.errstate(invalid="ignore", over="ignore")
-def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
+def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
     """Execute R runs of config, one per seed, in lockstep, and return
-    their traces in seed order; config.seed is not read. Each run's trace
-    is the one it makes alone, bit for bit.
+    their traces in the order of seeds; config.seed is not read. kinds,
+    when given, is each run's PolicyKind in place of config.policy: runs
+    of the ridge policies (ucb, ts, greedy) may share a batch, each
+    policy scoring its own rows, while a GP or uniform batch holds one
+    policy. Each run's trace is the one it makes alone, bit for bit.
 
-    A run that faults mid-flight makes the batch run its seeds one at a
-    time, so the RunAbortedError raised is the first in seed order and
-    carries what that run alone reports. Runs are stepped in batches of
-    at most BATCH_SQUARE_BYTES of square arrays, GP factors and
-    weighted-Gini candidate ledgers, in seed order."""
+    A run that faults mid-flight makes the batch run its runs one at a
+    time, in order, so the RunAbortedError raised is the first in that
+    order and carries what that run alone reports. Runs are stepped in
+    batches of at most BATCH_SQUARE_BYTES of square arrays, GP factors
+    and weighted-Gini candidate ledgers, in order."""
     seeds = checked_seeds(seeds)
     runs = len(seeds)
-    spec, kind, params = config.goodness, config.policy, config.confidence
+    kinds = (config.policy,) * runs if kinds is None else tuple(kinds)
+    if len(kinds) != runs:
+        raise ValueError(f"{len(kinds)} policy kinds for {runs} seeds")
+    if len(set(kinds)) > 1 and not all(kind.uses_ridge for kind in kinds):
+        raise ValueError("only the ridge policies (ucb, ts, greedy) share a batch")
+    spec, params = config.goodness, config.confidence
     n, horizon, noise_r = config.n_agents, config.horizon, params.noise_r
-    square = 8 * horizon**2 if kind.uses_gp else 0
+    square = 8 * horizon**2 if kinds[0].uses_gp else 0
     if spec.kind == goodness.WEIGHTED_GINI:
         square += 8 * n**2
     most = max(1, BATCH_SQUARE_BYTES // max(square, 1))
     if runs > most:
         return [trace for k in range(0, runs, most)
-                for trace in run_batch(config, seeds[k : k + most])]
+                for trace in run_batch(config, seeds[k : k + most], kinds[k : k + most])]
 
     streams = [map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
                for seed in seeds]
@@ -218,15 +231,22 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
                                       config.utility_kind, rng)
         for rng in instance_rngs
     ]
-    states = [policies.make_estimator(kind, params, horizon) for _ in seeds]
-    estimator = estimators.stack_ridge(states) if kind.uses_ridge else states
+    states = [policies.make_estimator(kind, params, horizon) for kind in kinds]
+    # one stacked ridge state, the GP runs' states, or None for uniform
+    estimator = states if kinds[0].uses_gp else None
+    if kinds[0].uses_ridge:
+        estimator = estimators.stack_ridge(states)
+    groups = policies.row_groups(kinds, estimator)
     # these kinds cannot score the warm start's zero ledger entries
     needs_positive = spec.kind in goodness.POSITIVE_LEDGER_KINDS
     # items and noise are drawn a block of rounds at a time, which draws
     # what one round at a time would
     block = min(horizon, max(1, BLOCK_BYTES // (8 * runs * n * (params.dim + 1))))
-    # rounds per oracle call, whose weighted-Gini candidates take 8*runs*n*n bytes a round
-    chunk = max(1, BLOCK_BYTES // (8 * runs * n * n))
+    # rounds per oracle call: weighted-Gini candidates take 8*runs*n*n bytes a
+    # round, and the other kinds' (runs, n) fit a whole block
+    chunk = block
+    if spec.kind == goodness.WEIGHTED_GINI:
+        chunk = max(1, BLOCK_BYTES // (8 * runs * n * n))
 
     totals = np.zeros((runs, n))
     # run r's agent a sits at r*n + a of the flat ledger and of a round's
@@ -292,15 +312,15 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
             if t <= n:
                 picks = np.full(runs, idx)
             else:
-                picks = policies.select_agent(kind, spec, totals, t, context_block[j:],
-                                              estimator, params, policy_rngs)
+                picks = policies.select_agent(groups, spec, totals, t, context_block[j:],
+                                              params, policy_rngs)
             chosen[:, idx] = picks
             made = t
             at_pick = offsets + picks
             y = truths.take(at_pick) + noise_block[j]
             ledger[at_pick] += y
             realized[:, idx] = y
-            policies.observe(kind, estimator, picks, contexts, y)
+            policies.observe(estimator, picks, contexts, y)
         except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
             fault = (t, exc, totals[0])
         if fault is None and j < size - 1:
@@ -309,7 +329,7 @@ def run_batch(config: RunConfig, seeds) -> list[RunTrace]:
         charged = made
         if fault is not None:
             if runs > 1:
-                return [run_batch(config, [seed])[0] for seed in seeds]
+                return [run_batch(config, [seed], [kind])[0] for seed, kind in zip(seeds, kinds)]
             t, exc, row = fault
             low = int(np.argmin(row))
             raise RunAbortedError(

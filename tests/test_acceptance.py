@@ -29,6 +29,7 @@ from ofdsim.estimators import (
     alpha_t,
     init_ridge,
     ridge_update,
+    stack_ridge,
 )
 from ofdsim.goodness import GoodnessSpec, weights_from_rho
 from ofdsim.policies import PolicyKind
@@ -224,32 +225,85 @@ def test_04_trace_oracle_matches_naive_recomputation():
     ), f"{mismatches} mismatches"
 
 
-def _coverage_run(seed: int) -> bool:
-    """Whether the ridge confidence ellipsoid covers theta at every round
-    of one run seeded by SeedSequence([515, seed])."""
-    d, horizon = 10, 2000
-    params = ConfidenceParams.defaults(d)
+COVERAGE_DIM = 10
+
+
+def _coverage_run(seed: int, horizon: int = 2000) -> tuple[int, object]:
+    """The unstacked form of one coverage run seeded by
+    SeedSequence([515, seed]): the first round whose ridge confidence
+    ellipsoid misses theta, 0 when every round covers it, and the run's
+    ridge state after the horizon."""
+    params = ConfidenceParams.defaults(COVERAGE_DIM)
     rng = np.random.default_rng(np.random.SeedSequence([515, seed]))
-    raw = rng.uniform(0.0, 10.0, size=d)
+    raw = rng.uniform(0.0, 10.0, size=COVERAGE_DIM)
     theta = raw / np.linalg.norm(raw)
-    state = init_ridge(d, lam=params.lam)
+    state = init_ridge(COVERAGE_DIM, lam=params.lam)
+    missed = 0
     for t in range(1, horizon + 1):
-        x = rng.uniform(0.0, 10.0, size=d)
+        x = rng.uniform(0.0, 10.0, size=COVERAGE_DIM)
         width = alpha_t(params, t) * inv_norm(state.precision, x)
-        if abs(float(x @ (state.theta_hat - theta))) > width:
-            return False
+        if not missed and abs(float(x @ (state.theta_hat - theta))) > width:
+            missed = t
         y = float(x @ theta) + rng.normal(scale=params.noise_r)
         state = ridge_update(state, x, y)
-    return True
+    return missed, state
 
 
-def test_05_confidence_ellipsoid_coverage(pool_map):
+def _coverage_runs(seeds, horizon: int = 2000) -> tuple[np.ndarray, object]:
+    """_coverage_run of every seed, stepped in lockstep as one stacked
+    ridge state: each run draws from its own generator what it draws
+    alone, and each per-run product keeps the unstacked form's shape, so
+    its bits. Returns the first missed rounds (R,) and the stacked state."""
+    params = ConfidenceParams.defaults(COVERAGE_DIM)
+    rngs = [np.random.default_rng(np.random.SeedSequence([515, seed])) for seed in seeds]
+    # a 1-D norm is a BLAS dot, whose bits norm(axis=1) does not give
+    theta = np.array([raw / np.linalg.norm(raw)
+                      for raw in (rng.uniform(0.0, 10.0, size=COVERAGE_DIM) for rng in rngs)])
+    state = stack_ridge([init_ridge(COVERAGE_DIM, lam=params.lam) for _ in seeds])
+    missed = np.zeros(len(seeds), dtype=np.int64)
+
+    def dots(a, b):
+        # one 1-D dot product per run, as x @ y takes it
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+    for t in range(1, horizon + 1):
+        x = np.array([rng.uniform(0.0, 10.0, size=COVERAGE_DIM) for rng in rngs])
+        q = dots(np.matmul(x[:, None, :], state.precision.m_inv)[:, 0], x)
+        width = alpha_t(params, t) * np.sqrt(np.maximum(q, 0.0))
+        miss = np.abs(dots(x, state.theta_hat - theta)) > width
+        missed[miss & (missed == 0)] = t
+        y = dots(x, theta) + np.array([rng.normal(scale=params.noise_r) for rng in rngs])
+        ridge_update(state, x, y)
+    return missed, state
+
+
+def test_05_confidence_ellipsoid_coverage():
     runs = 200
-    covered = sum(pool_map(_coverage_run, zip(range(runs))))
+    missed, _ = _coverage_runs(range(runs))
+    covered = int(np.count_nonzero(missed == 0))
     ok = covered >= int(0.95 * runs)
     assert _report(5, ok, f"{covered}/{runs} runs fully covered (need >= {int(0.95 * runs)})"), (
         f"covered {covered}"
     )
+
+
+def test_coverage_runs_in_lockstep_equal_the_unstacked_form(monkeypatch):
+    # the 200 runs of criterion 05 over a shorter horizon, with widths cut to
+    # a fifth so that some runs miss, and go on after their miss
+    horizon = 150
+    width = alpha_t
+    monkeypatch.setitem(globals(), "alpha_t", lambda params, t: 0.2 * width(params, t))
+    missed, stacked = _coverage_runs(range(200), horizon)
+    assert 0 < np.count_nonzero(missed) < 200
+    for seed in range(200):
+        alone_missed, alone = _coverage_run(seed, horizon)
+        assert missed[seed] == alone_missed, seed
+        pairs = [(stacked.precision.m_mat[seed], alone.precision.m_mat),
+                 (stacked.precision.m_inv[seed], alone.precision.m_inv),
+                 (stacked.precision.log_det[seed], alone.precision.log_det),
+                 (stacked.moment[seed], alone.moment), (stacked.theta_hat[seed], alone.theta_hat)]
+        for k, (got, want) in enumerate(pairs):
+            assert np.array_equal(got, want), (seed, k)
 
 
 def test_06_regret_stays_under_theoretical_bound(pool_map):

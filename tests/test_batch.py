@@ -36,14 +36,34 @@ def batch(runs, policy="ucb", spec=SPECS[goodness.WEIGHTED_GINI], noise_r=0.1, *
     return config, list(range(11, 11 + runs))
 
 
-def assert_batch_equals_singles(config, seeds):
-    traces = simulator.run_batch(config, seeds)
+# the ridge policies of an entry group, as the CLI batches them: each
+# policy's runs on the same seeds, one policy after another
+MIXED = (PolicyKind("ucb"), PolicyKind("ts"), PolicyKind("greedy", epsilon=0.1),
+         PolicyKind("greedy", epsilon=0.5), PolicyKind("greedy", epsilon=1.0))
+
+
+def mixed(seeds, kinds=MIXED):
+    """The seeds and kinds of a batch of each kind's runs on seeds, in
+    kind-then-seed order."""
+    return [seed for _ in kinds for seed in seeds], [kind for kind in kinds for _ in seeds]
+
+
+def mixed_batch(runs, **kw):
+    """batch(runs, **kw) as a batch of every MIXED policy's runs."""
+    config, seeds = batch(runs, **kw)
+    return (config, *mixed(seeds))
+
+
+def assert_batch_equals_singles(config, seeds, kinds=None):
+    """Each run of run_batch(config, seeds, kinds) against its run alone,
+    at its seed and policy."""
+    traces = simulator.run_batch(config, seeds, kinds)
     assert len(traces) == len(seeds)
-    for trace, seed in zip(traces, seeds):
-        alone = simulator.run_single(dataclasses.replace(config, seed=seed))
+    for trace, seed, kind in zip(traces, seeds, kinds or [config.policy] * len(seeds)):
+        alone = simulator.run_single(dataclasses.replace(config, seed=seed, policy=kind))
         for field in dataclasses.fields(RunTrace):
             mine, theirs = getattr(trace, field.name), getattr(alone, field.name)
-            assert np.array_equal(mine, theirs), (seed, field.name)
+            assert np.array_equal(mine, theirs), (seed, kind, field.name)
     return traces
 
 
@@ -64,6 +84,12 @@ def test_batch_equals_single_runs(policy, kind, runs):
     pytest.param(batch(2, "ucb", utility_kind="square"), id="ucb-square"),
     pytest.param(batch(2, "gp-ucb", utility_kind="square"), id="gp-ucb-square"),
     pytest.param(batch(2, "gp-ts", utility_kind="square"), id="gp-ts-square"),
+    pytest.param(mixed_batch(2, noise_r=0.0, horizon=100), id="mixed-noiseless"),
+    pytest.param(mixed_batch(3, utility_kind="square", horizon=100), id="mixed-square"),
+    pytest.param(mixed_batch(1, n_agents=1, horizon=30), id="mixed-one-agent"),
+    # a policy may come back after another, and each run has its own seed
+    pytest.param((batch(1)[0], [11, 12, 13, 14, 15, 16, 17],
+                  [MIXED[k] for k in (3, 0, 0, 1, 3, 2, 0)]), id="mixed-any-order"),
 ])
 def test_batch_equals_single_runs_at_the_edges(case):
     assert_batch_equals_singles(*case)
@@ -78,17 +104,47 @@ def test_gp_batch_spans_windows_and_item_blocks(monkeypatch, policy):
     assert_batch_equals_singles(*batch(3, policy, utility_kind="square", horizon=300))
 
 
-@pytest.mark.parametrize("policy", ["ucb", "gp-ts"])
-def test_runs_do_not_depend_on_block_or_oracle_call_sizes(monkeypatch, policy):
-    # at N = 10 and d = 4 an oracle call takes half an item block: blocks of
-    # 1, 7 and 60 rounds are charged in calls of 1, 3 and 30 rounds
-    config, seeds = batch(2, policy, utility_kind="square", horizon=120, n_agents=10)
+@pytest.mark.parametrize("policy, kind", [
+    pytest.param("ucb", goodness.WEIGHTED_GINI, id="ucb"),
+    pytest.param("gp-ts", goodness.WEIGHTED_GINI, id="gp-ts"),
+    pytest.param("ucb", goodness.LOG_NSW, id="ucb-log-nsw"),
+])
+def test_runs_do_not_depend_on_block_or_oracle_call_sizes(monkeypatch, policy, kind):
+    # at N = 10 and d = 4 a weighted-Gini oracle call takes half an item
+    # block: blocks of 1, 7 and 60 rounds are charged in calls of 1, 3 and 30
+    # rounds; under log-NSW each block is charged in one call
+    config, seeds = batch(2, policy, SPECS[kind], utility_kind="square", horizon=120,
+                          n_agents=10)
     want = simulator.run_batch(config, seeds)
     for rounds in (1, 7, 60):
         monkeypatch.setattr(simulator, "BLOCK_BYTES", 8 * 2 * 10 * 5 * rounds)
         for got, ref in zip(simulator.run_batch(config, seeds), want):
             for field in dataclasses.fields(RunTrace):
                 assert np.array_equal(getattr(got, field.name), getattr(ref, field.name)), rounds
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    pytest.param(goodness.LOG_NSW, [8, 16, 16, 16, 8], id="log-nsw"),
+    pytest.param(goodness.WEIGHTED_GINI, [1] * 64, id="weighted-gini"),
+])
+def test_oracle_calls_take_whole_blocks_but_under_weighted_gini(monkeypatch, kind, sizes):
+    # at N = 200, d = 4 and R = 2 an item block is 16 rounds; a weighted-Gini
+    # round's candidate ledgers fill the call bound alone, while the other
+    # kinds' (rounds, runs, n) candidates are charged a block at a time. The
+    # warm start's 200 rounds charge no oracle under log-NSW
+    calls = []
+    oracle = simulator._oracle
+
+    def counting(spec, ledgers, truths, picks):
+        calls.append(ledgers.shape[0] if ledgers.ndim == 3 else None)
+        return oracle(spec, ledgers, truths, picks)
+
+    monkeypatch.setattr(simulator, "_oracle", counting)
+    config, seeds = batch(2, "ucb", SPECS[kind], horizon=264, n_agents=200)
+    simulator.run_batch(config, seeds)
+    assert calls[-len(sizes):] == sizes
+    if kind == goodness.LOG_NSW:
+        assert len(calls) == len(sizes)
 
 
 @pytest.mark.parametrize("policy", ["ts", "gp-ts"])
@@ -110,16 +166,16 @@ def test_batch_equals_single_runs_on_constant_ties(monkeypatch):
             inst, agent_features=np.repeat(inst.agent_features[:1], n_agents, axis=0))
 
     monkeypatch.setattr(environment, "generate_instance", equal_agents)
-    for policy in ("ucb", "ts", "greedy"):
-        config, seeds = batch(5, policy, GoodnessSpec(goodness.WEIGHTED_GINI, rho=1.0),
-                              horizon=100)
-        for trace in assert_batch_equals_singles(config, seeds):
-            assert np.unique(trace.chosen[N_AGENTS:]).size == N_AGENTS, policy
+    spec = GoodnessSpec(goodness.WEIGHTED_GINI, rho=1.0)
+    cases = [batch(5, policy, spec, horizon=100) for policy in ("ucb", "ts", "greedy")]
+    for case in [*cases, mixed_batch(3, spec=spec, horizon=100)]:
+        for trace in assert_batch_equals_singles(*case):
+            assert np.unique(trace.chosen[N_AGENTS:]).size == N_AGENTS
 
 
-def handed_out_states(monkeypatch, config, seeds):
+def handed_out_states(monkeypatch, config, seeds, kinds=None):
     """The estimator state policies.make_estimator hands each run of
-    run_batch(config, seeds), in seed order, after the batch ends."""
+    run_batch(config, seeds, kinds), in run order, after the batch ends."""
     kept = []
     make = policies.make_estimator
 
@@ -128,7 +184,7 @@ def handed_out_states(monkeypatch, config, seeds):
         return kept[-1]
 
     monkeypatch.setattr(policies, "make_estimator", keep)
-    simulator.run_batch(config, seeds)
+    simulator.run_batch(config, seeds, kinds)
     monkeypatch.undo()
     return kept
 
@@ -161,15 +217,58 @@ def test_each_runs_state_ends_as_its_final_estimate(monkeypatch, policy):
             assert np.array_equal(got, want), (seed, k)
 
 
+@pytest.mark.parametrize("kind", goodness.KINDS)
+def test_mixed_batch_equals_single_runs(kind):
+    assert_batch_equals_singles(*mixed_batch(2, spec=SPECS[kind], horizon=100))
+
+
+def test_mixed_batch_spans_item_blocks(monkeypatch):
+    # items are drawn 7 rounds ahead at R = 10 and up to 70 at R = 1, so the
+    # batch and its runs alone cut their blocks and oracle calls at other rounds
+    monkeypatch.setattr(simulator, "BLOCK_BYTES", 8 * 10 * N_AGENTS * 5 * 7)
+    assert_batch_equals_singles(*mixed_batch(2, horizon=150))
+
+
+def test_mixed_batch_hands_each_run_a_view_of_its_row(monkeypatch):
+    config, seeds = batch(2, utility_kind="square")
+    seeds, kinds = mixed(seeds)
+    states = handed_out_states(monkeypatch, config, seeds, kinds)
+    assert len(states) == len(seeds)
+    whole = states[0].precision.m_inv.base
+    assert whole is not None and whole.shape == (len(seeds), 4, 4)
+    for r, (state, seed, kind) in enumerate(zip(states, seeds, kinds)):
+        assert state.precision.m_inv.base is whole
+        assert np.shares_memory(state.precision.m_inv, whole[r])
+        assert np.shares_memory(state.theta_hat, states[0].theta_hat.base[r])
+        alone, = handed_out_states(
+            monkeypatch, dataclasses.replace(config, seed=seed, policy=kind), [seed])
+        mine, theirs = state.precision, alone.precision
+        pairs = [(mine.m_mat, theirs.m_mat), (mine.m_inv, theirs.m_inv),
+                 (mine.log_det, theirs.log_det), (state.moment, alone.moment),
+                 (state.theta_hat, alone.theta_hat)]
+        assert not np.array_equal(mine.m_mat, config.confidence.lam * np.eye(4))
+        for k, (got, want) in enumerate(pairs):
+            assert np.array_equal(got, want), (seed, kind, k)
+
+
+def test_only_ridge_policies_share_a_batch():
+    config, _ = batch(1)
+    for other in ("uniform", "gp-ucb"):
+        with pytest.raises(ValueError, match="only the ridge policies"):
+            simulator.run_batch(config, [11, 12], [PolicyKind("ucb"), PolicyKind(other)])
+    with pytest.raises(ValueError, match="2 policy kinds for 3 seeds"):
+        simulator.run_batch(config, [11, 12, 13], [PolicyKind("ucb")] * 2)
+
+
 def counted_batches(monkeypatch, config, seeds):
     """The traces of run_batch(config, seeds) and the size of every batch
     it ran, the split ones included."""
     sizes = []
     run_batch = simulator.run_batch
 
-    def counting(config, seeds):
+    def counting(config, seeds, kinds=None):
         sizes.append(len(seeds))
-        return run_batch(config, seeds)
+        return run_batch(config, seeds, kinds)
 
     monkeypatch.setattr(simulator, "run_batch", counting)
     traces = simulator.run_batch(config, seeds)
@@ -230,6 +329,30 @@ def test_batch_raises_the_line_the_sequential_loop_raises(first_seed):
     assert f"seed={ABORTS_AT_10 if first_seed == 35 else 39} " in str(batched.value)
 
 
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)], ids=["ucb-ts-greedy",
+                                                                        "greedy-ts-ucb",
+                                                                        "ts-greedy-ucb"])
+def test_mixed_batch_raises_the_line_the_entries_raise_in_order(order):
+    # the runs of each policy's entry come in turn, on the seeds of a grid
+    # point; the first line in entry-then-seed order is raised, whichever
+    # run faults at the earliest round
+    confidence = ConfidenceParams.defaults(4, lam=1e-15)
+    config = RunConfig(seed=0, policy=PolicyKind("ucb"), goodness=SPECS[goodness.WEIGHTED_GINI],
+                       confidence=confidence, horizon=20, n_agents=10, item_dim=2, agent_dim=2)
+    entries = [(PolicyKind(("ucb", "ts", "greedy")[k]), [35, 39, ABORTS_AT_10]) for k in order]
+    with pytest.raises(simulator.RunAbortedError) as sequential:
+        for kind, seeds in entries:
+            for seed in seeds:
+                simulator.run_single(dataclasses.replace(config, seed=seed, policy=kind))
+    seeds = [seed for _, entry_seeds in entries for seed in entry_seeds]
+    kinds = [kind for kind, entry_seeds in entries for _ in entry_seeds]
+    with pytest.raises(simulator.RunAbortedError) as batched:
+        simulator.run_batch(config, seeds, kinds)
+    assert str(batched.value) == str(sequential.value)
+    # alone, seed 39 aborts at round 11 or 12, after ABORTS_AT_10's round 10
+    assert "seed=39 " in str(batched.value)
+
+
 # every stacked form the round loop uses, against the per-run 2-D call it
 # replaces; a numpy or BLAS upgrade that breaks the premise fails here
 @pytest.mark.parametrize("n, d, runs",
@@ -266,6 +389,18 @@ def test_stacked_forms_match_per_run_calls(n, d, runs):
         (np.prod(round_ledgers, axis=-1), [np.prod(round_ledgers[k], axis=-1) for k in range(3)]),
         (np.sum(np.log(round_ledgers), axis=-1),
          [np.sum(np.log(round_ledgers[k]), axis=-1) for k in range(3)]),
+    ]
+    # a policy's rows of a batch of several policies: views of a slice of runs
+    rows = slice(runs // 2, runs)
+    kept = range(runs)[rows]
+    stacked_vs_single += [
+        (np.matmul(xs[rows], m_inv[rows]), [xs[r] @ m_inv[r] for r in kept]),
+        (np.matmul(xs[rows], theta[rows][..., None])[..., 0], [xs[r] @ theta[r] for r in kept]),
+        ((np.matmul(xs[rows], m_inv[rows]) * xs[rows]).sum(axis=-1),
+         [np.sum((xs[r] @ m_inv[r]) * xs[r], axis=1) for r in kept]),
+        (np.linalg.cholesky(m_inv[rows]), [np.linalg.cholesky(m_inv[r]) for r in kept]),
+        (np.matmul(np.linalg.cholesky(m_inv[rows]), v[rows][..., None])[..., 0],
+         [np.linalg.cholesky(m_inv[r]) @ v[r] for r in kept]),
     ]
     for k, (stacked, singles) in enumerate(stacked_vs_single):
         assert np.array_equal(stacked, np.stack(singles)), k

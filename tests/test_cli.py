@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ofdsim import cli, environment, estimators, goodness
+from ofdsim import cli, environment, estimators, goodness, simulator
 from ofdsim.cli import ConfigError
 
 
@@ -439,6 +440,28 @@ def test_a_regret_series_out_of_the_float_range_exits_4_and_writes_no_csv(tmp_pa
     assert list(out.iterdir()) == []
 
 
+def test_a_later_entrys_abort_writes_no_csv(tmp_path, capsys):
+    # every entry is aggregated before the first CSV is written, so the
+    # second entry's abort leaves the first entry's CSV unwritten too
+    out = tmp_path / "a"
+    assert run_cli("run", "--policy", "ucb", "--reps", "2", "--horizon", "60", "--seed", "0",
+                   "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    second = json.loads(json.dumps(manifest["entries"][0]))
+    second["name"] = "big"
+    second["config"]["confidence"]["noise_r"] = 1e300
+    manifest["entries"].append(second)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    replay = tmp_path / "b"
+    assert run_cli("run", "--manifest", str(out / "manifest.json"), "--out", str(replay)) == 4
+    assert capsys.readouterr().err == (
+        "run aborted: regret series leaves the float range at round 19: "
+        "mean_regret 5.948067633911132e+284, ci95 inf\n"
+    )
+    assert list(replay.iterdir()) == []
+
+
 SCIPY_PROBE = """
 import sys
 from ofdsim import cli, simulator
@@ -754,27 +777,82 @@ def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
     assert capsys.readouterr().err == want
 
 
-def test_pool_is_no_wider_than_the_runs(tmp_path, monkeypatch):
-    # a stand-in pool records its width and runs in this process
+class InProcessPool:
+    """A stand-in process pool that records its width in widths and maps
+    in this process."""
+
     widths = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            widths.append(max_workers)
+    def __init__(self, max_workers):
+        self.widths.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc_info):
-            return False
+    def __exit__(self, *exc_info):
+        return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
 
+
+def test_pool_is_no_wider_than_the_runs(tmp_path, monkeypatch):
     # execute_entries imports the pool class only when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "widths", [])
     assert run_cli(*small_run_args(tmp_path / "x", jobs="64")) == 0
-    assert widths == [3]
+    assert InProcessPool.widths == [3]
+
+
+def test_an_entry_groups_ridge_policies_make_one_batch(tmp_path, monkeypatch):
+    # fig1-linear-d4's ucb, ts and greedy entries share a name, seeds and
+    # world, so at --jobs 2 they make one batch and uniform the other
+    calls = []
+    run_batch = simulator.run_batch
+
+    def counting(config, seeds, kinds=None):
+        calls.append([kind.name for kind in kinds])
+        return run_batch(config, seeds, kinds)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "widths", [])
+    monkeypatch.setattr(simulator, "run_batch", counting)
+    entries = [dataclasses.replace(entry, proto=dataclasses.replace(entry.proto, horizon=60))
+               for entry in cli.expand_preset("fig1-linear-d4", 2, 0)]
+    (tmp_path / "grouped").mkdir()
+    written = cli.execute_entries(entries, 2, str(tmp_path / "grouped"))
+    assert InProcessPool.widths == [2]
+    assert calls == [["ucb", "ucb", "ts", "ts", "greedy", "greedy"], ["uniform", "uniform"]]
+    # the same bytes as one entry at a time
+    (tmp_path / "alone").mkdir()
+    for entry in entries:
+        cli.execute_entries([entry], 1, str(tmp_path / "alone"))
+    for name in written:
+        assert (tmp_path / "grouped" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+def test_only_neighbouring_entries_of_one_world_share_a_batch():
+    seeds = (1, 2, 3)
+
+    def entry(policy, name="p", **fields):
+        base = dict(horizon=40, n_agents=3, item_dim=1, agent_dim=1)
+        proto = cli.RunConfig(seed=0, policy=cli.PolicyKind(policy),
+                              goodness=goodness.GoodnessSpec(goodness.WEIGHTED_GINI, rho=0.85),
+                              **{**base, **fields})
+        return cli.RunSpecEntry(name=name, proto=proto, seeds=seeds)
+
+    entries = [entry("ucb"), entry("ts"), entry("uniform"), entry("greedy"), entry("ucb"),
+               entry("ts", name="q"), entry("ts", name="q", horizon=50), entry("gp-ucb"),
+               entry("gp-ts")]
+    batches = cli._batches(entries, 1)
+    assert [[kind.name for kind in kinds] for _, _, kinds in batches] == [
+        ["ucb"] * 3 + ["ts"] * 3, ["uniform"] * 3, ["greedy"] * 3 + ["ucb"] * 3, ["ts"] * 3,
+        ["ts"] * 3, ["gp-ucb"] * 3, ["gp-ts"] * 3]
+    assert all(seeds_of == seeds * (len(seeds_of) // 3) for _, seeds_of, _ in batches)
+    # split for jobs, the largest batch in halves of its runs, in order
+    split = cli._batches(entries[:2], 3)
+    assert [(len(s), [k.name for k in kinds]) for _, s, kinds in split] == [
+        (2, ["ucb"] * 2), (1, ["ucb"]), (3, ["ts"] * 3)]
 
 
 @pytest.mark.parametrize("kind", ["nsw", "log-nsw", "targeted"])

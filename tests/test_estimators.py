@@ -245,6 +245,7 @@ def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42, block=2
     spec = GoodnessSpec("weighted-gini", rho=0.85)
     totals = np.zeros((1, n_agents))
     gp = policies.make_estimator(kind, params, rounds)
+    groups = policies.row_groups((kind,), [gp])
     rng = np.random.default_rng(seed)
     for t in range(1, rounds + 1):
         j = (t - 1) % block
@@ -253,12 +254,11 @@ def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42, block=2
         if t <= n_agents:
             picks = np.array([t - 1])
         else:
-            picks = policies.select_agent(kind, spec, totals, t, contexts[j:], [gp], params,
-                                          [rng])
+            picks = policies.select_agent(groups, spec, totals, t, contexts[j:], params, [rng])
         agent = picks[0]
         y = float(np.sum((contexts[j, 0, agent] / 10.0) ** 2))
         totals[0, agent] += y
-        policies.observe(kind, [gp], picks, contexts[j], np.array([y]))
+        policies.observe([gp], picks, contexts[j], np.array([y]))
         yield gp
 
 

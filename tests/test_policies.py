@@ -15,8 +15,8 @@ def select_one(kind, spec, totals, t, contexts, est, params, rng):
     """select_agent for a batch of one run and a block of one round, whose
     estimator est is a stacked ridge state, a list of one GP state, or
     None."""
-    return policies.select_agent(kind, spec, totals[None], t, contexts[None, None], est, params,
-                                 [rng])
+    return policies.select_agent(policies.row_groups((kind,), est), spec, totals[None], t,
+                                 contexts[None, None], params, [rng])
 
 
 def make_setup(n=4, dim=3, rho=0.85):
@@ -85,8 +85,7 @@ def test_round_robin_first_n_rounds():
     est = policies.make_estimator(PolicyKind("gp-ucb"), params, 10)
     contexts = np.random.default_rng(1).uniform(0.0, 1.0, (n, 3))
     for agent in range(n):
-        policies.observe(PolicyKind("gp-ucb"), [est], np.array([agent]), contexts[None],
-                         np.ones(1))
+        policies.observe([est], np.array([agent]), contexts[None], np.ones(1))
     assert est.n_obs == n
     np.testing.assert_allclose(est.inputs[:n], contexts / est.feature_scale)
 
@@ -167,7 +166,7 @@ def test_observe_updates_estimator():
     est = estimators.init_ridge(2, params.lam)
     stacked = estimators.stack_ridge([est])
     contexts = np.array([[5.0, 5.0], [1.0, 2.0]])
-    policies.observe(PolicyKind("ucb"), stacked, np.array([1]), contexts[None], np.array([3.0]))
+    policies.observe(stacked, np.array([1]), contexts[None], np.array([3.0]))
     # the run's own state holds views of its row of the stacked one
     np.testing.assert_array_equal(est.moment, 3.0 * contexts[1])
     assert np.any(est.theta_hat != 0.0)
@@ -176,8 +175,7 @@ def test_observe_updates_estimator():
 
 def test_observe_uniform_skips_estimator():
     # uniform has no estimator; observe must not touch the None it is given
-    policies.observe(PolicyKind("uniform"), None, np.array([0]), np.ones((1, 2, 2)),
-                     np.array([2.0]))
+    policies.observe(None, np.array([0]), np.ones((1, 2, 2)), np.array([2.0]))
 
 
 def test_observe_counts_invariant():
@@ -192,7 +190,7 @@ def test_observe_counts_invariant():
         picks = select_one(PolicyKind("ucb"), spec, totals, t, contexts, est, params, rng)
         y = float(rng.uniform(0.1, 2.0))
         totals[picks[0]] += y
-        policies.observe(PolicyKind("ucb"), est, picks, contexts[None], np.array([y]))
+        policies.observe(est, picks, contexts[None], np.array([y]))
         # each observe folds exactly its one observation in
         moment += y * contexts[picks[0]]
         np.testing.assert_array_equal(est.moment[0], moment)
@@ -221,7 +219,7 @@ def test_greedy_zero_epsilon_equals_ucb_zero_alpha():
             a = int(picks[0])
             y = float(truths[t - 1][a])
             totals[a] += y
-            policies.observe(kind, est, picks, items[t - 1][None], np.array([y]))
+            policies.observe(est, picks, items[t - 1][None], np.array([y]))
             sequence.append(a)
         return sequence
 
