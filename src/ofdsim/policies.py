@@ -5,21 +5,20 @@ function as a candidate allocation, and pick the argmax.
 The simulator makes the round-robin picks of rounds 1..N itself; a
 policy chooses from round N+1 on. The simulator steps the R runs of a
 batch together, so the policies choose for every run at once: ledgers
-arrive as (R, N), a round's contexts as (R, N, d) and the ridge state
-with a leading run axis, and the picks leave as an int array (R,). A
-batch may hold runs of several ridge policies, as row groups
-(:func:`row_groups`): each policy scores its own rows, and one
-candidate-goodness call, one argmax and one update serve them all. The
-contexts of the rounds after it, drawn ahead, come with the round's: a
-GP run conditions a window of them at once, which its state keeps for
-observe and the rounds after, so neither call takes or returns one.
-Each run keeps its own generator, and a run draws from it exactly what
-it would draw alone: a TS parameter, an epsilon coin and an exploring
-pick, and a tie draw. Ties in candidate goodness are broken uniformly
-at random within a relative tolerance of 1e-9; the tie draw is only
-taken when there is an actual tie, so deterministic variants consume
-identical rng streams. The GP steps each run's state in turn within the
-round.
+arrive as (R, N), the contexts of the round and of the rounds drawn
+ahead after it as (rounds, R, N, d), and the picks leave as an int array
+(R,). A batch's runs come as row groups (:func:`row_groups`), a stretch
+of runs of one policy each; only the ridge policies share a batch. One
+loop scores every group's rows, from a ridge state with a leading run
+axis or each run's GP state in turn, and one candidate-goodness call and
+one argmax serve them all. A GP run conditions a window of the rounds
+drawn ahead at once, which its state keeps for observe and the rounds
+after, so neither call takes or returns one. Each run keeps its own
+generator, and a run draws from it exactly what it would draw alone: a
+TS parameter, an epsilon coin and an exploring pick, and a tie draw.
+Ties in candidate goodness are broken uniformly at random within a
+relative tolerance of 1e-9; the tie draw is only taken when there is an
+actual tie, so deterministic variants consume identical rng streams.
 """
 
 from __future__ import annotations
@@ -112,15 +111,24 @@ def row_groups(kinds: tuple[PolicyKind, ...], estimator) -> list[tuple]:
     return [(kind, rows, estimators.ridge_rows(estimator, rows)) for kind, rows in groups]
 
 
-def _ridge_scores(kind: PolicyKind, t: int, xs: np.ndarray, state: estimators.RidgeState,
+def _group_scores(kind: PolicyKind, t: int, xs: np.ndarray, state,
                   params: estimators.ConfidenceParams,
                   rngs: list[np.random.Generator]) -> np.ndarray:
-    """The agent scores (R, n_agents) of R runs of one ridge policy, whose
-    contexts xs are (R, n_agents, dim) and whose stacked state is state."""
+    """The agent scores (R, n_agents) of R runs of one learning policy at
+    round t, from their contexts drawn ahead xs (rounds, R, n_agents, dim),
+    round t's first, and their stacked ridge state or GP states. A GP run
+    conditions a window of xs's rounds at once (:func:`estimators.gp_round`)."""
+    if kind.uses_gp:
+        for r, run_state in enumerate(state):
+            estimators.gp_round(run_state, xs[:, r])
+        if kind.name == "gp-ucb":
+            return np.array([estimators.gp_ucb_scores(run_state, params) for run_state in state])
+        return np.array([estimators.gp_ts_scores(run_state, params, rng)
+                         for run_state, rng in zip(state, rngs)])
     if kind.name == "ucb":
-        return estimators.ucb_scores(state, params, t, xs)
+        return estimators.ucb_scores(state, params, t, xs[0])
     theta = estimators.ts_sample(state, params, t, rngs) if kind.name == "ts" else state.theta_hat
-    return np.matmul(xs, theta[..., None])[..., 0]
+    return np.matmul(xs[0], theta[..., None])[..., 0]
 
 
 def select_agent(
@@ -136,24 +144,19 @@ def select_agent(
     totals (R, n_agents) and contexts, a float array of shape (rounds, R,
     n_agents, dim): round t's contexts, one row per agent, and those
     drawn for the rounds after it. groups holds the batch's runs as
-    :func:`row_groups` makes them: each policy scores its own rows, from
-    a ridge state stacked by :func:`estimators.stack_ridge` or views of
-    its rows, the runs' GP states, or None for uniform. Only the ridge
-    policies share a batch, and one candidate-goodness call and one
-    argmax then serve every run. Run r draws from rngs[r] alone. A
-    non-finite candidate goodness raises :class:`linalg.NumericError`.
-    Returns the picks (R,).
-
-    A GP run conditions a window of coming rounds at once:
-    :func:`estimators.gp_round` keeps the window in the run's state while
-    it has rounds left, else opens one on the contexts drawn ahead."""
+    :func:`row_groups` makes them: one loop scores each learning policy's
+    rows (:func:`_group_scores`), from a ridge state stacked by
+    :func:`estimators.stack_ridge` or views of its rows, or the runs' GP
+    states, and one candidate-goodness call and one argmax serve every
+    run; a uniform batch scores nothing. Run r draws from rngs[r] alone.
+    A non-finite candidate goodness raises :class:`linalg.NumericError`.
+    Returns the picks (R,)."""
     n = totals.shape[1]
-    kind, _, state = groups[0]
-    if kind.name == "uniform":
+    if groups[0][0].name == "uniform":
         return np.array([rng.integers(n) for rng in rngs])
     scored = None
-    coins = [(rows, member.epsilon) for member, rows, _ in groups
-             if member.name == "greedy" and member.epsilon > 0.0]
+    coins = [(rows, kind.epsilon) for kind, rows, _ in groups
+             if kind.name == "greedy" and kind.epsilon > 0.0]
     if coins:
         explores = [False] * len(rngs)
         for rows, epsilon in coins:
@@ -164,21 +167,9 @@ def select_agent(
             scored = [r for r, e in enumerate(explores) if not e]
             if not scored:
                 return picks
-    if kind.uses_gp:
-        for r, run_state in enumerate(state):
-            estimators.gp_round(run_state, contexts[:, r])
-        if kind.name == "gp-ucb":
-            scores = np.array([estimators.gp_ucb_scores(run_state, params) for run_state in state])
-        else:
-            scores = np.array([estimators.gp_ts_scores(run_state, params, rng)
-                               for run_state, rng in zip(state, rngs)])
-    elif len(groups) == 1:
-        scores = _ridge_scores(kind, t, contexts[0], state, params, rngs)
-    else:
-        scores = np.empty(totals.shape)
-        for member, rows, rows_state in groups:
-            scores[rows] = _ridge_scores(member, t, contexts[0, rows], rows_state, params,
-                                         rngs[rows])
+    scores = np.empty(totals.shape)
+    for kind, rows, state in groups:
+        scores[rows] = _group_scores(kind, t, contexts[:, rows], state, params, rngs[rows])
     adds = np.maximum(scores, 0.0)
     if scored is None:
         values = goodness.candidate_scores(spec, totals, adds)

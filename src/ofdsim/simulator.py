@@ -8,11 +8,11 @@ oracle's pick and the policy's, scored on the ledger before the pick.
 The regret comparison uses true utilities on both sides while the ledger
 accumulates noisy observations; that asymmetry is deliberate. The oracle
 waits on nothing the policy does, so the loop keeps each round's ledger
-and charges the oracle once per block of rounds, in one call for the
-block's rounds stacked. A fault is still reported at its own round: a
-fault of the oracle at the first round whose oracle faults, found round
-by round when the block's call faults, and a fault of the policy after
-the oracle of the rounds before it is charged.
+and charges the oracle in one call per block of rounds drawn ahead. A
+fault is still reported at its own round: a fault of the oracle at the
+first round whose oracle faults, found round by round when the block's
+call faults, and a fault of the policy after the oracle of the rounds
+before it is charged.
 
 Rounds 1..N are a round-robin warm start: round t goes to agent t-1 and
 draws nothing from the policy stream, so every ledger entry is positive
@@ -41,8 +41,9 @@ run's arithmetic is the arithmetic it takes alone, in stacked numpy
 forms that give each run's bits, and each run draws from its own
 streams: items and noise a block of rounds ahead, which draws what one
 round at a time would, and the policy stream what the run alone would.
-A GP policy is handed the rest of the block's contexts, so it conditions
-a window of coming rounds at once, which each run's GP state keeps. So a
+One bound, BLOCK_BYTES, sizes a block: its contexts, utilities and
+oracle candidates. A GP run is handed the rest of the block's contexts
+and conditions a window of them at once, which its state keeps. So a
 run's trace does not depend on the batch it ran in. :func:`run_single`
 is a batch of one.
 """
@@ -50,7 +51,7 @@ is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,8 +59,8 @@ from . import environment, estimators, goodness, linalg, policies
 from .estimators import GP_MAX_NOISE_R, ConfidenceParams
 
 MAX_HORIZON = 10**6
-# bound on the bytes of the contexts and utilities drawn ahead for a batch,
-# and of the candidate ledgers of one oracle call
+# bound on the bytes of a block of rounds: the contexts and utilities drawn
+# ahead for a batch, and the candidates of the block's one oracle call
 BLOCK_BYTES = 1 << 18
 # a run's square arrays: a GP run's factor takes 8 * horizon**2 bytes, and a
 # weighted-Gini round's candidate ledgers 8 * n_agents**2. RunConfig caps each
@@ -196,10 +197,12 @@ def run_single(config: RunConfig) -> RunTrace:
 def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
     """Execute R runs of config, one per seed, in lockstep, and return
     their traces in the order of seeds; config.seed is not read. kinds,
-    when given, is each run's PolicyKind in place of config.policy: runs
-    of the ridge policies (ucb, ts, greedy) may share a batch, each
+    when given, is each run's PolicyKind in place of config.policy, and
+    each kind must meet RunConfig's rules with config's other fields:
+    runs of the ridge policies (ucb, ts, greedy) may share a batch, each
     policy scoring its own rows, while a GP or uniform batch holds one
-    policy. Each run's trace is the one it makes alone, bit for bit.
+    policy. Each run's trace is the one it makes alone, bit for bit. A
+    block of rounds, one oracle call, fits BLOCK_BYTES or is one round.
 
     A run that faults mid-flight makes the batch run its runs one at a
     time, in order, so the RunAbortedError raised is the first in that
@@ -213,6 +216,8 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
         raise ValueError(f"{len(kinds)} policy kinds for {runs} seeds")
     if len(set(kinds)) > 1 and not all(kind.uses_ridge for kind in kinds):
         raise ValueError("only the ridge policies (ucb, ts, greedy) share a batch")
+    for kind in dict.fromkeys(kinds):  # each must meet RunConfig's rules
+        replace(config, policy=kind)
     spec, params = config.goodness, config.confidence
     n, horizon, noise_r = config.n_agents, config.horizon, params.noise_r
     square = 8 * horizon**2 if kinds[0].uses_gp else 0
@@ -239,14 +244,11 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
     groups = policies.row_groups(kinds, estimator)
     # these kinds cannot score the warm start's zero ledger entries
     needs_positive = spec.kind in goodness.POSITIVE_LEDGER_KINDS
-    # items and noise are drawn a block of rounds at a time, which draws
-    # what one round at a time would
-    block = min(horizon, max(1, BLOCK_BYTES // (8 * runs * n * (params.dim + 1))))
-    # rounds per oracle call: weighted-Gini candidates take 8*runs*n*n bytes a
-    # round, and the other kinds' (runs, n) fit a whole block
-    chunk = block
-    if spec.kind == goodness.WEIGHTED_GINI:
-        chunk = max(1, BLOCK_BYTES // (8 * runs * n * n))
+    # items and noise are drawn a block of rounds at a time, which draws what
+    # one round at a time would; a round's contexts and utilities take
+    # 8*runs*n*(d+1) bytes, and its weighted-Gini candidate ledgers 8*runs*n*n
+    width = max(params.dim + 1, n if spec.kind == goodness.WEIGHTED_GINI else 0)
+    block = min(horizon, max(1, BLOCK_BYTES // (8 * runs * n * width)))
 
     totals = np.zeros((runs, n))
     # run r's agent a sits at r*n + a of the flat ledger and of a round's
@@ -259,34 +261,30 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
     realized = np.empty((runs, horizon))
     inst_regret = np.empty((runs, horizon))
 
-    def charge(lo: int, hi: int) -> tuple | None:
-        """Charge the oracle of rounds lo..hi-1, counted from 0, all of the
-        current block, in calls of at most chunk rounds. A faulting call is
-        made again round by round, so the first fault found is the first in
-        round order, and it is returned as (round, error, that round's
-        ledger); None when every round is charged."""
-        first = lo - lo % block
-        if needs_positive and lo < n:
-            # the warm start charges no regret
-            warm = min(hi, n)
-            oracle[:, lo:warm], inst_regret[:, lo:warm] = chosen[:, lo:warm], 0.0
-            lo = warm
-        for k0 in range(lo, hi, chunk):
-            k1 = min(k0 + chunk, hi)
-            try:
-                best, gap = _oracle(spec, before[k0 - first : k1 - first],
-                                    truth_block[k0 - first : k1 - first], chosen[:, k0:k1].T)
-            except goodness.GoodnessDomainError:
-                for k in range(k0, k1):
-                    try:
-                        _oracle(spec, before[k - first], truth_block[k - first], chosen[:, k])
-                    except goodness.GoodnessDomainError as exc:
-                        return k + 1, exc, before[k - first, 0]
-                raise
-            oracle[:, k0:k1], inst_regret[:, k0:k1] = best.T, gap.T
+    def charge(first: int, hi: int) -> tuple | None:
+        """Charge the oracle of rounds first..hi-1, counted from 0, of the
+        block that starts at first, in one call. A faulting call is made
+        again round by round, so the first fault found is the first in round
+        order, and it is returned as (round, error, that round's ledger);
+        None when every round is charged."""
+        # the warm start charges no regret where the ledger must be positive
+        lo = max(first, min(hi, n)) if needs_positive else first
+        oracle[:, first:lo], inst_regret[:, first:lo] = chosen[:, first:lo], 0.0
+        if lo == hi:
+            return None
+        rows = slice(lo - first, hi - first)
+        try:
+            best, gap = _oracle(spec, before[rows], truth_block[rows], chosen[:, lo:hi].T)
+        except goodness.GoodnessDomainError:
+            for k in range(lo, hi):
+                try:
+                    _oracle(spec, before[k - first], truth_block[k - first], chosen[:, k])
+                except goodness.GoodnessDomainError as exc:
+                    return k + 1, exc, before[k - first, 0]
+            raise
+        oracle[:, lo:hi], inst_regret[:, lo:hi] = best.T, gap.T
         return None
 
-    charged = 0
     for t in range(1, horizon + 1):
         idx = t - 1
         j = idx % block
@@ -325,8 +323,7 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
             fault = (t, exc, totals[0])
         if fault is None and j < size - 1:
             continue
-        fault = charge(charged, made) or fault
-        charged = made
+        fault = charge(idx - j, made) or fault
         if fault is not None:
             if runs > 1:
                 return [run_batch(config, [seed], [kind])[0] for seed, kind in zip(seeds, kinds)]
@@ -396,7 +393,8 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     final-round efficiency/fairness metrics. A single trace is its own
     mean, with every CI 0. A mean or CI that is not finite, as when
     squaring the deviations of huge regrets overflows, raises
-    RunAbortedError naming the first such round.
+    RunAbortedError naming the first such round, and so does a final
+    ledger total that is not finite, naming the first such run's seed.
 
     Noise can leave a realized ledger total negative, where gini and
     min_ratio are undefined: those reps are left out of both metrics and
@@ -417,6 +415,12 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
             f"{float(mean_regret[k])!r}, ci95 {float(ci95[k])!r}"
         )
     finals = np.stack([tr.final_totals for tr in traces])
+    if not np.isfinite(finals).all():
+        r, a = divmod(int(np.argmin(np.isfinite(finals))), finals.shape[1])
+        raise RunAbortedError(
+            f"run seed={traces[r].seed} ends with a ledger total out of the float range: "
+            f"agent {a} {float(finals[r, a])!r}"
+        )
     scored = finals[~np.any(finals < 0.0, axis=1)]
     metrics = {
         "usw": _mean_ci(finals.sum(axis=1)),

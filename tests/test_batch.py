@@ -110,9 +110,10 @@ def test_gp_batch_spans_windows_and_item_blocks(monkeypatch, policy):
     pytest.param("ucb", goodness.LOG_NSW, id="ucb-log-nsw"),
 ])
 def test_runs_do_not_depend_on_block_or_oracle_call_sizes(monkeypatch, policy, kind):
-    # at N = 10 and d = 4 a weighted-Gini oracle call takes half an item
-    # block: blocks of 1, 7 and 60 rounds are charged in calls of 1, 3 and 30
-    # rounds; under log-NSW each block is charged in one call
+    # each block is charged in one oracle call; at N = 10 and d = 4 a
+    # weighted-Gini round's candidate ledgers take twice its contexts and
+    # utilities, so its blocks are of 1, 3 and 30 rounds, and log-NSW's of
+    # 1, 7 and 60
     config, seeds = batch(2, policy, SPECS[kind], utility_kind="square", horizon=120,
                           n_agents=10)
     want = simulator.run_batch(config, seeds)
@@ -123,28 +124,69 @@ def test_runs_do_not_depend_on_block_or_oracle_call_sizes(monkeypatch, policy, k
                 assert np.array_equal(getattr(got, field.name), getattr(ref, field.name)), rounds
 
 
-@pytest.mark.parametrize("kind, sizes", [
-    pytest.param(goodness.LOG_NSW, [8, 16, 16, 16, 8], id="log-nsw"),
-    pytest.param(goodness.WEIGHTED_GINI, [1] * 64, id="weighted-gini"),
-])
-def test_oracle_calls_take_whole_blocks_but_under_weighted_gini(monkeypatch, kind, sizes):
-    # at N = 200, d = 4 and R = 2 an item block is 16 rounds; a weighted-Gini
-    # round's candidate ledgers fill the call bound alone, while the other
-    # kinds' (rounds, runs, n) candidates are charged a block at a time. The
-    # warm start's 200 rounds charge no oracle under log-NSW
+def counted_oracle_calls(monkeypatch):
+    """The list that gets the ledgers' shape of every simulator._oracle
+    call from here on."""
     calls = []
     oracle = simulator._oracle
 
     def counting(spec, ledgers, truths, picks):
-        calls.append(ledgers.shape[0] if ledgers.ndim == 3 else None)
+        calls.append(ledgers.shape)
         return oracle(spec, ledgers, truths, picks)
 
     monkeypatch.setattr(simulator, "_oracle", counting)
-    config, seeds = batch(2, "ucb", SPECS[kind], horizon=264, n_agents=200)
+    return calls
+
+
+@pytest.mark.parametrize("kind, n_agents, horizon, sizes", [
+    pytest.param(goodness.LOG_NSW, 200, 264, [8, 16, 16, 16, 8], id="log-nsw"),
+    pytest.param(goodness.WEIGHTED_GINI, 200, 264, [1] * 264, id="weighted-gini"),
+    pytest.param(goodness.WEIGHTED_GINI, 10, 400, [163, 163, 74], id="weighted-gini-n10"),
+])
+def test_each_item_block_is_charged_in_one_oracle_call(monkeypatch, kind, n_agents, horizon,
+                                                       sizes):
+    # at R = 2 and d = 4 an item block at N = 200 is 16 rounds, and the warm
+    # start's 200 rounds charge no oracle under log-NSW; a weighted-Gini
+    # round's candidate ledgers take 8*R*N*N bytes, so its blocks are one
+    # round at N = 200, and 163 rounds at N = 10, where contexts and
+    # utilities alone would fit 327
+    calls = counted_oracle_calls(monkeypatch)
+    config, seeds = batch(2, "ucb", SPECS[kind], horizon=horizon, n_agents=n_agents)
     simulator.run_batch(config, seeds)
-    assert calls[-len(sizes):] == sizes
-    if kind == goodness.LOG_NSW:
-        assert len(calls) == len(sizes)
+    assert [shape[0] for shape in calls] == sizes
+
+
+@pytest.mark.parametrize("n, d, runs", [(10, 4, 6), (200, 4, 2), (10, 40, 60)])
+@pytest.mark.parametrize("kind", [goodness.WEIGHTED_GINI, goodness.LOG_NSW])
+def test_item_blocks_and_oracle_calls_fit_the_block_bound(monkeypatch, kind, n, d, runs):
+    # a block's contexts and utilities, and its oracle call's candidates:
+    # (rounds, R, N, N) candidate ledgers under weighted Gini and
+    # (rounds, R, N) goodness values otherwise, take at most BLOCK_BYTES,
+    # unless the block is one round
+    drawn = []
+
+    def kept(draw):
+        def keeping(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+        return keeping
+
+    for name in ("draw_item", "true_utilities"):
+        monkeypatch.setattr(environment, name, kept(getattr(environment, name)))
+    calls = counted_oracle_calls(monkeypatch)
+    config, seeds = batch(runs, "ucb", SPECS[kind], horizon=n + 40, n_agents=n,
+                          item_dim=d // 2, agent_dim=d // 2)
+    simulator.run_batch(config, seeds)
+    # a block draws each run's contexts, then each run's utilities
+    blocks = [drawn[k : k + 2 * runs] for k in range(0, len(drawn), 2 * runs)]
+    assert sum(len(block[0]) for block in blocks) == config.horizon
+    for block in blocks:
+        assert len(block[0]) == 1 or sum(a.nbytes for a in block) <= simulator.BLOCK_BYTES
+    width = n if kind == goodness.WEIGHTED_GINI else 1
+    assert calls
+    for rounds, *rest in calls:
+        assert rest == [runs, n]
+        assert rounds == 1 or 8 * rounds * runs * n * width <= simulator.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("policy", ["ts", "gp-ts"])
@@ -258,6 +300,17 @@ def test_only_ridge_policies_share_a_batch():
             simulator.run_batch(config, [11, 12], [PolicyKind("ucb"), PolicyKind(other)])
     with pytest.raises(ValueError, match="2 policy kinds for 3 seeds"):
         simulator.run_batch(config, [11, 12, 13], [PolicyKind("ucb")] * 2)
+
+
+def test_each_runs_policy_meets_the_configs_rules(monkeypatch):
+    # a ucb config's noise_r is too large for a GP policy, which the batch
+    # checks before it draws an instance
+    monkeypatch.setattr(environment, "generate_instance", None)
+    config = RunConfig(seed=1, policy=PolicyKind("ucb"), goodness=SPECS[goodness.WEIGHTED_GINI],
+                       confidence=ConfidenceParams.defaults(2, noise_r=1e200), horizon=30,
+                       n_agents=3, item_dim=1, agent_dim=1)
+    with pytest.raises(ValueError, match=r"^noise_r 1e\+200 is too large for a GP policy "):
+        simulator.run_batch(config, [1], [PolicyKind("gp-ucb")])
 
 
 def counted_batches(monkeypatch, config, seeds):

@@ -440,6 +440,20 @@ def test_a_regret_series_out_of_the_float_range_exits_4_and_writes_no_csv(tmp_pa
     assert list(out.iterdir()) == []
 
 
+def test_a_final_ledger_out_of_the_float_range_exits_4_and_writes_no_csv(tmp_path, capsys):
+    # noise at the float limit overflows a total in the last of the two
+    # warm-start rounds, whose ledger no oracle is charged on
+    out = tmp_path / "x"
+    args = ["run", "--policy", "uniform", "--agents", "2", "--horizon", "2", "--reps", "1",
+            "--noise-r", "1e308", "--seed", "51", "--out", str(out)]
+    assert run_cli(*args) == 4
+    assert capsys.readouterr().err == (
+        "run aborted: run seed=4759943601574245394 ends with a ledger total out of the "
+        "float range: agent 1 inf\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_a_later_entrys_abort_writes_no_csv(tmp_path, capsys):
     # every entry is aggregated before the first CSV is written, so the
     # second entry's abort leaves the first entry's CSV unwritten too

@@ -312,6 +312,18 @@ def test_aggregate_rejects_a_series_that_leaves_the_float_range():
         simulator.aggregate(traces)
 
 
+@pytest.mark.parametrize("total", [np.inf, -np.inf, np.nan])
+def test_aggregate_rejects_a_final_ledger_out_of_the_float_range(total):
+    # the second run's ledger leaves the float range in its last round,
+    # which charges no oracle, so its regret series stays finite
+    traces = [make_trace(1.0), make_trace(1.0, totals=(3.0, total))]
+    traces[1].seed = 7
+    with pytest.raises(simulator.RunAbortedError,
+                       match=rf"^run seed=7 ends with a ledger total out of the float range: "
+                             rf"agent 1 {total!r}$"):
+        simulator.aggregate(traces)
+
+
 def test_gini_matches_the_pairwise_form():
     rng = np.random.default_rng(60)
     for n in (1, 2, 3, 10, 2000):

@@ -1,7 +1,7 @@
 """src/ holds what the simulator runs: no public definition that only
-tests use, no state field that nothing reads, every function the
-benchmark's tracer times, numpy as its one numeric library,
-and a GP window that only estimators names."""
+tests use, no import that its module never uses, no state field that
+nothing reads, every function the benchmark's tracer times, numpy as its
+one numeric library, and a GP window that only estimators names."""
 
 import ast
 import json
@@ -54,6 +54,34 @@ def test_no_module_imports_scipy():
             if any(module.split(".")[0] == "scipy" for module in modules):
                 importers.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not importers, f"modules under src/ofdsim that import scipy: {importers}"
+
+
+def test_every_imported_name_is_used():
+    # an import nothing reads is left behind by a deletion; __init__.py's
+    # imports are read through __all__
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {
+            node.value
+            for assign in tree.body
+            if isinstance(assign, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in assign.targets)
+            for node in ast.walk(assign.value)
+            if isinstance(node, ast.Constant)
+        }
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, f"names imported under src/ofdsim that the module never uses: {unused}"
 
 
 def test_every_public_definition_is_used_in_src():
