@@ -470,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
     """Replay plan for a manifest; output goes next to it unless --out.
     The manifest fixes the runs, so of the options only --out and --jobs
-    may come with it, and its header obeys the rules of the flags."""
+    may come with it, and its header obeys the rules of the flags. No
+    two entries may write the same CSV file."""
     replay_only = [key for key in (*DEFAULTS, "config") if key not in ("out", "jobs")]
     problems = _clashes(lambda key: _flag_value(ns, key) is not None, replay_only, "manifest")
     with open(ns.manifest, encoding="utf-8") as fh:
@@ -495,8 +496,15 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
     # the entries of a grid point share their name and seeds: one line each
     counts = dict.fromkeys(f"entry {entry.name!r} has {len(entry.seeds)} seeds, not reps={reps}"
                            for entry in entries if len(entry.seeds) != reps)
-    if counts:
-        raise ConfigError(list(counts))
+    # each entry writes its own CSV; a later one would overwrite it
+    writers, clashes = {}, []
+    for k, entry in enumerate(entries):
+        first = writers.setdefault(entry.csv_name, k)
+        if first != k:
+            clashes.append(f"entries {first} and {k} ({entry.name!r}, policy "
+                           f"{entry.proto.policy.name}) both write {entry.csv_name}")
+    if counts or clashes:
+        raise ConfigError(list(counts) + clashes)
     out = ns.out or os.path.dirname(os.path.abspath(ns.manifest))
     return RunPlan(entries, seed, payload.get("preset"), reps, out, jobs)
 

@@ -36,7 +36,9 @@ runs once per round for all R runs: one update, one candidate-goodness
 call and one argmax, while each policy scores its own rows through
 views of the stacked state. Each value is kept once: a run's own ridge
 state holds views of its row of the stacked state, and its trace arrays
-are rows of (R, T) arrays written a round's column at a time. Each
+are rows of (R, T) arrays written a round's column at a time, 24 bytes
+a round (int32 picks and oracle agents, float64 realized utilities and
+regrets); the cumulative regret is derived from them. Each
 run's arithmetic is the arithmetic it takes alone, in stacked numpy
 forms that give each run's bits, and each run draws from its own
 streams: items and noise a block of rounds ahead, which draws what one
@@ -70,6 +72,8 @@ MAX_SQUARE_BYTES = 1 << 31
 # a batch holds its runs' square arrays at once; this bounds their bytes, one
 # run at the least
 BATCH_SQUARE_BYTES = 1 << 26
+# rows of a series CSV formatted and written at a time
+CSV_CHUNK_ROWS = 2048
 
 
 class RunAbortedError(RuntimeError):
@@ -177,13 +181,21 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
+    """One run's record, 24 bytes a round: its picks and the oracle's
+    agents (int32), the realized utilities and the regret of each round
+    (float64), and the final ledger. cum_regret is derived, not stored."""
+
     seed: int
     chosen: np.ndarray
     oracle: np.ndarray
     realized: np.ndarray
     inst_regret: np.ndarray
-    cum_regret: np.ndarray
     final_totals: np.ndarray
+
+    @property
+    def cum_regret(self) -> np.ndarray:
+        """The running sum of inst_regret, a new array on each read."""
+        return np.cumsum(self.inst_regret)
 
 
 def run_single(config: RunConfig) -> RunTrace:
@@ -201,8 +213,10 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
     each kind must meet RunConfig's rules with config's other fields:
     runs of the ridge policies (ucb, ts, greedy) may share a batch, each
     policy scoring its own rows, while a GP or uniform batch holds one
-    policy. Each run's trace is the one it makes alone, bit for bit. A
-    block of rounds, one oracle call, fits BLOCK_BYTES or is one round.
+    policy. Each run's trace is the one it makes alone, bit for bit, and
+    its arrays are rows of the batch's (R, T) arrays: int32 chosen and
+    oracle, float64 realized and inst_regret, 24 bytes a round. A block
+    of rounds, one oracle call, fits BLOCK_BYTES or is one round.
 
     A run that faults mid-flight makes the batch run its runs one at a
     time, in order, so the RunAbortedError raised is the first in that
@@ -256,8 +270,9 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
     ledger, offsets = totals.reshape(-1), np.arange(runs) * n
     # each round's ledger before its pick, kept for the block's oracle
     before = np.empty((block, runs, n))
-    chosen = np.empty((runs, horizon), dtype=np.int64)
-    oracle = np.empty((runs, horizon), dtype=np.int64)
+    # agent indices fit int32: n <= horizon <= MAX_HORIZON
+    chosen = np.empty((runs, horizon), dtype=np.int32)
+    oracle = np.empty((runs, horizon), dtype=np.int32)
     realized = np.empty((runs, horizon))
     inst_regret = np.empty((runs, horizon))
 
@@ -341,7 +356,6 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
             oracle=oracle[r],
             realized=realized[r],
             inst_regret=inst_regret[r],
-            cum_regret=np.cumsum(inst_regret[r]),
             final_totals=totals[r],
         )
         for r, seed in enumerate(seeds)
@@ -390,11 +404,13 @@ def _mean_ci(values) -> tuple[float, float]:
 @np.errstate(invalid="ignore", over="ignore")
 def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     """Mean cumulative regret per round with 95% CI half-widths, plus
-    final-round efficiency/fairness metrics. A single trace is its own
-    mean, with every CI 0. A mean or CI that is not finite, as when
-    squaring the deviations of huge regrets overflows, raises
-    RunAbortedError naming the first such round, and so does a final
-    ledger total that is not finite, naming the first such run's seed.
+    final-round efficiency/fairness metrics. The runs' cumulative
+    regrets are summed once, in place, in one (R, T) array. A single
+    trace is its own mean, with every CI 0. A mean or CI that is not
+    finite, as when squaring the deviations of huge regrets overflows,
+    raises RunAbortedError naming the first such round; so does a final
+    ledger with a total, or a sum of totals, that is not finite, naming
+    the first such run's seed.
 
     Noise can leave a realized ledger total negative, where gini and
     min_ratio are undefined: those reps are left out of both metrics and
@@ -402,10 +418,12 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
     usw is taken over every rep."""
     if not traces:
         raise ValueError("aggregate needs at least 1 trace")
-    horizon = traces[0].cum_regret.size
-    if any(tr.cum_regret.size != horizon for tr in traces):
+    horizon = traces[0].inst_regret.size
+    if any(tr.inst_regret.size != horizon for tr in traces):
         raise ValueError("all traces must share one horizon")
-    stacked = np.stack([tr.cum_regret for tr in traces])
+    # each row's running sum is RunTrace.cum_regret's, bit for bit
+    stacked = np.stack([tr.inst_regret for tr in traces])
+    np.cumsum(stacked, axis=1, out=stacked)
     mean_regret, ci95 = stacked.mean(axis=0), _ci95(stacked)
     finite = np.isfinite(mean_regret) & np.isfinite(ci95)
     if not finite.all():
@@ -421,9 +439,16 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
             f"run seed={traces[r].seed} ends with a ledger total out of the float range: "
             f"agent {a} {float(finals[r, a])!r}"
         )
+    usw = finals.sum(axis=1)
+    if not np.isfinite(usw).all():
+        r = int(np.argmin(np.isfinite(usw)))
+        raise RunAbortedError(
+            f"run seed={traces[r].seed} ends with a ledger whose sum leaves the float range: "
+            f"{float(usw[r])!r}"
+        )
     scored = finals[~np.any(finals < 0.0, axis=1)]
     metrics = {
-        "usw": _mean_ci(finals.sum(axis=1)),
+        "usw": _mean_ci(usw),
         "gini": _mean_ci([gini_coefficient(row) for row in scored]) if len(scored) else None,
         "min_ratio": _mean_ci([min_ratio(row) for row in scored]) if len(scored) else None,
         "left_out": len(finals) - len(scored),
@@ -433,13 +458,16 @@ def aggregate(traces: list[RunTrace]) -> AggregateSeries:
 
 def _checked_ledger(u, metric: str) -> tuple[np.ndarray, float]:
     """u as a float array and its total; a ledger metric needs u 1-d,
-    non-empty, finite and non-negative, with a positive total."""
+    non-empty, finite and non-negative, with a finite, positive total."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("u must be a non-empty 1-d array")
     if not np.all(np.isfinite(u)) or np.any(u < 0.0):
         raise ValueError("u must be finite and non-negative")
-    total = float(u.sum())
+    with np.errstate(over="ignore"):
+        total = float(u.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"{metric} undefined for a vector whose total leaves the float range")
     if total <= 0.0:
         raise ValueError(f"{metric} undefined for a zero-total vector")
     return u, total
@@ -462,15 +490,18 @@ def min_ratio(u: np.ndarray) -> float:
     return float(u.min()) / total
 
 
-def series_csv_lines(series: AggregateSeries) -> list[str]:
-    lines = ["t,mean_regret,ci95"]
-    for idx in range(series.mean_regret.size):
-        lines.append(
-            f"{idx + 1},{float(series.mean_regret[idx])!r},{float(series.ci95[idx])!r}"
-        )
-    return lines
-
-
 def write_series_csv(series: AggregateSeries, path) -> None:
+    """Write the series as CSV rows ``t,mean_regret,ci95``, t from 1,
+    each float as its shortest round-trip repr. Rows are formatted and
+    written CSV_CHUNK_ROWS at a time, so the writer holds one chunk's
+    text and not the whole file's."""
+    mean, ci = series.mean_regret, series.ci95
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(series_csv_lines(series)) + "\n")
+        fh.write("t,mean_regret,ci95\n")
+        for lo in range(0, mean.size, CSV_CHUNK_ROWS):
+            hi = lo + CSV_CHUNK_ROWS
+            fh.write("".join(
+                f"{t},{m!r},{c!r}\n"
+                for t, m, c in zip(range(lo + 1, hi + 1), mean[lo:hi].tolist(),
+                                   ci[lo:hi].tolist())
+            ))

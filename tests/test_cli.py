@@ -73,6 +73,12 @@ def test_preset_registry_table(preset):
             assert spec.rho == want["rho"]
 
 
+@pytest.mark.parametrize("preset", cli.PRESET_NAMES)
+def test_preset_entries_write_distinct_csv_files(preset):
+    names = [entry.csv_name for entry in cli.expand_preset(preset, reps=1, base_seed=0)]
+    assert len(set(names)) == len(names)
+
+
 def test_fig3_grid_covers_rho_range_inclusive():
     assert cli.RHO_GRID[0] == 0.0
     assert cli.RHO_GRID[-1] == 1.0
@@ -454,6 +460,19 @@ def test_a_final_ledger_out_of_the_float_range_exits_4_and_writes_no_csv(tmp_pat
     assert list(out.iterdir()) == []
 
 
+def test_a_final_ledger_whose_sum_overflows_exits_4_and_writes_no_csv(tmp_path, capsys):
+    # both totals are finite (7.5e307 and 1.2e308), but not their sum
+    out = tmp_path / "x"
+    args = ["run", "--policy", "uniform", "--agents", "2", "--horizon", "2", "--reps", "1",
+            "--noise-r", "1e308", "--seed", "11", "--out", str(out)]
+    assert run_cli(*args) == 4
+    assert capsys.readouterr().err == (
+        "run aborted: run seed=3926704849073358691 ends with a ledger whose sum leaves the "
+        "float range: inf\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_a_later_entrys_abort_writes_no_csv(tmp_path, capsys):
     # every entry is aggregated before the first CSV is written, so the
     # second entry's abort leaves the first entry's CSV unwritten too
@@ -738,6 +757,24 @@ REPLAY_LINES = {
 def test_manifest_header_and_blocks_name_each_problem(tmp_path, capsys, name, lines):
     err = edited_manifest_error(tmp_path, capsys, MANIFEST_EDITS[name])
     assert err.splitlines() == [f"config error: {line}" for line in lines]
+
+
+def test_entries_that_write_one_csv_are_rejected_before_any_run(tmp_path, capsys):
+    # a second entry of the same name and policy would overwrite the first's
+    # CSV; the plan is rejected before the output directory is made
+    def duplicated(manifest):
+        first = manifest["entries"][0]
+        for _ in range(2):
+            copy = json.loads(json.dumps(first))
+            copy["config"]["horizon"] = 30
+            manifest["entries"].append(copy)
+
+    err = edited_manifest_error(tmp_path, capsys, duplicated, "--out", str(tmp_path / "b"))
+    assert err.splitlines() == [
+        "config error: entries 0 and 1 ('adhoc', policy ucb) both write adhoc_ucb.csv",
+        "config error: entries 0 and 2 ('adhoc', policy ucb) both write adhoc_ucb.csv",
+    ]
+    assert not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../x", 5, None, "x\0y"])

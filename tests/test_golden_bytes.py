@@ -3,7 +3,9 @@
 Nine in-process ``ofdsim run`` invocations cover every policy, every
 goodness kind, ``--reps 1`` and a noiseless run of each GP policy. The
 sha256 of each CSV and ``manifest.json`` they write is compared with the
-hash recorded below. The hashes belong to this numpy and BLAS: another
+hash recorded below; ``fig1-square`` and ``rho0`` are also run at
+``--jobs 2``, whose traces cross the process pool, against the same
+hashes. The hashes belong to this numpy and BLAS: another
 build may round differently. On the same build, a change that moves any
 of them changes what the simulator computes, and is a behaviour change
 to report. The ``gp-ts-noiseless`` hashes were recorded before the GP
@@ -113,4 +115,12 @@ def _digests(out) -> dict:
 def test_output_bytes_match_recorded_hashes(name, tmp_path):
     out = tmp_path / name
     assert cli.main(["run", *RUNS[name], "--out", str(out)]) == 0
+    assert _digests(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["fig1-square", "rho0"])
+def test_pooled_runs_write_the_recorded_bytes(name, tmp_path):
+    # at --jobs 2 every trace crosses the process pool before aggregation
+    out = tmp_path / name
+    assert cli.main(["run", *RUNS[name], "--jobs", "2", "--out", str(out)]) == 0
     assert _digests(out) == GOLDEN[name]

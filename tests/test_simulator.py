@@ -1,5 +1,6 @@
 """Run loop, regret accounting, aggregation, metrics, CSV output."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -39,7 +40,6 @@ def make_trace(cum_final, horizon=2, n_agents=2, totals=(1.0, 2.0)):
         oracle=np.zeros(horizon, dtype=np.int64),
         realized=np.ones(horizon),
         inst_regret=inst,
-        cum_regret=cum,
         final_totals=np.asarray(totals, dtype=np.float64),
     )
 
@@ -306,7 +306,7 @@ def test_aggregate_rejects_a_series_that_leaves_the_float_range():
     # squaring the deviations of regrets near 1e300 overflows the CI to inf
     # from the second round on; the first round's CI is finite
     traces = [make_trace(1e300, horizon=3), make_trace(-1e300, horizon=3)]
-    traces[0].cum_regret[0] = traces[1].cum_regret[0] = 1.0
+    traces[0].inst_regret[0] = traces[1].inst_regret[0] = 1.0
     with pytest.raises(simulator.RunAbortedError,
                        match=r"at round 2: mean_regret 0\.0, ci95 inf"):
         simulator.aggregate(traces)
@@ -408,19 +408,86 @@ class TestTheoreticalBound:
 
 def test_series_csv_schema(tmp_path):
     series = simulator.aggregate([make_trace(10.0), make_trace(14.0)])
-    lines = simulator.series_csv_lines(series)
+    path = tmp_path / "series.csv"
+    simulator.write_series_csv(series, path)
+    text = path.read_text()
+    assert text.endswith("\n")
+    lines = text.splitlines()
     assert lines[0] == "t,mean_regret,ci95"
     assert len(lines) == 3
     last = lines[-1].split(",")
     assert last[0] == "2"
     assert float(last[1]) == pytest.approx(12.0)
-    path = tmp_path / "series.csv"
-    simulator.write_series_csv(series, path)
-    assert path.read_text().splitlines() == lines
 
 
-def test_csv_values_round_trip_exactly():
+def test_csv_values_round_trip_exactly(tmp_path):
     trace = simulator.run_single(make_config(horizon=15, policy=PolicyKind("ts")))
-    lines = simulator.series_csv_lines(simulator.aggregate([trace]))
+    path = tmp_path / "series.csv"
+    simulator.write_series_csv(simulator.aggregate([trace]), path)
+    lines = path.read_text().splitlines()
     parsed = np.array([float(line.split(",")[1]) for line in lines[1:]])
     np.testing.assert_array_equal(parsed, trace.cum_regret)
+
+
+def test_csv_rows_span_chunks(tmp_path):
+    # rows on both sides of a chunk boundary, each float as its repr
+    rng = np.random.default_rng(62)
+    size = 2 * simulator.CSV_CHUNK_ROWS + 3
+    series = simulator.AggregateSeries(np.cumsum(rng.uniform(0.0, 1.0, size)),
+                                       rng.uniform(0.0, 1.0, size), {})
+    path = tmp_path / "series.csv"
+    simulator.write_series_csv(series, path)
+    want = ["t,mean_regret,ci95"] + [
+        f"{k + 1},{float(series.mean_regret[k])!r},{float(series.ci95[k])!r}"
+        for k in range(size)
+    ]
+    assert path.read_text() == "\n".join(want) + "\n"
+
+
+def test_csv_writer_streams_its_rows(tmp_path):
+    # a writer that formats every row before it writes peaks at 6 to 14 MiB here
+    rng = np.random.default_rng(63)
+    size = 10**5
+    series = simulator.AggregateSeries(np.cumsum(rng.uniform(0.0, 1.0, size)),
+                                       rng.uniform(0.0, 1.0, size), {})
+    path = tmp_path / "series.csv"
+    tracemalloc.start()
+    try:
+        simulator.write_series_csv(series, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(path.read_text().splitlines()) == size + 1
+
+
+def test_a_trace_takes_24_bytes_a_round():
+    cfg = make_config(horizon=90)
+    traces = simulator.run_batch(cfg, [3, 4], [PolicyKind("ucb"), PolicyKind("ts")])
+    for trace in traces:
+        assert trace.chosen.dtype == trace.oracle.dtype == np.int32
+        arrays = (trace.chosen, trace.oracle, trace.realized, trace.inst_regret)
+        assert sum(array.nbytes for array in arrays) == 24 * cfg.horizon
+
+
+def test_cum_regret_is_derived_from_inst_regret():
+    assert "cum_regret" not in {field.name for field in dataclasses.fields(RunTrace)}
+    trace = simulator.run_single(make_config(policy=PolicyKind("ts"), horizon=80))
+    assert np.array_equal(trace.cum_regret, np.cumsum(trace.inst_regret))
+
+
+def test_aggregate_rejects_a_final_ledger_whose_sum_leaves_the_float_range():
+    # each total is finite, but their sum overflows, where usw would be inf
+    # and gini and min_ratio 0.0
+    traces = [make_trace(1.0), make_trace(1.0, totals=(1e308, 1.5e308))]
+    traces[1].seed = 9
+    with pytest.raises(simulator.RunAbortedError,
+                       match=r"^run seed=9 ends with a ledger whose sum leaves the float "
+                             r"range: inf$"):
+        simulator.aggregate(traces)
+
+
+@pytest.mark.parametrize("metric", [simulator.gini_coefficient, simulator.min_ratio])
+def test_ledger_metrics_reject_a_total_out_of_the_float_range(metric):
+    with pytest.raises(ValueError, match="total leaves the float range"):
+        metric(np.array([1e308, 1.5e308]))
