@@ -80,7 +80,7 @@ def _pick_max(values: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray
     TIE_REL_TOL drawn from that row's generator in rngs."""
     best = values.max(axis=1)
     # max and sum propagate NaN and inf, so one sum checks every run's best;
-    # finite bests whose sum overflows only send a batch to its one-run fallback
+    # finite bests whose sum overflows only make a batch replay its runs alone
     if not math.isfinite(float(best.sum())):
         raise linalg.NumericError(
             f"candidate goodness is not finite (max {float(best.max())!r})"

@@ -8,11 +8,13 @@ oracle's pick and the policy's, scored on the ledger before the pick.
 The regret comparison uses true utilities on both sides while the ledger
 accumulates noisy observations; that asymmetry is deliberate. The oracle
 waits on nothing the policy does, so the loop keeps each round's ledger
-and charges the oracle in one call per block of rounds drawn ahead. A
-fault is still reported at its own round: a fault of the oracle at the
-first round whose oracle faults, found round by round when the block's
-call faults, and a fault of the policy after the oracle of the rounds
-before it is charged.
+and charges the oracle in one call per block of rounds drawn ahead, at
+the block's last round, after that round's pick and before its
+observe. A fault is reported by replaying the runs: a fault in a batch
+of more than one run, or of blocks longer than one round, steps each run
+again alone, in order, one round a block, where a round runs pick, then
+oracle, then observe, and the first fault there is reported at its own
+round. Only a faulting batch pays for the second pass.
 
 Rounds 1..N are a round-robin warm start: round t goes to agent t-1 and
 draws nothing from the policy stream, so every ledger entry is positive
@@ -203,9 +205,6 @@ def run_single(config: RunConfig) -> RunTrace:
     return run_batch(config, [config.seed])[0]
 
 
-# a fault shows as a non-finite value, which the loop checks and reports as
-# a run abort, so numpy's warnings on the way to it would only be noise
-@np.errstate(invalid="ignore", over="ignore")
 def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
     """Execute R runs of config, one per seed, in lockstep, and return
     their traces in the order of seeds; config.seed is not read. kinds,
@@ -215,14 +214,16 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
     policy scoring its own rows, while a GP or uniform batch holds one
     policy. Each run's trace is the one it makes alone, bit for bit, and
     its arrays are rows of the batch's (R, T) arrays: int32 chosen and
-    oracle, float64 realized and inst_regret, 24 bytes a round. A block
-    of rounds, one oracle call, fits BLOCK_BYTES or is one round.
+    oracle, float64 realized and inst_regret, 24 bytes a round.
 
-    A run that faults mid-flight makes the batch run its runs one at a
-    time, in order, so the RunAbortedError raised is the first in that
-    order and carries what that run alone reports. Runs are stepped in
-    batches of at most BATCH_SQUARE_BYTES of square arrays, GP factors
-    and weighted-Gini candidate ledgers, in order."""
+    The seeds and kinds are checked here, once. The runs are then stepped
+    in parts of at most BATCH_SQUARE_BYTES of square arrays, GP factors
+    and weighted-Gini candidate ledgers, in order, each part through one
+    round loop whose blocks of rounds, one oracle call each, fit
+    BLOCK_BYTES or are one round. A part that faults mid-flight steps its
+    runs again alone, in order, one round a block, so the RunAbortedError
+    raised is the first in that order and carries what that run alone
+    reports."""
     seeds = checked_seeds(seeds)
     runs = len(seeds)
     kinds = (config.policy,) * runs if kinds is None else tuple(kinds)
@@ -232,16 +233,34 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
         raise ValueError("only the ridge policies (ucb, ts, greedy) share a batch")
     for kind in dict.fromkeys(kinds):  # each must meet RunConfig's rules
         replace(config, policy=kind)
+    n, horizon = config.n_agents, config.horizon
+    gini = config.goodness.kind == goodness.WEIGHTED_GINI
+    square = (8 * horizon**2 if kinds[0].uses_gp else 0) + (8 * n**2 if gini else 0)
+    most = max(1, BATCH_SQUARE_BYTES // max(square, 1))
+    # items and noise are drawn a block of rounds at a time, which draws what
+    # one round at a time would; a round's contexts and utilities take
+    # 8*runs*n*(d+1) bytes, and its weighted-Gini candidate ledgers 8*runs*n*n
+    width = max(config.confidence.dim + 1, n if gini else 0)
+    traces = []
+    for k in range(0, runs, most):
+        part = seeds[k : k + most]
+        block = min(horizon, max(1, BLOCK_BYTES // (8 * len(part) * n * width)))
+        traces += _lockstep(config, part, kinds[k : k + most], block)
+    return traces
+
+
+# a fault shows as a non-finite value, which the loop checks and reports as
+# a run abort, so numpy's warnings on the way to it would only be noise
+@np.errstate(invalid="ignore", over="ignore")
+def _lockstep(config: RunConfig, seeds: tuple, kinds: tuple, block: int) -> list[RunTrace]:
+    """run_batch's round loop, on runs it has checked, drawing items block
+    rounds ahead. A GoodnessDomainError or NumericError in a pass of more
+    than one run, or of blocks of more than one round, steps each run
+    again alone, in order, one round a block, where it is raised as
+    RunAbortedError naming the run, its round and its ledger."""
+    runs = len(seeds)
     spec, params = config.goodness, config.confidence
     n, horizon, noise_r = config.n_agents, config.horizon, params.noise_r
-    square = 8 * horizon**2 if kinds[0].uses_gp else 0
-    if spec.kind == goodness.WEIGHTED_GINI:
-        square += 8 * n**2
-    most = max(1, BATCH_SQUARE_BYTES // max(square, 1))
-    if runs > most:
-        return [trace for k in range(0, runs, most)
-                for trace in run_batch(config, seeds[k : k + most], kinds[k : k + most])]
-
     streams = [map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
                for seed in seeds]
     instance_rngs, item_rngs, noise_rngs, policy_rngs = map(list, zip(*streams))
@@ -258,11 +277,6 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
     groups = policies.row_groups(kinds, estimator)
     # these kinds cannot score the warm start's zero ledger entries
     needs_positive = spec.kind in goodness.POSITIVE_LEDGER_KINDS
-    # items and noise are drawn a block of rounds at a time, which draws what
-    # one round at a time would; a round's contexts and utilities take
-    # 8*runs*n*(d+1) bytes, and its weighted-Gini candidate ledgers 8*runs*n*n
-    width = max(params.dim + 1, n if spec.kind == goodness.WEIGHTED_GINI else 0)
-    block = min(horizon, max(1, BLOCK_BYTES // (8 * runs * n * width)))
 
     totals = np.zeros((runs, n))
     # run r's agent a sits at r*n + a of the flat ledger and of a round's
@@ -276,78 +290,54 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
     realized = np.empty((runs, horizon))
     inst_regret = np.empty((runs, horizon))
 
-    def charge(first: int, hi: int) -> tuple | None:
-        """Charge the oracle of rounds first..hi-1, counted from 0, of the
-        block that starts at first, in one call. A faulting call is made
-        again round by round, so the first fault found is the first in round
-        order, and it is returned as (round, error, that round's ledger);
-        None when every round is charged."""
-        # the warm start charges no regret where the ledger must be positive
-        lo = max(first, min(hi, n)) if needs_positive else first
-        oracle[:, first:lo], inst_regret[:, first:lo] = chosen[:, first:lo], 0.0
-        if lo == hi:
-            return None
-        rows = slice(lo - first, hi - first)
-        try:
-            best, gap = _oracle(spec, before[rows], truth_block[rows], chosen[:, lo:hi].T)
-        except goodness.GoodnessDomainError:
-            for k in range(lo, hi):
-                try:
-                    _oracle(spec, before[k - first], truth_block[k - first], chosen[:, k])
-                except goodness.GoodnessDomainError as exc:
-                    return k + 1, exc, before[k - first, 0]
-            raise
-        oracle[:, lo:hi], inst_regret[:, lo:hi] = best.T, gap.T
-        return None
-
-    for t in range(1, horizon + 1):
-        idx = t - 1
-        j = idx % block
-        if j == 0:
-            size = min(block, horizon - idx)
-            drawn = [environment.draw_item(inst, rng, size)
-                     for inst, rng in zip(instances, item_rngs)]
-            # blocks are indexed (round, run, ...), so a round's slice is contiguous
-            context_block = np.stack(drawn, axis=1)
-            truth_block = np.stack(
-                [environment.true_utilities(inst, xs) for inst, xs in zip(instances, drawn)],
-                axis=1,
-            )
-            noise_block = np.stack([rng.normal(0.0, noise_r, size) for rng in noise_rngs],
-                                   axis=1)
-        contexts = context_block[j]
-        truths = truth_block[j]
-        before[j] = totals
-        # the rounds whose picks are made; a fault in round t's pick comes
-        # before its oracle, and one in its observe after it
-        made, fault = idx, None
-        try:
+    try:
+        for t in range(1, horizon + 1):
+            idx = t - 1
+            j = idx % block
+            if j == 0:
+                size = min(block, horizon - idx)
+                drawn = [environment.draw_item(inst, rng, size)
+                         for inst, rng in zip(instances, item_rngs)]
+                # blocks are indexed (round, run, ...), so a round's slice is contiguous
+                context_block = np.stack(drawn, axis=1)
+                truth_block = np.stack(
+                    [environment.true_utilities(inst, xs) for inst, xs in zip(instances, drawn)],
+                    axis=1,
+                )
+                noise_block = np.stack([rng.normal(0.0, noise_r, size) for rng in noise_rngs],
+                                       axis=1)
+            before[j] = totals
             if t <= n:
                 picks = np.full(runs, idx)
             else:
                 picks = policies.select_agent(groups, spec, totals, t, context_block[j:],
                                               params, policy_rngs)
             chosen[:, idx] = picks
-            made = t
+            if j == size - 1:
+                # the block's oracle; the warm start charges no regret where
+                # the ledger must be positive
+                first = idx - j
+                lo = max(first, min(t, n)) if needs_positive else first
+                oracle[:, first:lo], inst_regret[:, first:lo] = chosen[:, first:lo], 0.0
+                if lo < t:
+                    rows = slice(lo - first, size)
+                    best, gap = _oracle(spec, before[rows], truth_block[rows], chosen[:, lo:t].T)
+                    oracle[:, lo:t], inst_regret[:, lo:t] = best.T, gap.T
             at_pick = offsets + picks
-            y = truths.take(at_pick) + noise_block[j]
+            y = truth_block[j].take(at_pick) + noise_block[j]
             ledger[at_pick] += y
             realized[:, idx] = y
-            policies.observe(estimator, picks, contexts, y)
-        except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
-            fault = (t, exc, totals[0])
-        if fault is None and j < size - 1:
-            continue
-        fault = charge(idx - j, made) or fault
-        if fault is not None:
-            if runs > 1:
-                return [run_batch(config, [seed], [kind])[0] for seed, kind in zip(seeds, kinds)]
-            t, exc, row = fault
-            low = int(np.argmin(row))
-            raise RunAbortedError(
-                f"run seed={seeds[0]} aborted at round {t}: {exc}; ledger of {n} agents: "
-                f"min {float(row[low])!r} (agent {low}), max {float(row.max())!r}"
-            ) from exc
+            policies.observe(estimator, picks, context_block[j], y)
+    except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
+        if runs > 1 or block > 1:
+            return [trace for seed, kind in zip(seeds, kinds)
+                    for trace in _lockstep(config, (seed,), (kind,), 1)]
+        row = totals[0]
+        low = int(np.argmin(row))
+        raise RunAbortedError(
+            f"run seed={seeds[0]} aborted at round {t}: {exc}; ledger of {n} agents: "
+            f"min {float(row[low])!r} (agent {low}), max {float(row.max())!r}"
+        ) from exc
 
     return [
         RunTrace(
@@ -476,12 +466,15 @@ def _checked_ledger(u, metric: str) -> tuple[np.ndarray, float]:
 def gini_coefficient(u: np.ndarray) -> float:
     """Relative mean absolute difference, sum_ij |u_i-u_j| / (2 N^2 mean),
     taken over the sorted ledger u_(1) <= ... <= u_(N) as
-    sum_k (2k - N - 1) u_(k) / (N * total), in O(N) memory. The sum is
-    elementwise: a BLAS product would be the first BLAS call of a CLI
-    process whose pool workers make its runs, which raises its peak RSS."""
+    sum_k (2k - N - 1) (u_(k) / total) / N, in O(N) memory. Each share
+    u_(k) / total is at most 1, so every term is bounded by N and a
+    finite ledger whose total nears the float limit gives its value, not
+    NaN. The sum is elementwise: a BLAS product would be the first BLAS
+    call of a CLI process whose pool workers make its runs, which raises
+    its peak RSS."""
     u, total = _checked_ledger(u, "gini_coefficient")
     ranks = 2.0 * np.arange(1, u.size + 1) - u.size - 1
-    return float((ranks * np.sort(u)).sum()) / (u.size * total)
+    return float((ranks * (np.sort(u) / total)).sum()) / u.size
 
 
 def min_ratio(u: np.ndarray) -> float:

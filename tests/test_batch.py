@@ -313,40 +313,47 @@ def test_each_runs_policy_meets_the_configs_rules(monkeypatch):
         simulator.run_batch(config, [1], [PolicyKind("gp-ucb")])
 
 
-def counted_batches(monkeypatch, config, seeds):
-    """The traces of run_batch(config, seeds) and the size of every batch
-    it ran, the split ones included."""
-    sizes = []
-    run_batch = simulator.run_batch
+def lockstep_passes(monkeypatch):
+    """The list that gets the seeds and block length of every pass of
+    simulator._lockstep from here on."""
+    passes = []
+    lockstep = simulator._lockstep
 
-    def counting(config, seeds, kinds=None):
-        sizes.append(len(seeds))
-        return run_batch(config, seeds, kinds)
+    def kept(config, seeds, kinds, block):
+        passes.append((seeds, block))
+        return lockstep(config, seeds, kinds, block)
 
-    monkeypatch.setattr(simulator, "run_batch", counting)
+    monkeypatch.setattr(simulator, "_lockstep", kept)
+    return passes
+
+
+def counted_parts(monkeypatch, config, seeds):
+    """The traces of run_batch(config, seeds) and the runs of every part
+    its round loop stepped, in order."""
+    passes = lockstep_passes(monkeypatch)
     traces = simulator.run_batch(config, seeds)
     monkeypatch.undo()
-    return traces, sizes
+    return traces, [len(part) for part, _ in passes]
 
 
 def test_gp_runs_are_stepped_within_the_factor_bound(monkeypatch):
     # two 60-round factors and their weighted-Gini candidate ledgers fit the
-    # bound, so five GP runs go in batches of 2, 2 and 1
+    # bound, so five GP runs go in parts of 2, 2 and 1
     monkeypatch.setattr(simulator, "BATCH_SQUARE_BYTES", 2 * 8 * (60**2 + N_AGENTS**2))
     config, seeds = batch(5, "gp-ucb", utility_kind="square")
-    traces, sizes = counted_batches(monkeypatch, config, seeds)
-    assert sizes == [5, 2, 2, 1]
+    traces, sizes = counted_parts(monkeypatch, config, seeds)
+    assert sizes == [2, 2, 1]
     for trace, alone in zip(traces, simulator.run_batch(config, seeds)):
         assert np.array_equal(trace.chosen, alone.chosen)
 
 
 def test_weighted_gini_runs_are_stepped_within_the_square_bound(monkeypatch):
     # a weighted-Gini round's candidate ledgers take 8*n_agents**2 bytes a run;
-    # two runs' fit the bound, so five ridge runs go in batches of 2, 2 and 1
+    # two runs' fit the bound, so five ridge runs go in parts of 2, 2 and 1
     monkeypatch.setattr(simulator, "BATCH_SQUARE_BYTES", 2 * 8 * N_AGENTS**2)
     config, seeds = batch(5, "ucb")
-    traces, sizes = counted_batches(monkeypatch, config, seeds)
-    assert sizes == [5, 2, 2, 1]
+    traces, sizes = counted_parts(monkeypatch, config, seeds)
+    assert sizes == [2, 2, 1]
     for trace, alone in zip(traces, simulator.run_batch(config, seeds)):
         for field in dataclasses.fields(RunTrace):
             assert np.array_equal(getattr(trace, field.name), getattr(alone, field.name))
@@ -380,6 +387,58 @@ def test_batch_raises_the_line_the_sequential_loop_raises(first_seed):
         simulator.run_batch(config, seeds)
     assert str(batched.value) == str(sequential.value)
     assert f"seed={ABORTS_AT_10 if first_seed == 35 else 39} " in str(batched.value)
+
+
+def tiny_lambda_batch():
+    """The tiny-lambda config, seeded 0, and the batch's seeds: 35
+    finishes, 39 aborts at round 12 and ABORTS_AT_10 at round 10."""
+    confidence = ConfidenceParams.defaults(4, lam=1e-15)
+    config = RunConfig(seed=0, policy=PolicyKind("ucb"), goodness=SPECS[goodness.WEIGHTED_GINI],
+                       confidence=confidence, horizon=20, n_agents=10, item_dim=2, agent_dim=2)
+    return config, [35, 39, ABORTS_AT_10]
+
+
+@pytest.mark.parametrize("case", ["split", "fault"])
+def test_run_batch_checks_its_inputs_once(monkeypatch, case):
+    # neither the parts of a split batch nor a faulting batch's runs, stepped
+    # again alone, go back through run_batch and its checks
+    if case == "split":
+        monkeypatch.setattr(simulator, "BATCH_SQUARE_BYTES", 2 * 8 * N_AGENTS**2)
+        config, seeds = batch(5, "ucb")
+    else:
+        config, seeds = tiny_lambda_batch()
+    calls = []
+    run_batch = simulator.run_batch
+
+    def counting(config, seeds, kinds=None):
+        calls.append(len(seeds))
+        return run_batch(config, seeds, kinds)
+
+    monkeypatch.setattr(simulator, "run_batch", counting)
+    if case == "split":
+        assert len(simulator.run_batch(config, seeds)) == 5
+    else:
+        with pytest.raises(simulator.RunAbortedError, match="^run seed=39 "):
+            simulator.run_batch(config, seeds)
+    assert calls == [len(seeds)]
+
+
+def test_a_split_batch_raises_the_line_the_sequential_loop_raises(monkeypatch):
+    # a weighted-Gini run at N = 10 takes 800 bytes of candidate ledgers, so
+    # each run is a part of its own, and seed 39's part faults first
+    monkeypatch.setattr(simulator, "BATCH_SQUARE_BYTES", 8 * 10**2)
+    config, seeds = tiny_lambda_batch()
+    with pytest.raises(simulator.RunAbortedError) as sequential:
+        for seed in seeds:
+            simulator.run_single(dataclasses.replace(config, seed=seed))
+    passes = lockstep_passes(monkeypatch)
+    with pytest.raises(simulator.RunAbortedError) as batched:
+        simulator.run_batch(config, seeds)
+    assert str(batched.value) == str(sequential.value)
+    assert "seed=39 " in str(batched.value)
+    # seed 39's part draws its 20 rounds in one block, and faults; its run
+    # is stepped again one round a block, which raises
+    assert passes == [((35,), 20), ((39,), 20), ((39,), 1)]
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)], ids=["ucb-ts-greedy",

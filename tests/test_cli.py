@@ -610,6 +610,23 @@ def test_mid_run_faults_exit_4_with_one_short_line(tmp_path, capsys, flags, name
     assert "np.float64" not in err and len(err.encode()) < 500
 
 
+def test_a_run_fault_through_the_process_pool_exits_4_with_the_sequential_line(tmp_path,
+                                                                             capsys):
+    # at --jobs 2 and 3 the reps are split over forked workers, and the
+    # first line in seed order is printed, whichever worker raises first
+    lines = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / jobs
+        args = ["run", "--policy", "ucb", "--lambda", "1e-15", "--agents", "10",
+                "--horizon", "20", "--reps", "3", "--seed", "0", "--jobs", jobs, "--out", str(out)]
+        assert run_cli(*args) == 4
+        lines.append(capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+    assert lines == [lines[0]] * 3
+    assert lines[0].startswith("run aborted: run seed=15793235383387715774 aborted at round 10: ")
+    assert lines[0].count("\n") == 1
+
+
 ENTRY_EDITS = {
     "rho-2": lambda entry: entry["config"]["goodness"].update(rho=2.0),
     "horizon-below-agents": lambda entry: entry["config"].update(horizon=2),

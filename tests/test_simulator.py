@@ -357,6 +357,28 @@ def test_gini_examples():
     assert simulator.gini_coefficient(np.array([1.0, 3.0])) == pytest.approx(0.25)
 
 
+# finite ledgers whose totals sum to 1.7e308, near the float limit, and
+# their Gini coefficients: 9/10, and (9 * 7e307) / (10 * 1.7e308)
+NEAR_FLOAT_LIMIT = [
+    (np.r_[np.zeros(9), 1.7e308], 0.9),
+    (np.r_[np.full(9, 1e307), 8e307], 63 / 170),
+]
+
+
+@pytest.mark.parametrize("u, want", NEAR_FLOAT_LIMIT, ids=["one-holder", "one-above-nine"])
+def test_gini_of_a_ledger_near_the_float_limit(u, want):
+    # weighting each total by its rank before dividing by the total
+    # overflowed to inf - inf, which is NaN
+    assert simulator.gini_coefficient(u) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_aggregate_reports_the_gini_of_a_ledger_near_the_float_limit():
+    u, want = NEAR_FLOAT_LIMIT[0]
+    series = simulator.aggregate([make_trace(1.0, totals=u)])
+    assert series.final_metrics["gini"] == (pytest.approx(want, rel=1e-12, abs=0.0), 0.0)
+    assert series.final_metrics["min_ratio"] == (0.0, 0.0)
+
+
 def test_gini_validation():
     with pytest.raises(ValueError):
         simulator.gini_coefficient(np.array([0.0, 0.0]))
