@@ -15,13 +15,15 @@ header (base seed, reps, jobs), which options combine, and a manifest's
 entry and seed counts.
 
 Exit codes: 0 success, 2 config/preset/manifest error, 3 unwritable
-output directory, 4 a run aborted mid-flight (goodness domain or
-numerical failure).
+output directory, 4 a run aborted mid-flight (a linalg.NumericError)
+or its aggregate left the float range.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -381,12 +383,34 @@ def _entry_to_json(entry: RunSpecEntry) -> dict:
     }
 
 
-def _entry_from_json(payload: dict) -> RunSpecEntry:
-    cfg = payload["config"]
-    sizes = {name: cfg[name] for name in _SIZES}
-    proto = _build_run(payload["policy"], lambda n_agents: cfg["goodness"],
-                       lambda dim: ConfidenceParams(dim=dim, **cfg["confidence"]), sizes)
-    return RunSpecEntry(name=payload["name"], proto=proto, seeds=tuple(payload["seeds"]))
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+    return value
+
+
+def _field(value, label: str, *path):
+    """The value at path in a manifest's JSON value, which label names.
+    A value on the way that is no object, or a missing key, raises a
+    ValueError naming label and the key."""
+    where = label
+    for key in path:
+        if key not in _object(value, where):
+            raise ValueError(f"{where} has no key {key!r}")
+        value, where = value[key], f"{label}: {key}"
+    return value
+
+
+def _entry_from_json(payload, label: str = "entry") -> RunSpecEntry:
+    """A manifest entry, which label names in the line a malformed one raises."""
+    sizes = {name: _field(payload, label, "config", name) for name in _SIZES}
+    policy, good, conf = (_object(_field(payload, label, *path), f"{label}: {path[-1]}")
+                          for path in (("policy",), ("config", "goodness"),
+                                       ("config", "confidence")))
+    proto = _build_run(policy, lambda n_agents: good,
+                       lambda dim: ConfidenceParams(dim=dim, **conf), sizes)
+    return RunSpecEntry(name=_field(payload, label, "name"), proto=proto,
+                        seeds=tuple(_field(payload, label, "seeds")))
 
 
 # ---------------------------------------------------------------------------
@@ -420,20 +444,30 @@ def _batches(entries: list[RunSpecEntry], jobs: int) -> list[tuple]:
 
 def execute_entries(entries: list[RunSpecEntry], jobs: int, outdir: str) -> list[str]:
     """Run every entry's repetitions, a batch of runs in lockstep at a
-    time, aggregate each entry in order, and only then write one
-    aggregate CSV each, so a run abort leaves no CSV."""
+    time, taking the batches in order and aggregating each entry once its
+    seeds' traces are in. A run fault in any batch is raised before an
+    aggregate fault, and the entries' CSVs are written only once every
+    entry is aggregated, so an abort leaves no CSV."""
     batches = _batches(entries, jobs)
-    if jobs > 1 and len(batches) > 1:
-        # imported here, so that a run that starts no pool does not load
-        # concurrent.futures and multiprocessing (about 30 ms)
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        mapped = map
+        if jobs > 1 and len(batches) > 1:
+            # imported here, so that a run that starts no pool does not load
+            # concurrent.futures and multiprocessing (about 30 ms)
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            done = list(pool.map(simulator.run_batch, *zip(*batches), chunksize=1))
-    else:
-        done = [simulator.run_batch(*batch) for batch in batches]
-    traces = iter(sum(done, []))
-    series = [simulator.aggregate([next(traces) for _ in entry.seeds]) for entry in entries]
+            mapped = stack.enter_context(ProcessPoolExecutor(min(jobs, len(batches)))).map
+        traces = itertools.chain.from_iterable(mapped(simulator.run_batch, *zip(*batches)))
+        series, fault = [], None
+        for entry in entries:
+            runs = [next(traces) for _ in entry.seeds]
+            if fault is None:
+                try:
+                    series.append(simulator.aggregate(runs))
+                except simulator.RunAbortedError as exc:
+                    fault = exc  # raised unless a later batch has a run fault
+    if fault is not None:
+        raise fault
     for entry, entry_series in zip(entries, series):
         path = os.path.join(outdir, entry.csv_name)
         simulator.write_series_csv(entry_series, path)
@@ -476,18 +510,20 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
     problems = _clashes(lambda key: _flag_value(ns, key) is not None, replay_only, "manifest")
     with open(ns.manifest, encoding="utf-8") as fh:
         payload = json.load(fh)
-    seed, reps = payload["seed"], payload["reps"]
+    seed, reps, items = (_field(payload, "manifest", key) for key in ("seed", "reps", "entries"))
     jobs = DEFAULTS["jobs"] if ns.jobs is None else ns.jobs
     problems += _command_problems(seed, reps, jobs)
-    if not payload["entries"]:
+    if not isinstance(items, list):
+        problems.append("manifest: entries must be a list")
+    elif not items:
         problems.append("a manifest must hold at least 1 entry")
     if problems:
         raise ConfigError(problems)
     entries = []
-    for item in payload["entries"]:
+    for k, item in enumerate(items):
         try:
-            entries.append(_entry_from_json(item))
-        except (KeyError, ValueError, TypeError) as exc:
+            entries.append(_entry_from_json(item, f"entry {k}"))
+        except (ValueError, TypeError) as exc:
             # every broken entry's lines, in entry order; the entries of a
             # grid point share their seeds, so a line already given is not repeated
             problems += [line for line in str(exc).splitlines() if line not in problems]

@@ -36,11 +36,11 @@ the window while it has rounds left. A window opens with one pass of
 stacked products that solves the factor's settled blocks for all its
 rounds; a block the factor completes within the window is solved for
 the rounds left the same way, and each round solves only the rows of
-its open block. The scores and gp_update read the round from the
-state's window, and no other module names it. The window has a leading
-round axis, so every product keeps the (rows, k) @ (k, m) shape one
-round gives it, and with it the round's bits: a right-hand side widened
-to (k, W*m) would take other BLAS paths.
+its open block. The scorers and gp_update condition their round through
+gp_round, so no other module names it or the window. The window has a
+leading round axis, so every product keeps the (rows, k) @ (k, m) shape
+one round gives it, and with it the round's bits: a right-hand side
+widened to (k, W*m) would take other BLAS paths.
 """
 
 from __future__ import annotations
@@ -403,19 +403,21 @@ def gp_width_multiplier(state: GpState, params: ConfidenceParams) -> float:
     return math.sqrt(2.0 * (state.info_gain + 1.0 + math.log(1.0 / params.delta))) + GP_BOUND_B
 
 
-def gp_ucb_scores(state: GpState, params: ConfidenceParams) -> np.ndarray:
+def gp_ucb_scores(state: GpState, params: ConfidenceParams, xs: np.ndarray) -> np.ndarray:
     """Optimistic GP score of each query row of the round gp_round
-    conditioned."""
+    conditions on xs (rounds, m, dim), its contexts and those drawn after."""
+    gp_round(state, xs)
     n, window = state.n_obs, state.window
     v = window.v[n - window.n0, :n]
     stds = np.sqrt(np.maximum(state.signal_var - np.sum(v**2, axis=0), 0.0))
     return v.T @ state.white[:n] + gp_width_multiplier(state, params) * stds
 
 
-def gp_ts_scores(state: GpState, params: ConfidenceParams,
+def gp_ts_scores(state: GpState, params: ConfidenceParams, xs: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-    """One joint posterior sample over the query rows of the round
-    gp_round conditioned, width-scaled."""
+    """One joint posterior sample, width-scaled, over the query rows of
+    the round gp_round conditions on xs, as in gp_ucb_scores."""
+    gp_round(state, xs)
     n, window = state.n_obs, state.window
     w = n - window.n0
     v, scaled, sq_norms = window.v[w, :n], window.scaled[w], window.sq_norms[w]

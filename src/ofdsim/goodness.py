@@ -37,20 +37,14 @@ KINDS = (WEIGHTED_GINI, NSW, LOG_NSW, TARGETED)
 POSITIVE_LEDGER_KINDS = (NSW, LOG_NSW)
 
 
-class GoodnessDomainError(ValueError):
-    """A utility vector lies outside the goodness function's domain."""
-
-
-def _real_vector(name: str, value) -> np.ndarray:
-    """value as a float array, if its entries are real numbers and not
-    bools or strings, which the scalar fields' rule rejects too."""
+def _real_vector(value) -> np.ndarray | None:
+    """value as a float array, or None unless its entries are real numbers
+    and not bools or strings, which the scalar fields' rule rejects too."""
     try:
         vector = np.asarray(value)
     except ValueError:  # a ragged nesting
-        vector = None
-    if vector is None or vector.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be real numbers, got {value!r}")
-    return vector.astype(np.float64, copy=False)
+        return None
+    return vector.astype(np.float64, copy=False) if vector.dtype.kind in "iuf" else None
 
 
 def weights_from_rho(rho: float, n_agents: int) -> np.ndarray:
@@ -76,47 +70,57 @@ class GoodnessSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown goodness {self.kind!r}; choose from {', '.join(KINDS)}")
+        # one line per broken field, its first broken rule, for a caller to report
+        problems = []
         if self.kind == WEIGHTED_GINI:
             if (self.weights is None) == (self.rho is None):
-                raise ValueError("weighted-gini requires exactly one of weights or rho")
-            if self.weights is not None:
-                w = _real_vector("weights", self.weights)
-                if w.ndim != 1 or w.size < 1:
-                    raise ValueError("weights must be a non-empty 1-d array")
-                if not np.all(np.isfinite(w)):
-                    raise ValueError("weights must be finite")
-                if w[0] <= 0.0:
-                    raise ValueError("leading weight must be positive")
-                if np.any(w < 0.0) or np.any(w > 1.0):
-                    raise ValueError("weights must lie in [0, 1]")
-                if np.any(np.diff(w) > 0.0):
-                    raise ValueError("weights must be non-increasing")
+                problems.append("weighted-gini requires exactly one of weights or rho")
+            elif self.weights is not None:
+                w = _real_vector(self.weights)
+                if w is None:
+                    problems.append(f"weights must be real numbers, got {self.weights!r}")
+                elif w.ndim != 1 or w.size < 1:
+                    problems.append("weights must be a non-empty 1-d array")
+                elif not np.all(np.isfinite(w)):
+                    problems.append("weights must be finite")
+                elif w[0] <= 0.0:
+                    problems.append("leading weight must be positive")
+                elif np.any(w < 0.0) or np.any(w > 1.0):
+                    problems.append("weights must lie in [0, 1]")
+                elif np.any(np.diff(w) > 0.0):
+                    problems.append("weights must be non-increasing")
                 self.weights = w
+            elif not linalg.is_real(self.rho):
+                problems.append(f"rho must be a real number, got {self.rho!r}")
+            elif not 0.0 < self.rho <= 1.0:
+                problems.append(f"rho must lie in (0,1], got {self.rho!r}")
             else:
-                if not linalg.is_real(self.rho):
-                    raise ValueError(f"rho must be a real number, got {self.rho!r}")
-                if not 0.0 < self.rho <= 1.0:
-                    raise ValueError(f"rho must lie in (0,1], got {self.rho!r}")
                 self.rho = float(self.rho)
             if self.target_ratios is not None:
-                raise ValueError("target_ratios is only valid for the targeted kind")
+                problems.append("target_ratios is only valid for the targeted kind")
         elif self.kind == TARGETED:
             if self.target_ratios is None:
-                raise ValueError("targeted goodness requires target-ratios")
+                problems.append("targeted goodness requires target-ratios")
             if self.weights is not None or self.rho is not None:
-                raise ValueError("weights/rho are only valid for weighted-gini")
-            r = _real_vector("target_ratios", self.target_ratios)
-            if r.ndim != 1 or r.size < 1:
-                raise ValueError("target_ratios must be a non-empty 1-d array")
-            if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
-                raise ValueError("target_ratios must be finite and positive")
-            if abs(float(r.sum()) - 1.0) > 1e-9:
-                raise ValueError(f"target_ratios must sum to 1, got {r.sum()!r}")
-            self.target_ratios = r
-            self._priorities = r / r.min()
-        else:
-            if self.weights is not None or self.rho is not None or self.target_ratios is not None:
-                raise ValueError(f"{self.kind} takes no weights, rho or target_ratios")
+                problems.append("weights/rho are only valid for weighted-gini")
+            if self.target_ratios is not None:
+                r = _real_vector(self.target_ratios)
+                if r is None:
+                    problems.append(
+                        f"target_ratios must be real numbers, got {self.target_ratios!r}")
+                elif r.ndim != 1 or r.size < 1:
+                    problems.append("target_ratios must be a non-empty 1-d array")
+                elif not np.all(np.isfinite(r)) or np.any(r <= 0.0):
+                    problems.append("target_ratios must be finite and positive")
+                elif abs(float(r.sum()) - 1.0) > 1e-9:
+                    problems.append(f"target_ratios must sum to 1, got {float(r.sum())!r}")
+                else:
+                    self.target_ratios = r
+                    self._priorities = r / r.min()
+        elif self.weights is not None or self.rho is not None or self.target_ratios is not None:
+            problems.append(f"{self.kind} takes no weights, rho or target_ratios")
+        if problems:
+            raise ValueError("\n".join(problems))
 
     def resolved_weights(self, n_agents: int) -> np.ndarray:
         """Weighted Gini's weight vector of length n_agents, cached; explicit
@@ -132,7 +136,7 @@ def _require_positive(spec: GoodnessSpec, u: np.ndarray) -> None:
     if spec.kind in POSITIVE_LEDGER_KINDS:
         low = float(u.min())
         if low <= 0.0:
-            raise GoodnessDomainError(
+            raise linalg.NumericError(
                 f"{spec.kind} requires strictly positive utilities, got min {low!r}"
             )
 
@@ -150,11 +154,11 @@ def candidate_scores(
     checks it). Entry [..., n] is the goodness of that row's totals with
     adds[..., n] granted to agent n; a row takes the same arithmetic alone
     or in a stack. Non-positive totals under nsw or log-nsw raise
-    :class:`GoodnessDomainError`, and so does an NSW product that leaves
-    the float range: a ledger's falling to the smallest normal float or
-    below, or a ledger's or a candidate's overflowing. There the argmax
-    would be arbitrary. A NaN add (a NaN estimate) leaves its candidate
-    NaN for the caller to catch.
+    :class:`linalg.NumericError`, a mid-run fault, and so does an NSW
+    product that leaves the float range: a ledger's falling to the
+    smallest normal float or below, or a ledger's or a candidate's
+    overflowing. There the argmax would be arbitrary. A NaN add (a NaN
+    estimate) leaves its candidate NaN for the caller to catch.
     """
     _require_positive(spec, totals)
     n = totals.shape[-1]
@@ -174,7 +178,7 @@ def candidate_scores(
                     return product / totals * (totals + adds)
         except FloatingPointError:
             pass
-        raise GoodnessDomainError(
+        raise linalg.NumericError(
             f"nsw products of {n} totals in "
             f"[{totals.min():.3g}, {totals.max():.3g}] leave the float range; "
             "log-nsw ranks candidates the same way"

@@ -8,7 +8,7 @@ benchmark's state verifier. The round loop steps the runs of a batch
 together, so the functions here take one state or a state whose arrays
 carry a leading run axis. The dimension, the last axis of a state's
 arrays, and the regularizer come checked from ConfidenceParams; the
-checks here are the mid-run faults, a non-positive Sherman-Morrison
+checks here are mid-run faults, a non-positive Sherman-Morrison
 denominator and a failed Cholesky factorization. :func:`is_real` and
 :func:`is_integer` are the rules the constructors apply to every
 real-valued and every integer field of a run.
@@ -23,7 +23,8 @@ import numpy as np
 
 
 class NumericError(RuntimeError):
-    """Raised when a factorization or a rank-one update loses definiteness."""
+    """Every mid-run fault, which aborts the run: lost definiteness, a
+    ledger outside the goodness's domain, or a non-finite goodness."""
 
 
 def is_real(value) -> bool:

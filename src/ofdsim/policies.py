@@ -10,10 +10,11 @@ ahead after it as (rounds, R, N, d), and the picks leave as an int array
 (R,). A batch's runs come as row groups (:func:`row_groups`), a stretch
 of runs of one policy each; only the ridge policies share a batch. One
 loop scores every group's rows, from a ridge state with a leading run
-axis or each run's GP state in turn, and one candidate-goodness call and
-one argmax serve them all. A GP run conditions a window of the rounds
-drawn ahead at once, which its state keeps for observe and the rounds
-after, so neither call takes or returns one. Each run keeps its own
+axis or each run's GP state in turn, one estimators call a run, and one
+candidate-goodness call and one argmax serve them all. A GP scorer is
+handed the rounds drawn ahead and conditions a window of them at once,
+which the run's state keeps for observe and the rounds after, so no
+policy function takes or returns one. Each run keeps its own
 generator, and a run draws from it exactly what it would draw alone: a
 TS parameter, an epsilon coin and an exploring pick, and a tie draw.
 Ties in candidate goodness are broken uniformly at random within a
@@ -116,15 +117,14 @@ def _group_scores(kind: PolicyKind, t: int, xs: np.ndarray, state,
                   rngs: list[np.random.Generator]) -> np.ndarray:
     """The agent scores (R, n_agents) of R runs of one learning policy at
     round t, from their contexts drawn ahead xs (rounds, R, n_agents, dim),
-    round t's first, and their stacked ridge state or GP states. A GP run
-    conditions a window of xs's rounds at once (:func:`estimators.gp_round`)."""
-    if kind.uses_gp:
-        for r, run_state in enumerate(state):
-            estimators.gp_round(run_state, xs[:, r])
-        if kind.name == "gp-ucb":
-            return np.array([estimators.gp_ucb_scores(run_state, params) for run_state in state])
-        return np.array([estimators.gp_ts_scores(run_state, params, rng)
-                         for run_state, rng in zip(state, rngs)])
+    round t's first, and their stacked ridge state or GP states: one
+    estimators call per GP run, which conditions the round itself."""
+    if kind.name == "gp-ucb":
+        return np.array([estimators.gp_ucb_scores(run_state, params, xs[:, r])
+                         for r, run_state in enumerate(state)])
+    if kind.name == "gp-ts":
+        return np.array([estimators.gp_ts_scores(run_state, params, xs[:, r], rng)
+                         for r, (run_state, rng) in enumerate(zip(state, rngs))])
     if kind.name == "ucb":
         return estimators.ucb_scores(state, params, t, xs[0])
     theta = estimators.ts_sample(state, params, t, rngs) if kind.name == "ts" else state.theta_hat

@@ -79,8 +79,8 @@ CSV_CHUNK_ROWS = 2048
 
 
 class RunAbortedError(RuntimeError):
-    """A run hit a goodness domain violation or a numerical failure
-    mid-flight."""
+    """A run hit a mid-run fault (linalg.NumericError), or its traces
+    leave the float range when aggregated."""
 
 
 def size_problems(
@@ -254,7 +254,7 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
 @np.errstate(invalid="ignore", over="ignore")
 def _lockstep(config: RunConfig, seeds: tuple, kinds: tuple, block: int) -> list[RunTrace]:
     """run_batch's round loop, on runs it has checked, drawing items block
-    rounds ahead. A GoodnessDomainError or NumericError in a pass of more
+    rounds ahead. A NumericError, the one mid-run fault, in a pass of more
     than one run, or of blocks of more than one round, steps each run
     again alone, in order, one round a block, where it is raised as
     RunAbortedError naming the run, its round and its ledger."""
@@ -328,7 +328,7 @@ def _lockstep(config: RunConfig, seeds: tuple, kinds: tuple, block: int) -> list
             ledger[at_pick] += y
             realized[:, idx] = y
             policies.observe(estimator, picks, context_block[j], y)
-    except (goodness.GoodnessDomainError, linalg.NumericError) as exc:
+    except linalg.NumericError as exc:
         if runs > 1 or block > 1:
             return [trace for seed, kind in zip(seeds, kinds)
                     for trace in _lockstep(config, (seed,), (kind,), 1)]
@@ -359,13 +359,13 @@ def _oracle(spec: goodness.GoodnessSpec, ledgers: np.ndarray, truths: np.ndarray
     Returns the oracle's agents and the regret of the picks. argmax breaks
     ties to the lowest index, and to the first NaN, which leaves the gap
     NaN; the best value is the row's max, so a gap is >= 0 or NaN. A
-    non-finite gap raises GoodnessDomainError."""
+    non-finite gap raises linalg.NumericError."""
     values = goodness.candidate_scores(spec, ledgers, truths)
     best = values.argmax(axis=-1)
     gap = (np.take_along_axis(values, best[..., None], -1)
            - np.take_along_axis(values, picks[..., None], -1))[..., 0]
     if not math.isfinite(float(gap.max())):
-        raise goodness.GoodnessDomainError("oracle candidate goodness is not finite")
+        raise linalg.NumericError("oracle candidate goodness is not finite")
     return best, gap
 
 

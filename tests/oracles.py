@@ -28,11 +28,10 @@ from ofdsim.goodness import (
     NSW,
     TARGETED,
     WEIGHTED_GINI,
-    GoodnessDomainError,
     GoodnessSpec,
     _require_positive,
 )
-from ofdsim.linalg import PrecisionState
+from ofdsim.linalg import NumericError, PrecisionState
 
 
 def _check_u(spec: GoodnessSpec, u: np.ndarray) -> np.ndarray:
@@ -119,7 +118,7 @@ def check_local_properties(
     if not lo <= u.min() or not u.max() <= hi:
         raise ValueError("u must lie inside the [u_min, u_max] box")
     if spec.kind in (NSW, LOG_NSW) and lo <= 0.0:
-        raise GoodnessDomainError(f"{spec.kind} needs a positive box, got u_min={lo}")
+        raise NumericError(f"{spec.kind} needs a positive box, got u_min={lo}")
 
     base = evaluate(spec, u)
     perm_bad = 0

@@ -158,8 +158,13 @@ def test_short_horizon_names_round_robin():
         (dict(policy="best", epsilon=3.0), [r"unknown policy 'best'", r"^epsilon "]),
         (dict(reg_lambda=0.0, delta=2.0), [r"^lambda ", r"^delta "]),
         (dict(goodness="median", item_dim=0), [r"unknown goodness 'median'", r"^item.dim "]),
+        (dict(rho=2.0, target_ratios="0.5,0.6", agents=2, horizon=20),
+         [r"^rho must lie in \(0,1\], got 2\.0$", r"^target_ratios is only valid"]),
+        (dict(goodness="targeted", target_ratios="0.5,0.6", rho=0.5, agents=2, horizon=20),
+         [r"^weights/rho are only valid", r"^target_ratios must sum to 1, got 1\.1$"]),
     ],
-    ids=["rho-agents-delta", "policy-epsilon", "lambda-delta", "goodness-item-dim"],
+    ids=["rho-agents-delta", "policy-epsilon", "lambda-delta", "goodness-item-dim",
+         "rho-target-ratios", "targeted-rho-ratio-sum"],
 )
 def test_error_report_collects_every_problem(flags, patterns):
     with pytest.raises(ConfigError) as exc_info:
@@ -495,6 +500,51 @@ def test_a_later_entrys_abort_writes_no_csv(tmp_path, capsys):
     assert list(replay.iterdir()) == []
 
 
+def test_a_run_fault_in_a_later_batch_is_raised_before_an_aggregate_fault(tmp_path, capsys):
+    # entry 0's regret series leaves the float range once aggregated, and
+    # entry 1's runs lose definiteness at round 10: the run fault is the
+    # one reported, and no CSV is written
+    out = tmp_path / "a"
+    assert run_cli("run", "--policy", "ucb", "--agents", "10", "--horizon", "20", "--reps", "3",
+                   "--seed", "0", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    second = json.loads(json.dumps(manifest["entries"][0]))
+    second["name"] = "other"
+    second["config"]["confidence"]["lam"] = 1e-15
+    manifest["entries"][0]["config"]["confidence"]["noise_r"] = 1e300
+    manifest["entries"].append(second)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    replay = tmp_path / "b"
+    assert run_cli("run", "--manifest", str(out / "manifest.json"), "--out", str(replay)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("run aborted: run seed=15793235383387715774 aborted at round 10: ")
+    assert err.count("\n") == 1
+    assert list(replay.iterdir()) == []
+
+
+def test_an_entry_is_aggregated_before_the_last_batch_runs(tmp_path, monkeypatch):
+    # at --jobs 1 the batches run in order, and each entry is aggregated as
+    # soon as its traces are in, so the CLI holds one batch's traces
+    events = []
+    run_batch, aggregate = simulator.run_batch, simulator.aggregate
+
+    def running(config, seeds, kinds=None):
+        events.append("batch")
+        return run_batch(config, seeds, kinds)
+
+    def aggregating(traces):
+        events.append("aggregate")
+        return aggregate(traces)
+
+    monkeypatch.setattr(simulator, "run_batch", running)
+    monkeypatch.setattr(simulator, "aggregate", aggregating)
+    entries = [dataclasses.replace(entry, proto=dataclasses.replace(entry.proto, horizon=60))
+               for entry in cli.expand_preset("fig1-linear-d4", 2, 0)]
+    cli.execute_entries(entries, 1, str(tmp_path))
+    assert events == ["batch"] + ["aggregate"] * 3 + ["batch", "aggregate"]
+
+
 SCIPY_PROBE = """
 import sys
 from ofdsim import cli, simulator
@@ -660,6 +710,8 @@ ENTRY_EDITS = {
     "goodness-unknown-key": lambda entry: entry["config"]["goodness"].update(scale=2.0),
     "entry-name-escapes": lambda entry: entry.update(name="../../x"),
     "empty-policy": lambda entry: entry["policy"].update(name=""),
+    "no-seeds-key": lambda entry: entry.pop("seeds"),
+    "goodness-not-an-object": lambda entry: entry["config"].update(goodness="x"),
 }
 
 
@@ -688,6 +740,7 @@ MANIFEST_EDITS = {
     "reps-not-seed-count": lambda manifest: manifest.update(reps=2),
     "rho-and-delta-entries": in_two_entries(ENTRY_EDITS["rho-2"], ENTRY_EDITS["delta-2"]),
     "rho-in-two-entries": in_two_entries(ENTRY_EDITS["rho-2"], ENTRY_EDITS["rho-2"]),
+    "entry-not-an-object": lambda manifest: manifest["entries"].__setitem__(0, 5),
 }
 
 
@@ -767,6 +820,10 @@ REPLAY_LINES = {
     # every broken entry's lines, in entry order, each line once
     "rho-and-delta-entries": ["rho must lie in (0,1], got 2.0", "delta must lie in (0,1), got 2.0"],
     "rho-in-two-entries": ["rho must lie in (0,1], got 2.0"],
+    # a malformed entry names itself and the key
+    "entry-not-an-object": ["entry 0 must be an object"],
+    "no-seeds-key": ["entry 0 has no key 'seeds'"],
+    "goodness-not-an-object": ["entry 0: goodness must be an object"],
 }
 
 
@@ -774,6 +831,16 @@ REPLAY_LINES = {
 def test_manifest_header_and_blocks_name_each_problem(tmp_path, capsys, name, lines):
     err = edited_manifest_error(tmp_path, capsys, MANIFEST_EDITS[name])
     assert err.splitlines() == [f"config error: {line}" for line in lines]
+
+
+def test_a_manifest_that_is_no_object_is_named(tmp_path, capsys):
+    out = tmp_path / "a"
+    assert run_cli(*small_run_args(out)) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    (out / "manifest.json").write_text(json.dumps([manifest]))
+    assert run_cli("run", "--manifest", str(out / "manifest.json")) == 2
+    assert capsys.readouterr().err == "config error: manifest must be an object\n"
 
 
 def test_entries_that_write_one_csv_are_rejected_before_any_run(tmp_path, capsys):

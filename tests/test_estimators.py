@@ -1,5 +1,6 @@
 """Ridge/TS confidence machinery and the GP posterior."""
 
+import copy
 import math
 import tracemalloc
 
@@ -391,7 +392,7 @@ def test_gp_window_equals_one_round_conditioning(noise_var, n0):
         assert np.array_equal(window.v[w, :n], v), n
         stds = np.sqrt(np.maximum(gp.signal_var - np.sum(v**2, axis=0), 0.0))
         scores = means + estimators.gp_width_multiplier(gp, p) * stds
-        assert np.array_equal(estimators.gp_ucb_scores(gp, p), scores), n
+        assert np.array_equal(estimators.gp_ucb_scores(gp, p, rest), scores), n
         estimators.gp_update(gp, contexts[i], rng.integers(6), float(rng.uniform()))
     # windows end at their block's end, and from 200 observations the byte
     # bound cuts them short of it too
@@ -577,11 +578,11 @@ def test_gp_ucb_scores_match_scalar_and_dominate_mean():
         _observe(gp, x, float(x.prod() / 20.0))
     xs = rng.uniform(0.0, 10.0, (6, 2))
     _fresh_round(gp, xs[None])
-    batch = estimators.gp_ucb_scores(gp, p)
+    batch = estimators.gp_ucb_scores(gp, p, xs[None])
     singles = []
     for x in xs:
         _fresh_round(gp, x[None, None])
-        singles.append(estimators.gp_ucb_scores(gp, p)[0])
+        singles.append(estimators.gp_ucb_scores(gp, p, x[None, None])[0])
     np.testing.assert_allclose(batch, singles, rtol=1e-10)
     means, _ = _posterior(gp, xs)
     assert np.all(batch >= means)
@@ -596,13 +597,45 @@ def test_gp_ts_scores_reproducible_and_shaped():
         _observe(gp, x, float(x.sum() / 5.0))
     xs = rng.uniform(0.0, 10.0, (4, 2))
     _fresh_round(gp, xs[None])
-    a = estimators.gp_ts_scores(gp, p, np.random.default_rng(77))
-    b = estimators.gp_ts_scores(gp, p, np.random.default_rng(77))
+    a = estimators.gp_ts_scores(gp, p, xs[None], np.random.default_rng(77))
+    b = estimators.gp_ts_scores(gp, p, xs[None], np.random.default_rng(77))
     np.testing.assert_array_equal(a, b)
     assert a.shape == (4,)
     # dispersion grows with the width multiplier, so fresh draws differ
-    c = estimators.gp_ts_scores(gp, p, np.random.default_rng(78))
+    c = estimators.gp_ts_scores(gp, p, xs[None], np.random.default_rng(78))
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("name", ["gp-ucb", "gp-ts"])
+@pytest.mark.parametrize("n0", [25, 40])
+def test_gp_scorers_condition_a_round_no_window_holds(name, n0):
+    # after a round-robin round the state's window is spent; the scorer
+    # conditions the next round itself, with the bits of gp_round followed
+    # by the scores read from the window it opened
+    p = default_params(2)
+    rng = np.random.default_rng(36)
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=n0 + 3)
+    for _ in range(n0):
+        x = rng.uniform(0.0, 10.0, 2)
+        _observe(gp, x, float(x.sum() / 10.0))
+    xs = rng.uniform(0.0, 10.0, (3, 6, 2))
+    ref = copy.deepcopy(gp)
+    estimators.gp_round(ref, xs)
+    n, window = ref.n_obs, ref.window
+    v, white = window.v[0, :n], ref.white[:n]
+    if name == "gp-ucb":
+        stds = np.sqrt(np.maximum(ref.signal_var - np.sum(v**2, axis=0), 0.0))
+        want = v.T @ white + estimators.gp_width_multiplier(ref, p) * stds
+        got = estimators.gp_ucb_scores(gp, p, xs)
+    else:
+        scaled, sq_norms = window.scaled[0], window.sq_norms[0]
+        cov = estimators._kernel_cross(ref, scaled, sq_norms, scaled, sq_norms) - v.T @ v
+        lower = np.linalg.cholesky(cov + 1e-10 * ref.signal_var * np.eye(6))
+        draw = lower @ np.random.default_rng(79).standard_normal(6)
+        want = v.T @ white + estimators.gp_width_multiplier(ref, p) * draw
+        got = estimators.gp_ts_scores(gp, p, xs, np.random.default_rng(79))
+    assert np.array_equal(got, want)
+    assert np.array_equal(gp.window.v[0, :n], v)
 
 
 def test_coverage_event_holds_in_most_runs():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ofdsim import goodness
-from ofdsim.goodness import GoodnessDomainError, GoodnessSpec
+from ofdsim.goodness import GoodnessSpec
+from ofdsim.linalg import NumericError
 
 from oracles import check_local_properties, evaluate, opposite_order_check
 
@@ -98,10 +99,21 @@ def test_log_nsw_values():
 def test_product_kinds_reject_non_positive_entries():
     for kind in ("nsw", "log-nsw"):
         spec = GoodnessSpec(kind)
-        with pytest.raises(GoodnessDomainError):
+        with pytest.raises(NumericError):
             evaluate(spec, np.array([1.0, 0.0]))
-        with pytest.raises(GoodnessDomainError):
+        with pytest.raises(NumericError):
             evaluate(spec, np.array([1.0, -2.0]))
+
+
+def test_goodness_defines_no_exception_class():
+    # a ledger outside the domain is a mid-run fault like any other
+    assert not hasattr(goodness, "GoodnessDomainError")
+
+
+def test_target_ratios_sum_line_prints_a_plain_float():
+    with pytest.raises(ValueError) as exc_info:
+        GoodnessSpec("targeted", target_ratios=np.array([0.5, 0.6]))
+    assert str(exc_info.value) == "target_ratios must sum to 1, got 1.1"
 
 
 def test_targeted_priorities_and_value():
@@ -184,7 +196,7 @@ def test_nsw_out_of_float_range_raises(n, scale, low):
     totals = np.full(n, scale)
     totals[low] = 0.975 * scale
     adds = np.full(n, 0.5 * scale)
-    with pytest.raises(GoodnessDomainError, match="float range"):
+    with pytest.raises(NumericError, match="float range"):
         goodness.candidate_scores(GoodnessSpec("nsw"), totals, adds)
     values = goodness.candidate_scores(GoodnessSpec("log-nsw"), totals, adds)
     assert int(np.argmax(values)) == low
@@ -256,7 +268,7 @@ def test_check_local_properties_log_nsw_unit_box_ratio():
 
 def test_check_local_properties_rejects_bad_box():
     spec = GoodnessSpec("nsw")
-    with pytest.raises(GoodnessDomainError):
+    with pytest.raises(NumericError):
         check_local_properties(
             spec, np.array([1.0, 2.0]), 10, np.random.default_rng(0), u_min=0.0, u_max=5.0
         )

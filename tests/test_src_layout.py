@@ -169,18 +169,20 @@ def test_a_run_that_starts_no_pool_loads_no_multiprocessing(tmp_path):
 
 def test_only_estimators_reads_a_gp_window():
     # a GP window's layout, and when it is spent, are decided in estimators
-    # alone: a GP state keeps its window, and no other module names the
-    # type, reads the state's window or reads a field of one
+    # alone: a GP state keeps its window, the scorers and gp_update condition
+    # their round through gp_round, and no other module names the type or
+    # gp_round, reads the state's window or reads a field of one
     from ofdsim.estimators import GpWindow
 
-    names = {"GpWindow", "window", *GpWindow._fields}
+    heads = {"GpWindow", "gp_round"}
+    names = {*heads, "window", *GpWindow._fields}
     readers = sorted({
         f"{path.name}:{node.lineno}"
         for path in PACKAGE.glob("*.py")
         if path.name != "estimators.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if (isinstance(node, ast.Attribute) and node.attr in names)
-        or (isinstance(node, ast.Name) and node.id == "GpWindow")
-        or (isinstance(node, ast.alias) and node.name == "GpWindow")
+        or (isinstance(node, ast.Name) and node.id in heads)
+        or (isinstance(node, ast.alias) and node.name in heads)
     })
     assert not readers, f"modules other than estimators.py that name a GP window: {readers}"
