@@ -27,7 +27,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -383,9 +383,13 @@ def _entry_to_json(entry: RunSpecEntry) -> dict:
     }
 
 
-def _object(value, where: str) -> dict:
+def _object(value, where: str, known=None) -> dict:
+    """value, which must be an object, of no key outside known if given."""
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object")
+    for key in value if known else ():
+        if key not in known:
+            raise ValueError(f"{where} has unknown key {key!r}")
     return value
 
 
@@ -404,13 +408,18 @@ def _field(value, label: str, *path):
 def _entry_from_json(payload, label: str = "entry") -> RunSpecEntry:
     """A manifest entry, which label names in the line a malformed one raises."""
     sizes = {name: _field(payload, label, "config", name) for name in _SIZES}
-    policy, good, conf = (_object(_field(payload, label, *path), f"{label}: {path[-1]}")
-                          for path in (("policy",), ("config", "goodness"),
-                                       ("config", "confidence")))
+    # each object takes its constructor's keywords, the confidence's but dim
+    policy, good, conf = (
+        _object(_field(payload, label, *path), f"{label}: {path[-1]}",
+                {part.name for part in fields(make) if part.init} - {"dim"})
+        for *path, make in (("policy", PolicyKind), ("config", "goodness", goodness.GoodnessSpec),
+                            ("config", "confidence", ConfidenceParams)))
+    seeds = _field(payload, label, "seeds")
+    if not isinstance(seeds, list):
+        raise ValueError(f"{label}: seeds must be a list")
     proto = _build_run(policy, lambda n_agents: good,
                        lambda dim: ConfidenceParams(dim=dim, **conf), sizes)
-    return RunSpecEntry(name=_field(payload, label, "name"), proto=proto,
-                        seeds=tuple(_field(payload, label, "seeds")))
+    return RunSpecEntry(name=_field(payload, label, "name"), proto=proto, seeds=tuple(seeds))
 
 
 # ---------------------------------------------------------------------------

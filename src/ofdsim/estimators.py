@@ -204,7 +204,9 @@ GP_MAX_NOISE_R = math.sqrt(np.finfo(float).max)
 # block inverses' rounding moves a noiseless run's whitened targets past the
 # fresh-algebra tolerances
 GP_BLOCK = 32
-# bound on the bytes of the solves a GP run keeps for the rounds of its window
+# bound on the bytes of v, the solves a GP run keeps for the rounds of its
+# window: a run holds one window, and opening one takes about twice this, v and
+# the kernel of the rounds' query rows against the factor's settled rows
 GP_WINDOW_BYTES = 1 << 18
 # the RKHS norm bound B of the GP's width multiplier
 GP_BOUND_B = 1.0
@@ -229,10 +231,12 @@ def solve_triangular(state: GpState, b: np.ndarray, x: np.ndarray, lo: int) -> n
 
 @dataclass
 class GpState:
+    # constants of every GP state, read as its attributes: the kernel's signal
+    # variance and the scale of the raw features
+    signal_var = 1.0
+    feature_scale = FEATURE_HIGH
     lengthscale: float
-    signal_var: float
     noise_var: float
-    feature_scale: float
     inputs: np.ndarray = field(repr=False)
     sq_norms: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
@@ -257,9 +261,7 @@ def init_gp(dim: int, noise_var: float, horizon: int) -> GpState:
     finite."""
     return GpState(
         lengthscale=0.2 * math.sqrt(dim),
-        signal_var=1.0,
         noise_var=max(float(noise_var), 1e-10),
-        feature_scale=FEATURE_HIGH,
         inputs=np.empty((horizon, dim)),
         sq_norms=np.empty(horizon),
         chol=np.zeros((horizon, horizon)),
@@ -274,23 +276,23 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _kernel_cross(state: GpState, a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,
-                  b_sq: np.ndarray) -> np.ndarray:
+                  b_sq: np.ndarray, cross: np.ndarray | None = None) -> np.ndarray:
     """k(a_i, b_j) for scaled inputs a (n,d) and b (..., m, d), whose
     squared row norms are a_sq (n,) and b_sq (..., m); shape (..., n, m),
     a view of an array laid out (..., m, n), with the n stored inputs
-    innermost, where the broadcast sum runs fastest. Each step is
-    elementwise, IEEE addition commutes and x / -c is -(x / c), so
-    computing it in place, which keeps a window's kernel to two arrays,
-    gives every element the bits of
-    exp(-((a_sq + b_sq) - 2*a.b) / (2*l^2)) * signal_var taken apart."""
-    cross = a @ b.swapaxes(-1, -2)
+    innermost, where the broadcast sum runs fastest. The product a.b is
+    written into cross, an (..., n, m) scratch array, when one is given.
+    Each step is elementwise, IEEE addition commutes and x / -c is
+    -(x / c), so computing it in place gives every element the bits of
+    exp(-((a_sq + b_sq) - 2*a.b) / (2*l^2)) taken apart, which is the
+    kernel at signal_var 1."""
+    cross = np.matmul(a, b.swapaxes(-1, -2), out=cross)
     cross *= 2.0
     sq = b_sq[..., :, None] + a_sq
     sq -= cross.swapaxes(-1, -2)
     np.maximum(sq, 0.0, out=sq)
     sq /= -2.0 * state.lengthscale**2
     np.exp(sq, out=sq)
-    sq *= state.signal_var
     return sq.swapaxes(-1, -2)
 
 
@@ -315,10 +317,12 @@ def _solve_rows(state: GpState, lo: int, hi: int, scaled: np.ndarray, sq_norms: 
     m) with the same leading axes. A one-row product takes BLAS's
     matrix-vector path, whose bits differ from a row's inside a larger
     product, so the kernel rows come from a product of two rows or more
-    wherever the state holds two."""
+    wherever the state holds two. Where those rows are lo..hi, the
+    kernel's cross product is taken in v's rows lo..hi, which the solve
+    overwrites next, so the solve holds one array beside v."""
     k_lo = max(min(lo, hi - 2), 0)
     k_cross = _kernel_cross(state, state.inputs[k_lo:hi], state.sq_norms[k_lo:hi], scaled,
-                            sq_norms)
+                            sq_norms, v[..., lo:hi, :] if k_lo == lo else None)
     solve_triangular(state, k_cross[..., lo - k_lo :, :], v, lo)
 
 
@@ -334,21 +338,26 @@ def gp_round(state: GpState, xs: np.ndarray) -> None:
     opens on the first rounds of xs, the contexts of the rounds to come,
     shape (rounds, m, dim) in raw feature units: as many as keep its v
     within GP_WINDOW_BYTES, at least one, with the factor's settled
-    blocks solved for all of them. A block the factor completed since the
-    window opened is solved for this and every later round of the window;
-    the rows of the open block for this round alone. With no observations
-    v has no rows: the means are 0 and signal_var - |v|^2 is the prior
+    blocks solved for all of them. The spent window is dropped before the
+    next is allocated, and the kernel's cross product is taken in the new
+    v, so a run holds one window, and opens one in two arrays of its size:
+    v and the kernel. A block the factor completed since the window
+    opened is solved for this and every later round of the window; the
+    rows of the open block for this round alone. With no observations v
+    has no rows: the means are 0 and signal_var - |v|^2 is the prior
     variance."""
-    n, window = state.n_obs, state.window
+    n = state.n_obs
     if not _holds_round(state):
+        state.window = None
         m = xs.shape[1]
         # W rounds hold W*(n + W - 1) rows of v: the largest W within the bound
         most = GP_WINDOW_BYTES // (8 * m)
         rounds = min(len(xs), max(1, (math.isqrt((n - 1) ** 2 + 4 * most) - (n - 1)) // 2))
         scaled = xs[:rounds] / state.feature_scale
-        window = GpWindow(scaled, _sq_norms(scaled), np.empty((rounds, n + rounds - 1, m)), n)
-        _solve_rows(state, 0, n - n % GP_BLOCK, *window[:3])
-        state.window = window
+        state.window = GpWindow(scaled, _sq_norms(scaled),
+                                np.empty((rounds, n + rounds - 1, m)), n)
+        _solve_rows(state, 0, n - n % GP_BLOCK, *state.window[:3])
+    window = state.window
     w = n - window.n0
     top = n - n % GP_BLOCK
     if top < n:

@@ -254,10 +254,14 @@ def run_batch(config: RunConfig, seeds, kinds=None) -> list[RunTrace]:
 @np.errstate(invalid="ignore", over="ignore")
 def _lockstep(config: RunConfig, seeds: tuple, kinds: tuple, block: int) -> list[RunTrace]:
     """run_batch's round loop, on runs it has checked, drawing items block
-    rounds ahead. A NumericError, the one mid-run fault, in a pass of more
-    than one run, or of blocks of more than one round, steps each run
-    again alone, in order, one round a block, where it is raised as
-    RunAbortedError naming the run, its round and its ledger."""
+    rounds ahead. A pass allocates its block arrays once, (block, runs,
+    ...) for the contexts, true utilities, noise and ledgers before each
+    pick, and draws each block into them run by run, so no run's draws
+    are held beside a stacked copy. A NumericError, the one mid-run
+    fault, in a pass of more than one run, or of blocks of more than one
+    round, steps each run again alone, in order, one round a block, where
+    it is raised as RunAbortedError naming the run, its round and its
+    ledger."""
     runs = len(seeds)
     spec, params = config.goodness, config.confidence
     n, horizon, noise_r = config.n_agents, config.horizon, params.noise_r
@@ -282,8 +286,11 @@ def _lockstep(config: RunConfig, seeds: tuple, kinds: tuple, block: int) -> list
     # run r's agent a sits at r*n + a of the flat ledger and of a round's
     # (runs, n) arrays
     ledger, offsets = totals.reshape(-1), np.arange(runs) * n
-    # each round's ledger before its pick, kept for the block's oracle
+    # a block's arrays are indexed (round, run, ...), so a round's slice is
+    # contiguous; the ledgers before each pick are kept for the block's oracle
     before = np.empty((block, runs, n))
+    contexts = np.empty((block, runs, n, params.dim))
+    truths, noise = np.empty((block, runs, n)), np.empty((block, runs))
     # agent indices fit int32: n <= horizon <= MAX_HORIZON
     chosen = np.empty((runs, horizon), dtype=np.int32)
     oracle = np.empty((runs, horizon), dtype=np.int32)
@@ -296,21 +303,18 @@ def _lockstep(config: RunConfig, seeds: tuple, kinds: tuple, block: int) -> list
             j = idx % block
             if j == 0:
                 size = min(block, horizon - idx)
-                drawn = [environment.draw_item(inst, rng, size)
-                         for inst, rng in zip(instances, item_rngs)]
-                # blocks are indexed (round, run, ...), so a round's slice is contiguous
-                context_block = np.stack(drawn, axis=1)
-                truth_block = np.stack(
-                    [environment.true_utilities(inst, xs) for inst, xs in zip(instances, drawn)],
-                    axis=1,
-                )
-                noise_block = np.stack([rng.normal(0.0, noise_r, size) for rng in noise_rngs],
-                                       axis=1)
+                # a run's utilities are taken from its own contiguous draw, as alone
+                for r, (inst, item_rng, noise_rng) in enumerate(
+                        zip(instances, item_rngs, noise_rngs)):
+                    drawn = environment.draw_item(inst, item_rng, size)
+                    contexts[:size, r] = drawn
+                    truths[:size, r] = environment.true_utilities(inst, drawn)
+                    noise[:size, r] = noise_rng.normal(0.0, noise_r, size)
             before[j] = totals
             if t <= n:
                 picks = np.full(runs, idx)
             else:
-                picks = policies.select_agent(groups, spec, totals, t, context_block[j:],
+                picks = policies.select_agent(groups, spec, totals, t, contexts[j:size],
                                               params, policy_rngs)
             chosen[:, idx] = picks
             if j == size - 1:
@@ -321,13 +325,13 @@ def _lockstep(config: RunConfig, seeds: tuple, kinds: tuple, block: int) -> list
                 oracle[:, first:lo], inst_regret[:, first:lo] = chosen[:, first:lo], 0.0
                 if lo < t:
                     rows = slice(lo - first, size)
-                    best, gap = _oracle(spec, before[rows], truth_block[rows], chosen[:, lo:t].T)
+                    best, gap = _oracle(spec, before[rows], truths[rows], chosen[:, lo:t].T)
                     oracle[:, lo:t], inst_regret[:, lo:t] = best.T, gap.T
             at_pick = offsets + picks
-            y = truth_block[j].take(at_pick) + noise_block[j]
+            y = truths[j].take(at_pick) + noise[j]
             ledger[at_pick] += y
             realized[:, idx] = y
-            policies.observe(estimator, picks, context_block[j], y)
+            policies.observe(estimator, picks, contexts[j], y)
     except linalg.NumericError as exc:
         if runs > 1 or block > 1:
             return [trace for seed, kind in zip(seeds, kinds)

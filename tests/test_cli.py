@@ -712,6 +712,11 @@ ENTRY_EDITS = {
     "empty-policy": lambda entry: entry["policy"].update(name=""),
     "no-seeds-key": lambda entry: entry.pop("seeds"),
     "goodness-not-an-object": lambda entry: entry["config"].update(goodness="x"),
+    "seeds-an-integer": lambda entry: entry.update(seeds=5),
+    "seeds-a-string": lambda entry: entry.update(seeds="12"),
+    "confidence-unknown-key": lambda entry: entry["config"]["confidence"].update(scale=2.0),
+    "confidence-dim-key": lambda entry: entry["config"]["confidence"].update(dim=4),
+    "policy-unknown-key": lambda entry: entry["policy"].update(scale=2.0),
 }
 
 
@@ -812,8 +817,7 @@ def test_flag_and_manifest_paths_print_the_same_error(tmp_path, capsys, name):
 
 # rules a replay obeys that no flag can break
 REPLAY_LINES = {
-    "goodness-unknown-key":
-        ["GoodnessSpec.__init__() got an unexpected keyword argument 'scale'"],
+    "goodness-unknown-key": ["entry 0: goodness has unknown key 'scale'"],
     "no-entries": ["a manifest must hold at least 1 entry"],
     "header-seed-reps": ["seed must be non-negative, got -5", "reps must be >= 1, got 'x'"],
     "reps-not-seed-count": ["entry 'adhoc' has 3 seeds, not reps=2"],
@@ -824,6 +828,12 @@ REPLAY_LINES = {
     "entry-not-an-object": ["entry 0 must be an object"],
     "no-seeds-key": ["entry 0 has no key 'seeds'"],
     "goodness-not-an-object": ["entry 0: goodness must be an object"],
+    "seeds-an-integer": ["entry 0: seeds must be a list"],
+    "seeds-a-string": ["entry 0: seeds must be a list"],
+    "confidence-unknown-key": ["entry 0: confidence has unknown key 'scale'"],
+    # the confidence's dim is item_dim + agent_dim, which no manifest writes
+    "confidence-dim-key": ["entry 0: confidence has unknown key 'dim'"],
+    "policy-unknown-key": ["entry 0: policy has unknown key 'scale'"],
 }
 
 

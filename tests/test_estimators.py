@@ -3,6 +3,7 @@
 import copy
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -555,6 +556,54 @@ def test_gp_solves_each_rounds_columns_once(monkeypatch):
         # inputs gives
         assert gp.inputs.shape[0] == gp.chol.shape[0] == 130
         np.testing.assert_array_equal(gp.sq_norms[:130], np.sum(gp.inputs[:130] ** 2, axis=1))
+
+
+def test_a_gp_window_opens_after_the_spent_one_is_dropped(monkeypatch):
+    # each time gp_round allocates a window's v, no earlier window's v is
+    # referenced: a run holds one window, never two
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=40)
+    # 4 blocks of 10 rounds drawn ahead, 5 query rows each: one window each
+    blocks = np.random.default_rng(5).uniform(0.0, 10.0, (4, 10, 5, 2))
+    refs, alive = [], []
+    empty = np.empty
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return empty(*args, **kwargs)
+
+    monkeypatch.setattr(estimators.np, "empty", tracked)
+    for xs in blocks:
+        for j in range(10):
+            estimators.gp_round(gp, xs[j:])
+            if not refs or refs[-1]() is not gp.window.v:
+                refs.append(weakref.ref(gp.window.v))
+            estimators.gp_update(gp, xs[j], j % 5, float(j))
+    monkeypatch.undo()
+    assert len(refs) == len(alive) == 4
+    assert alive == [0, 0, 0, 0]
+
+
+def test_a_gp_window_opens_in_two_arrays_of_its_size():
+    # the kernel's cross product is taken in the new v, so opening a window
+    # allocates v and the kernel, and no third array of their size; the
+    # solve's temporaries take three (9, 32, 10) arrays
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=340)
+    rng = np.random.default_rng(6)
+    for k in range(320):
+        _observe(gp, rng.uniform(0.0, 10.0, 2), float(k % 3))
+    gp.window = None
+    xs = rng.uniform(0.0, 10.0, (9, 10, 2))
+    tracemalloc.start()
+    try:
+        estimators.gp_round(gp, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window = gp.window
+    assert window.v.shape == (9, 328, 10)
+    assert peak < 2.75 * window.v.nbytes
+    v, _ = _one_round(gp, window.scaled[0])
+    assert np.array_equal(window.v[0, :320], v)
 
 
 def test_gp_width_multiplier_grows_with_info_gain():

@@ -1,7 +1,8 @@
 """Byte check: short CLI runs must write the same CSV and manifest bytes.
 
-Nine in-process ``ofdsim run`` invocations cover every policy, every
-goodness kind, ``--reps 1`` and a noiseless run of each GP policy. The
+Thirteen in-process ``ofdsim run`` invocations cover every policy, every
+goodness kind, ``--reps 1``, a noiseless run of each GP policy, GP runs
+over many windows and item blocks, and a partial last item block. The
 sha256 of each CSV and ``manifest.json`` they write is compared with the
 hash recorded below; ``fig1-square`` and ``rho0`` are also run at
 ``--jobs 2``, whose traces cross the process pool, against the same
@@ -40,6 +41,19 @@ RUNS = {
     "gp-ts-noiseless": ["--policy", "gp-ts", "--utility", "square", "--noise-r", "0",
                         "--agents", "5", "--item-dim", "1", "--agent-dim", "1",
                         "--horizon", "600", "--reps", "2", "--seed", "5"],
+    # GP runs over many windows and item blocks (d=40, and three GP runs of
+    # a batch across the pool), a GP run all warm start, and a ridge run
+    # whose last item block is partial (blocks of 195 rounds, T=777)
+    "gp-ts-d40": ["--policy", "gp-ts", "--utility", "square", "--agents", "10",
+                  "--item-dim", "20", "--agent-dim", "20", "--horizon", "400",
+                  "--reps", "2", "--seed", "7"],
+    "gp-ucb-warm-start": ["--policy", "gp-ucb", "--utility", "square", "--noise-r", "0",
+                          "--agents", "40", "--horizon", "40", "--reps", "2", "--seed", "7"],
+    "fig1-square-reps3": ["--preset", "fig1-square", "--reps", "3", "--seed", "12",
+                          "--jobs", "2"],
+    "ridge-partial-block": ["--policy", "ts", "--agents", "7", "--item-dim", "3",
+                            "--agent-dim", "4", "--horizon", "777", "--reps", "3",
+                            "--seed", "9"],
 }
 
 GOLDEN = {
@@ -55,6 +69,18 @@ GOLDEN = {
         "manifest.json":
             "09b14e2cfbbbdef05f4671069d19fc679ea625322634580056bc48c7f08dd6b3",
     },
+    "fig1-square-reps3": {
+        "fig1-square_gp-ts.csv":
+            "07e48914bc4a1a0184cdf1cda6426c41e3aa99eebcefc36346dce4e7a80c6d05",
+        "fig1-square_gp-ucb.csv":
+            "98bdd80e13df4a0cad5a532f06b581cca4f521e0528b5ce13fd7307c6c187697",
+        "fig1-square_ts.csv":
+            "1eb2999f5fcb3cabba4057a8682ca20400b2adf987b15b77620c1f887bcd961e",
+        "fig1-square_ucb.csv":
+            "4a7b1346a8c690b6af7bd8676776a57e41c0c8460d2ceb3d36d03815c3e1f984",
+        "manifest.json":
+            "c7203adc8387cf17e621060f9b37d126cf353776d0f135e3a60385a434f92fe2",
+    },
     "gp-noiseless": {
         "adhoc_gp-ucb.csv":
             "0e4efd5d7ad7051cb4acde29e6895ee9da7a3414f84e8033f2913b68732f60a2",
@@ -66,6 +92,18 @@ GOLDEN = {
             "14f96cddbeb4d490cb5c409dcc303abafc77d83d7d1dbbbcfba45fff657fe808",
         "manifest.json":
             "4d2815558a8fe807b232f4831628d6f094f5e6944b96d93ae2f80757a1caaacd",
+    },
+    "gp-ts-d40": {
+        "adhoc_gp-ts.csv":
+            "eb7b26e8a03d2523af0b26d54d15dcadfb2ee873ce844963d77cccda75449bb3",
+        "manifest.json":
+            "acf4b02de42c418068bf746f3db9052474b6383128df5e535a81a74826ed6eed",
+    },
+    "gp-ucb-warm-start": {
+        "adhoc_gp-ucb.csv":
+            "71d29a032f7c5a855a7b5211f443b1943b1c00b0e2783495abcd29a01a51c9ae",
+        "manifest.json":
+            "040a7eeec0fcf04088d8142c7c39f2f46692d4fad92de00baf83a9c70fdc3f76",
     },
     "log-nsw": {
         "adhoc_ucb.csv":
@@ -84,6 +122,12 @@ GOLDEN = {
             "85a133b14a983211ef4c2d37b42c062f407ffbc43e20349efb44d26350870e0e",
         "manifest.json":
             "2693d7875409a677c0f09ee3c7b81bee7b1cc4db40062166b48210bcdb97f888",
+    },
+    "ridge-partial-block": {
+        "adhoc_ts.csv":
+            "08f2b6fde12b660d20e79b81289ccfa5f0eec1a8e0ea9e50378340ccfa6018b2",
+        "manifest.json":
+            "1d8c1bc840e1fbf20483d4a2c803a34e562aea09b83e6b12f15dd6fd410a2fa5",
     },
     "rho0": {
         "adhoc_greedy.csv":

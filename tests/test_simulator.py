@@ -466,6 +466,25 @@ def test_csv_rows_span_chunks(tmp_path):
     assert path.read_text() == "\n".join(want) + "\n"
 
 
+def test_csv_rows_keep_each_float_repr_at_the_extremes(tmp_path):
+    # signed zeros, subnormals, the float limit and integral floats, whose
+    # repr keeps its ".0", each as its shortest round-trip repr
+    mean = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 3.0, 1e16]
+    ci = [-0.0, 1.7976931348623157e308, -5e-324, 0.1, 12.0, 0.0, 2.5e-10]
+    path = tmp_path / "series.csv"
+    simulator.write_series_csv(simulator.AggregateSeries(np.array(mean), np.array(ci), {}), path)
+    assert path.read_text() == (
+        "t,mean_regret,ci95\n"
+        "1,0.0,-0.0\n"
+        "2,-0.0,1.7976931348623157e+308\n"
+        "3,5e-324,-5e-324\n"
+        "4,2.2250738585072014e-308,0.1\n"
+        "5,1e+308,12.0\n"
+        "6,3.0,0.0\n"
+        "7,1e+16,2.5e-10\n"
+    )
+
+
 def test_csv_writer_streams_its_rows(tmp_path):
     # a writer that formats every row before it writes peaks at 6 to 14 MiB here
     rng = np.random.default_rng(63)
