@@ -12,7 +12,7 @@ in the constructors of ``PolicyKind``, ``GoodnessSpec``,
 flags, a config file or a manifest through them, reporting every field
 they reject. The CLI checks by itself only what belongs to a command: its
 header (base seed, reps, jobs), which options combine, and a manifest's
-entry and seed counts.
+keys, entry and seed counts and CSV names.
 
 Exit codes: 0 success, 2 config/preset/manifest error, 3 unwritable
 output directory, 4 a run aborted mid-flight (a linalg.NumericError)
@@ -27,7 +27,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,9 +55,8 @@ AGENT_GRID = (5, 10, 15, 20, 25)
 DIM_GRID = (10, 20, 30, 40, 50)
 
 # One row per run option: (key, type, default, help). The key is the
-# config-file key and, with dashes, the flag. Each flag parses into the
-# attribute of its key, except --lambda, a Python keyword, which parses
-# into reg_lambda.
+# config-file key and, with dashes, the flag, which parses into the
+# attribute of its key (read --lambda's, a Python keyword, with getattr).
 OPTIONS = (
     ("preset", str, None, f"one of: {', '.join(PRESET_NAMES)}"),
     ("policy", str, None, f"one of: {', '.join(POLICY_NAMES)}"),
@@ -80,7 +79,6 @@ OPTIONS = (
     ("epsilon", float, 0.1, "greedy exploration rate"),
     ("target_ratios", str, None, "comma-separated ratios for --goodness targeted"),
 )
-_DEST = {"lambda": "reg_lambda"}
 DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
 _CONFIG_KEYS = {key: kind for key, kind, _, _ in OPTIONS}
 
@@ -90,7 +88,6 @@ class ConfigError(ValueError):
 
     def __init__(self, problems: list[str]):
         super().__init__("\n".join(problems))
-        self.problems = problems
 
 
 @dataclass(frozen=True)
@@ -203,11 +200,6 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _flag_value(ns: argparse.Namespace, key: str):
-    """The value of option key on the command line, or None."""
-    return getattr(ns, _DEST.get(key, key), None)
-
-
 def _clashes(given, keys, mode: str) -> list[str]:
     """One problem for each option in keys that given says was set."""
     return [f"{_flag(key)} cannot be combined with --{mode}" for key in keys if given(key)]
@@ -292,10 +284,10 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
     file_values = _read_config_file(config_path) if config_path else {}
 
     def given(key: str) -> bool:
-        return _flag_value(ns, key) is not None or key in file_values
+        return getattr(ns, key) is not None or key in file_values
 
     def grab(key: str):
-        flag = _flag_value(ns, key)
+        flag = getattr(ns, key)
         return file_values.get(key, DEFAULTS[key]) if flag is None else flag
 
     problems = []
@@ -353,73 +345,72 @@ def validate_config(ns: argparse.Namespace) -> RunPlan:
 # ---------------------------------------------------------------------------
 # serialization for the manifest
 
-# a run's sizes and utility kind, RunConfig's fields of the same names
+# the keys of a manifest's objects (a block's are _block_keys); the sizes
+# and utility kind are RunConfig's fields of the same names
 _SIZES = ("horizon", "n_agents", "item_dim", "agent_dim", "utility_kind")
+_HEADER_KEYS = ("seed", "preset", "reps", "entries", "csv_files")
+_ENTRY_KEYS = ("name", "csv", "policy", "seeds", "config")
+_RUN_KEYS = (*_SIZES, "goodness", "confidence")
 
 
-def _goodness_to_json(spec: goodness.GoodnessSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "rho": spec.rho,
-        "weights": None if spec.weights is None else spec.weights.tolist(),
-        "target_ratios": None if spec.target_ratios is None else spec.target_ratios.tolist(),
-    }
+def _block_keys(make) -> list[str]:
+    """A block's keys: its constructor's keyword fields, but the
+    confidence's dim, which is item_dim + agent_dim."""
+    return [part.name for part in fields(make) if part.init and part.name != "dim"]
+
+
+def _block_to_json(block) -> dict:
+    values = {key: getattr(block, key) for key in _block_keys(type(block))}
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in values.items()}
 
 
 def _entry_to_json(entry: RunSpecEntry) -> dict:
     proto = entry.proto
-    confidence = asdict(proto.confidence)
-    del confidence["dim"]  # item_dim + agent_dim
     return {
         "name": entry.name,
         "csv": entry.csv_name,
-        "policy": asdict(proto.policy),
+        "policy": _block_to_json(proto.policy),
         "seeds": list(entry.seeds),
         "config": {
             **{name: getattr(proto, name) for name in _SIZES},
-            "goodness": _goodness_to_json(proto.goodness),
-            "confidence": confidence,
+            "goodness": _block_to_json(proto.goodness),
+            "confidence": _block_to_json(proto.confidence),
         },
     }
 
 
-def _object(value, where: str, known=None) -> dict:
-    """value, which must be an object, of no key outside known if given."""
+def _object(value, where: str, keys) -> dict:
+    """value, an object of exactly keys; else a ValueError naming where
+    and its first unknown key, then its first missing one."""
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object")
-    for key in value if known else ():
-        if key not in known:
+    for key in (*value, *keys):
+        if key not in keys:
             raise ValueError(f"{where} has unknown key {key!r}")
-    return value
-
-
-def _field(value, label: str, *path):
-    """The value at path in a manifest's JSON value, which label names.
-    A value on the way that is no object, or a missing key, raises a
-    ValueError naming label and the key."""
-    where = label
-    for key in path:
-        if key not in _object(value, where):
+        if key not in value:
             raise ValueError(f"{where} has no key {key!r}")
-        value, where = value[key], f"{label}: {key}"
     return value
 
 
 def _entry_from_json(payload, label: str = "entry") -> RunSpecEntry:
     """A manifest entry, which label names in the line a malformed one raises."""
-    sizes = {name: _field(payload, label, "config", name) for name in _SIZES}
-    # each object takes its constructor's keywords, the confidence's but dim
+    payload = _object(payload, label, _ENTRY_KEYS)
+    config = _object(payload["config"], f"{label}: config", _RUN_KEYS)
     policy, good, conf = (
-        _object(_field(payload, label, *path), f"{label}: {path[-1]}",
-                {part.name for part in fields(make) if part.init} - {"dim"})
-        for *path, make in (("policy", PolicyKind), ("config", "goodness", goodness.GoodnessSpec),
-                            ("config", "confidence", ConfidenceParams)))
-    seeds = _field(payload, label, "seeds")
-    if not isinstance(seeds, list):
+        _object(block, f"{label}: {key}", _block_keys(make))
+        for block, key, make in ((payload["policy"], "policy", PolicyKind),
+                                 (config["goodness"], "goodness", goodness.GoodnessSpec),
+                                 (config["confidence"], "confidence", ConfidenceParams)))
+    if not isinstance(payload["seeds"], list):
         raise ValueError(f"{label}: seeds must be a list")
     proto = _build_run(policy, lambda n_agents: good,
-                       lambda dim: ConfidenceParams(dim=dim, **conf), sizes)
-    return RunSpecEntry(name=_field(payload, label, "name"), proto=proto, seeds=tuple(seeds))
+                       lambda dim: ConfidenceParams(dim=dim, **conf),
+                       {name: config[name] for name in _SIZES})
+    entry = RunSpecEntry(name=payload["name"], proto=proto, seeds=tuple(payload["seeds"]))
+    if payload["csv"] != entry.csv_name:
+        raise ValueError(f"{label}: csv must be {entry.csv_name!r}, got {payload['csv']!r}")
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key, kind, default, text in OPTIONS:
         if default is not None:
             text = f"{text} (default {default})"
-        run.add_argument(_flag(key), dest=_DEST.get(key, key), type=kind, help=text)
+        run.add_argument(_flag(key), type=kind, help=text)
     run.add_argument("--config", help="key=value config file; flags win")
     run.add_argument("--manifest", help="re-run the exact runs recorded in a manifest.json")
     return parser
@@ -516,10 +507,10 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
     may come with it, and its header obeys the rules of the flags. No
     two entries may write the same CSV file."""
     replay_only = [key for key in (*DEFAULTS, "config") if key not in ("out", "jobs")]
-    problems = _clashes(lambda key: _flag_value(ns, key) is not None, replay_only, "manifest")
+    problems = _clashes(lambda key: getattr(ns, key) is not None, replay_only, "manifest")
     with open(ns.manifest, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    seed, reps, items = (_field(payload, "manifest", key) for key in ("seed", "reps", "entries"))
+        payload = _object(json.load(fh), "manifest", _HEADER_KEYS)
+    seed, reps, items = payload["seed"], payload["reps"], payload["entries"]
     jobs = DEFAULTS["jobs"] if ns.jobs is None else ns.jobs
     problems += _command_problems(seed, reps, jobs)
     if not isinstance(items, list):
@@ -550,8 +541,11 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
                            f"{entry.proto.policy.name}) both write {entry.csv_name}")
     if counts or clashes:
         raise ConfigError(list(counts) + clashes)
+    written = [entry.csv_name for entry in entries]
+    if payload["csv_files"] != written:
+        raise ConfigError([f"manifest: csv_files must be {written}, got {payload['csv_files']!r}"])
     out = ns.out or os.path.dirname(os.path.abspath(ns.manifest))
-    return RunPlan(entries, seed, payload.get("preset"), reps, out, jobs)
+    return RunPlan(entries, seed, payload["preset"], reps, out, jobs)
 
 
 def run_command(ns: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ from ofdsim.cli import ConfigError
 def make_ns(**kw):
     fields = (
         "preset policy goodness rho agents item_dim agent_dim horizon reps seed "
-        "reg_lambda noise_r delta out jobs utility epsilon target_ratios config manifest"
+        "lambda noise_r delta out jobs utility epsilon target_ratios config manifest"
     ).split()
     values = {f: None for f in fields}
     values.update(kw)
@@ -156,7 +156,7 @@ def test_short_horizon_names_round_robin():
         (dict(rho=2.0, agents=-1, delta=2.0), [r"^rho ", r"agents must", r"^delta "]),
         # each of these breaks two fields of one constructor
         (dict(policy="best", epsilon=3.0), [r"unknown policy 'best'", r"^epsilon "]),
-        (dict(reg_lambda=0.0, delta=2.0), [r"^lambda ", r"^delta "]),
+        ({"lambda": 0.0, "delta": 2.0}, [r"^lambda ", r"^delta "]),
         (dict(goodness="median", item_dim=0), [r"unknown goodness 'median'", r"^item.dim "]),
         (dict(rho=2.0, target_ratios="0.5,0.6", agents=2, horizon=20),
          [r"^rho must lie in \(0,1\], got 2\.0$", r"^target_ratios is only valid"]),
@@ -169,7 +169,7 @@ def test_short_horizon_names_round_robin():
 def test_error_report_collects_every_problem(flags, patterns):
     with pytest.raises(ConfigError) as exc_info:
         cli.validate_config(make_ns(**{"policy": "ucb", **flags}))
-    problems = exc_info.value.problems
+    problems = str(exc_info.value).splitlines()
     assert len(problems) == len(patterns), problems
     for pattern in patterns:
         assert sum(bool(re.search(pattern, p)) for p in problems) == 1, (pattern, problems)
@@ -185,18 +185,18 @@ def test_unknown_policy_and_goodness():
 def test_preset_conflicts_with_structural_flags(tmp_path):
     # a preset fixes every run option, so any of them given with it is an error
     cases = [("horizon", 100, "horizon"), ("goodness", "nsw", "goodness"),
-             ("reg_lambda", 5.0, "lambda"), ("noise_r", 0.3, "noise-r"),
+             ("lambda", 5.0, "lambda"), ("noise_r", 0.3, "noise-r"),
              ("delta", 0.2, "delta"), ("epsilon", 0.7, "epsilon")]
     for dest, value, flag in cases:
         with pytest.raises(ConfigError) as exc_info:
             cli.validate_config(make_ns(preset="fig1-square", **{dest: value}))
-        assert exc_info.value.problems == [f"--{flag} cannot be combined with --preset"]
+        assert str(exc_info.value).splitlines() == [f"--{flag} cannot be combined with --preset"]
     # the same options set in a config file
     path = tmp_path / "run.cfg"
     path.write_text("preset = fig1-square\nseed = 4\nlambda = 5\nepsilon = 0.7\n")
     with pytest.raises(ConfigError) as exc_info:
         cli.validate_config(make_ns(config=str(path)))
-    assert exc_info.value.problems == [
+    assert str(exc_info.value).splitlines() == [
         "--lambda cannot be combined with --preset",
         "--epsilon cannot be combined with --preset",
     ]
@@ -241,7 +241,7 @@ def test_config_file_problems_carry_line_numbers(tmp_path):
     path.write_text("policy = ucb\nwhat\nreps = many\nmystery = 3\n")
     with pytest.raises(ConfigError) as exc_info:
         cli.validate_config(make_ns(config=str(path)))
-    text = "\n".join(exc_info.value.problems)
+    text = str(exc_info.value)
     assert ":2:" in text and ":3:" in text and ":4:" in text
 
 
@@ -251,7 +251,7 @@ def test_config_file_empty_policy_is_no_policy_name(tmp_path):
     path.write_text("policy =\n")
     with pytest.raises(ConfigError) as exc_info:
         cli.validate_config(make_ns(config=str(path)))
-    assert exc_info.value.problems[0].startswith("unknown policy ''")
+    assert str(exc_info.value).startswith("unknown policy ''")
 
 
 def test_environment_seed_default(monkeypatch):
@@ -290,16 +290,77 @@ def test_plan_header_resolved_from_file_and_flags(tmp_path):
 
 
 def test_entry_json_round_trip():
-    entries = cli.expand_preset("fig1-square", 3, 9)
-    for entry in entries:
-        clone = cli._entry_from_json(json.loads(json.dumps(cli._entry_to_json(entry))))
-        assert clone.name == entry.name
-        assert clone.proto.policy == entry.proto.policy
-        assert clone.seeds == entry.seeds
-        assert clone.proto.horizon == entry.proto.horizon
-        assert clone.proto.utility_kind == entry.proto.utility_kind
-        assert clone.proto.goodness.kind == entry.proto.goodness.kind
-        assert clone.proto.confidence == entry.proto.confidence
+    # every preset's entries read back from their JSON as the same JSON
+    for preset in cli.PRESET_NAMES:
+        for entry in cli.expand_preset(preset, 1, 9):
+            written = json.loads(json.dumps(cli._entry_to_json(entry)))
+            clone = cli._entry_from_json(written)
+            assert json.loads(json.dumps(cli._entry_to_json(clone))) == written
+            assert clone.proto.confidence == entry.proto.confidence
+
+
+def preset_manifest(preset):
+    """The manifest of a preset's run at reps 1 and seed 0, made without a run."""
+    entries = cli.expand_preset(preset, 1, 0)
+    return {"seed": 0, "preset": preset, "reps": 1,
+            "entries": [cli._entry_to_json(entry) for entry in entries],
+            "csv_files": [entry.csv_name for entry in entries]}
+
+
+def planned(tmp_path, manifest):
+    """The plan of a replay of manifest; making it runs nothing."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return cli._plan_from_manifest(make_ns(manifest=str(path)))
+
+
+def manifest_objects(value, path=()):
+    """Each object in a manifest's JSON value, with its path of keys."""
+    if isinstance(value, dict):
+        yield path, value
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from manifest_objects(item, (*path, key))
+
+
+def replay_name(path):
+    """How a replay's lines name the manifest object at path: the header,
+    an entry, or an entry's config or block."""
+    if not path:
+        return "manifest"
+    return f"entry {path[1]}" + (f": {path[-1]}" if len(path) > 2 else "")
+
+
+def replay_line(tmp_path, manifest):
+    with pytest.raises(ValueError) as exc_info:
+        planned(tmp_path, manifest)
+    return str(exc_info.value)
+
+
+def test_a_manifest_without_any_one_of_its_keys_is_rejected(tmp_path):
+    manifest = preset_manifest("fig1-square")
+    # the header, and each of 4 entries, its config and its three blocks
+    objects = list(manifest_objects(manifest))
+    assert len(objects) == 1 + 4 * 5
+    for path, obj in objects:
+        for key in list(obj):
+            value = obj.pop(key)
+            assert replay_line(tmp_path, manifest) == f"{replay_name(path)} has no key {key!r}"
+            obj[key] = value
+    plan = planned(tmp_path, manifest)
+    assert (plan.seed, plan.preset, plan.reps, len(plan.entries)) == (0, "fig1-square", 1, 4)
+
+
+def test_a_manifest_with_a_key_added_to_any_object_is_rejected(tmp_path):
+    manifest = preset_manifest("fig1-square")
+    for path, obj in list(manifest_objects(manifest)):
+        obj["zz"] = 0
+        assert replay_line(tmp_path, manifest) == f"{replay_name(path)} has unknown key 'zz'"
+        del obj["zz"]
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +539,16 @@ def test_a_final_ledger_whose_sum_overflows_exits_4_and_writes_no_csv(tmp_path, 
     assert list(out.iterdir()) == []
 
 
+def append_copy(manifest, name):
+    """Append to manifest a copy of its first entry under name, with the
+    entry's csv and the header's csv_files to match, and return the copy."""
+    copy = json.loads(json.dumps(manifest["entries"][0]))
+    copy["name"], copy["csv"] = name, f"{name}_{copy['policy']['name']}.csv"
+    manifest["entries"].append(copy)
+    manifest["csv_files"].append(copy["csv"])
+    return copy
+
+
 def test_a_later_entrys_abort_writes_no_csv(tmp_path, capsys):
     # every entry is aggregated before the first CSV is written, so the
     # second entry's abort leaves the first entry's CSV unwritten too
@@ -485,10 +556,7 @@ def test_a_later_entrys_abort_writes_no_csv(tmp_path, capsys):
     assert run_cli("run", "--policy", "ucb", "--reps", "2", "--horizon", "60", "--seed", "0",
                    "--out", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    second = json.loads(json.dumps(manifest["entries"][0]))
-    second["name"] = "big"
-    second["config"]["confidence"]["noise_r"] = 1e300
-    manifest["entries"].append(second)
+    append_copy(manifest, "big")["config"]["confidence"]["noise_r"] = 1e300
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     replay = tmp_path / "b"
@@ -508,11 +576,8 @@ def test_a_run_fault_in_a_later_batch_is_raised_before_an_aggregate_fault(tmp_pa
     assert run_cli("run", "--policy", "ucb", "--agents", "10", "--horizon", "20", "--reps", "3",
                    "--seed", "0", "--out", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    second = json.loads(json.dumps(manifest["entries"][0]))
-    second["name"] = "other"
-    second["config"]["confidence"]["lam"] = 1e-15
+    append_copy(manifest, "other")["config"]["confidence"]["lam"] = 1e-15
     manifest["entries"][0]["config"]["confidence"]["noise_r"] = 1e300
-    manifest["entries"].append(second)
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     replay = tmp_path / "b"
@@ -717,6 +782,13 @@ ENTRY_EDITS = {
     "confidence-unknown-key": lambda entry: entry["config"]["confidence"].update(scale=2.0),
     "confidence-dim-key": lambda entry: entry["config"]["confidence"].update(dim=4),
     "policy-unknown-key": lambda entry: entry["policy"].update(scale=2.0),
+    "goodness-no-kind": lambda entry: entry["config"]["goodness"].pop("kind"),
+    "goodness-no-weights": lambda entry: entry["config"]["goodness"].pop("weights"),
+    "confidence-no-lam": lambda entry: entry["config"]["confidence"].pop("lam"),
+    "policy-no-name": lambda entry: entry["policy"].pop("name"),
+    "config-unknown-key": lambda entry: entry["config"].update(scale=2.0),
+    "entry-unknown-key": lambda entry: entry.update(horizn=5),
+    "csv-not-its-own": lambda entry: entry.update(csv="other.csv"),
 }
 
 
@@ -729,11 +801,8 @@ def in_two_entries(first_edit, second_edit):
     """An edit of a manifest that appends a copy of its first entry, named
     'other', and applies first_edit to the first and second_edit to the copy."""
     def edit(manifest):
-        first = manifest["entries"][0]
-        second = json.loads(json.dumps(first))
-        second["name"] = "other"
-        manifest["entries"].append(second)
-        first_edit(first)
+        second = append_copy(manifest, "other")
+        first_edit(manifest["entries"][0])
         second_edit(second)
     return edit
 
@@ -746,6 +815,8 @@ MANIFEST_EDITS = {
     "rho-and-delta-entries": in_two_entries(ENTRY_EDITS["rho-2"], ENTRY_EDITS["delta-2"]),
     "rho-in-two-entries": in_two_entries(ENTRY_EDITS["rho-2"], ENTRY_EDITS["rho-2"]),
     "entry-not-an-object": lambda manifest: manifest["entries"].__setitem__(0, 5),
+    "header-unknown-key": lambda manifest: manifest.update(note="x"),
+    "csv-files-not-the-entries": lambda manifest: manifest.update(csv_files=["x.csv"]),
 }
 
 
@@ -834,6 +905,19 @@ REPLAY_LINES = {
     # the confidence's dim is item_dim + agent_dim, which no manifest writes
     "confidence-dim-key": ["entry 0: confidence has unknown key 'dim'"],
     "policy-unknown-key": ["entry 0: policy has unknown key 'scale'"],
+    # a manifest holds exactly what ofdsim writes: no key may be missing,
+    # none added, at any level
+    "goodness-no-kind": ["entry 0: goodness has no key 'kind'"],
+    "goodness-no-weights": ["entry 0: goodness has no key 'weights'"],
+    "confidence-no-lam": ["entry 0: confidence has no key 'lam'"],
+    "policy-no-name": ["entry 0: policy has no key 'name'"],
+    "config-unknown-key": ["entry 0: config has unknown key 'scale'"],
+    "entry-unknown-key": ["entry 0 has unknown key 'horizn'"],
+    "header-unknown-key": ["manifest has unknown key 'note'"],
+    # the file names follow from the entries
+    "csv-not-its-own": ["entry 0: csv must be 'adhoc_ucb.csv', got 'other.csv'"],
+    "csv-files-not-the-entries":
+        ["manifest: csv_files must be ['adhoc_ucb.csv'], got ['x.csv']"],
 }
 
 
