@@ -505,7 +505,8 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
     """Replay plan for a manifest; output goes next to it unless --out.
     The manifest fixes the runs, so of the options only --out and --jobs
     may come with it, and its header obeys the rules of the flags. No
-    two entries may write the same CSV file."""
+    two entries may write the same CSV file, and a preset it names must
+    expand, at its seed and reps, to exactly its entries."""
     replay_only = [key for key in (*DEFAULTS, "config") if key not in ("out", "jobs")]
     problems = _clashes(lambda key: getattr(ns, key) is not None, replay_only, "manifest")
     with open(ns.manifest, encoding="utf-8") as fh:
@@ -544,8 +545,14 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
     written = [entry.csv_name for entry in entries]
     if payload["csv_files"] != written:
         raise ConfigError([f"manifest: csv_files must be {written}, got {payload['csv_files']!r}"])
+    preset = payload["preset"]
+    if preset is not None and (preset not in PRESET_NAMES or items != [
+            _entry_to_json(entry) for entry in expand_preset(preset, reps, seed)]):
+        raise ConfigError([f"manifest: preset must be null or one of {', '.join(PRESET_NAMES)} "
+                           f"whose runs at this seed and reps are the entries, got {preset!r}; "
+                           "replay edited entries with null"])
     out = ns.out or os.path.dirname(os.path.abspath(ns.manifest))
-    return RunPlan(entries, seed, payload["preset"], reps, out, jobs)
+    return RunPlan(entries, seed, preset, reps, out, jobs)
 
 
 def run_command(ns: argparse.Namespace) -> int:

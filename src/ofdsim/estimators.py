@@ -9,7 +9,8 @@ follow the self-normalized bound alpha_t = R*sqrt(d*log((1+t*L^2/lam)/delta))
 The round loop steps the ridge states of a batch's runs as one state with
 a leading run axis (stack_ridge), of which each run's own state holds
 views of its row, so it is the run's estimate at every round; the ridge
-functions take one state or a stacked one.
+functions take one state or a stacked one, and ucb_scores takes the rows
+of M^-1 and theta_hat that a policy scores.
 
 The GP path keeps the Cholesky factor L of K + noise_var*I, the whitened
 targets L^-1 y and the information gain. A round's scores come from
@@ -32,15 +33,15 @@ n x n block, and the GP, like the rest of the package, needs only numpy.
 A block's rows of v depend only on the factor's rows up to the block's
 end, so a run conditions a window of coming rounds, whose contexts are
 drawn ahead, at once, through one call, gp_round, and its state keeps
-the window while it has rounds left. A window opens with one pass of
-stacked products that solves the factor's settled blocks for all its
-rounds; a block the factor completes within the window is solved for
-the rounds left the same way, and each round solves only the rows of
-its open block. The scorers and gp_update condition their round through
-gp_round, so no other module names it or the window. The window has a
-leading round axis, so every product keeps the (rows, k) @ (k, m) shape
-one round gives it, and with it the round's bits: a right-hand side
-widened to (k, W*m) would take other BLAS paths.
+the window while it has rounds left. A window ends where the factor's
+open block does, so no block completes within it: it opens with one
+pass of stacked products that solves the factor's settled blocks for
+all its rounds, and each round solves only the rows of its open block.
+The scorers and gp_update condition their round through gp_round, so no
+other module names it or the window. The window has a leading round
+axis, so every product keeps the (rows, k) @ (k, m) shape one round
+gives it, and with it the round's bits: a right-hand side widened to
+(k, W*m) would take other BLAS paths.
 """
 
 from __future__ import annotations
@@ -141,18 +142,6 @@ def stack_ridge(states: list[RidgeState]) -> RidgeState:
     return stacked
 
 
-def ridge_rows(state: RidgeState, rows: slice) -> RidgeState:
-    """The runs of a stacked state in rows, a slice, as a stacked state
-    of views: it reads and updates those rows of state in place."""
-    precision = state.precision
-    return RidgeState(
-        precision=linalg.PrecisionState(m_mat=precision.m_mat[rows], m_inv=precision.m_inv[rows],
-                                        log_det=precision.log_det[rows]),
-        moment=state.moment[rows],
-        theta_hat=state.theta_hat[rows],
-    )
-
-
 def ridge_update(state: RidgeState, x: np.ndarray, y: np.ndarray | float) -> RidgeState:
     """Fold observations (x, y) into the ridge estimate: x of shape
     (..., dim) and y of shape (...), one per run of a stacked state;
@@ -172,12 +161,14 @@ def alpha_t(params: ConfidenceParams, t: int) -> float:
     ) * params.param_bound_s
 
 
-def ucb_scores(state: RidgeState, params: ConfidenceParams, t: int, xs: np.ndarray) -> np.ndarray:
+def ucb_scores(m_inv: np.ndarray, theta_hat: np.ndarray, params: ConfidenceParams, t: int,
+               xs: np.ndarray) -> np.ndarray:
     """Optimistic score x.theta_hat + alpha_t*||x||_{M^-1} of each row of
     xs, a float array of shape (..., m, dim) with one (m, dim) matrix per
-    run of a stacked state; shape (..., m)."""
-    q = np.maximum((np.matmul(xs, state.precision.m_inv) * xs).sum(axis=-1), 0.0)
-    means = np.matmul(xs, state.theta_hat[..., None])[..., 0]
+    run of a ridge state's M^-1 (..., dim, dim) and theta_hat (..., dim);
+    shape (..., m)."""
+    q = np.maximum((np.matmul(xs, m_inv) * xs).sum(axis=-1), 0.0)
+    means = np.matmul(xs, theta_hat[..., None])[..., 0]
     return means + alpha_t(params, t) * np.sqrt(q)
 
 
@@ -185,14 +176,6 @@ def beta_t(params: ConfidenceParams, t: int) -> float:
     """Posterior-sampling scale at round t >= 1; log(t/delta) clamped at
     0 for tiny t."""
     return params.noise_r * math.sqrt(9.0 * params.dim * max(math.log(t / params.delta), 0.0))
-
-
-def ts_sample(state: RidgeState, params: ConfidenceParams, t: int,
-              rngs: list[np.random.Generator]) -> np.ndarray:
-    """One parameter draw theta ~ N(theta_hat, beta_t^2 * M^-1) per run,
-    each from that run's generator in rngs; a round draws once per run
-    and scores every agent against it."""
-    return linalg.sample_gaussian(state.theta_hat, beta_t(params, t), state.precision, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -337,34 +320,31 @@ def gp_round(state: GpState, xs: np.ndarray) -> None:
     from. The window is kept while it has rounds left; else a window
     opens on the first rounds of xs, the contexts of the rounds to come,
     shape (rounds, m, dim) in raw feature units: as many as keep its v
-    within GP_WINDOW_BYTES, at least one, with the factor's settled
-    blocks solved for all of them. The spent window is dropped before the
-    next is allocated, and the kernel's cross product is taken in the new
-    v, so a run holds one window, and opens one in two arrays of its size:
-    v and the kernel. A block the factor completed since the window
-    opened is solved for this and every later round of the window; the
-    rows of the open block for this round alone. With no observations v
-    has no rows: the means are 0 and signal_var - |v|^2 is the prior
-    variance."""
+    within GP_WINDOW_BYTES and its observations within the factor's open
+    32-row block, at least one, with the factor's settled blocks solved
+    for all of them. The spent window is dropped before the next is
+    allocated, and the kernel's cross product is taken in the new v, so
+    a run holds one window, and opens one in two arrays of its size: v
+    and the kernel. Each round solves the rows of the open block for
+    itself alone. With no observations v has no rows: the means are 0
+    and signal_var - |v|^2 is the prior variance."""
     n = state.n_obs
+    top = n - n % GP_BLOCK
     if not _holds_round(state):
         state.window = None
         m = xs.shape[1]
         # W rounds hold W*(n + W - 1) rows of v: the largest W within the bound
         most = GP_WINDOW_BYTES // (8 * m)
-        rounds = min(len(xs), max(1, (math.isqrt((n - 1) ** 2 + 4 * most) - (n - 1)) // 2))
+        rounds = min(len(xs), top + GP_BLOCK - n,
+                     max(1, (math.isqrt((n - 1) ** 2 + 4 * most) - (n - 1)) // 2))
         scaled = xs[:rounds] / state.feature_scale
         state.window = GpWindow(scaled, _sq_norms(scaled),
                                 np.empty((rounds, n + rounds - 1, m)), n)
-        _solve_rows(state, 0, n - n % GP_BLOCK, *state.window[:3])
+        _solve_rows(state, 0, top, *state.window[:3])
     window = state.window
     w = n - window.n0
-    top = n - n % GP_BLOCK
     if top < n:
         _solve_rows(state, top, n, window.scaled[w], window.sq_norms[w], window.v[w])
-    elif w > 0:
-        _solve_rows(state, top - GP_BLOCK, top, window.scaled[w:], window.sq_norms[w:],
-                    window.v[w:])
 
 
 def gp_update(state: GpState, xs: np.ndarray, agent: int, y: float) -> GpState:

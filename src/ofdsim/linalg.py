@@ -93,12 +93,12 @@ def rank_one_update(state: PrecisionState, v: np.ndarray) -> PrecisionState:
 def sample_gaussian(
     mean: np.ndarray,
     scale: float,
-    state: PrecisionState,
+    m_inv: np.ndarray,
     rngs: list[np.random.Generator],
 ) -> np.ndarray:
     """Draw theta ~ N(mean, scale^2 * M^-1) for a float array mean of
-    shape (..., dim) and a finite scale >= 0, one draw per row of mean
-    with its own generator in rngs.
+    shape (..., dim), a finite scale >= 0 and M^-1 of shape (..., dim,
+    dim), one draw per row of mean with its own generator in rngs.
 
     scale = 0 returns the mean exactly (the degenerate limit) and draws
     nothing. A failed Cholesky factorization of M^-1 raises
@@ -107,9 +107,9 @@ def sample_gaussian(
     if scale == 0.0:
         return mean.copy()
     try:
-        chol = np.linalg.cholesky(state.m_inv)
+        chol = np.linalg.cholesky(m_inv)
     except np.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(state.m_inv)[..., 0].min())
+        smallest = float(np.linalg.eigvalsh(m_inv)[..., 0].min())
         raise NumericError(
             f"covariance factorization failed; smallest eigenvalue of M^-1 is {smallest:.3e}"
         ) from exc

@@ -7,16 +7,18 @@ policy chooses from round N+1 on. The simulator steps the R runs of a
 batch together, so the policies choose for every run at once: ledgers
 arrive as (R, N), the contexts of the round and of the rounds drawn
 ahead after it as (rounds, R, N, d), and the picks leave as an int array
-(R,). A batch's runs come as row groups (:func:`row_groups`), a stretch
-of runs of one policy each; only the ridge policies share a batch. One
-loop scores every group's rows, from a ridge state with a leading run
-axis or each run's GP state in turn, one estimators call a run, and one
-candidate-goodness call and one argmax serve them all. A GP scorer is
-handed the rounds drawn ahead and conditions a window of them at once,
-which the run's state keeps for observe and the rounds after, so no
-policy function takes or returns one. Each run keeps its own
-generator, and a run draws from it exactly what it would draw alone: a
-TS parameter, an epsilon coin and an exploring pick, and a tie draw.
+(R,). A batch has one estimator (:func:`batch_estimator`), a ridge state
+with a leading run axis or the list of its runs' GP states, and its runs
+come as row groups (:func:`row_groups`), a stretch of runs of one policy
+each; only the ridge policies share a batch. One loop scores each
+group's row slice of the estimator, in one estimators call for a ridge
+group and one a run for a GP group, and one candidate-goodness call and
+one argmax serve them all. A GP scorer is handed the rounds drawn ahead
+and conditions a window of them at once, which the run's state keeps
+for observe and the rounds after, so no policy function takes or
+returns one. Each run keeps its own generator, and a run draws from it
+exactly what it would draw alone: a TS parameter, an epsilon coin and
+an exploring pick, and a tie draw.
 Ties in candidate goodness are broken uniformly at random within a
 relative tolerance of 1e-9; the tie draw is only taken when there is an
 actual tie, so deterministic variants consume identical rng streams.
@@ -95,44 +97,57 @@ def _pick_max(values: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray
     return picks
 
 
-def row_groups(kinds: tuple[PolicyKind, ...], estimator) -> list[tuple]:
-    """A batch's runs, whose policy kinds are kinds in run order and whose
-    estimator is theirs as the round loop steps it, as (kind, rows, state)
-    groups in order: rows the slice of a stretch of runs of one policy and
-    state what those runs score with. A batch of one policy is one group
-    whose state is the estimator itself; a batch of several ridge policies
-    hands each group views of its rows (:func:`estimators.ridge_rows`)."""
+def batch_estimator(kinds: tuple[PolicyKind, ...], params: estimators.ConfidenceParams,
+                    horizon: int):
+    """The estimator of a batch whose runs' policy kinds are kinds, in run
+    order: one state from :func:`make_estimator` per run, stacked by
+    :func:`estimators.stack_ridge` for the ridge policies, the list of
+    states for a GP policy, or None for uniform."""
+    states = [make_estimator(kind, params, horizon) for kind in kinds]
+    if kinds[0].uses_ridge:
+        return estimators.stack_ridge(states)
+    return states if kinds[0].uses_gp else None
+
+
+def row_groups(kinds: tuple[PolicyKind, ...]) -> list[tuple[PolicyKind, slice]]:
+    """A batch's runs, whose policy kinds are kinds in run order, as
+    (kind, rows) groups in order, rows the slice of a stretch of runs of
+    one policy."""
     groups, lo = [], 0
     for kind, same in itertools.groupby(kinds):
         hi = lo + len(list(same))
         groups.append((kind, slice(lo, hi)))
         lo = hi
-    if len(groups) == 1:
-        return [(*groups[0], estimator)]
-    return [(kind, rows, estimators.ridge_rows(estimator, rows)) for kind, rows in groups]
+    return groups
 
 
-def _group_scores(kind: PolicyKind, t: int, xs: np.ndarray, state,
+def _group_scores(kind: PolicyKind, rows: slice, estimator, t: int, xs: np.ndarray,
                   params: estimators.ConfidenceParams,
                   rngs: list[np.random.Generator]) -> np.ndarray:
-    """The agent scores (R, n_agents) of R runs of one learning policy at
-    round t, from their contexts drawn ahead xs (rounds, R, n_agents, dim),
-    round t's first, and their stacked ridge state or GP states: one
-    estimators call per GP run, which conditions the round itself."""
+    """The agent scores (R, n_agents) of the R runs in rows, all of one
+    learning policy, at round t, from their contexts drawn ahead xs
+    (rounds, R, n_agents, dim), round t's first, and those rows of the
+    batch's estimator: of a stacked ridge state's M^-1 and theta_hat, or
+    of its list of GP states, one estimators call per GP run, which
+    conditions the round itself."""
     if kind.name == "gp-ucb":
-        return np.array([estimators.gp_ucb_scores(run_state, params, xs[:, r])
-                         for r, run_state in enumerate(state)])
+        return np.array([estimators.gp_ucb_scores(state, params, xs[:, r])
+                         for r, state in enumerate(estimator[rows])])
     if kind.name == "gp-ts":
-        return np.array([estimators.gp_ts_scores(run_state, params, xs[:, r], rng)
-                         for r, (run_state, rng) in enumerate(zip(state, rngs))])
+        return np.array([estimators.gp_ts_scores(state, params, xs[:, r], rng)
+                         for r, (state, rng) in enumerate(zip(estimator[rows], rngs))])
+    m_inv, theta = estimator.precision.m_inv[rows], estimator.theta_hat[rows]
     if kind.name == "ucb":
-        return estimators.ucb_scores(state, params, t, xs[0])
-    theta = estimators.ts_sample(state, params, t, rngs) if kind.name == "ts" else state.theta_hat
+        return estimators.ucb_scores(m_inv, theta, params, t, xs[0])
+    if kind.name == "ts":
+        # one draw per run, against which the round scores every agent
+        theta = linalg.sample_gaussian(theta, estimators.beta_t(params, t), m_inv, rngs)
     return np.matmul(xs[0], theta[..., None])[..., 0]
 
 
 def select_agent(
-    groups: list[tuple],
+    groups: list[tuple[PolicyKind, slice]],
+    estimator,
     spec: goodness.GoodnessSpec,
     totals: np.ndarray,
     t: int,
@@ -144,18 +159,18 @@ def select_agent(
     totals (R, n_agents) and contexts, a float array of shape (rounds, R,
     n_agents, dim): round t's contexts, one row per agent, and those
     drawn for the rounds after it. groups holds the batch's runs as
-    :func:`row_groups` makes them: one loop scores each learning policy's
-    rows (:func:`_group_scores`), from a ridge state stacked by
-    :func:`estimators.stack_ridge` or views of its rows, or the runs' GP
-    states, and one candidate-goodness call and one argmax serve every
-    run; a uniform batch scores nothing. Run r draws from rngs[r] alone.
-    A non-finite candidate goodness raises :class:`linalg.NumericError`.
-    Returns the picks (R,)."""
+    :func:`row_groups` makes them and estimator is the batch's, as
+    :func:`batch_estimator` makes it: one loop scores each learning
+    policy's rows of the estimator (:func:`_group_scores`), and one
+    candidate-goodness call and one argmax serve every run; a uniform
+    batch scores nothing. Run r draws from rngs[r] alone. A non-finite
+    candidate goodness raises :class:`linalg.NumericError`. Returns the
+    picks (R,)."""
     n = totals.shape[1]
     if groups[0][0].name == "uniform":
         return np.array([rng.integers(n) for rng in rngs])
     scored = None
-    coins = [(rows, kind.epsilon) for kind, rows, _ in groups
+    coins = [(rows, kind.epsilon) for kind, rows in groups
              if kind.name == "greedy" and kind.epsilon > 0.0]
     if coins:
         explores = [False] * len(rngs)
@@ -168,8 +183,9 @@ def select_agent(
             if not scored:
                 return picks
     scores = np.empty(totals.shape)
-    for kind, rows, state in groups:
-        scores[rows] = _group_scores(kind, t, contexts[:, rows], state, params, rngs[rows])
+    for kind, rows in groups:
+        scores[rows] = _group_scores(kind, rows, estimator, t, contexts[:, rows], params,
+                                     rngs[rows])
     adds = np.maximum(scores, 0.0)
     if scored is None:
         values = goodness.candidate_scores(spec, totals, adds)

@@ -33,13 +33,14 @@ seed, in lockstep. The runs may take different ridge policies (ucb, ts,
 greedy), each policy's runs a stretch of rows, as the CLI batches the
 entries of a grid point; a GP or uniform batch holds one policy. Their
 ledgers are one (R, N) array, their contexts one (R, N, d) array and a
-ridge state one state with a leading run axis, so each layer's function
-runs once per round for all R runs: one update, one candidate-goodness
-call and one argmax, while each policy scores its own rows through
-views of the stacked state. Each value is kept once: a run's own ridge
-state holds views of its row of the stacked state, and its trace arrays
-are rows of (R, T) arrays written a round's column at a time, 24 bytes
-a round (int32 picks and oracle agents, float64 realized utilities and
+ridge state one state with a leading run axis, which policies builds as
+the batch's one estimator, so each layer's function runs once per round
+for all R runs: one update, one candidate-goodness call and one argmax,
+while each policy scores its own row slice of the stacked state, and a
+GP policy its slice of the runs' GP states. Each value is kept once: a run's own ridge state holds
+views of its row of the stacked state, and its trace arrays are rows of
+(R, T) arrays written a round's column at a time, 24 bytes a round
+(int32 picks and oracle agents, float64 realized utilities and
 regrets); the cumulative regret is derived from them. Each
 run's arithmetic is the arithmetic it takes alone, in stacked numpy
 forms that give each run's bits, and each run draws from its own
@@ -59,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import environment, estimators, goodness, linalg, policies
+from . import environment, goodness, linalg, policies
 from .estimators import GP_MAX_NOISE_R, ConfidenceParams
 
 MAX_HORIZON = 10**6
@@ -273,12 +274,8 @@ def _lockstep(config: RunConfig, seeds: tuple, kinds: tuple, block: int) -> list
                                       config.utility_kind, rng)
         for rng in instance_rngs
     ]
-    states = [policies.make_estimator(kind, params, horizon) for kind in kinds]
-    # one stacked ridge state, the GP runs' states, or None for uniform
-    estimator = states if kinds[0].uses_gp else None
-    if kinds[0].uses_ridge:
-        estimator = estimators.stack_ridge(states)
-    groups = policies.row_groups(kinds, estimator)
+    estimator = policies.batch_estimator(kinds, params, horizon)
+    groups = policies.row_groups(kinds)
     # these kinds cannot score the warm start's zero ledger entries
     needs_positive = spec.kind in goodness.POSITIVE_LEDGER_KINDS
 
@@ -314,8 +311,8 @@ def _lockstep(config: RunConfig, seeds: tuple, kinds: tuple, block: int) -> list
             if t <= n:
                 picks = np.full(runs, idx)
             else:
-                picks = policies.select_agent(groups, spec, totals, t, contexts[j:size],
-                                              params, policy_rngs)
+                picks = policies.select_agent(groups, estimator, spec, totals, t,
+                                              contexts[j:size], params, policy_rngs)
             chosen[:, idx] = picks
             if j == size - 1:
                 # the block's oracle; the warm start charges no regret where

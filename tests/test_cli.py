@@ -355,6 +355,26 @@ def test_a_manifest_without_any_one_of_its_keys_is_rejected(tmp_path):
     assert (plan.seed, plan.preset, plan.reps, len(plan.entries)) == (0, "fig1-square", 1, 4)
 
 
+def test_a_manifest_preset_must_expand_to_its_entries(tmp_path):
+    # a name that is no preset, another preset's name, and the preset's own
+    # name over edited entries or at another seed are rejected; null replays
+    # any entries
+    manifest = preset_manifest("fig1-square")
+    for preset, shown in ((5, "5"), ("fig1-linear-d4", "'fig1-linear-d4'"),
+                          (["fig1-square"], "['fig1-square']")):
+        manifest["preset"] = preset
+        assert replay_line(tmp_path, manifest) == PRESET_LINE.format(shown)
+    manifest["preset"] = "fig1-square"
+    assert planned(tmp_path, manifest).preset == "fig1-square"
+    manifest["seed"] = 1
+    assert replay_line(tmp_path, manifest) == PRESET_LINE.format("'fig1-square'")
+    manifest["seed"] = 0
+    manifest["entries"][3]["config"]["horizon"] = 499
+    assert replay_line(tmp_path, manifest) == PRESET_LINE.format("'fig1-square'")
+    manifest["preset"] = None
+    assert planned(tmp_path, manifest).preset is None
+
+
 def test_a_manifest_with_a_key_added_to_any_object_is_rejected(tmp_path):
     manifest = preset_manifest("fig1-square")
     for path, obj in list(manifest_objects(manifest)):
@@ -817,6 +837,8 @@ MANIFEST_EDITS = {
     "entry-not-an-object": lambda manifest: manifest["entries"].__setitem__(0, 5),
     "header-unknown-key": lambda manifest: manifest.update(note="x"),
     "csv-files-not-the-entries": lambda manifest: manifest.update(csv_files=["x.csv"]),
+    "preset-not-a-name": lambda manifest: manifest.update(preset=5),
+    "preset-of-other-entries": lambda manifest: manifest.update(preset="fig1-linear-d4"),
 }
 
 
@@ -886,6 +908,10 @@ def test_flag_and_manifest_paths_print_the_same_error(tmp_path, capsys, name):
     assert from_flags == from_manifest
 
 
+PRESET_LINE = (f"manifest: preset must be null or one of {', '.join(cli.PRESET_NAMES)} whose "
+               "runs at this seed and reps are the entries, got {}; replay edited entries "
+               "with null")
+
 # rules a replay obeys that no flag can break
 REPLAY_LINES = {
     "goodness-unknown-key": ["entry 0: goodness has unknown key 'scale'"],
@@ -918,6 +944,9 @@ REPLAY_LINES = {
     "csv-not-its-own": ["entry 0: csv must be 'adhoc_ucb.csv', got 'other.csv'"],
     "csv-files-not-the-entries":
         ["manifest: csv_files must be ['adhoc_ucb.csv'], got ['x.csv']"],
+    # a preset names the runs the entries are, at the header's seed and reps
+    "preset-not-a-name": [PRESET_LINE.format("5")],
+    "preset-of-other-entries": [PRESET_LINE.format("'fig1-linear-d4'")],
 }
 
 

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ofdsim import estimators, policies
+from ofdsim import estimators, linalg, policies
 from ofdsim.estimators import ConfidenceParams
 from ofdsim.goodness import GoodnessSpec
 from ofdsim.policies import PolicyKind
@@ -129,7 +129,7 @@ def test_ucb_score_empty_history():
     state = estimators.init_ridge(2, 1.0)
     x = np.array([1.0, 0.0])
     # zero mean plus one alpha of width (||x||_{M^-1} = 1 at lambda = 1)
-    score = estimators.ucb_scores(state, p, 1, x[None, :])[0]
+    score = estimators.ucb_scores(state.precision.m_inv, state.theta_hat, p, 1, x[None, :])[0]
     assert score == pytest.approx(estimators.alpha_t(p, 1))
 
 
@@ -143,7 +143,7 @@ def test_ucb_score_dominates_mean_and_width_shrinks():
         estimators.ridge_update(state, x, float(1.0 + rng.normal(0.0, 0.1)))
     assert inv_norm(state.precision, x) < 0.05 * initial_width
     t = 10**4 + 1
-    assert estimators.ucb_scores(state, p, t, x[None, :])[0] >= float(x @ state.theta_hat)
+    assert estimators.ucb_scores(state.precision.m_inv, state.theta_hat, p, t, x[None, :])[0] >= float(x @ state.theta_hat)
 
 
 def test_ucb_scores_vectorized_matches_scalar():
@@ -154,9 +154,9 @@ def test_ucb_scores_vectorized_matches_scalar():
         estimators.ridge_update(state, rng.uniform(0.0, 10.0, 4), float(rng.normal()))
     xs = rng.uniform(0.0, 10.0, (7, 4))
     # each row scored alone, its width from the reference norm inv_norm
-    singles = [estimators.ucb_scores(state, p, 31, x[None, :])[0] for x in xs]
+    singles = [estimators.ucb_scores(state.precision.m_inv, state.theta_hat, p, 31, x[None, :])[0] for x in xs]
     widths = [inv_norm(state.precision, x) for x in xs]
-    batch = estimators.ucb_scores(state, p, 31, xs)
+    batch = estimators.ucb_scores(state.precision.m_inv, state.theta_hat, p, 31, xs)
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
     np.testing.assert_allclose(
         batch, xs @ state.theta_hat + estimators.alpha_t(p, 31) * np.array(widths), rtol=1e-12
@@ -170,6 +170,13 @@ def test_beta_closed_form():
     )
 
 
+def ts_draw(state, p, t, rngs):
+    """Round t's TS parameter draw per run of state, as the ts policy
+    takes it: theta ~ N(theta_hat, beta_t^2 * M^-1)."""
+    return linalg.sample_gaussian(state.theta_hat, estimators.beta_t(p, t),
+                                  state.precision.m_inv, rngs)
+
+
 def test_ts_degenerate_scale_returns_mean_prediction():
     p = ConfidenceParams(dim=2, noise_r=0.0, param_bound_s=1.0,
                          feature_bound_l=5.0, delta=0.05, lam=1.0)
@@ -177,7 +184,7 @@ def test_ts_degenerate_scale_returns_mean_prediction():
     estimators.ridge_update(state, np.array([1.0, 0.0]), 3.0)
     x = np.array([2.0, 1.0])
     rng = np.random.default_rng(0)
-    theta = estimators.ts_sample(state, p, 5, [rng])
+    theta = ts_draw(state, p, 5, [rng])
     assert theta @ x == pytest.approx(float(x @ state.theta_hat))
 
 
@@ -191,7 +198,7 @@ def test_ts_monte_carlo_mean_and_variance():
     x = np.array([3.0, 4.0])
     t = 31
     draw_rng = np.random.default_rng(99)
-    vals = np.array([estimators.ts_sample(state, p, t, [draw_rng]) @ x for _ in range(10**5)])
+    vals = np.array([ts_draw(state, p, t, [draw_rng]) @ x for _ in range(10**5)])
     target_var = estimators.beta_t(p, t) ** 2 * inv_norm(state.precision, x) ** 2
     assert vals.var(ddof=1) == pytest.approx(target_var, rel=0.05)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -201,12 +208,12 @@ def test_ts_monte_carlo_mean_and_variance():
 def test_ts_sample_shared_across_round():
     p = default_params(3)
     state = estimators.init_ridge(3, p.lam)
-    theta = estimators.ts_sample(state, p, 4, [np.random.default_rng(11)])
+    theta = ts_draw(state, p, 4, [np.random.default_rng(11)])
     xs = np.random.default_rng(12).uniform(0.0, 10.0, (5, 3))
     scores = xs @ theta
     assert scores.shape == (5,)
     # the same draw reproduces under the same stream state
-    theta2 = estimators.ts_sample(state, p, 4, [np.random.default_rng(11)])
+    theta2 = ts_draw(state, p, 4, [np.random.default_rng(11)])
     np.testing.assert_array_equal(theta, theta2)
 
 
@@ -247,7 +254,7 @@ def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42, block=2
     spec = GoodnessSpec("weighted-gini", rho=0.85)
     totals = np.zeros((1, n_agents))
     gp = policies.make_estimator(kind, params, rounds)
-    groups = policies.row_groups((kind,), [gp])
+    groups = policies.row_groups((kind,))
     rng = np.random.default_rng(seed)
     for t in range(1, rounds + 1):
         j = (t - 1) % block
@@ -256,7 +263,8 @@ def _gp_policy_rounds(name, noise_r, rounds, n_agents=5, dim=2, seed=42, block=2
         if t <= n_agents:
             picks = np.array([t - 1])
         else:
-            picks = policies.select_agent(groups, spec, totals, t, contexts[j:], params, [rng])
+            picks = policies.select_agent(groups, [gp], spec, totals, t, contexts[j:], params,
+                                          [rng])
         agent = picks[0]
         y = float(np.sum((contexts[j, 0, agent] / 10.0) ** 2))
         totals[0, agent] += y
@@ -366,13 +374,13 @@ def _grown_gp(noise_var, n=200, horizon=None):
     return gp
 
 
-@pytest.mark.parametrize("n0", [1, 31, 32, 33, 64, 65, 200])
+@pytest.mark.parametrize("n0", [1, 31, 32, 33, 64, 65, 200, 400])
 @pytest.mark.parametrize("noise_var", [0.01, 1e-10], ids=["noisy", "noiseless"])
 def test_gp_window_equals_one_round_conditioning(noise_var, n0):
     # 80 rounds from n0 observations, on item blocks of 23 rounds: each
-    # window ends at its block's end or where GP_WINDOW_BYTES cuts it, the
-    # factor completes blocks within windows, and rounds at n = 32q + 1
-    # have a one-row open block
+    # window ends at its item block's end, at its factor block's end or
+    # where GP_WINDOW_BYTES cuts it, and rounds at n = 32q + 1 have a
+    # one-row open block
     rng = np.random.default_rng(50 + n0)
     rounds, block = 80, 23
     gp = _grown_gp(noise_var, n0, horizon=n0 + rounds)
@@ -385,7 +393,10 @@ def test_gp_window_equals_one_round_conditioning(noise_var, n0):
         estimators.gp_round(gp, rest)
         window = gp.window
         if window is not kept:
-            cuts.add(len(window.v) == len(rest))
+            # what cut the window: the item block, the factor block or the bytes
+            caps = {"item": len(rest),
+                    "factor": estimators.GP_BLOCK - window.n0 % estimators.GP_BLOCK}
+            cuts.add(next((cut for cut, cap in caps.items() if len(window.v) == cap), "bytes"))
         n = gp.n_obs
         w = n - window.n0
         v, means = _one_round(gp, window.scaled[w])
@@ -395,10 +406,11 @@ def test_gp_window_equals_one_round_conditioning(noise_var, n0):
         scores = means + estimators.gp_width_multiplier(gp, p) * stds
         assert np.array_equal(estimators.gp_ucb_scores(gp, p, rest), scores), n
         estimators.gp_update(gp, contexts[i], rng.integers(6), float(rng.uniform()))
-    # windows end at their block's end, and from 200 observations the byte
-    # bound cuts them short of it too
-    assert True in cuts
-    assert False in cuts or n0 < 200
+    # windows end at their item block's end and at their factor block's, and
+    # from 400 observations the byte bound cuts them short of both too (at
+    # 200 the factor block cuts first)
+    assert {"item", "factor"} <= cuts
+    assert "bytes" in cuts or n0 < 400
 
 
 def _assert_matches_fresh_algebra(gp, tol_chol, tol_white, rel_gain):
@@ -522,9 +534,8 @@ def test_gp_update_rejects_a_lost_pivot_and_leaves_the_state():
 
 def test_gp_solves_each_rounds_columns_once(monkeypatch):
     # a round's v has one row per observation. Windows solve the settled
-    # blocks' rows for all their rounds, and a block completed within a
-    # window for the rounds left, while each round solves its open block:
-    # every row of every round is solved once, with the bits of one
+    # blocks' rows for all their rounds, while each round solves its open
+    # block: every row of every round is solved once, with the bits of one
     # kernel product and one solve over all its rows
     solve, round_ = estimators.solve_triangular, estimators.gp_round
     rows, same = [0], []
@@ -562,7 +573,8 @@ def test_a_gp_window_opens_after_the_spent_one_is_dropped(monkeypatch):
     # each time gp_round allocates a window's v, no earlier window's v is
     # referenced: a run holds one window, never two
     gp = estimators.init_gp(2, noise_var=0.01, horizon=40)
-    # 4 blocks of 10 rounds drawn ahead, 5 query rows each: one window each
+    # 4 blocks of 10 rounds drawn ahead, 5 query rows each: one window each,
+    # but rounds 30-39 split where the factor's first block ends, at 32
     blocks = np.random.default_rng(5).uniform(0.0, 10.0, (4, 10, 5, 2))
     refs, alive = [], []
     empty = np.empty
@@ -579,8 +591,24 @@ def test_a_gp_window_opens_after_the_spent_one_is_dropped(monkeypatch):
                 refs.append(weakref.ref(gp.window.v))
             estimators.gp_update(gp, xs[j], j % 5, float(j))
     monkeypatch.undo()
-    assert len(refs) == len(alive) == 4
-    assert alive == [0, 0, 0, 0]
+    assert len(refs) == len(alive) == 5
+    assert alive == [0, 0, 0, 0, 0]
+
+
+def test_no_gp_window_spans_a_factor_block_boundary():
+    # a window ends where the factor's open 32-row block does, so no block
+    # completes within it; 130 rounds on item blocks of 23 cross four
+    gp = estimators.init_gp(2, noise_var=0.01, horizon=130)
+    contexts = np.random.default_rng(8).uniform(0.0, 10.0, (130, 5, 2))
+    windows = []
+    for i in range(130):
+        estimators.gp_round(gp, contexts[i : i - i % 23 + 23])
+        if not windows or windows[-1] is not gp.window:
+            windows.append(gp.window)
+        estimators.gp_update(gp, contexts[i], i % 5, float(i % 3))
+    spans = [(window.n0, window.n0 + len(window.v) - 1) for window in windows]
+    assert all(first // 32 == last // 32 for first, last in spans), spans
+    assert spans[-1][1] == 129 and len(spans) > 8
 
 
 def test_a_gp_window_opens_in_two_arrays_of_its_size():

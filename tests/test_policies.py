@@ -15,7 +15,7 @@ def select_one(kind, spec, totals, t, contexts, est, params, rng):
     """select_agent for a batch of one run and a block of one round, whose
     estimator est is a stacked ridge state, a list of one GP state, or
     None."""
-    return policies.select_agent(policies.row_groups((kind,), est), spec, totals[None], t,
+    return policies.select_agent(policies.row_groups((kind,)), est, spec, totals[None], t,
                                  contexts[None, None], params, [rng])
 
 
@@ -117,7 +117,8 @@ def test_min_weights_pick_lowest_total_on_equal_scores():
     picks = select_one(PolicyKind("ucb"), spec, totals, 4, contexts,
                        estimators.stack_ridge([est]), params, np.random.default_rng(3))
     assert picks[0] == 1
-    adds = np.maximum(estimators.ucb_scores(est, params, 4, contexts), 0.0)
+    adds = np.maximum(estimators.ucb_scores(est.precision.m_inv, est.theta_hat, params, 4,
+                                            contexts), 0.0)
     values = goodness.candidate_scores(spec, totals, adds)
     assert values[1] == values.max() > values[0]
 
