@@ -73,8 +73,7 @@ OPTIONS = (
     ("noise_r", float, 0.1, "observation noise scale R"),
     ("delta", float, 0.05, "confidence level parameter"),
     ("out", str, "results", "output directory"),
-    ("jobs", int, 1,
-     "parallel worker processes; give each one BLAS thread with OPENBLAS_NUM_THREADS=1"),
+    ("jobs", int, 1, "parallel worker processes"),
     ("utility", str, environment.LINEAR, f"one of: {', '.join(environment.UTILITY_KINDS)}"),
     ("epsilon", float, 0.1, "greedy exploration rate"),
     ("target_ratios", str, None, "comma-separated ratios for --goodness targeted"),
@@ -242,7 +241,7 @@ def _build_run(policy: dict, goodness_args, confidence, sizes: dict,
 
 
 def _read_config_file(path: str) -> dict:
-    values, problems = {}, []
+    values, problems, first_line = {}, [], {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -256,6 +255,11 @@ def _read_config_file(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 problems.append(f"{path}:{lineno}: unknown key {key!r}")
                 continue
+            if key in first_line:
+                problems.append(f"{path}:{lineno}: key {key!r} given again "
+                                f"(first at line {first_line[key]})")
+                continue
+            first_line[key] = lineno
             try:
                 values[key] = _CONFIG_KEYS[key](value)
             except ValueError:
@@ -380,11 +384,23 @@ def _entry_to_json(entry: RunSpecEntry) -> dict:
     }
 
 
+class _JsonObject(dict):
+    """A manifest object as read, with the first key it gives twice, or None."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.twice = next((key for k, key in enumerate(keys) if key in keys[:k]), None)
+
+
 def _object(value, where: str, keys) -> dict:
-    """value, an object of exactly keys; else a ValueError naming where
-    and its first unknown key, then its first missing one."""
+    """value, an object of exactly keys, each given once; else a
+    ValueError naming where and its first key given twice, then its
+    first unknown key, then its first missing one."""
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object")
+    if getattr(value, "twice", None) is not None:
+        raise ValueError(f"{where} has key {value.twice!r} twice")
     for key in (*value, *keys):
         if key not in keys:
             raise ValueError(f"{where} has unknown key {key!r}")
@@ -510,7 +526,8 @@ def _plan_from_manifest(ns: argparse.Namespace) -> RunPlan:
     replay_only = [key for key in (*DEFAULTS, "config") if key not in ("out", "jobs")]
     problems = _clashes(lambda key: getattr(ns, key) is not None, replay_only, "manifest")
     with open(ns.manifest, encoding="utf-8") as fh:
-        payload = _object(json.load(fh), "manifest", _HEADER_KEYS)
+        payload = json.load(fh, object_pairs_hook=_JsonObject)
+    payload = _object(payload, "manifest", _HEADER_KEYS)
     seed, reps, items = payload["seed"], payload["reps"], payload["entries"]
     jobs = DEFAULTS["jobs"] if ns.jobs is None else ns.jobs
     problems += _command_problems(seed, reps, jobs)

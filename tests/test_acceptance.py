@@ -2,7 +2,10 @@
 
 Each test covers one numbered criterion and prints a single
 ``[criterion NN] PASS/FAIL`` line with the measured quantities, so
-``pytest -s tests/test_acceptance.py`` doubles as a report.  The tests
+``pytest -s tests/test_acceptance.py`` doubles as a report.  A passing
+line must equal the line recorded for it in the byte corpus
+(``corpus.json``), with criterion 01's timing left out, so a change
+that moves a measured quantity fails here.  The tests
 use exact oracles where the algebra permits and paired-seed Monte Carlo
 comparisons everywhere else; seeds are fixed, so every number below is
 reproducible.
@@ -43,6 +46,7 @@ from ofdsim.simulator import (
     run_single,
 )
 
+import corpus
 from oracles import (
     check_local_properties,
     evaluate,
@@ -53,8 +57,12 @@ from oracles import (
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:
-    status = "PASS" if ok else "FAIL"
-    print(f"[criterion {num:02d}] {status} - {detail}")
+    """Print the criterion's line; a passing line must be the one the
+    byte corpus records for it, timings aside."""
+    line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}"
+    print(line)
+    if ok:
+        assert corpus.masked(line) == corpus.criterion(num), "the line moved from its record"
     return ok
 
 

@@ -16,6 +16,8 @@ import pytest
 from ofdsim import cli, environment, estimators, goodness, simulator
 from ofdsim.cli import ConfigError
 
+import corpus
+
 
 def make_ns(**kw):
     fields = (
@@ -966,6 +968,35 @@ def test_a_manifest_that_is_no_object_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: manifest must be an object\n"
 
 
+@pytest.mark.parametrize("given, twice, line", [
+    ('"rho": 0.85,', '"rho": 0.85, "rho": 0.5,', "entry 0: goodness has key 'rho' twice"),
+    ('"horizon": 40,', '"horizon": 40, "horizon": 40,', "entry 0: config has key 'horizon' twice"),
+    ('"reps": 3,', '"reps": 3, "reps": 3,', "manifest has key 'reps' twice"),
+], ids=["goodness-rho", "config-horizon", "header-reps"])
+def test_a_manifest_key_given_twice_is_named(tmp_path, capsys, given, twice, line):
+    # JSON allows a repeated key, and json.load keeps its last value; a
+    # replay of it would run what no ofdsim manifest records
+    out = tmp_path / "a"
+    assert run_cli(*small_run_args(out)) == 0
+    capsys.readouterr()
+    text = (out / "manifest.json").read_text()
+    assert text.count(given) == 1
+    (out / "manifest.json").write_text(text.replace(given, twice))
+    assert run_cli("run", "--manifest", str(out / "manifest.json")) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+def test_a_config_file_key_given_twice_names_both_lines(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text("policy = ucb\nagents = 3\nitem-dim = 1\nhorizon = 40\n"
+                    "rho = 0.5\nrho = 0.9\nitem_dim = 1\n")
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {path}:6: key 'rho' given again (first at line 5)",
+        f"config error: {path}:7: key 'item_dim' given again (first at line 3)",
+    ]
+
+
 def test_entries_that_write_one_csv_are_rejected_before_any_run(tmp_path, capsys):
     # a second entry of the same name and policy would overwrite the first's
     # CSV; the plan is rejected before the output directory is made
@@ -1127,6 +1158,15 @@ def test_rho_with_another_goodness_exits_2(tmp_path, capsys, kind):
                                     config=str(config), **extra))
     # without rho the same run is fine
     assert run_cli(*small_run_args(tmp_path / "y", goodness=kind, **extra)) == 0
+
+
+def test_extreme_legal_inputs_exit_0_or_4_with_finite_means(tmp_path):
+    # the byte corpus's extremes grid at (1, 1) and (2, 3); its calls at 7
+    # agents and 40 rounds run only in the corpus script, python tests/corpus.py
+    calls = corpus.extremes(corpus.GRID_SIZES[:2])
+    problems = [problem for k, argv in enumerate(calls)
+                for problem in corpus.extreme_problems(argv, tmp_path / f"call{k}")[1]]
+    assert len(calls) == 672 and problems == []
 
 
 def test_uniform_policy_runs_without_estimator_state(tmp_path):
